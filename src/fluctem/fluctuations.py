@@ -35,27 +35,6 @@ class FluctuationError(ValueError):
 REGIONS = ("scatterer", "shell", "all")
 ORDERINGS = ("minus-plus", "plus-minus", "symmetrized")
 
-# read-mostly density cache, keyed by (scene digest, omega, a, b, region);
-# single-writer insertion, bounded so sweeps cannot grow it without limit
-_DENSITY_CACHE = {}
-_DENSITY_CACHE_MAX = 512
-
-
-def _cache_key(scene, omega, a, b, tag):
-    return (scene.digest(), float(omega), tuple(np.asarray(a, float)),
-            tuple(np.asarray(b, float)), tag)
-
-
-def _cache_get(key):
-    return _DENSITY_CACHE.get(key)
-
-
-def _cache_put(key, value):
-    if len(_DENSITY_CACHE) >= _DENSITY_CACHE_MAX:
-        _DENSITY_CACHE.pop(next(iter(_DENSITY_CACHE)))
-    _DENSITY_CACHE[key] = value
-
-
 @dataclass(frozen=True)
 class CorrelatorDensity:
     a: np.ndarray
@@ -90,25 +69,17 @@ def planck_factor(omega, T, kind="minus-plus", const: Constants = DEFAULT):
 
 def noise_correlator_density(scene: Scene, region, omega, a, b,
                              const: Constants = DEFAULT, solver: EffectiveSolver = None,
-                             nsub=2, shell_pitch=None, n_theta_shell=24,
-                             cache=False) -> CorrelatorDensity:
+                             nsub=2, shell_pitch=None, n_theta_shell=24) -> CorrelatorDensity:
     """Fluctuating-current density over a region of the composed medium.
 
     (hbar/pi) (w/c)^2 int_region (w/c)^2 eps''(x) G(a,x) . conj(G(x,b)) dV.
     Region 'all' is computed as scatterer + shell on identical nodes, so
     the additivity of disjoint regions is exact up to float summation.
-    cache=True memoizes on (scene digest, omega, a, b, region).
     """
     if region not in REGIONS:
         raise FluctuationError(f"region must be one of {REGIONS}")
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    key = None
-    if cache:
-        key = _cache_key(scene, omega, a, b, (region, nsub, const))
-        hit = _cache_get(key)
-        if hit is not None:
-            return hit
     if solver is None:
         solver = EffectiveSolver(scene, omega, const=const)
     pref = (const.hbar / np.pi) * (omega / const.c) ** 2
@@ -123,14 +94,11 @@ def noise_correlator_density(scene: Scene, region, omega, a, b,
             n_theta=n_theta_shell, const=const
         )
     total = sum(parts.values(), np.zeros((3, 3), complex))
-    out = CorrelatorDensity(
+    return CorrelatorDensity(
         a=a, b=b, omega=float(omega), value=total,
         provenance=f"noise-volume:{region}",
         metadata={"scene": scene.digest(), "nsub": nsub},
     )
-    if key is not None:
-        _cache_put(key, out)
-    return out
 
 
 def commutator_density(scene: Scene, omega, a, b, const: Constants = DEFAULT,

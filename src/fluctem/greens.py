@@ -50,24 +50,34 @@ def vacuum_green(omega, x, xp, c=1.0):
     return vacuum_green_block(omega, x[None, :], xp[None, :], c=c)[0, 0]
 
 
+def _dyadic(d, r, k, scale=1.0):
+    """scale * Gv for separations d (..., 3) of lengths r > 0, shape (..., 3, 3).
+
+    The one closed form of the outgoing dyadic,
+    g [(1 + i/u - 1/u^2) I + (-1 - 3i/u + 3/u^2) rr], u = k r,
+    g = exp(i u) / (4 pi r); the result is built in place in one array.
+    """
+    out = np.empty(r.shape + (3, 3), dtype=complex)
+    rh = d / r[..., None]
+    np.multiply(rh[..., :, None], rh[..., None, :], out=out)
+    del rh
+    u = k * r
+    out *= (-1 - 3j / u + 3 / u**2)[..., None, None]
+    out.reshape(r.shape + (9,))[..., ::4] += (1 + 1j / u - 1 / u**2)[..., None]
+    g = np.exp(1j * u) / (4 * np.pi * r)
+    # g on the left: numpy's complex product is not bitwise commutative
+    return np.multiply(scale * g[..., None, None], out, out=out)
+
+
 def vacuum_green_block(omega, targets, sources, c=1.0):
     """Vacuum dyadics for all target/source pairs, shape (T, S, 3, 3)."""
     T = np.atleast_2d(np.asarray(targets, dtype=float))
     S = np.atleast_2d(np.asarray(sources, dtype=float))
-    k = omega / c
     d = T[:, None, :] - S[None, :, :]
     r = np.linalg.norm(d, axis=-1)
     if np.any(r == 0):
         raise GreensError("vacuum_green_block hit a coincident target/source pair")
-    rh = d / r[..., None]
-    u = k * r
-    g = np.exp(1j * u) / (4 * np.pi * r)
-    ci = 1 + 1j / u - 1 / u**2
-    crr = -1 - 3j / u + 3 / u**2
-    out = g[..., None, None] * (
-        ci[..., None, None] * _EYE + crr[..., None, None] * (rh[..., :, None] * rh[..., None, :])
-    )
-    return out
+    return _dyadic(d, r, omega / c)
 
 
 def vacuum_imag_coincidence(omega, c=1.0):
@@ -101,7 +111,6 @@ class LSSystem:
     self_term_rule: str
     solver: str  # 'dense-lu' or 'gmres'
     memory_bytes: int
-    _lu: tuple = field(default=None, repr=False)
 
 
 def assemble_ls_system(
@@ -149,25 +158,6 @@ def assemble_ls_system(
     return LSSystem(scene, float(omega), A, rule, solver, mem)
 
 
-def _vacuum_green_pairs(omega, X, Y, c=1.0):
-    """Vacuum dyadics for matched point pairs X[i] <- Y[i], shape (P, 3, 3)."""
-    X = np.atleast_2d(X)
-    Y = np.atleast_2d(Y)
-    k = omega / c
-    d = X - Y
-    r = np.linalg.norm(d, axis=-1)
-    if np.any(r == 0):
-        raise GreensError("coincident pair in _vacuum_green_pairs")
-    rh = d / r[:, None]
-    u = k * r
-    g = np.exp(1j * u) / (4 * np.pi * r)
-    ci = 1 + 1j / u - 1 / u**2
-    crr = -1 - 3j / u + 3 / u**2
-    return g[:, None, None] * (
-        ci[:, None, None] * _EYE + crr[:, None, None] * (rh[:, :, None] * rh[:, None, :])
-    )
-
-
 def vacuum_green_block_offdiag(omega, pts, c=1.0):
     """(N, N, 3, 3) vacuum block over one point set, zeros on the diagonal."""
     n = len(pts)
@@ -175,7 +165,11 @@ def vacuum_green_block_offdiag(omega, pts, c=1.0):
     if n < 2:
         return out
     iu, ju = np.triu_indices(n, 1)
-    vals = _vacuum_green_pairs(omega, pts[iu], pts[ju], c=c)
+    d = pts[iu] - pts[ju]
+    r = np.linalg.norm(d, axis=-1)
+    if np.any(r == 0):
+        raise GreensError("vacuum_green_block_offdiag hit coincident points")
+    vals = _dyadic(d, r, omega / c)
     out[iu, ju] = vals
     out[ju, iu] = vals.transpose(0, 2, 1)
     return out
@@ -237,37 +231,16 @@ class EffectiveSolver:
 
     # -- rhs / kernel helpers -------------------------------------------
 
-    def _owner(self, pts):
-        """Voxel index containing each point, -1 when outside all voxels."""
-        pts = np.atleast_2d(pts)
-        if self.scene.n_voxels == 0:
-            return np.full(len(pts), -1)
-        h = self.scene.voxel_pitch / 2.0
-        cheb = np.max(np.abs(pts[:, None, :] - self.pos[None, :, :]), axis=-1)
-        inside = cheb <= h + 1e-12
-        owner = np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
-        return owner
-
-    def _coupling_rows(self, pts, owner=None):
+    def _coupling_rows(self, pts):
         """(P, N, 3, 3) couplings dV k^2 Gv(p, u), cell-averaged for p in u."""
         pts = np.atleast_2d(pts)
-        n = self.scene.n_voxels
-        if n == 0:
+        if self.scene.n_voxels == 0:
             return np.zeros((len(pts), 0, 3, 3), complex)
-        if owner is None:
-            owner = self._owner(pts)
+        owner = self.scene.voxel_owner(pts)
         d = pts[:, None, :] - self.pos[None, :, :]
         r = np.linalg.norm(d, axis=-1)
-        r_safe = np.where(r > 0, r, 1.0)  # r = 0 only inside the owner voxel
-        rh = d / r_safe[..., None]
-        u = self.k * r_safe
-        g = np.exp(1j * u) / (4 * np.pi * r_safe)
-        ci = 1 + 1j / u - 1 / u**2
-        crr = -1 - 3j / u + 3 / u**2
-        rows = (self.dv * self.k**2) * g[..., None, None] * (
-            ci[..., None, None] * _EYE
-            + crr[..., None, None] * (rh[..., :, None] * rh[..., None, :])
-        )
+        r[r == 0] = 1.0  # r = 0 only inside the owner voxel, overwritten below
+        rows = _dyadic(d, r, self.k, self.dv * self.k**2)
         inside = np.nonzero(owner >= 0)[0]
         if inside.size:
             rows[inside, owner[inside]] = self.cself * _EYE
@@ -287,10 +260,6 @@ class EffectiveSolver:
         rows = self._coupling_rows(sources)  # (S, N, 3, 3) couplings FROM voxels
         # rhs(w, s) = cell-consistent Gv(w, s): reuse symmetry Gv(w,s) = Gv(s,w)^T
         rhs = rows.transpose(1, 0, 3, 2) / (self.dv * self.k**2)
-        own = self._owner(sources)
-        for j, o in enumerate(own):
-            if o >= 0:
-                rhs[o, j] = (self.cself / (self.dv * self.k**2)) * _EYE
         m = rhs.transpose(0, 2, 1, 3).reshape(3 * n, -1)
         X = self._solve(m)
         return X.reshape(n, 3, len(sources), 3).transpose(0, 2, 1, 3)
@@ -346,8 +315,7 @@ class EffectiveSolver:
         return np.einsum("pnik,npkj->pij", rows, chiX)
 
     def _near_field_guard(self, pts):
-        owner = self._owner(pts)
-        if np.all(owner == -1):
+        if np.all(self.scene.voxel_owner(pts) == -1):
             d = np.linalg.norm(pts[:, None, :] - self.pos[None, :, :], axis=-1)
             close = d.min(initial=np.inf) < self.scene.voxel_pitch
             if close:
@@ -453,10 +421,9 @@ def surface_functional(scene: Scene, omega, a, b, quad, const: Constants = DEFAU
     if scene.shell_enabled and scene.shell is not None:
         if scene.shell.inner_radius <= R <= scene.shell.outer_radius:
             eps_bulk = eval_permittivity(scene.shell.material, omega)
-    Ga = solver.green(quad.nodes, a[None, :], warn_near=False)[:, 0]
-    Gb = solver.green(quad.nodes, b[None, :], warn_near=False)[:, 0]
-    Ga = Ga * shell_path_factors(scene, omega, a, quad.nodes, const)[:, None, None]
-    Gb = Gb * shell_path_factors(scene, omega, b, quad.nodes, const)[:, None, None]
+    G = solver.green(quad.nodes, np.stack([a, b]), warn_near=False)
+    Ga = G[:, 0] * shell_path_factors(scene, omega, a, quad.nodes, const)[:, None, None]
+    Gb = G[:, 1] * shell_path_factors(scene, omega, b, quad.nodes, const)[:, None, None]
     proj = _EYE[None, :, :] - quad.normals[:, :, None] * quad.normals[:, None, :]
     pref = omega * np.sqrt(eps_bulk) / const.c
     return pref * np.einsum("n,nki,nkl,nlj->ij", quad.weights, Ga, proj, np.conj(Gb))
@@ -479,22 +446,18 @@ def noise_volume_integral_scatterer(scene, omega, a, b, solver=None, nsub=2,
     """
     if solver is None:
         solver = EffectiveSolver(scene, omega, const=const)
-    n = scene.n_voxels
-    out = np.zeros((3, 3), complex)
-    if n == 0:
-        return out
+    if scene.n_voxels == 0:
+        return np.zeros((3, 3), complex)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     k2 = (omega / const.c) ** 2
     sub, wsub = _gauss_subnodes(scene.voxel_pitch, nsub)
     epsim = np.array([eval_permittivity(m, omega).imag for _, m in scene.scatterer_voxels])
     pts = (scene.positions()[:, None, :] + sub[None, :, :]).reshape(-1, 3)
-    Ba = solver.green(pts, a[None, :], warn_near=False)[:, 0]  # G(x_s, a)
-    Bb = solver.green(pts, b[None, :], warn_near=False)[:, 0]  # G(x_s, b)
+    B = solver.green(pts, np.stack([a, b]), warn_near=False)  # G(x_s, a), G(x_s, b)
     w = (epsim[:, None] * wsub[None, :]).reshape(-1)
     # G(a, x) = G(x, a)^T by reciprocity of the discrete model
-    out = k2 * np.einsum("n,nki,nkj->ij", w, Ba, np.conj(Bb))
-    return out
+    return k2 * np.einsum("n,nki,nkj->ij", w, B[:, 0], np.conj(B[:, 1]))
 
 
 def noise_volume_integral_shell(scene, omega, a, b, solver=None, shell_pitch=None,
@@ -516,10 +479,9 @@ def noise_volume_integral_shell(scene, omega, a, b, solver=None, shell_pitch=Non
     b = np.asarray(b, dtype=float)
     eps1 = eval_permittivity(scene.shell.material, omega)
     k2 = (omega / const.c) ** 2
-    Ba = solver.green(nodes.positions, a[None, :], warn_near=False)[:, 0]
-    Bb = solver.green(nodes.positions, b[None, :], warn_near=False)[:, 0]
-    Ba = Ba * shell_path_factors(scene, omega, a, nodes.positions, const)[:, None, None]
-    Bb = Bb * shell_path_factors(scene, omega, b, nodes.positions, const)[:, None, None]
+    B = solver.green(nodes.positions, np.stack([a, b]), warn_near=False)
+    Ba = B[:, 0] * shell_path_factors(scene, omega, a, nodes.positions, const)[:, None, None]
+    Bb = B[:, 1] * shell_path_factors(scene, omega, b, nodes.positions, const)[:, None, None]
     return k2 * eps1.imag * np.einsum("n,nki,nkj->ij", nodes.weights, Ba, np.conj(Bb))
 
 

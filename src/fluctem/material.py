@@ -164,8 +164,8 @@ def compose_scene_susceptibility(scene, x, omega):
     inside the shell and all space beyond it) the composed contrast is zero.
     """
     x = np.asarray(x, dtype=float)
-    idx = scene.voxel_containing(x)
-    if idx is not None:
+    idx = scene.voxel_owner(x)[0]
+    if idx >= 0:
         return eval_permittivity(scene.scatterer_voxels[idx][1], omega) - 1.0
     if scene.shell_enabled and scene.shell is not None:
         r = float(np.linalg.norm(x))

@@ -50,11 +50,6 @@ def _eval_c(m: DrudeLorentzModel, W):
     return 1.0 + m.omega_p**2 / (m.omega_0**2 - (W + 1j * m.gamma) ** 2)
 
 
-def _eval_c_deriv(m: DrudeLorentzModel, W):
-    den = m.omega_0**2 - (W + 1j * m.gamma) ** 2
-    return m.omega_p**2 * 2.0 * (W + 1j * m.gamma) / den**2
-
-
 def _newton_branch(m, omega_alpha, seed, tol_scale, max_iter=100):
     """Damped Newton on f(W) = w_a^2 - W^2 eps(W), seeded from the lossless root.
 
@@ -70,7 +65,7 @@ def _newton_branch(m, omega_alpha, seed, tol_scale, max_iter=100):
     for it in range(max_iter):
         if abs(fW) <= tol:
             break
-        dfW = -(2 * W * _eval_c(m, W) + W**2 * _eval_c_deriv(m, W))
+        dfW = -(2 * W * _eval_c(m, W) + W**2 * m.eval_deriv(W))
         step = fW / dfW
         lam = 1.0
         for _ in range(40):

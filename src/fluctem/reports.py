@@ -130,12 +130,14 @@ def write_manifest(outdir, config_text, artifacts, extra=None, wall_time=None):
     """
     import scipy
 
+    from . import __version__
+
     outdir = Path(outdir)
     manifest = {
         "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
         "artifacts": {Path(p).name: sha256_file(p) for p in artifacts},
         "versions": {
-            "fluctem": "0.1.0",
+            "fluctem": __version__,
             "numpy": np.__version__,
             "scipy": scipy.__version__,
         },

@@ -70,17 +70,22 @@ class Scene:
             dtype=complex,
         )
 
-    def voxel_containing(self, x):
-        """Index of the scatterer voxel whose cube contains x, else None."""
-        x = np.asarray(x, dtype=float)
-        h = self.voxel_pitch / 2.0
-        for i, (p, _) in enumerate(self.scatterer_voxels):
-            if np.all(np.abs(x - np.asarray(p)) <= h):
-                return i
-        return None
+    def voxel_owner(self, pts):
+        """Index of the scatterer voxel whose closed cube holds each point.
+
+        pts is (3,) or (P, 3); returns (P,) indices, -1 for points outside
+        every voxel.  Faces count as inside (to 1e-12); a point on a face
+        shared by two voxels belongs to the first in the sorted order.
+        """
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        if not self.scatterer_voxels:
+            return np.full(len(pts), -1)
+        cheb = np.max(np.abs(pts[:, None, :] - self.positions()[None, :, :]), axis=-1)
+        inside = cheb <= self.voxel_pitch / 2.0 + 1e-12
+        return np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
 
     def digest(self):
-        """Stable content hash used to key caches and artifact metadata."""
+        """Stable content hash recorded in artifact metadata."""
         payload = {
             "box_side": self.box_side,
             "voxel_pitch": self.voxel_pitch,

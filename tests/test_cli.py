@@ -201,21 +201,3 @@ def test_verify_equivalence_levels(tmp_path):
         "omega": 1.0, "tolerance": 1e-5, "levels": levels}}, name="strict.yaml")
     assert run_subcommand("verify-equivalence", cfg2, tmp_path / "out2") == 2
 
-
-def test_density_cache_roundtrip(tmp_path):
-    import fluctem.fluctuations as fl
-
-    sc_cfg = {"box_side": 40.0, "voxel_pitch": 2 * np.pi / 12,
-              "voxels": [{"position": [0, 0, 0],
-                          "material": {"type": "drude_lorentz", "omega_p": 1.2,
-                                        "omega_0": 0.9, "gamma": 0.4}}]}
-    from fluctem.scene import build_scene
-
-    sc = build_scene(sc_cfg)
-    a = np.array([0.0, 0.0, 1.2])
-    b = np.array([0.6, 0.2, -0.4])
-    fl._DENSITY_CACHE.clear()
-    d1 = fl.noise_correlator_density(sc, "scatterer", 1.0, a, b, cache=True)
-    d2 = fl.noise_correlator_density(sc, "scatterer", 1.0, a, b, cache=True)
-    assert d2 is d1  # served from the cache
-    assert len(fl._DENSITY_CACHE) == 1

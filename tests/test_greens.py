@@ -191,14 +191,18 @@ def test_surface_must_enclose_points():
         surface_functional(sc, 1.0, np.array([0, 0, 2.0]), np.array([0, 0, 2.0]), q)
 
 
+def thick_shell_scene(eta=0.1):
+    """One voxel inside five amplitude e-foldings of a flat absorber."""
+    ell = 1.0 / np.imag(np.sqrt(1 + 1j * eta))
+    return Scene(box_side=4 * (2.0 + 5 * ell), voxel_pitch=0.2,
+                 scatterer_voxels=(((0.0, 0.0, 0.0), FixedEps(2 + 0.5j)),),
+                 shell=Shell(2.0, 2.0 + 5 * ell, FixedEps(1 + 1j * eta)),
+                 shell_enabled=True)
+
+
 def test_thick_shell_kills_surface_term():
     # five amplitude e-foldings of absorber: outgoing propagation is gone
-    eta = 0.1
-    ell = 1.0 / np.imag(np.sqrt(1 + 1j * eta))
-    sc = Scene(box_side=4 * (2.0 + 5 * ell), voxel_pitch=0.2,
-               scatterer_voxels=(((0.0, 0.0, 0.0), FixedEps(2 + 0.5j)),),
-               shell=Shell(2.0, 2.0 + 5 * ell, FixedEps(1 + 1j * eta)),
-               shell_enabled=True)
+    sc = thick_shell_scene()
     a = np.array([0.0, 0.0, 1.0])
     b = np.array([0.8, 0.3, -0.6])
     solver = EffectiveSolver(sc, 1.0)
@@ -260,3 +264,34 @@ def test_dyadic_block_export(tmp_path):
     assert len(lines) == 1 + 9
     sidecar = (tmp_path / "block.json").read_text()
     assert "self_term_rule" in sidecar and "omega" in sidecar
+
+
+def test_one_solve_per_call_site(monkeypatch):
+    # every call site hands all its sources to one green() call, so each
+    # costs one LS solve; counted at EffectiveSolver._solve
+    from fluctem.fluctuations import noise_correlator_density
+    from fluctem.observables import green_trace_gradient
+
+    solves = []
+    solve = EffectiveSolver._solve
+
+    def counted(self, rhs):
+        solves.append(rhs.shape[1])
+        return solve(self, rhs)
+
+    monkeypatch.setattr(EffectiveSolver, "_solve", counted)
+    sc = one_voxel_scene(pitch=0.4)
+    a = np.array([0.0, 0.0, 1.0])
+    b = np.array([0.8, 0.3, -0.6])
+    x = np.array([0.0, 0.0, 1.2])
+    cases = [
+        (lambda: green_trace_gradient(sc, 1.0, x, side="left"), 1),
+        (lambda: green_trace_gradient(sc, 1.0, x, side="both"), 2),
+        (lambda: greens_identity_report(sc, 1.0, a, b), 3),
+        (lambda: greens_identity_report(thick_shell_scene(), 1.0, a, b), 4),
+        (lambda: noise_correlator_density(sc, "scatterer", 1.0, a, b), 1),
+    ]
+    for run, expected in cases:
+        solves.clear()
+        run()
+        assert len(solves) == expected

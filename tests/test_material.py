@@ -180,6 +180,22 @@ def test_compose_susceptibility_regions():
     assert compose_scene_susceptibility(sc, (0.0, 0.0, 6.0), w) == 0.0
 
 
+def test_voxel_owner_inside_face_outside_empty():
+    sc = _shelled_scene()  # one voxel of pitch 0.2 at the origin
+    # inside, on a face, then the compose cases outside the voxel
+    pts = [(0.05, 0.0, 0.0), (0.1, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 3.0, 0.0), (0.0, 0.0, 6.0)]
+    assert sc.voxel_owner(pts).tolist() == [0, 0, -1, -1, -1]
+    assert sc.voxel_owner((0.1, 0.0, 0.0)).tolist() == [0]
+    assert compose_scene_susceptibility(sc, (0.1, 0.0, 0.0), 1.0) == (3 + 1j) - 1
+    # a face shared by two voxels belongs to the first in sorted order
+    pair = Scene(box_side=20.0, voxel_pitch=0.2,
+                 scatterer_voxels=(((0.0, 0.0, 0.0), FixedEps(2.0)),
+                                   ((0.2, 0.0, 0.0), FixedEps(3.0))))
+    assert pair.voxel_owner([(0.1, 0.0, 0.0), (0.25, 0.0, 0.0)]).tolist() == [0, 1]
+    empty = Scene(box_side=20.0, voxel_pitch=0.2, scatterer_voxels=())
+    assert empty.voxel_owner(pts).tolist() == [-1] * len(pts)
+
+
 def test_compose_susceptibility_pure():
     sc = _shelled_scene()
     x = (0.0, 3.0, 0.0)
