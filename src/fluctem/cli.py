@@ -405,16 +405,20 @@ def run_subcommand(name, config_path, outdir, threads=None):
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     notes = []
-    scene = None
-    if "scene" in cfg:
-        scene = _scene_from_cfg(cfg, notes, base_dir=Path(config_path).parent)
-    t0 = time.time()
-    runner = _RUNNERS[name]
-    if name == "correlator":
-        artifacts, status = runner(cfg, scene, outdir, const, notes, threads=threads)
-    else:
-        artifacts, status = runner(cfg, scene, outdir, const, notes)
-    wall = time.time() - t0
+    # physics warnings go to the manifest's notes, each distinct message once
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        scene = None
+        if "scene" in cfg:
+            scene = _scene_from_cfg(cfg, notes, base_dir=Path(config_path).parent)
+        t0 = time.time()
+        runner = _RUNNERS[name]
+        if name == "correlator":
+            artifacts, status = runner(cfg, scene, outdir, const, notes, threads=threads)
+        else:
+            artifacts, status = runner(cfg, scene, outdir, const, notes)
+        wall = time.time() - t0
+    notes.extend(dict.fromkeys(str(w.message) for w in caught))
     write_manifest(outdir, text, artifacts,
                    extra={"subcommand": name, "threads": threads, "notes": notes,
                           "exit_status": status},
@@ -432,10 +436,7 @@ def main(argv=None):
                         help="worker threads (default: config, env FLUCTEM_THREADS, or 1)")
     try:
         args = parser.parse_args(argv)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return run_subcommand(args.subcommand, args.config, args.out,
-                                  threads=args.threads)
+        return run_subcommand(args.subcommand, args.config, args.out, threads=args.threads)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -109,7 +109,6 @@ class LSSystem:
     omega: float
     matrix: np.ndarray  # (3N, 3N)
     self_term_rule: str
-    solver: str  # 'dense-lu' or 'gmres'
     memory_bytes: int
 
 
@@ -118,44 +117,18 @@ def assemble_ls_system(
     omega,
     rule="spherical_pv_radiative",
     memory_cap=2 * 1024**3,
-    dense_limit=3000,
     const: Constants = DEFAULT,
 ) -> LSSystem:
     """Dense interaction matrix A = I - K over the scatterer voxels.
 
     K couples voxel v to voxel u through dV (w/c)^2 Gv(v, u) (eps(u) - 1),
     the diagonal block following the declared self-term rule.  Bit-exact
-    reproducible from (scene, omega, rule).
+    reproducible from (scene, omega, rule); nothing is factorized here.
     """
-    n = scene.n_voxels
-    if n == 0 and not scene.shell_enabled:
+    if scene.n_voxels == 0 and not scene.shell_enabled:
         raise SceneError("scene has no polarizable voxels and no shell")
-    mem = (3 * n) ** 2 * 16
-    if mem > memory_cap:
-        raise MemoryError(
-            f"interaction matrix would need {mem/1e9:.2f} GB "
-            f"(cap {memory_cap/1e9:.2f} GB) for {n} voxels"
-        )
-    if n == 0:
-        return LSSystem(scene, float(omega), np.zeros((0, 0), complex), rule, "dense-lu", 0)
-
-    c = const.c
-    k = omega / c
-    pos = scene.positions()
-    chi = scene.chi_at(omega)
-    dv = scene.voxel_volume
-
-    A = np.zeros((3 * n, 3 * n), dtype=complex)
-    if n > 1:
-        G = vacuum_green_block_offdiag(omega, pos, c=c)
-        K = dv * k**2 * G * chi[None, :, None, None]
-        A -= K.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
-    cs = self_term_coupling(omega, dv, rule, c=c)
-    for u in range(n):
-        A[3 * u : 3 * u + 3, 3 * u : 3 * u + 3] -= cs * chi[u] * _EYE
-    A += np.eye(3 * n)
-    solver = "dense-lu" if n <= dense_limit else "gmres"
-    return LSSystem(scene, float(omega), A, rule, solver, mem)
+    return EffectiveSolver(scene, omega, rule=rule, const=const,
+                           memory_cap=memory_cap).system
 
 
 def vacuum_green_block_offdiag(omega, pts, c=1.0):
@@ -184,58 +157,51 @@ class EffectiveSolver:
     """
 
     def __init__(self, scene: Scene, omega, rule="spherical_pv_radiative",
-                 const: Constants = DEFAULT, memory_cap=2 * 1024**3, gmres_tol=1e-8):
+                 const: Constants = DEFAULT, memory_cap=2 * 1024**3):
+        n = scene.n_voxels
+        # the coupling rows and A during assembly, A and its LU copy later
+        peak = 2 * (3 * n) ** 2 * 16
+        if peak > memory_cap:
+            raise MemoryError(
+                f"interaction matrix assembly and factorization would peak at "
+                f"{peak/1e9:.2f} GB (cap {memory_cap/1e9:.2f} GB) for {n} voxels"
+            )
         self.scene = scene
         self.omega = float(omega)
         self.const = const
-        if scene.n_voxels == 0:
-            self.system = LSSystem(scene, float(omega), np.zeros((0, 0), complex),
-                                   rule, "dense-lu", 0)
-        else:
-            self.system = assemble_ls_system(scene, omega, rule=rule,
-                                             memory_cap=memory_cap, const=const)
         self.k = omega / const.c
         self.pos = scene.positions()
-        self.chi = scene.chi_at(omega) if scene.n_voxels else np.zeros(0, complex)
+        self.chi = scene.chi_at(omega)
         self.dv = scene.voxel_volume
         self.cself = self_term_coupling(omega, self.dv, rule, c=const.c)
-        self.gmres_tol = gmres_tol
+        # at the voxel centres the coupling rows are K / chi, owner cell included
+        K = self._coupling_rows(self.pos)
+        K *= self.chi[None, :, None, None]
+        A = np.empty((3 * n, 3 * n), dtype=complex)
+        np.negative(K.transpose(0, 2, 1, 3), out=A.reshape(n, 3, n, 3))
+        A.flat[:: 3 * n + 1] += 1.0
+        self.system = LSSystem(scene, self.omega, A, rule, A.nbytes)
         self._fact = None
 
     # -- linear algebra -------------------------------------------------
 
     def _solve(self, rhs):
-        """A^-1 rhs for rhs of shape (3N, m)."""
-        n = self.scene.n_voxels
-        if n == 0:
-            return rhs
-        A = self.system.matrix
-        if self.system.solver == "dense-lu":
-            if self._fact is None:
-                try:
-                    self._fact = sla.lu_factor(A)
-                except sla.LinAlgError as exc:
-                    raise GreensError(
-                        f"LS factorization failed (cond ~ {np.linalg.cond(A):.3e})"
-                    ) from exc
-            return sla.lu_solve(self._fact, rhs)
-        from scipy.sparse.linalg import gmres
-
-        out = np.empty_like(rhs)
-        for j in range(rhs.shape[1]):
-            sol, info = gmres(A, rhs[:, j], rtol=self.gmres_tol, maxiter=2000)
-            if info != 0:
-                raise GreensError(f"gmres failed to reach {self.gmres_tol} (info={info})")
-            out[:, j] = sol
-        return out
+        """A^-1 rhs for rhs of shape (3N, m); A is LU-factorized on first use."""
+        if self._fact is None:
+            A = self.system.matrix
+            try:
+                self._fact = sla.lu_factor(A)
+            except sla.LinAlgError as exc:
+                raise GreensError(
+                    f"LS factorization failed (cond ~ {np.linalg.cond(A):.3e})"
+                ) from exc
+        return sla.lu_solve(self._fact, rhs)
 
     # -- rhs / kernel helpers -------------------------------------------
 
     def _coupling_rows(self, pts):
         """(P, N, 3, 3) couplings dV k^2 Gv(p, u), cell-averaged for p in u."""
         pts = np.atleast_2d(pts)
-        if self.scene.n_voxels == 0:
-            return np.zeros((len(pts), 0, 3, 3), complex)
         owner = self.scene.voxel_owner(pts)
         d = pts[:, None, :] - self.pos[None, :, :]
         r = np.linalg.norm(d, axis=-1)
@@ -254,15 +220,12 @@ class EffectiveSolver:
         Shape (N, S, 3, 3).
         """
         sources = np.atleast_2d(sources)
-        n = self.scene.n_voxels
-        if n == 0:
-            return np.zeros((0, len(sources), 3, 3), complex)
+        n, s = self.scene.n_voxels, len(sources)
         rows = self._coupling_rows(sources)  # (S, N, 3, 3) couplings FROM voxels
         # rhs(w, s) = cell-consistent Gv(w, s): reuse symmetry Gv(w,s) = Gv(s,w)^T
         rhs = rows.transpose(1, 0, 3, 2) / (self.dv * self.k**2)
-        m = rhs.transpose(0, 2, 1, 3).reshape(3 * n, -1)
-        X = self._solve(m)
-        return X.reshape(n, 3, len(sources), 3).transpose(0, 2, 1, 3)
+        X = self._solve(rhs.transpose(0, 2, 1, 3).reshape(3 * n, 3 * s))
+        return X.reshape(n, 3, s, 3).transpose(0, 2, 1, 3)
 
     def interior_field(self, evals_at_voxels):
         """Solve A E = Ev for incident fields sampled at the voxel centers.
@@ -274,8 +237,9 @@ class EffectiveSolver:
         single = ev.ndim == 2
         if single:
             ev = ev[:, None, :]
-        rhs = ev.transpose(0, 2, 1).reshape(3 * n, -1)
-        sol = self._solve(rhs).reshape(n, 3, -1).transpose(0, 2, 1)
+        m = ev.shape[1]
+        rhs = ev.transpose(0, 2, 1).reshape(3 * n, m)
+        sol = self._solve(rhs).reshape(n, 3, m).transpose(0, 2, 1)
         return sol[:, 0, :] if single else sol
 
     # -- field evaluation ------------------------------------------------
@@ -289,13 +253,8 @@ class EffectiveSolver:
         """
         targets = np.atleast_2d(np.asarray(targets, dtype=float))
         sources = np.atleast_2d(np.asarray(sources, dtype=float))
-        n = self.scene.n_voxels
-        if warn_near and n:
+        if warn_near:
             self._near_field_guard(np.vstack([targets, sources]))
-        if n == 0:
-            if scattered_only:
-                return np.zeros((len(targets), len(sources), 3, 3), complex)
-            return vacuum_green_block(self.omega, targets, sources, c=self.const.c)
         X = self.interior_solution(sources)  # (N, S, 3, 3)
         rows = self._coupling_rows(targets)  # (T, N, 3, 3)
         chiX = self.chi[:, None, None, None] * X
@@ -307,8 +266,6 @@ class EffectiveSolver:
     def green_coincident_scattered(self, pts):
         """Scattered part at coincidence, shape (P, 3, 3); finite everywhere."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if self.scene.n_voxels == 0:
-            return np.zeros((len(pts), 3, 3), complex)
         X = self.interior_solution(pts)  # (N, P, 3, 3)
         rows = self._coupling_rows(pts)  # (P, N, 3, 3)
         chiX = self.chi[:, None, None, None] * X
@@ -353,8 +310,7 @@ def solve_effective_green(scene: Scene, omega, sources, targets,
         metadata={
             "scene": scene.digest(),
             "self_term_rule": solver.system.self_term_rule,
-            "solver": solver.system.solver,
-            "solver_tolerance": solver.gmres_tol if solver.system.solver == "gmres" else 0.0,
+            "solver": "dense-lu",
         },
     )
 

@@ -126,6 +126,22 @@ def test_casimir_subcommand(tmp_path):
     assert (out / "force_per_voxel.csv").exists()
 
 
+def test_casimir_warning_recorded_in_manifest(tmp_path):
+    # eight log-spaced points cannot resolve the 2 k d oscillation at d = 1.2
+    scene = dict(BASE_SCENE)
+    scene["voxels"] = [{"position": [0, 0, z], "material": {
+        "type": "drude_lorentz", "omega_p": 1.0, "omega_0": 1.0, "gamma": 0.1}}
+        for z in (-0.6, 0.6)]
+    cfg = write_cfg(tmp_path, {"scene": scene, "casimir": {
+        "T": 1.0, "body": [0], "tail_tolerance": 100.0,
+        "grid": {"min": 0.1, "max": 3.0, "points": 8},
+        }})
+    out = tmp_path / "out"
+    assert main(["casimir", "--config", str(cfg), "--out", str(out)]) == 0
+    notes = json.loads((out / "manifest.json").read_text())["run"]["notes"]
+    assert any("under-resolves the 2 k d interference oscillation" in n for n in notes)
+
+
 def test_oracle_suite(tmp_path):
     cfg = write_cfg(tmp_path, {"oracle_suite": {"omega": 1.0}})
     out = tmp_path / "out"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from fluctem.greens import (
     surface_functional,
     vacuum_green,
     vacuum_green_block,
+    vacuum_green_block_offdiag,
     vacuum_imag_coincidence,
 )
 from fluctem.scene import Scene, Shell, build_scene, sphere_quadrature
@@ -152,6 +155,61 @@ def test_memory_cap_error_reports_estimate():
     sc = Scene(box_side=100.0, voxel_pitch=0.35, scatterer_voxels=voxels)
     with pytest.raises(MemoryError, match="GB"):
         assemble_ls_system(sc, 1.0, memory_cap=1000)
+    # the cap bounds the matrix plus one more of its size, not the matrix alone
+    matrix_bytes = (3 * sc.n_voxels) ** 2 * 16
+    with pytest.raises(MemoryError, match="peak"):
+        assemble_ls_system(sc, 1.0, memory_cap=2 * matrix_bytes - 1)
+    assert assemble_ls_system(sc, 1.0, memory_cap=2 * matrix_bytes).matrix.nbytes == matrix_bytes
+
+
+def two_material_scene():
+    """Five voxels on the 0.3 lattice, two different flat materials."""
+    sites = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 2))
+    mats = (FixedEps(2 + 0.5j), FixedEps(4 + 0.1j))
+    return Scene(box_side=20.0, voxel_pitch=0.3, scatterer_voxels=tuple(
+        (tuple(0.3 * np.array(p, float)), mats[i % 2]) for i, p in enumerate(sites)))
+
+
+def test_assembly_matches_pairwise_reference():
+    # A = I - K from the pairwise vacuum block and the self term, voxel by voxel
+    sc, omega = two_material_scene(), 1.3
+    n, dv = sc.n_voxels, sc.voxel_volume
+    chi = sc.chi_at(omega)
+    K = dv * omega**2 * vacuum_green_block_offdiag(omega, sc.positions())
+    K[np.arange(n), np.arange(n)] = self_term_coupling(omega, dv) * np.eye(3)
+    K *= chi[None, :, None, None]
+    ref = np.eye(3 * n) - K.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
+    A = EffectiveSolver(sc, omega).system.matrix
+    assert np.linalg.norm(A - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+def test_materials_evaluated_once_per_solver(monkeypatch):
+    calls = []
+    flat = FixedEps.eval
+    monkeypatch.setattr(FixedEps, "eval", lambda m, omega: calls.append(omega) or flat(m, omega))
+    sc = two_material_scene()
+    EffectiveSolver(sc, 1.0)
+    assert len(calls) == sc.n_voxels
+
+
+def test_assembly_and_first_solve_peak_within_twice_the_matrix():
+    sc = build_scene({"box_side": 40.0, "voxel_pitch": 0.2, "primitives": [
+        {"shape": "sphere", "radius": 0.8, "material": {
+            "type": "drude_lorentz", "omega_p": 1.2, "omega_0": 0.9, "gamma": 0.4}}]})
+    assert sc.n_voxels == 179
+    matrix_bytes = (3 * sc.n_voxels) ** 2 * 16
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        solver = EffectiveSolver(sc, 1.0)
+        built = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        solver.green([[0.0, 0.0, 1.8]], [[0.3, 0.0, 2.3]], warn_near=False)
+        solved = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert built <= 2.1 * matrix_bytes
+    assert solved <= 2.1 * matrix_bytes
 
 
 def test_system_reassembly_bit_exact():
