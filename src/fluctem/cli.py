@@ -440,7 +440,7 @@ def main(argv=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

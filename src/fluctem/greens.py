@@ -31,6 +31,11 @@ SELF_TERM_RULES = ("spherical_pv_radiative", "spherical_exact")
 
 _EYE = np.eye(3)
 
+# largest (targets, N, 3, 3) block of coupling rows alive at once; 8 MiB keeps
+# the N = 739 identity report at 2.4x the matrix bytes, while 32 MiB doubles
+# the traced peak of the N = 179 noise density (82 MB against 39 MB)
+_BLOCK_BYTES = 8 * 2**20
+
 
 class GreensError(RuntimeError):
     pass
@@ -185,8 +190,11 @@ class EffectiveSolver:
 
     # -- linear algebra -------------------------------------------------
 
-    def _solve(self, rhs):
-        """A^-1 rhs for rhs of shape (3N, m); A is LU-factorized on first use."""
+    def _solve(self, rhs, trans=0):
+        """A^-1 rhs (A^-T rhs if trans=1) for rhs of shape (3N, m).
+
+        A is LU-factorized on first use.
+        """
         if self._fact is None:
             A = self.system.matrix
             try:
@@ -195,7 +203,7 @@ class EffectiveSolver:
                 raise GreensError(
                     f"LS factorization failed (cond ~ {np.linalg.cond(A):.3e})"
                 ) from exc
-        return sla.lu_solve(self._fact, rhs)
+        return sla.lu_solve(self._fact, rhs, trans=trans)
 
     # -- rhs / kernel helpers -------------------------------------------
 
@@ -212,6 +220,11 @@ class EffectiveSolver:
             rows[inside, owner[inside]] = self.cself * _EYE
         return rows
 
+    def _blocks(self, n_pts):
+        """Slices of n_pts points, each at most _BLOCK_BYTES of coupling rows."""
+        step = max(1, _BLOCK_BYTES // (9 * 16 * max(self.scene.n_voxels, 1)))
+        return [slice(i, i + step) for i in range(0, n_pts, step)]
+
     def interior_solution(self, sources):
         """X(u, s) = [A^-1 rhs](u) with rhs the couplings from each source.
 
@@ -221,10 +234,12 @@ class EffectiveSolver:
         """
         sources = np.atleast_2d(sources)
         n, s = self.scene.n_voxels, len(sources)
-        rows = self._coupling_rows(sources)  # (S, N, 3, 3) couplings FROM voxels
         # rhs(w, s) = cell-consistent Gv(w, s): reuse symmetry Gv(w,s) = Gv(s,w)^T
-        rhs = rows.transpose(1, 0, 3, 2) / (self.dv * self.k**2)
-        X = self._solve(rhs.transpose(0, 2, 1, 3).reshape(3 * n, 3 * s))
+        rhs = np.empty((n, 3, s, 3), dtype=complex)
+        for sl in self._blocks(s):
+            rows = self._coupling_rows(sources[sl])  # couplings FROM voxels
+            np.divide(rows.transpose(1, 3, 0, 2), self.dv * self.k**2, out=rhs[:, :, sl])
+        X = self._solve(rhs.reshape(3 * n, 3 * s))
         return X.reshape(n, 3, s, 3).transpose(0, 2, 1, 3)
 
     def interior_field(self, evals_at_voxels):
@@ -256,9 +271,7 @@ class EffectiveSolver:
         if warn_near:
             self._near_field_guard(np.vstack([targets, sources]))
         X = self.interior_solution(sources)  # (N, S, 3, 3)
-        rows = self._coupling_rows(targets)  # (T, N, 3, 3)
-        chiX = self.chi[:, None, None, None] * X
-        scat = np.einsum("tnik,nskj->tsij", rows, chiX)
+        scat = self._radiate(targets, self.chi[:, None, None, None] * X)
         if scattered_only:
             return scat
         return vacuum_green_block(self.omega, targets, sources, c=self.const.c) + scat
@@ -266,20 +279,47 @@ class EffectiveSolver:
     def green_coincident_scattered(self, pts):
         """Scattered part at coincidence, shape (P, 3, 3); finite everywhere."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        X = self.interior_solution(pts)  # (N, P, 3, 3)
-        rows = self._coupling_rows(pts)  # (P, N, 3, 3)
-        chiX = self.chi[:, None, None, None] * X
-        return np.einsum("pnik,npkj->pij", rows, chiX)
+        n = self.scene.n_voxels
+        chiX = self.chi[:, None, None, None] * self.interior_solution(pts)  # (N, P, 3, 3)
+        out = np.empty((len(pts), 3, 3), dtype=complex)
+        for sl, R in self._row_blocks(pts):
+            Y = chiX[:, sl].transpose(1, 0, 2, 3).reshape(len(R), 3 * n, 3)
+            np.matmul(R, Y, out=out[sl])
+        return out
+
+    def _radiate(self, targets, Y):
+        """sum_n rows(t, n) . Y(n, s) for Y of shape (N, S, 3, 3), shape (T, S, 3, 3).
+
+        The rows are built one block of targets at a time and each block is
+        contracted as one (3t, 3N) @ (3N, 3S) product.
+        """
+        n, s = Y.shape[:2]
+        Ym = Y.transpose(0, 2, 1, 3).reshape(3 * n, 3 * s)
+        out = np.empty((len(targets), 3, s, 3), dtype=complex)
+        for sl, R in self._row_blocks(targets):
+            t = len(R)
+            np.matmul(R.reshape(3 * t, 3 * n), Ym, out=out[sl].reshape(3 * t, 3 * s))
+        return out.transpose(0, 2, 1, 3)
+
+    def _row_blocks(self, pts):
+        """(slice, rows) per block of pts, rows[t, i, (n, k)] of shape (t, 3, 3N)."""
+        n = self.scene.n_voxels
+        for sl in self._blocks(len(pts)):
+            rows = self._coupling_rows(pts[sl])
+            yield sl, rows.transpose(0, 2, 1, 3).reshape(len(rows), 3, 3 * n)
 
     def _near_field_guard(self, pts):
-        if np.all(self.scene.voxel_owner(pts) == -1):
-            d = np.linalg.norm(pts[:, None, :] - self.pos[None, :, :], axis=-1)
-            close = d.min(initial=np.inf) < self.scene.voxel_pitch
-            if close:
-                warnings.warn(
-                    "evaluation point within one pitch of a scatterer voxel; "
-                    "near-field accuracy is reduced"
-                )
+        dmin = np.inf
+        for sl in self._blocks(len(pts)):
+            if np.any(self.scene.voxel_owner(pts[sl]) >= 0):
+                return
+            d = np.linalg.norm(pts[sl, None, :] - self.pos[None, :, :], axis=-1)
+            dmin = d.min(initial=dmin)
+        if dmin < self.scene.voxel_pitch:
+            warnings.warn(
+                "evaluation point within one pitch of a scatterer voxel; "
+                "near-field accuracy is reduced"
+            )
 
 
 @dataclass(frozen=True)
@@ -408,7 +448,7 @@ def noise_volume_integral_scatterer(scene, omega, a, b, solver=None, nsub=2,
     b = np.asarray(b, dtype=float)
     k2 = (omega / const.c) ** 2
     sub, wsub = _gauss_subnodes(scene.voxel_pitch, nsub)
-    epsim = np.array([eval_permittivity(m, omega).imag for _, m in scene.scatterer_voxels])
+    epsim = solver.chi.imag  # Im(eps - 1) = Im eps
     pts = (scene.positions()[:, None, :] + sub[None, :, :]).reshape(-1, 3)
     B = solver.green(pts, np.stack([a, b]), warn_near=False)  # G(x_s, a), G(x_s, b)
     w = (epsim[:, None] * wsub[None, :]).reshape(-1)

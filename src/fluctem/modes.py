@@ -221,20 +221,21 @@ def mode_sum_spectral_density(scene, a, b, omega_center, delta_omega, basis: Mod
         omsel = omsel[order]
         bounds = np.nonzero(np.diff(omsel) > 1e-12 * omega_center)[0] + 1
         groups = np.split(np.arange(sel.size), bounds)
+        n = scene.n_voxels
         for g in groups:
             om = float(omsel[g[0]])
             solver = EffectiveSolver(scene, om, const=const)
-            rows = solver._coupling_rows(pts)  # (2, N, 3, 3)
+            # the field at a and b is R A^-1 Ev with R = chi rows(pts), so one
+            # transposed solve for W^T = A^-T R^T serves every mode of the group
+            R = solver._coupling_rows(pts) * solver.chi[None, :, None, None]
+            Wt = solver._solve(R.transpose(0, 2, 1, 3).reshape(6, 3 * n).T, trans=1)
             for start in range(0, g.size, chunk):
                 gg = g[start : start + chunk]
                 ss = sel[gg]
                 ww = wts[gg]
                 F = mode_field_vacuum(basis, ss, pts)  # (m, 2, 3)
                 ev_vox = mode_field_vacuum(basis, ss, vox)  # (m, N, 3)
-                eint = solver.interior_field(ev_vox.transpose(1, 0, 2))  # (N, m, 3)
-                chie = solver.chi[:, None, None] * eint
-                scat = np.einsum("pnij,nmj->mpi", rows, chie)
-                F = F + scat
+                F = F + (ev_vox.reshape(ss.size, 3 * n) @ Wt).reshape(ss.size, 2, 3)
                 acc += np.einsum("m,mi,mj->ij", ww, F[:, 0], np.conj(F[:, 1]))
     return SpectralDensity(
         omega=float(omega_center),

@@ -64,11 +64,12 @@ class Scene:
         return np.array([p for p, _ in self.scatterer_voxels], dtype=float)
 
     def chi_at(self, omega):
-        """eps - 1 per scatterer voxel at omega."""
-        return np.array(
-            [eval_permittivity(m, omega) - 1.0 for _, m in self.scatterer_voxels],
-            dtype=complex,
-        )
+        """eps - 1 per scatterer voxel at omega, each material evaluated once."""
+        chi = {}
+        for _, m in self.scatterer_voxels:
+            if id(m) not in chi:
+                chi[id(m)] = eval_permittivity(m, omega) - 1.0
+        return np.array([chi[id(m)] for _, m in self.scatterer_voxels], dtype=complex)
 
     def voxel_owner(self, pts):
         """Index of the scatterer voxel whose closed cube holds each point.

@@ -175,6 +175,19 @@ def test_usage_errors_exit_one(tmp_path):
     assert main(["ldos", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
 
 
+def test_memory_error_is_an_error_line(tmp_path, monkeypatch, capsys):
+    from fluctem.greens import EffectiveSolver
+
+    def refuse(self, *args, **kwargs):
+        raise MemoryError("interaction matrix assembly would peak at 9.99 GB")
+
+    monkeypatch.setattr(EffectiveSolver, "__init__", refuse)
+    cfg = write_cfg(tmp_path, {"ldos": {"omega0": 1.0, "position": [0, 0, 1.2],
+                                        "orientation": [0, 0, 1]}})
+    assert main(["ldos", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_main_entrypoint_roundtrip(tmp_path):
     cfg = write_cfg(tmp_path, {"ldos": {"omega0": 1.0, "position": [0, 0, 1.2],
                                         "orientation": [0, 0, 1]}})

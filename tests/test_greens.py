@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fluctem import greens
 from fluctem.greens import (
     EffectiveSolver,
     GreensError,
@@ -189,7 +190,7 @@ def test_materials_evaluated_once_per_solver(monkeypatch):
     monkeypatch.setattr(FixedEps, "eval", lambda m, omega: calls.append(omega) or flat(m, omega))
     sc = two_material_scene()
     EffectiveSolver(sc, 1.0)
-    assert len(calls) == sc.n_voxels
+    assert len(calls) == 2  # one per distinct material, not per voxel
 
 
 def test_assembly_and_first_solve_peak_within_twice_the_matrix():
@@ -210,6 +211,44 @@ def test_assembly_and_first_solve_peak_within_twice_the_matrix():
         tracemalloc.stop()
     assert built <= 2.1 * matrix_bytes
     assert solved <= 2.1 * matrix_bytes
+
+
+def test_blocked_evaluation_matches_any_block_size(monkeypatch, rng):
+    # block boundaries fall inside the target lists: 23 = 23 x 1 = 3 x 7 + 2
+    sc = two_material_scene()
+    solver = EffectiveSolver(sc, 1.3)
+    targets = rng.uniform(-0.6, 0.9, (23, 3))
+    targets[:4] = sc.positions()[:4] + 0.05  # some inside a voxel
+    sources = np.array([[0.1, 0.2, 1.4], [1.3, -0.4, 0.2]])
+    pts = targets[:5]
+    ref_g = solver.green(targets, sources, scattered_only=True, warn_near=False)
+    ref_c = solver.green_coincident_scattered(pts)
+    for per_block in (1, 7):
+        monkeypatch.setattr(greens, "_BLOCK_BYTES", per_block * sc.n_voxels * 9 * 16)
+        assert len(solver._blocks(len(targets))) == -(-len(targets) // per_block)
+        g = solver.green(targets, sources, scattered_only=True, warn_near=False)
+        c = solver.green_coincident_scattered(pts)
+        assert np.linalg.norm(g - ref_g) <= 1e-13 * np.linalg.norm(ref_g)
+        assert np.linalg.norm(c - ref_c) <= 1e-13 * np.linalg.norm(ref_c)
+
+
+def test_identity_report_peak_near_twice_the_matrix():
+    # the matrix and its LU copy, plus one bounded block of coupling rows
+    # for the 5,912 Gauss nodes of the volume term
+    sc = build_scene({"box_side": 40.0, "voxel_pitch": 0.2, "primitives": [
+        {"shape": "sphere", "radius": 1.2, "material": {
+            "type": "drude_lorentz", "omega_p": 1.2, "omega_0": 0.9, "gamma": 0.4}}]})
+    assert sc.n_voxels == 739
+    matrix_bytes = (3 * sc.n_voxels) ** 2 * 16
+    a, b = np.array([0.31, -0.47, 1.83]), np.array([-1.52, 0.66, -1.07])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        greens_identity_report(sc, 1.0, a, b)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * matrix_bytes
 
 
 def test_system_reassembly_bit_exact():

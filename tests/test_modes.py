@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from fluctem.greens import vacuum_green, vacuum_imag_coincidence
+from fluctem import greens
+from fluctem.greens import EffectiveSolver, vacuum_green, vacuum_imag_coincidence
+from fluctem.material import DrudeLorentzModel
 from fluctem.modes import (
     ModeError,
     commutator_integral_density,
@@ -150,6 +152,54 @@ def test_scattered_field_two_forms_agree():
     f1 = scattered_mode_field(sc, basis, idx, x, form="interior")
     f2 = scattered_mode_field(sc, basis, idx, x, form="green")
     assert np.linalg.norm(f1 - f2) < 1e-10 * np.linalg.norm(f1)
+
+
+def two_material_cube():
+    """27 voxels on the 0.3 lattice, alternating two Drude-Lorentz materials."""
+    mats = (DrudeLorentzModel(omega_p=1.2, omega_0=0.9, gamma=0.4),
+            DrudeLorentzModel(omega_p=0.8, omega_0=1.4, gamma=0.2))
+    sites = [(x, y, z) for x in range(3) for y in range(3) for z in range(3)]
+    return Scene(box_side=20.0, voxel_pitch=0.3, scatterer_voxels=tuple(
+        (tuple(0.3 * np.array(p, float)), mats[i % 2]) for i, p in enumerate(sites)))
+
+
+def test_mode_sum_matches_forward_route():
+    # reference: each mode's interior field solved forward and radiated by
+    # the coupling rows (scattered_mode_field, form="interior")
+    sc = two_material_cube()
+    a, b = np.array([0.3, 0.2, 1.5]), np.array([-0.9, 0.4, 0.1])
+    basis = enumerate_modes(8 * np.pi, 1.2)
+    omega, delta = 1.0, 0.3
+    got = mode_sum_spectral_density(sc, a, b, omega, delta, basis, chunk=7).value
+    sel = np.nonzero(np.abs(basis.omega_alpha - omega) <= delta / 2)[0]
+    sel = sel[np.argsort(basis.omega_alpha[sel], kind="stable")]
+    ref = np.zeros((3, 3), complex)
+    solver = None
+    for i in sel:
+        om = basis.omega_alpha[i]
+        if solver is None or abs(solver.omega - om) > 1e-12 * om:
+            solver = EffectiveSolver(sc, om)
+        F = scattered_mode_field(sc, basis, i, np.stack([a, b]), solver=solver)
+        ref += np.outer(F[0], np.conj(F[1]))
+    ref /= delta
+    assert len({round(w, 9) for w in basis.omega_alpha[sel]}) > 1
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_mode_sum_group_is_one_six_column_transposed_solve(monkeypatch):
+    calls = []
+    lu_solve = greens.sla.lu_solve
+
+    def counted(fact, rhs, **kw):
+        calls.append((rhs.shape, kw.get("trans", 0)))
+        return lu_solve(fact, rhs, **kw)
+
+    monkeypatch.setattr(greens.sla, "lu_solve", counted)
+    sc = two_material_cube()
+    basis = enumerate_modes(2 * np.pi, 1.2)  # one shell: 12 modes at omega = 1
+    mode_sum_spectral_density(sc, [0.3, 0.2, 1.5], [-0.9, 0.4, 0.1], 1.0, 0.2, basis,
+                              min_modes=1)
+    assert calls == [((3 * sc.n_voxels, 6), 1)]
 
 
 def test_commutator_density_vacuum_coincidence():
