@@ -6,7 +6,16 @@ The effective tensor solves the volume integral equation
 
 by collocation on the voxel centers with a regularized self term (static
 depolarization of an equal-volume sphere plus the radiative correction).
-One dense factorization per frequency serves every source and target.
+
+With M = dV (w/c)^2 Gv between voxel centers (the self term on its diagonal)
+and C = diag(chi), chi = eps - 1, the collocation matrix A = I - M C is not
+symmetric, but M is (reciprocity, Gv(v, u) = Gv(u, v)^T).  The solver
+therefore works with the complex-symmetric S = I - C^1/2 M C^1/2 =
+C^1/2 A C^-1/2: the kernel is evaluated on half the voxel pairs, and S is
+factored once per frequency by the Bunch-Kaufman LDL^T (LAPACK zsytrf,
+stable for symmetric indefinite matrices, about half the flops of LU).  Every
+caller radiates the polarization chi A^-1 rhs = C^1/2 S^-1 C^1/2 rhs, so no
+step divides by chi and voxels with chi = 0 stay exact.
 
 An absorbing far shell, when enabled, is not discretized into the matrix:
 its effect on propagation is the accumulated complex path factor
@@ -35,6 +44,16 @@ _EYE = np.eye(3)
 # the N = 739 identity report at 2.4x the matrix bytes, while 32 MiB doubles
 # the traced peak of the N = 179 noise density (82 MB against 39 MB)
 _BLOCK_BYTES = 8 * 2**20
+
+# the same bound for the chunks of voxel rows the assembly evaluates; with
+# 8 MiB chunks the allocator keeps their temporaries resident, and the
+# N = 739 LDOS loop peaks at 246 MB RSS, against 242 MB at 2 MiB (as fast)
+_ASSEMBLY_BYTES = 2 * 2**20
+
+# column width of the LDL^T panels (LAPACK's default is 64); the workspace is
+# 3N x this, so 32 keeps the N = 179 first solve within 2.1x the matrix
+# bytes, and at N = 739 it factors as fast as 64
+_LDLT_PANEL = 32
 
 
 class GreensError(RuntimeError):
@@ -112,7 +131,7 @@ def self_term_coupling(omega, voxel_volume, rule="spherical_pv_radiative", c=1.0
 class LSSystem:
     scene: Scene
     omega: float
-    matrix: np.ndarray  # (3N, 3N)
+    matrix: np.ndarray  # (3N, 3N) S = I - C^1/2 M C^1/2, bitwise symmetric
     self_term_rule: str
     memory_bytes: int
 
@@ -124,11 +143,12 @@ def assemble_ls_system(
     memory_cap=2 * 1024**3,
     const: Constants = DEFAULT,
 ) -> LSSystem:
-    """Dense interaction matrix A = I - K over the scatterer voxels.
+    """Dense symmetric interaction matrix S = I - C^1/2 M C^1/2 over the voxels.
 
-    K couples voxel v to voxel u through dV (w/c)^2 Gv(v, u) (eps(u) - 1),
-    the diagonal block following the declared self-term rule.  Bit-exact
-    reproducible from (scene, omega, rule); nothing is factorized here.
+    M couples voxel v to voxel u through dV (w/c)^2 Gv(v, u), the diagonal
+    block following the declared self-term rule, and C = diag(eps - 1); S is
+    the collocation matrix A = I - M C in the scaling C^1/2 A C^-1/2.
+    Bit-exact reproducible from (scene, omega, rule); nothing is factorized.
     """
     if scene.n_voxels == 0 and not scene.shell_enabled:
         raise SceneError("scene has no polarizable voxels and no shell")
@@ -164,7 +184,7 @@ class EffectiveSolver:
     def __init__(self, scene: Scene, omega, rule="spherical_pv_radiative",
                  const: Constants = DEFAULT, memory_cap=2 * 1024**3):
         n = scene.n_voxels
-        # the coupling rows and A during assembly, A and its LU copy later
+        # S and one chunk of kernel rows during assembly, S and its LDL^T copy later
         peak = 2 * (3 * n) ** 2 * 16
         if peak > memory_cap:
             raise MemoryError(
@@ -179,31 +199,59 @@ class EffectiveSolver:
         self.chi = scene.chi_at(omega)
         self.dv = scene.voxel_volume
         self.cself = self_term_coupling(omega, self.dv, rule, c=const.c)
-        # at the voxel centres the coupling rows are K / chi, owner cell included
-        K = self._coupling_rows(self.pos)
-        K *= self.chi[None, :, None, None]
-        A = np.empty((3 * n, 3 * n), dtype=complex)
-        np.negative(K.transpose(0, 2, 1, 3), out=A.reshape(n, 3, n, 3))
-        A.flat[:: 3 * n + 1] += 1.0
-        self.system = LSSystem(scene, self.omega, A, rule, A.nbytes)
+        # any D with D^2 = C gives the same D S^-1 D = chi A^-1: one branch suffices
+        sq = np.sqrt(self.chi)
+        self._sqrt_chi3 = np.repeat(sq, 3)[:, None]
+        S = np.empty((3 * n, 3 * n), dtype=complex)
+        S4 = S.reshape(n, 3, n, 3)
+        for sl in self._blocks(n, _ASSEMBLY_BYTES):
+            # pairs v > u only: the rectangle left of the chunk's diagonal
+            # square, then the square's strict lower triangle; each value is
+            # also written as its block transpose, so S is bitwise symmetric
+            v0, v1 = sl.start, min(sl.stop, n)
+            if v0:  # the first chunk has nothing to its left
+                B = self._kernel(self.pos[v0:v1, None] - self.pos[None, :v0])
+                B *= (sq[v0:v1, None] * sq[None, :v0])[..., None, None]
+                S4[v0:v1, :, :v0] = B.transpose(0, 2, 1, 3)
+                S4[:v0, :, v0:v1] = B.transpose(1, 3, 0, 2)
+            iv, iu = np.nonzero(np.tri(v1 - v0, k=-1, dtype=bool))  # strict lower
+            iv += v0
+            iu += v0
+            B = self._kernel(self.pos[iv] - self.pos[iu])
+            B *= (sq[iv] * sq[iu])[:, None, None]
+            S4[iv, :, iu] = B
+            S4[iu, :, iv] = B.transpose(0, 2, 1)
+        # each voxel centre lies in its own cell: the self term, no owner lookup
+        own = np.arange(n)
+        S4[own, :, own] = (1.0 - self.cself * self.chi)[:, None, None] * _EYE
+        self.system = LSSystem(scene, self.omega, S, rule, S.nbytes)
         self._fact = None
+
+    def _kernel(self, d):
+        """-dV k^2 Gv for separations d (..., 3) of distinct voxels, shape (..., 3, 3)."""
+        return _dyadic(d, np.linalg.norm(d, axis=-1), self.k, -self.dv * self.k**2)
 
     # -- linear algebra -------------------------------------------------
 
-    def _solve(self, rhs, trans=0):
-        """A^-1 rhs (A^-T rhs if trans=1) for rhs of shape (3N, m).
+    def _solve(self, rhs):
+        """chi A^-1 rhs = C^1/2 S^-1 C^1/2 rhs for rhs of shape (3N, m).
 
-        A is LU-factorized on first use.
+        The operator is symmetric, so it also serves transposed solves.  S is
+        LDL^T-factorized (Bunch-Kaufman, lower triangle) on first use.
         """
+        s = self._sqrt_chi3
+        if not len(s):
+            return np.zeros(rhs.shape, dtype=complex)  # zsytrs rejects n = 0
         if self._fact is None:
-            A = self.system.matrix
-            try:
-                self._fact = sla.lu_factor(A)
-            except sla.LinAlgError as exc:
-                raise GreensError(
-                    f"LS factorization failed (cond ~ {np.linalg.cond(A):.3e})"
-                ) from exc
-        return sla.lu_solve(self._fact, rhs, trans=trans)
+            # S is symmetric, so S.T is S in the Fortran order LAPACK copies
+            ldu, ipiv, info = sla.lapack.zsytrf(self.system.matrix.T, lower=1,
+                                                lwork=_LDLT_PANEL * len(s))
+            if info > 0:
+                raise GreensError(f"LS matrix is singular: LDL^T pivot D[{info - 1}] "
+                                  f"is exactly zero")
+            self._fact = ldu, ipiv
+        x, _ = sla.lapack.zsytrs(*self._fact, s * rhs, lower=1)
+        return s * x
 
     # -- rhs / kernel helpers -------------------------------------------
 
@@ -220,17 +268,17 @@ class EffectiveSolver:
             rows[inside, owner[inside]] = self.cself * _EYE
         return rows
 
-    def _blocks(self, n_pts):
-        """Slices of n_pts points, each at most _BLOCK_BYTES of coupling rows."""
-        step = max(1, _BLOCK_BYTES // (9 * 16 * max(self.scene.n_voxels, 1)))
+    def _blocks(self, n_pts, nbytes=None):
+        """Slices of n_pts points, each at most nbytes (_BLOCK_BYTES) of coupling rows."""
+        step = max(1, (nbytes or _BLOCK_BYTES) // (9 * 16 * max(self.scene.n_voxels, 1)))
         return [slice(i, i + step) for i in range(0, n_pts, step)]
 
     def interior_solution(self, sources):
-        """X(u, s) = [A^-1 rhs](u) with rhs the couplings from each source.
+        """chi(u) X(u, s) = [chi A^-1 rhs](u) with rhs the couplings from each source.
 
-        X is the effective tensor evaluated at the voxel centers: the
-        self-consistent interior response to a point source at s.
-        Shape (N, S, 3, 3).
+        X is the effective tensor evaluated at the voxel centers, the
+        self-consistent interior response to a point source at s; chi X is
+        the polarization that radiates it.  Shape (N, S, 3, 3).
         """
         sources = np.atleast_2d(sources)
         n, s = self.scene.n_voxels, len(sources)
@@ -239,11 +287,11 @@ class EffectiveSolver:
         for sl in self._blocks(s):
             rows = self._coupling_rows(sources[sl])  # couplings FROM voxels
             np.divide(rows.transpose(1, 3, 0, 2), self.dv * self.k**2, out=rhs[:, :, sl])
-        X = self._solve(rhs.reshape(3 * n, 3 * s))
-        return X.reshape(n, 3, s, 3).transpose(0, 2, 1, 3)
+        chiX = self._solve(rhs.reshape(3 * n, 3 * s))
+        return chiX.reshape(n, 3, s, 3).transpose(0, 2, 1, 3)
 
     def interior_field(self, evals_at_voxels):
-        """Solve A E = Ev for incident fields sampled at the voxel centers.
+        """Polarization chi E, with A E = Ev, for incident fields at the voxel centers.
 
         evals_at_voxels: (N, 3) or (N, M, 3) for M incident fields at once.
         """
@@ -270,8 +318,7 @@ class EffectiveSolver:
         sources = np.atleast_2d(np.asarray(sources, dtype=float))
         if warn_near:
             self._near_field_guard(np.vstack([targets, sources]))
-        X = self.interior_solution(sources)  # (N, S, 3, 3)
-        scat = self._radiate(targets, self.chi[:, None, None, None] * X)
+        scat = self._radiate(targets, self.interior_solution(sources))
         if scattered_only:
             return scat
         return vacuum_green_block(self.omega, targets, sources, c=self.const.c) + scat
@@ -280,7 +327,7 @@ class EffectiveSolver:
         """Scattered part at coincidence, shape (P, 3, 3); finite everywhere."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         n = self.scene.n_voxels
-        chiX = self.chi[:, None, None, None] * self.interior_solution(pts)  # (N, P, 3, 3)
+        chiX = self.interior_solution(pts)  # (N, P, 3, 3)
         out = np.empty((len(pts), 3, 3), dtype=complex)
         for sl, R in self._row_blocks(pts):
             Y = chiX[:, sl].transpose(1, 0, 2, 3).reshape(len(R), 3 * n, 3)
@@ -350,7 +397,7 @@ def solve_effective_green(scene: Scene, omega, sources, targets,
         metadata={
             "scene": scene.digest(),
             "self_term_rule": solver.system.self_term_rule,
-            "solver": "dense-lu",
+            "solver": "dense-ldlt",
         },
     )
 

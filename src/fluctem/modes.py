@@ -126,7 +126,7 @@ def scattered_mode_field(scene: Scene, basis: ModeBasis, mode_index, x,
                          form="interior"):
     """Self-consistent mode field at x for one basis mode.
 
-    form='interior' solves for the interior field and radiates it with the
+    form='interior' solves for the interior polarization and radiates it with the
     vacuum kernel; form='green' uses the effective tensor acting on the
     incident field.  The two agree to solver tolerance.
     """
@@ -140,9 +140,9 @@ def scattered_mode_field(scene: Scene, basis: ModeBasis, mode_index, x,
         solver = EffectiveSolver(scene, om, const=const)
     ev_vox = mode_field_vacuum(basis, sel, scene.positions())[0]  # (N, 3)
     if form == "interior":
-        eint = solver.interior_field(ev_vox)
+        pol = solver.interior_field(ev_vox)  # chi E
         rows = solver._coupling_rows(x)  # (P, N, 3, 3) = dV k^2 Gv(x, u)
-        scat = np.einsum("pnij,nj->pi", rows, solver.chi[:, None] * eint)
+        scat = np.einsum("pnij,nj->pi", rows, pol)
     elif form == "green":
         geff = solver.green(x, scene.positions(), warn_near=False)  # (P, N, 3, 3)
         scat = solver.dv * solver.k**2 * np.einsum(
@@ -225,10 +225,10 @@ def mode_sum_spectral_density(scene, a, b, omega_center, delta_omega, basis: Mod
         for g in groups:
             om = float(omsel[g[0]])
             solver = EffectiveSolver(scene, om, const=const)
-            # the field at a and b is R A^-1 Ev with R = chi rows(pts), so one
-            # transposed solve for W^T = A^-T R^T serves every mode of the group
-            R = solver._coupling_rows(pts) * solver.chi[None, :, None, None]
-            Wt = solver._solve(R.transpose(0, 2, 1, 3).reshape(6, 3 * n).T, trans=1)
+            # the field at a and b is R chi A^-1 Ev with R = rows(pts); chi A^-1
+            # is symmetric, so one solve for W^T = chi A^-1 R^T serves every mode
+            R = solver._coupling_rows(pts)
+            Wt = solver._solve(R.transpose(0, 2, 1, 3).reshape(6, 3 * n).T)
             for start in range(0, g.size, chunk):
                 gg = g[start : start + chunk]
                 ss = sel[gg]

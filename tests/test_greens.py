@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from fluctem import greens
 from fluctem.greens import (
@@ -171,17 +172,72 @@ def two_material_scene():
         (tuple(0.3 * np.array(p, float)), mats[i % 2]) for i, p in enumerate(sites)))
 
 
-def test_assembly_matches_pairwise_reference():
-    # A = I - K from the pairwise vacuum block and the self term, voxel by voxel
-    sc, omega = two_material_scene(), 1.3
+def sphere_scene(radius):
+    """Drude-Lorentz sphere on the 0.2 lattice; |chi| = 4 at omega = 0.9."""
+    return build_scene({"box_side": 40.0, "voxel_pitch": 0.2, "primitives": [
+        {"shape": "sphere", "radius": radius, "material": {
+            "type": "drude_lorentz", "omega_p": 1.2, "omega_0": 0.9, "gamma": 0.4}}]})
+
+
+def pairwise_coupling(sc, omega):
+    """(3N, 3N) M = dV k^2 Gv between voxel centres, self term on the diagonal."""
     n, dv = sc.n_voxels, sc.voxel_volume
-    chi = sc.chi_at(omega)
-    K = dv * omega**2 * vacuum_green_block_offdiag(omega, sc.positions())
-    K[np.arange(n), np.arange(n)] = self_term_coupling(omega, dv) * np.eye(3)
-    K *= chi[None, :, None, None]
-    ref = np.eye(3 * n) - K.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
-    A = EffectiveSolver(sc, omega).system.matrix
-    assert np.linalg.norm(A - ref) <= 1e-14 * np.linalg.norm(ref)
+    M = dv * omega**2 * vacuum_green_block_offdiag(omega, sc.positions())
+    M[np.arange(n), np.arange(n)] = self_term_coupling(omega, dv) * np.eye(3)
+    return M.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
+
+
+def test_assembly_matches_pairwise_reference():
+    # S = I - C^1/2 M C^1/2 from the pairwise vacuum block and the self term
+    sc, omega = two_material_scene(), 1.3
+    s = np.repeat(np.sqrt(sc.chi_at(omega)), 3)
+    ref = np.eye(3 * sc.n_voxels) - s[:, None] * pairwise_coupling(sc, omega) * s[None, :]
+    S = EffectiveSolver(sc, omega).system.matrix
+    assert np.linalg.norm(S - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+def test_symmetric_solve_matches_dense_lu_of_the_collocation_matrix(rng):
+    # chi A^-1 with A = I - M C by general LU, against the LDL^T of S; one
+    # scene has a chi = 0 voxel, the sphere has |chi| = 4
+    sc = two_material_scene()
+    vac = ((0.3, 0.0, 0.6), FixedEps(1.0))
+    with_vacuum = Scene(sc.box_side, sc.voxel_pitch, sc.scatterer_voxels + (vac,))
+    for sc, omega in ((with_vacuum, 1.3), (sphere_scene(0.8), 0.9)):
+        chi = np.repeat(sc.chi_at(omega), 3)
+        A = np.eye(len(chi)) - pairwise_coupling(sc, omega) * chi[None, :]
+        rhs = rng.standard_normal((len(chi), 4)) + 1j * rng.standard_normal((len(chi), 4))
+        ref = chi[:, None] * sla.lu_solve(sla.lu_factor(A), rhs)
+        solver = EffectiveSolver(sc, omega)
+        S = solver.system.matrix
+        assert np.array_equal(S, S.T)
+        got = solver._solve(rhs)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_assembly_work_counters(monkeypatch):
+    # the kernel on pairs v > u only, one chunk of rows at a time, and no
+    # voxel-owner lookup: each centre lies in its own cell
+    pairs, owner_calls = [], []
+    dyadic, owner = greens._dyadic, Scene.voxel_owner
+    monkeypatch.setattr(greens, "_dyadic",
+                        lambda d, r, k, scale=1.0: pairs.append(r.size) or dyadic(d, r, k, scale))
+    monkeypatch.setattr(Scene, "voxel_owner",
+                        lambda sc, pts: owner_calls.append(len(pts)) or owner(sc, pts))
+    sc = sphere_scene(0.8)
+    n, rows = sc.n_voxels, 16
+    monkeypatch.setattr(greens, "_ASSEMBLY_BYTES", rows * n * 9 * 16)
+    EffectiveSolver(sc, 1.0)
+    assert 0 < sum(pairs) <= n * (n + 1) // 2 + rows * n  # the parent route: n^2
+    assert owner_calls == []
+
+
+def test_exactly_singular_system_raises():
+    # static limit: the self term is exactly -1/3, so eps = -2 (the Froehlich
+    # condition, chi = -3) makes the one-voxel S exactly zero
+    solver = EffectiveSolver(one_voxel_scene(eps=-2.0, pitch=0.3), 0.0)
+    assert not solver.system.matrix.any()
+    with pytest.raises(GreensError, match="exactly zero"):
+        solver.interior_field(np.ones((1, 3)))
 
 
 def test_materials_evaluated_once_per_solver(monkeypatch):
@@ -194,9 +250,7 @@ def test_materials_evaluated_once_per_solver(monkeypatch):
 
 
 def test_assembly_and_first_solve_peak_within_twice_the_matrix():
-    sc = build_scene({"box_side": 40.0, "voxel_pitch": 0.2, "primitives": [
-        {"shape": "sphere", "radius": 0.8, "material": {
-            "type": "drude_lorentz", "omega_p": 1.2, "omega_0": 0.9, "gamma": 0.4}}]})
+    sc = sphere_scene(0.8)
     assert sc.n_voxels == 179
     matrix_bytes = (3 * sc.n_voxels) ** 2 * 16
     tracemalloc.start()
@@ -233,11 +287,9 @@ def test_blocked_evaluation_matches_any_block_size(monkeypatch, rng):
 
 
 def test_identity_report_peak_near_twice_the_matrix():
-    # the matrix and its LU copy, plus one bounded block of coupling rows
+    # the matrix and its LDL^T copy, plus one bounded block of coupling rows
     # for the 5,912 Gauss nodes of the volume term
-    sc = build_scene({"box_side": 40.0, "voxel_pitch": 0.2, "primitives": [
-        {"shape": "sphere", "radius": 1.2, "material": {
-            "type": "drude_lorentz", "omega_p": 1.2, "omega_0": 0.9, "gamma": 0.4}}]})
+    sc = sphere_scene(1.2)
     assert sc.n_voxels == 739
     matrix_bytes = (3 * sc.n_voxels) ** 2 * 16
     a, b = np.array([0.31, -0.47, 1.83]), np.array([-1.52, 0.66, -1.07])
