@@ -26,7 +26,6 @@ from .fluctuations import (
     thermal_correlator_density,
 )
 from .greens import greens_identity_report
-from .material import DrudeLorentzModel, TabulatedPermittivity, VACUUM
 from .modes import enumerate_modes, mode_sum_spectral_density
 from .observables import BodySpec, EmitterSpec, casimir_thermal_force, ldos, spontaneous_rate
 from .oracle import mode_counting_ldos, quadrature_convergence, richardson_gradient
@@ -40,7 +39,7 @@ from .reports import (
     write_per_voxel_force_csv,
     write_spectral_csv,
 )
-from .scene import build_scene
+from .scene import _coerce_material, build_scene
 
 SUBCOMMANDS = (
     "dispersion", "ldos", "rate", "correlator", "commutator",
@@ -79,52 +78,11 @@ def _constants(cfg):
                      k_B=float(c.get("k_B", 1.0)))
 
 
-def _material_from_cfg(mcfg, notes, base_dir="."):
-    """Materials as the scene module reads them, with the CLI's gamma clamp."""
-    if mcfg == "vacuum" or (isinstance(mcfg, dict) and mcfg.get("type") == "vacuum"):
-        return VACUUM
-    if isinstance(mcfg, dict) and mcfg.get("type") == "drude_lorentz":
-        wp, w0, g = float(mcfg["omega_p"]), float(mcfg["omega_0"]), float(mcfg["gamma"])
-        wl = float(np.hypot(wp, w0))
-        gmin = 1e-6 * wl
-        if g < gmin:
-            notes.append(f"gamma clamped from {g:.3g} to {gmin:.3g} (1e-6 omega_L)")
-            g = gmin
-        return DrudeLorentzModel(wp, w0, g)
-    if isinstance(mcfg, dict) and mcfg.get("type") == "table":
-        if "path" in mcfg:
-            data = np.loadtxt(Path(base_dir) / mcfg["path"], delimiter=",", ndmin=2)
-            if data.shape[1] != 3:
-                raise UsageError("permittivity table CSV needs columns omega,eps_real,eps_imag")
-            return TabulatedPermittivity(
-                tuple(data[:, 0]), tuple(complex(r, i) for r, i in data[:, 1:]),
-            )
-        return TabulatedPermittivity(
-            tuple(float(x) for x in mcfg["omegas"]),
-            tuple(complex(r, i) for r, i in mcfg["values"]),
-        )
-    raise UsageError(f"cannot interpret material config {mcfg!r}")
-
-
-def _scene_from_cfg(cfg, notes, base_dir="."):
-    scfg = dict(cfg.get("scene") or {})
+def _scene_from_cfg(cfg, base_dir):
+    scfg = cfg.get("scene") or {}
     if not scfg:
         raise UsageError("config is missing the scene section")
-
-    def fix_materials(obj):
-        if isinstance(obj, dict):
-            out = {}
-            for k, v in obj.items():
-                if k == "material":
-                    out[k] = _material_from_cfg(v, notes, base_dir)
-                else:
-                    out[k] = fix_materials(v)
-            return out
-        if isinstance(obj, list):
-            return [fix_materials(v) for v in obj]
-        return obj
-
-    return build_scene(fix_materials(scfg))
+    return build_scene(scfg, base_dir=base_dir)
 
 
 def _omega_grid(gcfg):
@@ -147,7 +105,7 @@ def _pmap(fn, items, threads):
 
 def _run_dispersion(cfg, scene, outdir, const, notes):
     dc = cfg.get("dispersion") or {}
-    mat = _material_from_cfg(dc["material"], notes)
+    mat = _coerce_material(dc["material"])
     grid = _omega_grid(dc.get("omega_alpha", {"min": 0.01, "max": 10.0, "points": 200}))
     rows = []
     for up, lo, par in dispersion_sweep(mat, grid):
@@ -285,9 +243,9 @@ def _run_verify_equivalence(cfg, scene, outdir, const, notes):
     a = np.asarray(vc.get("a", [0.0, 0.0, 1.25]), float)
     b = np.asarray(vc.get("b", [0.85, 0.4, -0.7]), float)
     tol = float(vc.get("tolerance", 0.05))
-    mat = _material_from_cfg(vc.get("scatterer_material",
-                                    {"type": "drude_lorentz", "omega_p": 1.2,
-                                     "omega_0": 0.9, "gamma": 0.4}), notes)
+    mat = _coerce_material(vc.get("scatterer_material",
+                                  {"type": "drude_lorentz", "omega_p": 1.2,
+                                   "omega_0": 0.9, "gamma": 0.4}))
     levels = vc.get("levels") or _default_equivalence_levels()
     fan = equivalence_fan(mat, omega, a, b, levels, const=const,
                           delta_omega=float(vc.get("delta_omega", 0.05)),
@@ -410,7 +368,7 @@ def run_subcommand(name, config_path, outdir, threads=None):
         warnings.simplefilter("always")
         scene = None
         if "scene" in cfg:
-            scene = _scene_from_cfg(cfg, notes, base_dir=Path(config_path).parent)
+            scene = _scene_from_cfg(cfg, Path(config_path).parent)
         t0 = time.time()
         runner = _RUNNERS[name]
         if name == "correlator":

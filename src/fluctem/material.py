@@ -67,13 +67,6 @@ class DrudeLorentzModel:
         val = 1.0 + self.omega_p**2 / (self.omega_0**2 - (w + 1j * self.gamma) ** 2)
         return complex(val) if np.ndim(omega) == 0 else val
 
-    def eval_deriv(self, omega):
-        """d(eps)/d(omega), analytic; used by the polariton Newton solver."""
-        w = np.asarray(omega, dtype=complex)
-        den = self.omega_0**2 - (w + 1j * self.gamma) ** 2
-        val = self.omega_p**2 * 2.0 * (w + 1j * self.gamma) / den**2
-        return complex(val) if np.ndim(omega) == 0 else val
-
 
 @dataclass(frozen=True)
 class ResonanceParams:

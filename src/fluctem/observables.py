@@ -16,7 +16,7 @@ import numpy as np
 from .constants import DEFAULT, Constants
 from .fluctuations import planck_factor
 from .greens import EffectiveSolver, GreensError
-from .material import DrudeLorentzModel, eval_permittivity, resonance_params
+from .material import DrudeLorentzModel, resonance_params
 from .scene import Scene
 
 
@@ -207,8 +207,7 @@ def casimir_thermal_force(scene: Scene, body: BodySpec, T, omega_grid=None,
         solver = EffectiveSolver(scene, om, const=const)
         pref = (const.hbar / np.pi) * (om / const.c) ** 2 * dv
         for jv, i in enumerate(idx):
-            mat = scene.scatterer_voxels[i][1]
-            chi = eval_permittivity(mat, om) - 1.0
+            chi = solver.chi[i]
             if chi.imag == 0 and chi.real == 0:
                 continue
             gr = green_trace_gradient(scene, om, pos[jv], side="left", h=h,

@@ -45,69 +45,34 @@ def lossless_transverse(m: DrudeLorentzModel, omega_alpha):
     return up, lo
 
 
-def _eval_c(m: DrudeLorentzModel, W):
-    # analytic continuation of the closed form to complex W
-    return 1.0 + m.omega_p**2 / (m.omega_0**2 - (W + 1j * m.gamma) ** 2)
+def _quartic(m: DrudeLorentzModel, wa2):
+    """Coefficients of P(W) = (w_a^2 - W^2)(w_0^2 - (W + i gamma)^2) - w_p^2 W^2."""
+    g = m.gamma
+    return np.array([1.0, 2j * g, -(wa2 + m.omega_0**2 + g**2 + m.omega_p**2),
+                     -2j * g * wa2, wa2 * (m.omega_0**2 + g**2)])
 
 
-def _newton_branch(m, omega_alpha, seed, tol_scale, max_iter=100):
-    """Damped Newton on f(W) = w_a^2 - W^2 eps(W), seeded from the lossless root.
-
-    The tolerance carries a floating-point floor ~ eps * w_a^2 since the
-    residual itself cannot be evaluated below the roundoff of w_a^2.
-    """
-    wl2 = m.omega_p**2 + m.omega_0**2
-    eps_floor = 64 * np.finfo(float).eps * max(omega_alpha**2, wl2)
-    tol = max(1e-10 * max(wl2, 1e-300) * tol_scale, eps_floor)
-    W = complex(seed)
-    trace = []
-    fW = omega_alpha**2 - W**2 * _eval_c(m, W)
-    for it in range(max_iter):
-        if abs(fW) <= tol:
-            break
-        dfW = -(2 * W * _eval_c(m, W) + W**2 * m.eval_deriv(W))
-        step = fW / dfW
-        lam = 1.0
-        for _ in range(40):
-            Wn = W - lam * step
-            fn = omega_alpha**2 - Wn**2 * _eval_c(m, Wn)
-            if abs(fn) < abs(fW):
-                break
-            lam /= 2
-        trace.append((complex(W), abs(fW)))
-        if abs(Wn - W) <= 4 * np.finfo(float).eps * abs(Wn):
-            W, fW = Wn, fn
-            break  # stagnated at the float floor
-        W, fW = Wn, fn
-    else:
-        raise PolaritonError(
-            f"Newton failed after {max_iter} steps at omega_alpha={omega_alpha}: "
-            f"|f|={abs(fW):.3e}, trace tail={trace[-3:]}"
-        )
-    if W.imag > 0:  # causal roots sit in the lower half plane
-        W = W.conjugate()
-    return W, abs(omega_alpha**2 - W**2 * _eval_c(m, W))
+def _den(m: DrudeLorentzModel, W):
+    """The Drude-Lorentz denominator D(W) = w_0^2 - (W + i gamma)^2."""
+    return m.omega_0**2 - (W + 1j * m.gamma) ** 2
 
 
-def transverse_branches(m: DrudeLorentzModel, omega_alpha, seeds=None):
+def transverse_branches(m: DrudeLorentzModel, omega_alpha):
     """(upper, lower) BranchPoints at one vacuum mode frequency.
 
-    seeds, when given as (upper_seed, lower_seed), start the Newton
-    iteration there instead of the lossless closed form; sweeps use this to
-    track branches continuously.
+    w_a^2 = W^2 eps(W) times D(W) is the quartic P(W) = 0, whose roots come
+    in mirror pairs (W, -conj(W)).  The two with Re W >= 0, ordered by real
+    part, are the upper and lower branches.
     """
     if omega_alpha < 0:
         raise MaterialError("omega_alpha must be nonnegative")
-    up0, lo0 = lossless_transverse(m, omega_alpha)
-    if seeds is not None:
-        up0, lo0 = seeds
+    wa = float(omega_alpha)
+    roots = np.roots(_quartic(m, wa**2))
     out = []
-    for tag, seed in (("upper", up0), ("lower", lo0)):
-        if abs(seed) == 0.0:
-            out.append(BranchPoint(float(omega_alpha), tag, 0.0 + 0.0j, 0.0))
-            continue
-        W, res = _newton_branch(m, float(omega_alpha), seed, tol_scale=1.0)
-        out.append(BranchPoint(float(omega_alpha), tag, W, float(res)))
+    for tag, W in zip(("upper", "lower"), sorted(roots, key=lambda r: -r.real)):
+        W = complex(abs(W.real), W.imag)
+        res = abs(wa**2 - W**2 * (1.0 + m.omega_p**2 / _den(m, W)))
+        out.append(BranchPoint(wa, tag, W, float(res)))
     return tuple(out)
 
 
@@ -115,7 +80,7 @@ def longitudinal_branch(m: DrudeLorentzModel, omega_alpha=0.0) -> BranchPoint:
     """The dispersionless longitudinal root W = omega_L - i gamma."""
     rp = resonance_params(m)
     W = rp.longitudinal_branch
-    res = abs(_eval_c(m, W))
+    res = abs(1.0 + m.omega_p**2 / _den(m, W))
     meta = {}
     if m.gamma > 0.1 * rp.omega_L:
         meta["warning"] = (
@@ -127,16 +92,8 @@ def longitudinal_branch(m: DrudeLorentzModel, omega_alpha=0.0) -> BranchPoint:
 
 
 def dispersion_sweep(m: DrudeLorentzModel, omega_alphas):
-    """Branch points along a sweep, tracking roots from the previous point."""
-    rows = []
-    seeds = None
-    for wa in omega_alphas:
-        up, lo = transverse_branches(m, wa, seeds=seeds)
-        seeds = (up.Omega, lo.Omega if abs(lo.Omega) > 0 else None)
-        if seeds[1] is None:
-            seeds = None
-        rows.append((up, lo, longitudinal_branch(m, wa)))
-    return rows
+    """(upper, lower, longitudinal) branch points at each sweep frequency."""
+    return [(*transverse_branches(m, wa), longitudinal_branch(m, wa)) for wa in omega_alphas]
 
 
 def effective_photon_weight(m: DrudeLorentzModel, omega, omega_alpha, hbar=1.0):
@@ -169,10 +126,11 @@ def window_integral_norm(m: DrudeLorentzModel, omega_alpha, branch="upper",
                          window_halfwidths=10.0, hbar=1.0) -> WindowNorm:
     """Window norm sqrt(int |weight|^2 dw) against the closed-form prediction.
 
-    The prediction is N = sqrt(hbar W / 2 * dW^2/d(w_a^2)) with the branch
-    derivative taken by central differences of the solver (Richardson
-    refined).  The ratio raw/N approaches (2/pi) arctan(w)^(1/2) -> 1 for a
-    resonance-dominated window of half-width w leak widths.
+    The prediction is N = sqrt(hbar W / 2 * dW^2/d(w_a^2)), the branch
+    derivative -2 W D(W) / P'(W) by implicit differentiation of the quartic
+    P(W) = (w_a^2 - W^2) D(W) - w_p^2 W^2.  The ratio raw/N approaches
+    (2/pi) arctan(w)^(1/2) -> 1 for a resonance-dominated window of
+    half-width w leak widths.
     """
     w = float(window_halfwidths)
     if w < 3:
@@ -202,23 +160,13 @@ def window_integral_norm(m: DrudeLorentzModel, omega_alpha, branch="upper",
     val, err = quad(integrand, lo, hi, points=[center], limit=800)
     raw = float(np.sqrt(val))
 
-    # dW^2/d(w_a^2) by central difference with Richardson refinement
-    wa2 = omega_alpha**2
-
-    def omega2_at(d):
-        up, lo_ = transverse_branches(m, np.sqrt(wa2 + d))
-        return (up if branch == "upper" else lo_).Omega ** 2
-
-    h = 1e-4 * wa2
-    d1 = (omega2_at(h) - omega2_at(-h)) / (2 * h)
-    d2 = (omega2_at(h / 2) - omega2_at(-h / 2)) / h
-    deriv = (4 * d2 - d1) / 3
-    n_pred = float(np.sqrt(abs(hbar * bp.Omega / 2 * deriv)))
+    W = bp.Omega
+    deriv = -2 * W * _den(m, W) / np.polyval(np.polyder(_quartic(m, omega_alpha**2)), W)
+    n_pred = float(np.sqrt(abs(hbar * W / 2 * deriv)))
     return WindowNorm(
         raw=raw,
         n_pred=n_pred,
         ratio=raw / n_pred,
         window_halfwidths=w,
-        metadata={"quad_error": err, "deriv_error": float(abs(d2 - d1)),
-                  "branch": branch, "Omega": bp.Omega},
+        metadata={"quad_error": err, "branch": branch, "Omega": W},
     )

@@ -12,8 +12,10 @@ import hashlib
 import json
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .material import (
     VACUUM,
@@ -135,14 +137,14 @@ def _material_tag(m):
     raise SceneError(f"unknown material {m!r}")
 
 
-def build_scene(config: dict) -> Scene:
+def build_scene(config: dict, base_dir=".") -> Scene:
     """Materialize a Scene from a parsed configuration mapping.
 
     Recognized keys: box_side, voxel_pitch, voxels (explicit list of
     {position, material}), primitives (list of sphere/box entries filling
     the pitch lattice), shell {inner_radius, outer_radius, material,
     enabled}.  Materials are either material objects already or mappings
-    with a 'type' key.
+    with a 'type' key; table paths are relative to base_dir.
     """
     box_side = float(config.get("box_side", 0.0))
     pitch = float(config.get("voxel_pitch", 0.0))
@@ -154,17 +156,14 @@ def build_scene(config: dict) -> Scene:
     voxels = []
     for entry in config.get("voxels", []):
         pos = tuple(float(v) for v in entry["position"])
-        voxels.append((pos, _coerce_material(entry["material"])))
+        voxels.append((pos, _coerce_material(entry["material"], base_dir)))
     for prim in config.get("primitives", []):
-        voxels.extend(_voxelize_primitive(prim, pitch))
+        voxels.extend(_voxelize_primitive(prim, pitch, base_dir))
 
     voxels.sort(key=lambda pm: pm[0])
     pos = np.array([p for p, _ in voxels]) if voxels else np.zeros((0, 3))
-    if len(voxels) > 1:
-        d2 = np.sum((pos[:, None, :] - pos[None, :, :]) ** 2, axis=-1)
-        iu = np.triu_indices(len(voxels), 1)
-        if np.any(d2[iu] < (pitch * (1 - 1e-9)) ** 2):
-            raise SceneError("overlapping scatterer voxels (centers closer than one pitch)")
+    if len(voxels) > 1 and cKDTree(pos).query_pairs(pitch * (1 - 1e-9)):
+        raise SceneError("overlapping scatterer voxels (centers closer than one pitch)")
 
     shell = None
     shell_enabled = False
@@ -176,7 +175,7 @@ def build_scene(config: dict) -> Scene:
             raise SceneError(f"need inner_radius < outer_radius, got R2={r2}, R1={r1}")
         if r1 > box_side / 2:
             raise SceneError(f"outer_radius {r1} exceeds box_side/2 = {box_side/2}")
-        shell = Shell(r2, r1, _coerce_material(shell_cfg["material"]))
+        shell = Shell(r2, r1, _coerce_material(shell_cfg["material"], base_dir))
         shell_enabled = bool(shell_cfg.get("enabled", True))
         if voxels:
             rmax = float(np.max(np.linalg.norm(pos, axis=1)))
@@ -200,7 +199,13 @@ def build_scene(config: dict) -> Scene:
     return scene
 
 
-def _coerce_material(m):
+def _coerce_material(m, base_dir="."):
+    """A material object from itself, the name 'vacuum' or a config mapping.
+
+    A drude_lorentz mapping with gamma below 1e-6 omega_L is clamped there,
+    with a warning; a table mapping gives 'omegas' and 'values' inline or a
+    'path' (relative to base_dir) to a CSV of omega, eps_real, eps_imag.
+    """
     if isinstance(m, (Vacuum, DrudeLorentzModel, TabulatedPermittivity)):
         return m
     if isinstance(m, str):
@@ -212,8 +217,18 @@ def _coerce_material(m):
         if kind == "vacuum":
             return VACUUM
         if kind == "drude_lorentz":
-            return DrudeLorentzModel(float(m["omega_p"]), float(m["omega_0"]), float(m["gamma"]))
+            wp, w0, g = float(m["omega_p"]), float(m["omega_0"]), float(m["gamma"])
+            gmin = 1e-6 * float(np.hypot(wp, w0))
+            if g < gmin:
+                warnings.warn(f"gamma clamped from {g:.3g} to {gmin:.3g} (1e-6 omega_L)")
+                g = gmin
+            return DrudeLorentzModel(wp, w0, g)
         if kind == "table":
+            if "path" in m:
+                data = np.loadtxt(Path(base_dir) / m["path"], delimiter=",", ndmin=2)
+                if data.shape[1] != 3:
+                    raise SceneError("permittivity table CSV needs columns omega,eps_real,eps_imag")
+                return TabulatedPermittivity(tuple(data[:, 0]), tuple(data[:, 1] + 1j * data[:, 2]))
             om = [float(x) for x in m["omegas"]]
             vals = [complex(re, im) for re, im in m["values"]]
             return TabulatedPermittivity(tuple(om), tuple(vals))
@@ -221,8 +236,8 @@ def _coerce_material(m):
     raise SceneError(f"cannot interpret material {m!r}")
 
 
-def _voxelize_primitive(prim, pitch):
-    mat = _coerce_material(prim["material"])
+def _voxelize_primitive(prim, pitch, base_dir):
+    mat = _coerce_material(prim["material"], base_dir)
     center = np.asarray(prim.get("center", (0.0, 0.0, 0.0)), dtype=float)
     kind = prim["shape"]
     out = []

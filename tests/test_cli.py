@@ -188,6 +188,15 @@ def test_memory_error_is_an_error_line(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_bad_material_config_is_an_error_line(tmp_path, capsys):
+    scene = dict(BASE_SCENE)
+    scene["voxels"] = [{"position": [0, 0, 0], "material": {"type": "unobtainium"}}]
+    cfg = write_cfg(tmp_path, {"scene": scene,
+                               "ldos": {"omega0": 1.0, "position": [0, 0, 1.2]}})
+    assert main(["ldos", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: unknown material type")
+
+
 def test_main_entrypoint_roundtrip(tmp_path):
     cfg = write_cfg(tmp_path, {"ldos": {"omega0": 1.0, "position": [0, 0, 1.2],
                                         "orientation": [0, 0, 1]}})

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fluctem.greens import EffectiveSolver
+from fluctem.material import DrudeLorentzModel
 from fluctem.observables import (
     BodySpec,
     EmitterSpec,
@@ -189,6 +190,18 @@ def test_casimir_tail_error_contract():
         with pytest.raises(ObservableError, match="unconverged"):
             casimir_thermal_force(sc, BodySpec((0,)), T=1.0, omega_grid=sparse,
                                   tail_tol=1e-4)
+
+
+def test_casimir_evaluates_materials_only_in_the_solver(monkeypatch):
+    calls = []
+    flat = DrudeLorentzModel.eval
+    monkeypatch.setattr(DrudeLorentzModel, "eval",
+                        lambda m, omega: calls.append(omega) or flat(m, omega))
+    grid = np.logspace(-1, 1, 8) * np.sqrt(2)
+    with pytest.warns(UserWarning, match="under-resolves"):
+        casimir_thermal_force(_two_voxel_scene(), BodySpec((0,)), T=1.0,
+                              omega_grid=grid, tail_tol=100.0)
+    assert len(calls) == 2 * grid.size  # the solver's two materials, none for the body
 
 
 def test_casimir_body_validation():

@@ -133,3 +133,71 @@ def test_longitudinal_norm_decouples():
                               "longitudinal", 10.0)
     assert np.isnan(n1.n_pred)
     assert n2.raw < 0.2 * n1.raw  # norm shrinks with the oscillator strength
+
+
+def _dispersion_residual(m, wa, W):
+    eps = 1 + m.omega_p**2 / (m.omega_0**2 - (W + 1j * m.gamma) ** 2)
+    return abs(wa**2 - W**2 * eps)
+
+
+def test_far_mode_has_two_distinct_branches():
+    # far above omega_L the lower branch sits at the resonance, not on a
+    # second copy of the upper root
+    up, lo = transverse_branches(STIFF, 7.0)
+    assert up.Omega.real > 7.0
+    assert abs(lo.Omega.real - STIFF.omega_0) < 0.05
+    assert abs(up.Omega - lo.Omega) > 6.0
+
+
+def test_lower_branch_stays_positive_at_large_momentum():
+    wa = 1e3 * resonance_params(STIFF).omega_L
+    up, lo = transverse_branches(STIFF, wa)
+    assert lo.Omega.real > 0
+    assert abs(lo.Omega.real - STIFF.omega_0) < 0.05
+    assert up.Omega.real == pytest.approx(wa, rel=1e-3)
+
+
+def test_strong_loss_sweep_keeps_the_branches_apart():
+    rows = dispersion_sweep(DrudeLorentzModel(3.0, 4.0, 2.5), np.linspace(0.05, 10.0, 200))
+    ups = np.array([r[0].Omega for r in rows])
+    los = np.array([r[1].Omega for r in rows])
+    assert np.all(ups.real > los.real)
+
+
+def test_pure_drude_lower_branch_is_a_lossy_root():
+    m = DrudeLorentzModel(1.0, 0.0, 0.1)
+    wl2 = resonance_params(m).omega_L ** 2
+    for wa in (0.05, 0.5, 2.0, 5.0):
+        up, lo = transverse_branches(m, wa)
+        assert lo.Omega != 0
+        assert 0 < lo.Omega.real < up.Omega.real and lo.Omega.imag < 0
+        assert _dispersion_residual(m, wa, lo.Omega) <= 1e-12 * wl2
+        assert lo.residual <= 1e-12 * wl2
+
+
+def test_zero_momentum_lower_branch_is_exactly_zero():
+    up, lo = transverse_branches(STIFF, 0.0)
+    assert lo.Omega == 0 and lo.residual == 0
+    assert up.Omega == pytest.approx(resonance_params(STIFF).longitudinal_branch, rel=1e-14)
+
+
+@pytest.mark.parametrize("m, wa, branch", [
+    (STIFF, 2.0, "upper"),
+    (STIFF, 0.5, "lower"),
+    (DrudeLorentzModel(1.0, 1.0, 0.05), 1.0, "lower"),
+    (DrudeLorentzModel(3.0, 4.0, 2.5), 0.5, "upper"),
+    (WEAK, 2.0, "upper"),
+])
+def test_window_norm_derivative_matches_central_difference(m, wa, branch):
+    # n_pred = sqrt(|W/2 dW^2/d(wa^2)|); the analytic derivative against a
+    # central difference of the branch roots themselves
+    idx = {"upper": 0, "lower": 1}[branch]
+    h = 1e-5 * wa**2
+
+    def omega2(d):
+        return transverse_branches(m, np.sqrt(wa**2 + d))[idx].Omega ** 2
+
+    fd = (omega2(h) - omega2(-h)) / (2 * h)
+    W = transverse_branches(m, wa)[idx].Omega
+    norm = window_integral_norm(m, wa, branch)
+    assert norm.n_pred == pytest.approx(np.sqrt(abs(W / 2 * fd)), rel=1e-8)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fluctem.material import DrudeLorentzModel
+from fluctem.material import DrudeLorentzModel, MaterialError, TabulatedPermittivity
 from fluctem.scene import (
     SceneError,
     build_scene,
@@ -61,6 +61,46 @@ def test_overlapping_voxels_error():
             "voxels": [{"position": [0, 0, 0], "material": DL},
                        {"position": [0.1, 0, 0], "material": DL}],
         })
+
+
+def test_lattice_neighbours_do_not_overlap():
+    # face neighbours sit exactly one pitch apart; only closer centres overlap
+    sc = build_scene({
+        "box_side": 10.0, "voxel_pitch": 0.1,
+        "voxels": [{"position": [0, 0, 0], "material": DL},
+                   {"position": [0.1, 0, 0], "material": DL},
+                   {"position": [0.1, 0.1, 0], "material": DL}],
+    })
+    assert sc.n_voxels == 3
+
+
+def test_gamma_clamp_applies_to_config_mappings_only():
+    tiny = dict(DL, gamma=1e-12)
+    with pytest.warns(UserWarning, match="clamped"):
+        sc = build_scene({"box_side": 10.0, "voxel_pitch": 0.1,
+                          "voxels": [{"position": [0, 0, 0], "material": tiny}]})
+    assert sc.scatterer_voxels[0][1].gamma == pytest.approx(1e-6 * np.sqrt(2))
+    with pytest.raises(MaterialError):
+        DrudeLorentzModel(1.0, 1.0, 0.0)
+
+
+def test_table_path_relative_to_base_dir(tmp_path):
+    ws = np.logspace(-1, 1, 20)
+    (tmp_path / "eps.csv").write_text("\n".join(f"{w},2.0,{0.1 * w}" for w in ws))
+    sc = build_scene({"box_side": 10.0, "voxel_pitch": 0.1,
+                      "voxels": [{"position": [0, 0, 0],
+                                  "material": {"type": "table", "path": "eps.csv"}}]},
+                     base_dir=tmp_path)
+    mat = sc.scatterer_voxels[0][1]
+    assert isinstance(mat, TabulatedPermittivity)
+    assert mat.eval(ws[3]) == pytest.approx(2.0 + 0.1j * ws[3], rel=1e-12)
+    bad = tmp_path / "two_columns.csv"
+    bad.write_text("\n".join(f"{w},2.0" for w in ws))
+    with pytest.raises(SceneError, match="columns"):
+        build_scene({"box_side": 10.0, "voxel_pitch": 0.1,
+                     "voxels": [{"position": [0, 0, 0],
+                                 "material": {"type": "table", "path": bad.name}}]},
+                    base_dir=tmp_path)
 
 
 def test_bad_shell_radii_error():
