@@ -26,6 +26,7 @@ from .fluctuations import (
     thermal_correlator_density,
 )
 from .greens import greens_identity_report
+from .material import DrudeLorentzModel, MaterialError
 from .modes import enumerate_modes, mode_sum_spectral_density
 from .observables import BodySpec, EmitterSpec, casimir_thermal_force, ldos, spontaneous_rate
 from .oracle import mode_counting_ldos, quadrature_convergence, richardson_gradient
@@ -106,6 +107,9 @@ def _pmap(fn, items, threads):
 def _run_dispersion(cfg, scene, outdir, const, notes):
     dc = cfg.get("dispersion") or {}
     mat = _coerce_material(dc["material"])
+    if not isinstance(mat, DrudeLorentzModel):
+        raise MaterialError(f"dispersion needs a drude_lorentz material, "
+                            f"not {type(mat).__name__}")
     grid = _omega_grid(dc.get("omega_alpha", {"min": 0.01, "max": 10.0, "points": 200}))
     rows = []
     for up, lo, par in dispersion_sweep(mat, grid):

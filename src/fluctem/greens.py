@@ -12,10 +12,25 @@ and C = diag(chi), chi = eps - 1, the collocation matrix A = I - M C is not
 symmetric, but M is (reciprocity, Gv(v, u) = Gv(u, v)^T).  The solver
 therefore works with the complex-symmetric S = I - C^1/2 M C^1/2 =
 C^1/2 A C^-1/2: the kernel is evaluated on half the voxel pairs, and S is
-factored once per frequency by the Bunch-Kaufman LDL^T (LAPACK zsytrf,
-stable for symmetric indefinite matrices, about half the flops of LU).  Every
-caller radiates the polarization chi A^-1 rhs = C^1/2 S^-1 C^1/2 rhs, so no
-step divides by chi and voxels with chi = 0 stay exact.
+factored once per frequency by the Bunch-Kaufman LDL^T (stable for symmetric
+indefinite matrices, about half the flops of LU).  Every caller radiates the
+polarization chi A^-1 rhs = C^1/2 S^-1 C^1/2 rhs, so no step divides by chi
+and voxels with chi = 0 stay exact.
+
+Large systems (3N >= _MIXED_MIN_ORDER) factor a complex64 copy of S (LAPACK
+csytrf, half the time of zsytrf) and refine each solve against the double S,
+x <- x + S_single^-1 (b - S x) with the residual in complex128, until
+||b - S x||_inf <= sqrt(3N) u ||S||_inf ||x||_inf per column (u = 2^-53):
+mixed-precision iterative refinement with LAPACK zcgesv's stopping test, the
+backward error the double factorization guarantees (Buttari et al. 2007,
+Carson & Higham 2018).  It converges while cond(S) times the single-precision
+unit roundoff is small.  A step that fails to halve the backward error, too
+many steps, or an exactly zero
+single pivot drops the single factor for good and takes the double route,
+zsytrf/zsytrs, which smaller systems take from the start.  The first solve
+then holds S and a complex64 factor (1.5x the matrix bytes) instead of S and
+a complex128 factor (2x); memory_cap still allows 2x, because the fallback
+holds S and the double factor.
 
 An absorbing far shell, when enabled, is not discretized into the matrix:
 its effect on propagation is the accumulated complex path factor
@@ -26,6 +41,7 @@ voxelized explicitly (see tests) to bound the error of this treatment.
 
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -55,6 +71,17 @@ _ASSEMBLY_BYTES = 2 * 2**20
 # bytes, and at N = 739 it factors as fast as 64
 _LDLT_PANEL = 32
 
+# smallest order 3N that factors S in single precision and refines.  Factor
+# plus one 6-column solve, one thread: N = 179 (3N = 537) 11.7 ms mixed
+# against 8.7 ms double; N = 257 (771) 26 ms either way; N = 389 (1167)
+# 73 against 86 ms.  Below the crossover the refinement's products with S
+# cost more than the cheaper factorization saves.
+_MIXED_MIN_ORDER = 768
+
+# refinement falls back to the double factor when a step fails to halve the
+# backward error or after this many steps (two converge on the benchmark spheres)
+_REFINE_STEPS = 5
+
 
 class GreensError(RuntimeError):
     pass
@@ -74,20 +101,24 @@ def vacuum_green(omega, x, xp, c=1.0):
     return vacuum_green_block(omega, x[None, :], xp[None, :], c=c)[0, 0]
 
 
-def _dyadic(d, r, k, scale=1.0):
+def _dyadic(d, r, k, scale=1.0, out=None):
     """scale * Gv for separations d (..., 3) of lengths r > 0, shape (..., 3, 3).
 
     The one closed form of the outgoing dyadic,
     g [(1 + i/u - 1/u^2) I + (-1 - 3i/u + 3/u^2) rr], u = k r,
-    g = exp(i u) / (4 pi r); the result is built in place in one array.
+    g = exp(i u) / (4 pi r); the result is built in place in one array, out
+    if given: any strided complex view of that shape, such as a transposed
+    view of the layout a later product needs, so that costs no copy.
     """
-    out = np.empty(r.shape + (3, 3), dtype=complex)
+    if out is None:
+        out = np.empty(r.shape + (3, 3), dtype=complex)
     rh = d / r[..., None]
     np.multiply(rh[..., :, None], rh[..., None, :], out=out)
     del rh
     u = k * r
     out *= (-1 - 3j / u + 3 / u**2)[..., None, None]
-    out.reshape(r.shape + (9,))[..., ::4] += (1 + 1j / u - 1 / u**2)[..., None]
+    diag = np.einsum("...ii->...i", out)  # a writeable view of the diagonal
+    diag += (1 + 1j / u - 1 / u**2)[..., None]
     g = np.exp(1j * u) / (4 * np.pi * r)
     # g on the left: numpy's complex product is not bitwise commutative
     return np.multiply(scale * g[..., None, None], out, out=out)
@@ -176,7 +207,9 @@ def vacuum_green_block_offdiag(omega, pts, c=1.0):
 class EffectiveSolver:
     """Factorized Lippmann-Schwinger solve bound to one (scene, omega).
 
-    Immutable once factorized; share freely across threads.  All spatial
+    Immutable once factorized, but for the one-way switch from the mixed to
+    the double route on a stall; share freely across threads (a lock makes
+    that switch, and the first factorization, happen once).  All spatial
     evaluations accept arbitrary points, handling points inside voxels
     through the cell-averaged (regularized) kernel.
     """
@@ -184,7 +217,8 @@ class EffectiveSolver:
     def __init__(self, scene: Scene, omega, rule="spherical_pv_radiative",
                  const: Constants = DEFAULT, memory_cap=2 * 1024**3):
         n = scene.n_voxels
-        # S and one chunk of kernel rows during assembly, S and its LDL^T copy later
+        # S and one chunk of kernel rows during assembly, S and its LDL^T copy
+        # later: complex64 on the mixed route, complex128 on the double one
         peak = 2 * (3 * n) ** 2 * 16
         if peak > memory_cap:
             raise MemoryError(
@@ -226,6 +260,15 @@ class EffectiveSolver:
         S4[own, :, own] = (1.0 - self.cself * self.chi)[:, None, None] * _EYE
         self.system = LSSystem(scene, self.omega, S, rule, S.nbytes)
         self._fact = None
+        self._single = 3 * n >= _MIXED_MIN_ORDER  # precision of the next factorization
+        self._lock = threading.Lock()
+        # a report, never read back: route "mixed-ldlt" until a fallback,
+        # "dense-ldlt" for good after; the refinement steps and backward error
+        # are those of the mixed solve that finished last
+        self.diagnostics = {
+            "route": "mixed-ldlt" if 3 * n >= _MIXED_MIN_ORDER else "dense-ldlt",
+            "fallback": None, "refinement_steps": 0, "backward_error": None,
+        }
 
     def _kernel(self, d):
         """-dV k^2 Gv for separations d (..., 3) of distinct voxels, shape (..., 3, 3)."""
@@ -237,32 +280,103 @@ class EffectiveSolver:
         """chi A^-1 rhs = C^1/2 S^-1 C^1/2 rhs for rhs of shape (3N, m).
 
         The operator is symmetric, so it also serves transposed solves.  S is
-        LDL^T-factorized (Bunch-Kaufman, lower triangle) on first use.
+        LDL^T-factorized (Bunch-Kaufman, lower triangle) on first use, in
+        single precision and refined on the mixed route, else in double.
         """
         s = self._sqrt_chi3
         if not len(s):
             return np.zeros(rhs.shape, dtype=complex)  # zsytrs rejects n = 0
-        if self._fact is None:
-            # S is symmetric, so S.T is S in the Fortran order LAPACK copies
-            ldu, ipiv, info = sla.lapack.zsytrf(self.system.matrix.T, lower=1,
-                                                lwork=_LDLT_PANEL * len(s))
-            if info > 0:
-                raise GreensError(f"LS matrix is singular: LDL^T pivot D[{info - 1}] "
-                                  f"is exactly zero")
-            self._fact = ldu, ipiv
-        x, _ = sla.lapack.zsytrs(*self._fact, s * rhs, lower=1)
+        b = s * rhs
+        with self._lock:  # one factorization, however many threads share the solver
+            fact = self._fact or self._factor()
+        if fact[0].dtype == np.complex64:
+            x = self._refine(b, *fact)
+            if x is not None:
+                return s * x
+            del fact  # so that _factor frees the single factor
+            with self._lock:
+                if self._single:  # no other thread fell back yet
+                    self._single = False
+                    self.diagnostics.update(route="dense-ldlt", fallback="stall")
+                    self._factor()
+                fact = self._fact
+        x, _ = sla.lapack.zsytrs(*fact, b, lower=1)
         return s * x
+
+    def _factor(self):
+        """LDL^T of S, complex64 on the mixed route, complex128 on the double one."""
+        S = self.system.matrix
+        lwork = _LDLT_PANEL * len(S)
+        self._fact = None  # a single factor goes before the double one is made
+        if self._single:
+            # ||S||_inf for the refinement's stopping test, a few rows at a time
+            rows = max(1, _ASSEMBLY_BYTES // S[0].nbytes)
+            self._norm = max(float(np.abs(S[i:i + rows]).sum(axis=1).max())
+                             for i in range(0, len(S), rows))
+            # S is symmetric, so S.T is S in the Fortran order LAPACK takes;
+            # the complex64 copy keeps that order and is factored in place
+            ldu, ipiv, info = sla.lapack.csytrf(S.T.astype(np.complex64), lower=1,
+                                                lwork=lwork, overwrite_a=1)
+            if info == 0:
+                self._fact = ldu, ipiv
+                return self._fact
+            del ldu
+            self._single = False
+            self.diagnostics.update(route="dense-ldlt", fallback="singular")
+        ldu, ipiv, info = sla.lapack.zsytrf(S.T, lower=1, lwork=lwork)
+        if info > 0:
+            raise GreensError(f"LS matrix is singular: LDL^T pivot D[{info - 1}] "
+                              f"is exactly zero")
+        self._fact = ldu, ipiv
+        return self._fact
+
+    def _refine(self, b, ldu, ipiv):
+        """S^-1 b from the complex64 factor refined against the double S; None on a stall.
+
+        Converged when every column has the normwise backward error
+        ||b - S x||_inf / (||S||_inf ||x||_inf) <= sqrt(3N) u.  The residual
+        reuses one buffer, so the solve holds b, x, r and a complex64 copy of r.
+        """
+        S = self.system.matrix
+        tol = np.sqrt(len(S)) * 2.0**-53
+        x = np.zeros(b.shape, dtype=complex)
+        r, err = b, np.inf
+        for step in range(_REFINE_STEPS + 1):
+            # a residual beyond complex64's range gives inf or a lost correction,
+            # and so a stall: the double route takes it
+            dx, _ = sla.lapack.csytrs(ldu, ipiv, r.astype(np.complex64, order="F"),
+                                      lower=1, overwrite_b=1)
+            x += dx
+            del dx
+            if r is b:
+                r = np.empty(b.shape, dtype=complex)
+            np.matmul(S, x, out=r)
+            np.subtract(b, r, out=r)
+            bwd = np.abs(r).max(axis=0)
+            with np.errstate(divide="ignore"):  # x = 0 with r != 0 is no solution yet
+                np.divide(bwd, self._norm * np.abs(x).max(axis=0), out=bwd, where=bwd > 0)
+            last, err = err, float(np.max(bwd, initial=0.0))
+            if err <= tol or not err <= 0.5 * last:  # NaN stalls too
+                break
+        with self._lock:
+            self.diagnostics.update(refinement_steps=step, backward_error=err)
+        return x if err <= tol else None
 
     # -- rhs / kernel helpers -------------------------------------------
 
     def _coupling_rows(self, pts):
-        """(P, N, 3, 3) couplings dV k^2 Gv(p, u), cell-averaged for p in u."""
+        """(P, N, 3, 3) couplings dV k^2 Gv(p, u), cell-averaged for p in u.
+
+        A view of a C-ordered (P, 3, N, 3) array: rows.transpose(0, 2, 1, 3)
+        reshapes to the (3P, 3N) operand of a product without a copy.
+        """
         pts = np.atleast_2d(pts)
         owner = self.scene.voxel_owner(pts)
         d = pts[:, None, :] - self.pos[None, :, :]
         r = np.linalg.norm(d, axis=-1)
         r[r == 0] = 1.0  # r = 0 only inside the owner voxel, overwritten below
-        rows = _dyadic(d, r, self.k, self.dv * self.k**2)
+        rows = np.empty((len(pts), 3, len(self.pos), 3), dtype=complex).transpose(0, 2, 1, 3)
+        _dyadic(d, r, self.k, self.dv * self.k**2, out=rows)
         inside = np.nonzero(owner >= 0)[0]
         if inside.size:
             rows[inside, owner[inside]] = self.cself * _EYE
@@ -397,7 +511,7 @@ def solve_effective_green(scene: Scene, omega, sources, targets,
         metadata={
             "scene": scene.digest(),
             "self_term_rule": solver.system.self_term_rule,
-            "solver": "dense-ldlt",
+            "solver": solver.diagnostics["route"],
         },
     )
 

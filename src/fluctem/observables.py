@@ -168,6 +168,13 @@ def default_force_grid(material, points_per_decade=200, decades=(-2.0, 2.0)):
                        int(points_per_decade * (decades[1] - decades[0])) + 1)
 
 
+def _diameter(pts):
+    """Largest distance between two of the points, in blocks of about 2^18 pairs."""
+    step = max(1, 2**18 // len(pts))  # rows per block
+    return max(float(np.max(np.linalg.norm(pts[i:i + step, None] - pts[None, :], axis=-1)))
+               for i in range(0, len(pts), step))
+
+
 def casimir_thermal_force(scene: Scene, body: BodySpec, T, omega_grid=None,
                           const: Constants = DEFAULT, h=None,
                           tail_tol=0.01) -> ForceResult:
@@ -186,9 +193,8 @@ def casimir_thermal_force(scene: Scene, body: BodySpec, T, omega_grid=None,
     w = np.asarray(omega_grid, dtype=float)
     if w.ndim != 1 or w.size < 4 or np.any(np.diff(w) <= 0):
         raise ObservableError("omega_grid must be increasing with >= 4 points")
-    allpos = scene.positions()
     if scene.n_voxels > 1:
-        diam = float(np.max(np.linalg.norm(allpos[:, None] - allpos[None, :], axis=-1)))
+        diam = _diameter(scene.positions())
         if diam > 0 and float(np.max(np.diff(w))) > np.pi * const.c / (4 * diam):
             import warnings
 

@@ -197,6 +197,15 @@ def test_bad_material_config_is_an_error_line(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: unknown material type")
 
 
+def test_dispersion_of_a_non_drude_material_is_an_error_line(tmp_path, capsys):
+    cfg = tmp_path / "vacuum.yaml"
+    cfg.write_text("dispersion:\n"
+                   "  material:\n"
+                   "    type: vacuum\n")
+    assert main(["dispersion", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: dispersion needs a drude_lorentz")
+
+
 def test_main_entrypoint_roundtrip(tmp_path):
     cfg = write_cfg(tmp_path, {"ldos": {"omega0": 1.0, "position": [0, 0, 1.2],
                                         "orientation": [0, 0, 1]}})

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -214,6 +216,146 @@ def test_symmetric_solve_matches_dense_lu_of_the_collocation_matrix(rng):
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+def test_mixed_route_matches_dense_lu_of_the_collocation_matrix(monkeypatch, rng):
+    # the same check with every scene on the complex64 factor and refinement
+    monkeypatch.setattr(greens, "_MIXED_MIN_ORDER", 0)
+    test_symmetric_solve_matches_dense_lu_of_the_collocation_matrix(rng)
+    solver = EffectiveSolver(sphere_scene(0.8), 0.9)
+    solver.interior_field(np.ones((solver.scene.n_voxels, 3)))
+    assert solver.diagnostics["route"] == "mixed-ldlt"
+    assert 1 <= solver.diagnostics["refinement_steps"] <= greens._REFINE_STEPS
+    assert solver.diagnostics["backward_error"] <= refine_tol(solver)
+
+
+def test_route_is_named_in_the_metadata(monkeypatch):
+    # below the crossover the double route, no refinement; above it the mixed one
+    s, t = np.array([[0.0, 0.0, 1.9]]), np.array([[0.4, 0.3, -1.8]])
+    sc = sphere_scene(0.8)
+    assert 3 * sc.n_voxels < greens._MIXED_MIN_ORDER
+    block = solve_effective_green(sc, 0.9, s, t)
+    assert block.metadata["solver"] == "dense-ldlt"
+    monkeypatch.setattr(greens, "_MIXED_MIN_ORDER", 3 * sc.n_voxels)
+    mixed = solve_effective_green(sc, 0.9, s, t)
+    assert mixed.metadata["solver"] == "mixed-ldlt"
+    assert np.linalg.norm(mixed.values - block.values) <= 1e-12 * np.linalg.norm(block.values)
+
+
+def cube_scene(eps):
+    """Eight voxels, a 2 x 2 x 2 cube on the 0.3 lattice, one flat material."""
+    return Scene(box_side=20.0, voxel_pitch=0.3, scatterer_voxels=tuple(
+        ((0.3 * i, 0.3 * j, 0.3 * k), FixedEps(eps))
+        for i in (0, 1) for j in (0, 1) for k in (0, 1)))
+
+
+def near_singular_cube(omega, offset=1e-7):
+    """The cube with chi = chi* (1 + offset) near a static coupled-mode zero of S.
+
+    S = I - chi M vanishes on a coupled mode at chi* = 1/lambda, lambda the
+    eigenvalue of M farthest below zero; cond(S) ~ 1/offset, so at the
+    default cond(S) u_single ~ 0.6.
+    """
+    lam = np.linalg.eigvals(pairwise_coupling(cube_scene(2.0), omega))
+    return cube_scene(1 + (1 + offset) / lam[np.argmin(lam.real)])
+
+
+def refine_tol(solver):
+    """The refinement's target backward error sqrt(3N) u, as in LAPACK zcgesv."""
+    return np.sqrt(3 * solver.scene.n_voxels) * 2**-53
+
+
+def test_moderately_conditioned_system_stays_on_the_mixed_route(monkeypatch, rng):
+    # cond(S) ~ 1e3 and a right-hand side that excites the weak mode: ||x||
+    # ~ cond ||b|| / ||S||, so the residual of even the exact double answer
+    # is ~ cond u ||b||; the stopping test scales with ||S|| ||x|| and passes
+    omega = 1e-3
+    sc = near_singular_cube(omega, offset=1e-3)
+    chi = np.repeat(sc.chi_at(omega), 3)
+    A = np.eye(len(chi)) - pairwise_coupling(sc, omega) * chi[None, :]
+    rhs = rng.standard_normal((len(chi), 4)) + 1j * rng.standard_normal((len(chi), 4))
+    ref = chi[:, None] * sla.lu_solve(sla.lu_factor(A), rhs)
+    monkeypatch.setattr(greens, "_MIXED_MIN_ORDER", 0)
+    solver = EffectiveSolver(sc, omega)
+    cond = np.linalg.cond(solver.system.matrix)
+    assert 1e2 < cond < 1e4
+    got = solver._solve(rhs)
+    assert solver.diagnostics["route"] == "mixed-ldlt"
+    assert solver.diagnostics["fallback"] is None
+    assert solver.diagnostics["backward_error"] <= refine_tol(solver)
+    assert np.linalg.norm(got - ref) <= 10 * cond * 2**-53 * np.linalg.norm(ref)
+
+
+def test_near_singular_system_falls_back_to_the_double_route(monkeypatch, rng):
+    omega = 1e-3
+    sc = near_singular_cube(omega)
+    chi = np.repeat(sc.chi_at(omega), 3)
+    A = np.eye(len(chi)) - pairwise_coupling(sc, omega) * chi[None, :]
+    rhs = rng.standard_normal((len(chi), 4)) + 1j * rng.standard_normal((len(chi), 4))
+    ref = chi[:, None] * sla.lu_solve(sla.lu_factor(A), rhs)
+    double = EffectiveSolver(sc, omega)._solve(rhs)  # below the crossover
+    monkeypatch.setattr(greens, "_MIXED_MIN_ORDER", 0)
+    solver = EffectiveSolver(sc, omega)
+    cond = np.linalg.cond(solver.system.matrix)
+    assert 1e6 < cond < 1e8
+    got = solver._solve(rhs)
+    assert solver.diagnostics["route"] == "dense-ldlt"
+    assert solver.diagnostics["fallback"] == "stall"
+    assert solver.diagnostics["backward_error"] > refine_tol(solver)
+    assert np.array_equal(got, double)
+    # two backward-stable solves of a system this ill-conditioned agree to
+    # about cond(S) times the double unit roundoff (4.5e-10 here), not 1e-12
+    assert np.linalg.norm(got - ref) <= 10 * cond * 2**-53 * np.linalg.norm(ref)
+    # the route stays double for the rest of the solver's life
+    assert np.array_equal(solver._solve(rhs), double)
+    assert solver._fact[0].dtype == np.complex128
+
+
+def test_threads_sharing_a_solver_factor_once_and_fall_back_once(monkeypatch, rng):
+    # more threads than cores on the near-singular cube: each first solve and
+    # each stall checks then acts on the shared factor, so a lost race would
+    # factor twice
+    omega = 1e-3
+    sc = near_singular_cube(omega)
+    rhs = rng.standard_normal((3 * sc.n_voxels, 2)) + 0j
+    double = EffectiveSolver(sc, omega)._solve(rhs)
+    monkeypatch.setattr(greens, "_MIXED_MIN_ORDER", 0)
+    factored = []
+    for name in ("csytrf", "zsytrf"):
+        real = getattr(sla.lapack, name)
+        monkeypatch.setattr(sla.lapack, name, lambda *a, _f=real, _n=name, **k:
+                            factored.append(_n) or _f(*a, **k))
+    solver = EffectiveSolver(sc, omega)
+    results = [None] * 8
+    start = threading.Barrier(len(results))
+
+    def work(i):
+        start.wait(timeout=30)
+        results[i] = solver._solve(rhs)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(results))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert sorted(factored) == ["csytrf", "zsytrf"]
+    assert all(np.array_equal(x, double) for x in results)
+
+
+def test_mixed_route_solves_are_bitwise_reproducible(monkeypatch, rng):
+    monkeypatch.setattr(greens, "_MIXED_MIN_ORDER", 0)
+    sc = sphere_scene(0.8)
+    rhs = rng.standard_normal((3 * sc.n_voxels, 6)) + 0j
+    first, second = (EffectiveSolver(sc, 0.9) for _ in range(2))
+    assert np.array_equal(first._solve(rhs), second._solve(rhs))
+    assert first.diagnostics == second.diagnostics
+    assert first.diagnostics["route"] == "mixed-ldlt"
+
+
 def test_assembly_work_counters(monkeypatch):
     # the kernel on pairs v > u only, one chunk of rows at a time, and no
     # voxel-owner lookup: each centre lies in its own cell
@@ -238,6 +380,25 @@ def test_exactly_singular_system_raises():
     assert not solver.system.matrix.any()
     with pytest.raises(GreensError, match="exactly zero"):
         solver.interior_field(np.ones((1, 3)))
+
+
+def test_diagnostics_are_a_report_only(monkeypatch):
+    # editing the report does not change the route the solver takes
+    monkeypatch.setattr(greens, "_MIXED_MIN_ORDER", 0)
+    solver = EffectiveSolver(sphere_scene(0.8), 0.9)
+    solver.diagnostics["route"] = "dense-ldlt"
+    solver.interior_field(np.ones((solver.scene.n_voxels, 3)))
+    assert solver._fact[0].dtype == np.complex64
+
+
+def test_exactly_singular_system_raises_on_the_mixed_route(monkeypatch):
+    # the complex64 factor hits the zero pivot first, then the double one raises
+    monkeypatch.setattr(greens, "_MIXED_MIN_ORDER", 0)
+    solver = EffectiveSolver(one_voxel_scene(eps=-2.0, pitch=0.3), 0.0)
+    with pytest.raises(GreensError, match="exactly zero"):
+        solver.interior_field(np.ones((1, 3)))
+    assert solver.diagnostics["route"] == "dense-ldlt"
+    assert solver.diagnostics["fallback"] == "singular"
 
 
 def test_materials_evaluated_once_per_solver(monkeypatch):
@@ -286,8 +447,46 @@ def test_blocked_evaluation_matches_any_block_size(monkeypatch, rng):
         assert np.linalg.norm(c - ref_c) <= 1e-13 * np.linalg.norm(ref_c)
 
 
+def test_mixed_route_first_solve_peak_within_one_and_a_half_matrices(monkeypatch):
+    # S plus its complex64 factor, not S plus a complex128 copy
+    monkeypatch.setattr(greens, "_MIXED_MIN_ORDER", 0)
+    sc = sphere_scene(0.8)
+    matrix_bytes = (3 * sc.n_voxels) ** 2 * 16
+    solver = EffectiveSolver(sc, 1.0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        solver.green([[0.0, 0.0, 1.8]], [[0.3, 0.0, 2.3]], warn_near=False)
+        solved = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert solver.diagnostics["route"] == "mixed-ldlt"
+    assert solved <= 0.6 * matrix_bytes  # on top of the 1x of S itself
+
+
+def test_mixed_route_wide_solve_peak(monkeypatch, rng):
+    # a right-hand side as large as S, as green() and the mode fields can pass:
+    # refinement holds b, x, one residual buffer and its complex64 copy, 3.5x
+    # the right-hand side's bytes (the double route's zsytrs 3x)
+    monkeypatch.setattr(greens, "_MIXED_MIN_ORDER", 0)
+    sc = sphere_scene(0.8)
+    solver = EffectiveSolver(sc, 1.0)
+    solver._solve(np.ones((3 * sc.n_voxels, 1), dtype=complex))  # factor first
+    rhs = rng.standard_normal((3 * sc.n_voxels, 3 * sc.n_voxels)) + 0j
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        solver._solve(rhs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert solver.diagnostics["route"] == "mixed-ldlt"
+    assert peak <= 4.0 * rhs.nbytes
+
+
 def test_identity_report_peak_near_twice_the_matrix():
-    # the matrix and its LDL^T copy, plus one bounded block of coupling rows
+    # the matrix and its complex64 LDL^T factor (the N = 739 system is above
+    # the mixed-precision crossover), plus one bounded block of coupling rows
     # for the 5,912 Gauss nodes of the volume term
     sc = sphere_scene(1.2)
     assert sc.n_voxels == 739
@@ -300,7 +499,7 @@ def test_identity_report_peak_near_twice_the_matrix():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * matrix_bytes
+    assert peak <= 2.0 * matrix_bytes
 
 
 def test_system_reassembly_bit_exact():

@@ -7,6 +7,7 @@ from fluctem.observables import (
     BodySpec,
     EmitterSpec,
     ObservableError,
+    _diameter,
     casimir_thermal_force,
     green_trace_gradient,
     ldos,
@@ -208,3 +209,14 @@ def test_casimir_body_validation():
     sc = _two_voxel_scene()
     with pytest.raises(ObservableError):
         casimir_thermal_force(sc, BodySpec((5,)), T=1.0, omega_grid=FORCE_GRID)
+
+
+def test_scene_diameter_matches_brute_force(rng):
+    # a random ball, a plate of several blocks, a pair
+    ball = rng.uniform(-1, 1, (400, 3))
+    ball = ball[np.linalg.norm(ball, axis=1) < 1]
+    g = np.arange(30.0)
+    plate = np.stack(np.meshgrid(g, g, [0.0]), axis=-1).reshape(-1, 3) * 0.3
+    for pts in (ball, plate, plate[:2]):
+        brute = np.max(np.linalg.norm(pts[:, None] - pts[None, :], axis=-1))
+        assert _diameter(pts) == brute
