@@ -225,6 +225,7 @@ def _run_verify_identity(cfg, scene, outdir, const, notes):
         "volume_norm": repr(float(np.linalg.norm(rep.volume_term))),
         "imag_green_norm": repr(float(np.linalg.norm(rep.imag_green))),
         "passed": bool(rep.residual <= tol),
+        "margin": rep.residual / tol, "volume_route": rep.volume_route,
     }, sort_keys=True, indent=1))
     status = 0 if rep.residual <= tol else 2
     return [out], status

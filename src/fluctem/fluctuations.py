@@ -21,8 +21,10 @@ import numpy as np
 from .constants import DEFAULT, Constants
 from .greens import (
     EffectiveSolver,
-    noise_volume_integral_scatterer,
-    noise_volume_integral_shell,
+    _polarization,
+    _scatterer_term,
+    _shell_term,
+    volume_route,
 )
 from .modes import commutator_integral_density, enumerate_modes, mode_sum_spectral_density
 from .scene import Scene, Shell
@@ -74,7 +76,10 @@ def noise_correlator_density(scene: Scene, region, omega, a, b,
 
     (hbar/pi) (w/c)^2 int_region (w/c)^2 eps''(x) G(a,x) . conj(G(x,b)) dV.
     Region 'all' is computed as scatterer + shell on identical nodes, so
-    the additivity of disjoint regions is exact up to float summation.
+    the additivity of disjoint regions is exact up to float summation; both
+    regions radiate one solve for the sources [a, b].  metadata records the
+    volume_route of the scatterer term ('lattice-fft' or 'dense-rows'; the
+    shell nodes always take dense rows, so region 'shell' reads 'dense-rows').
     """
     if region not in REGIONS:
         raise FluctuationError(f"region must be one of {REGIONS}")
@@ -83,21 +88,19 @@ def noise_correlator_density(scene: Scene, region, omega, a, b,
     if solver is None:
         solver = EffectiveSolver(scene, omega, const=const)
     pref = (const.hbar / np.pi) * (omega / const.c) ** 2
+    chiX = _polarization(solver, a, b)
     parts = {}
     if region in ("scatterer", "all"):
-        parts["scatterer"] = pref * noise_volume_integral_scatterer(
-            scene, omega, a, b, solver=solver, nsub=nsub, const=const
-        )
+        parts["scatterer"] = pref * _scatterer_term(scene, omega, a, b, const, solver, chiX, nsub)
     if region in ("shell", "all"):
-        parts["shell"] = pref * noise_volume_integral_shell(
-            scene, omega, a, b, solver=solver, shell_pitch=shell_pitch,
-            n_theta=n_theta_shell, const=const
-        )
+        parts["shell"] = pref * _shell_term(scene, omega, a, b, const, solver, chiX,
+                                            shell_pitch, n_theta_shell)
     total = sum(parts.values(), np.zeros((3, 3), complex))
+    route = volume_route(solver) if region != "shell" else "dense-rows"
     return CorrelatorDensity(
         a=a, b=b, omega=float(omega), value=total,
         provenance=f"noise-volume:{region}",
-        metadata={"scene": scene.digest(), "nsub": nsub},
+        metadata={"scene": scene.digest(), "nsub": nsub, "volume_route": route},
     )
 
 

@@ -32,6 +32,14 @@ then holds S and a complex64 factor (1.5x the matrix bytes) instead of S and
 a complex128 factor (2x); memory_cap still allows 2x, because the fallback
 holds S and the double factor.
 
+The scatterer volume term of the dissipation identity needs the field at
+every Gauss sub-node of every voxel.  On a lattice scene (Scene.lattice) the
+field at sub-node j is a zero-padded 3-D FFT convolution of the polarization
+with the kernel table K_j(m) = dV (w/c)^2 Gv(pitch m + sub_j), the own cell
+holding the self term (Goodman, Draine & Flatau 1991).  It is taken when the
+padded grid needs no more bytes than S; one-voxel, sparse and off-lattice
+scenes build dense coupling rows at the nodes instead.
+
 An absorbing far shell, when enabled, is not discretized into the matrix:
 its effect on propagation is the accumulated complex path factor
 exp(i (w/c) (sqrt(eps_shell) - 1) * path-length-in-shell), the leading
@@ -46,6 +54,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft as sfft
 import scipy.linalg as sla
 
 from .constants import DEFAULT, Constants
@@ -565,6 +574,24 @@ def surface_functional(scene: Scene, omega, a, b, quad, const: Constants = DEFAU
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    _check_surface(scene, a, b, quad)
+    if solver is None:
+        solver = EffectiveSolver(scene, omega, const=const)
+    return _surface_term(scene, omega, a, b, quad, const, solver, _polarization(solver, a, b))
+
+
+def _polarization(solver, a, b):
+    """chi X for the sources [a, b], shape (N, 2, 3, 3): the one solve the terms share."""
+    return solver.interior_solution(np.stack([a, b]))
+
+
+def _field(solver, pts, a, b, chiX):
+    """G(x, a) and G(x, b) at the points, shape (P, 2, 3, 3), radiated from chiX."""
+    srcs = np.stack([a, b])
+    return vacuum_green_block(solver.omega, pts, srcs, c=solver.const.c) + solver._radiate(pts, chiX)
+
+
+def _check_surface(scene, a, b, quad):
     R = quad.radius
     if R <= max(np.linalg.norm(a), np.linalg.norm(b)):
         raise SceneError("quadrature sphere must enclose both evaluation points")
@@ -572,13 +599,14 @@ def surface_functional(scene: Scene, omega, a, b, quad, const: Constants = DEFAU
         rmax = np.max(np.linalg.norm(scene.positions(), axis=1))
         if R <= rmax + scene.voxel_pitch:
             raise SceneError("quadrature sphere intersects or touches a scatterer voxel")
-    if solver is None:
-        solver = EffectiveSolver(scene, omega, const=const)
+
+
+def _surface_term(scene, omega, a, b, quad, const, solver, chiX):
     eps_bulk = 1.0 + 0.0j
     if scene.shell_enabled and scene.shell is not None:
-        if scene.shell.inner_radius <= R <= scene.shell.outer_radius:
+        if scene.shell.inner_radius <= quad.radius <= scene.shell.outer_radius:
             eps_bulk = eval_permittivity(scene.shell.material, omega)
-    G = solver.green(quad.nodes, np.stack([a, b]), warn_near=False)
+    G = _field(solver, quad.nodes, a, b, chiX)
     Ga = G[:, 0] * shell_path_factors(scene, omega, a, quad.nodes, const)[:, None, None]
     Gb = G[:, 1] * shell_path_factors(scene, omega, b, quad.nodes, const)[:, None, None]
     proj = _EYE[None, :, :] - quad.normals[:, :, None] * quad.normals[:, None, :]
@@ -600,6 +628,12 @@ def noise_volume_integral_scatterer(scene, omega, a, b, solver=None, nsub=2,
     Per-voxel tensor-product Gauss quadrature of the continuous integrand;
     the own-voxel kernel is the cell-averaged constant, so the rule degrades
     gracefully at coarse pitch and converges under refinement.
+
+    On a lattice scene (Scene.lattice) whose FFT arrays need no more bytes
+    than S, the field at each Gauss sub-node is one zero-padded 3-D FFT
+    convolution of the polarization with the kernel table of that sub-node
+    (volume_route "lattice-fft"); other scenes build coupling rows at every
+    node ("dense-rows").  Both give the same sum to rounding.
     """
     if solver is None:
         solver = EffectiveSolver(scene, omega, const=const)
@@ -607,14 +641,104 @@ def noise_volume_integral_scatterer(scene, omega, a, b, solver=None, nsub=2,
         return np.zeros((3, 3), complex)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    return _scatterer_term(scene, omega, a, b, const, solver, _polarization(solver, a, b), nsub)
+
+
+# bytes per cell of the padded grid the lattice route holds at its peak: 18
+# complex numbers for the transformed polarization, 9 for one kernel table,
+# 6 for its transform and 12 for one field component and its transform
+_FFT_CELL_BYTES = 45 * 16
+
+
+def volume_route(solver):
+    """'lattice-fft' when the scatterer volume term convolves on the lattice, else 'dense-rows'."""
+    return "dense-rows" if _fft_grid(solver) is None else "lattice-fft"
+
+
+def _fft_grid(solver):
+    """Padded grid shape of the lattice route, or None where the dense rows serve.
+
+    Each axis of L cells pads to next_fast_len(2L - 1), so the circular
+    convolution holds every displacement -(L-1)..L-1 once; the route is
+    taken when that grid needs no more bytes than S, which the solver
+    already holds under memory_cap.
+    """
+    lat = solver.scene.lattice
+    if lat is None:
+        return None
+    grid = tuple(sfft.next_fast_len(2 * L - 1) for L in lat.shape)
+    if np.prod(grid, dtype=float) * _FFT_CELL_BYTES > solver.system.matrix.nbytes:
+        return None
+    return grid
+
+
+def _scatterer_term(scene, omega, a, b, const, solver, chiX, nsub):
+    if scene.n_voxels == 0:
+        return np.zeros((3, 3), complex)
     k2 = (omega / const.c) ** 2
     sub, wsub = _gauss_subnodes(scene.voxel_pitch, nsub)
     epsim = solver.chi.imag  # Im(eps - 1) = Im eps
-    pts = (scene.positions()[:, None, :] + sub[None, :, :]).reshape(-1, 3)
-    B = solver.green(pts, np.stack([a, b]), warn_near=False)  # G(x_s, a), G(x_s, b)
-    w = (epsim[:, None] * wsub[None, :]).reshape(-1)
-    # G(a, x) = G(x, a)^T by reciprocity of the discrete model
-    return k2 * np.einsum("n,nki,nkj->ij", w, B[:, 0], np.conj(B[:, 1]))
+    grid = _fft_grid(solver)
+    if grid is None:
+        pts = (scene.positions()[:, None, :] + sub[None, :, :]).reshape(-1, 3)
+        B = _field(solver, pts, a, b, chiX)  # G(x_s, a), G(x_s, b)
+        w = (epsim[:, None] * wsub[None, :]).reshape(-1)
+        # G(a, x) = G(x, a)^T by reciprocity of the discrete model
+        return k2 * np.einsum("n,nki,nkj->ij", w, B[:, 0], np.conj(B[:, 1]))
+    out = np.zeros((3, 3), complex)
+    for s, B in zip(wsub, _lattice_fields(solver, grid, sub, a, b, chiX)):
+        out += np.einsum("n,nki,nkj->ij", s * epsim, B[:, 0], np.conj(B[:, 1]))
+    return k2 * out
+
+
+# the six distinct components (i, k) of the symmetric 3x3 kernel
+_SYM = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+_SYM_INDEX = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
+
+
+def _lattice_fields(solver, grid, sub, a, b, chiX):
+    """G(x, a) and G(x, b) at x = pos + sub[j] for each sub-node j, each (N, 2, 3, 3).
+
+    Node (v, j) sees voxel u through pitch (m_v - m_u) + sub[j] only, so its
+    scattered field is a convolution over the lattice: the polarization is
+    scattered onto the padded grid and transformed once, and each sub-node
+    multiplies it by the transformed kernel table K_j and transforms back.
+    """
+    lat = solver.scene.lattice
+    n = len(lat.cells)
+    cells = tuple(lat.cells.T)
+    axes = (-3, -2, -1)
+    # P[k, (s, c)] on the grid: component k of column c of the source-s polarization
+    P = np.zeros((3, 6) + grid, dtype=complex)
+    P[:, :, cells[0], cells[1], cells[2]] = chiX.transpose(2, 1, 3, 0).reshape(3, 6, n)
+    P = sfft.fftn(P, axes=axes, overwrite_x=True)
+    # circular displacements: 0..L-1 then negative ones from the top of each axis
+    disp = np.stack(np.meshgrid(*[np.where(np.arange(g) < L, np.arange(g), np.arange(g) - g)
+                                  for g, L in zip(grid, lat.shape)], indexing="ij"), axis=-1)
+    disp = lat.pitch * disp
+    scale = solver.dv * solver.k**2
+    pos = solver.scene.positions()
+    E = np.empty((3, 6, n), dtype=complex)
+    for s in sub:
+        d = disp + s
+        r = np.linalg.norm(d, axis=-1)
+        r[0, 0, 0] = 1.0  # a centred sub-node has r = 0 there, overwritten below
+        K = _dyadic(d, r, solver.k, scale)
+        del d, r
+        K[0, 0, 0] = solver.cself * _EYE  # the node lies in its own voxel
+        Kh = sfft.fftn(np.stack([K[..., i, k] for i, k in _SYM]), axes=axes, overwrite_x=True)
+        del K
+        for i in range(3):
+            F = Kh[_SYM_INDEX[i, 0]] * P[0]
+            F += Kh[_SYM_INDEX[i, 1]] * P[1]
+            F += Kh[_SYM_INDEX[i, 2]] * P[2]
+            F = sfft.ifftn(F, axes=axes, overwrite_x=True)
+            E[i] = F[:, cells[0], cells[1], cells[2]]
+            del F
+        del Kh
+        # E[i, (s, c), v] is component i of G(x_v, s)[:, c]
+        scat = E.reshape(3, 2, 3, n).transpose(3, 1, 0, 2)
+        yield vacuum_green_block(solver.omega, pos + s, np.stack([a, b]), c=solver.const.c) + scat
 
 
 def noise_volume_integral_shell(scene, omega, a, b, solver=None, shell_pitch=None,
@@ -628,15 +752,22 @@ def noise_volume_integral_shell(scene, omega, a, b, solver=None, shell_pitch=Non
         return np.zeros((3, 3), complex)
     if solver is None:
         solver = EffectiveSolver(scene, omega, const=const)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return _shell_term(scene, omega, a, b, const, solver, _polarization(solver, a, b),
+                       shell_pitch, n_theta)
+
+
+def _shell_term(scene, omega, a, b, const, solver, chiX, shell_pitch, n_theta):
+    if not scene.shell_enabled or scene.shell is None:
+        return np.zeros((3, 3), complex)
     if shell_pitch is None:
         shell_pitch = scene.shell.attenuation_length(omega, c=const.c) / 6.0
         shell_pitch = min(shell_pitch, (scene.shell.outer_radius - scene.shell.inner_radius) / 24.0)
     nodes = shell_voxelization(scene, shell_pitch, omega=omega, n_theta=n_theta, c=const.c)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     eps1 = eval_permittivity(scene.shell.material, omega)
     k2 = (omega / const.c) ** 2
-    B = solver.green(nodes.positions, np.stack([a, b]), warn_near=False)
+    B = _field(solver, nodes.positions, a, b, chiX)
     Ba = B[:, 0] * shell_path_factors(scene, omega, a, nodes.positions, const)[:, None, None]
     Bb = B[:, 1] * shell_path_factors(scene, omega, b, nodes.positions, const)[:, None, None]
     return k2 * eps1.imag * np.einsum("n,nki,nkj->ij", nodes.weights, Ba, np.conj(Bb))
@@ -650,13 +781,18 @@ class IdentityReport:
     volume_term: np.ndarray
     volume_scatterer: np.ndarray
     volume_shell: np.ndarray
+    volume_route: str  # of the scatterer volume term, see volume_route()
 
 
 def greens_identity_report(scene: Scene, omega, a, b, quad=None, nsub=2,
                            shell_pitch=None, n_theta_shell=24,
                            const: Constants = DEFAULT,
                            solver: EffectiveSolver = None) -> IdentityReport:
-    """All terms of Imag G = surface + volume, with the relative residual."""
+    """All terms of Imag G = surface + volume, with the relative residual.
+
+    One solve for the sources [a, b] serves every term: Imag G(a, b), the
+    surface term and both volume terms radiate the same polarization.
+    """
     if solver is None:
         solver = EffectiveSolver(scene, omega, const=const)
     if quad is None:
@@ -672,11 +808,13 @@ def greens_identity_report(scene: Scene, omega, a, b, quad=None, nsub=2,
         warn_if_thin_shell(scene, omega, c=const.c)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    img = np.imag(solver.green(a[None, :], b[None, :], warn_near=False)[0, 0])
-    F = surface_functional(scene, omega, a, b, quad, const=const, solver=solver)
-    nv = noise_volume_integral_scatterer(scene, omega, a, b, solver=solver, nsub=nsub, const=const)
-    ns = noise_volume_integral_shell(scene, omega, a, b, solver=solver,
-                                     shell_pitch=shell_pitch, n_theta=n_theta_shell, const=const)
+    _check_surface(scene, a, b, quad)
+    chiX = _polarization(solver, a, b)
+    img = np.imag(vacuum_green_block(omega, a, b, c=const.c)[0, 0]
+                  + solver._radiate(a[None, :], chiX[:, 1:])[0, 0])
+    F = _surface_term(scene, omega, a, b, quad, const, solver, chiX)
+    nv = _scatterer_term(scene, omega, a, b, const, solver, chiX, nsub)
+    ns = _shell_term(scene, omega, a, b, const, solver, chiX, shell_pitch, n_theta_shell)
     vol = nv + ns
     resid = np.linalg.norm(img - F - vol) / np.linalg.norm(img)
     return IdentityReport(
@@ -686,6 +824,7 @@ def greens_identity_report(scene: Scene, omega, a, b, quad=None, nsub=2,
         volume_term=vol,
         volume_scatterer=nv,
         volume_shell=ns,
+        volume_route=volume_route(solver),
     )
 
 

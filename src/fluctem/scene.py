@@ -9,9 +9,11 @@ query is pure, so frequency sweeps can share one Scene across workers.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -73,16 +75,28 @@ class Scene:
                 chi[id(m)] = eval_permittivity(m, omega) - 1.0
         return np.array([chi[id(m)] for _, m in self.scatterer_voxels], dtype=complex)
 
+    @cached_property
+    def lattice(self):
+        """The voxels' integer cell coordinates (a Lattice), or None off-lattice.
+
+        Computed once per scene; see _lattice for the rule.
+        """
+        return _lattice(self.positions(), self.voxel_pitch)
+
     def voxel_owner(self, pts):
         """Index of the scatterer voxel whose closed cube holds each point.
 
         pts is (3,) or (P, 3); returns (P,) indices, -1 for points outside
         every voxel.  Faces count as inside (to 1e-12); a point on a face
-        shared by two voxels belongs to the first in the sorted order.
+        shared by two voxels belongs to the first in the sorted order.  On a
+        lattice the candidates come from rounding, O(P log N); off-lattice
+        scenes scan every voxel, O(P N).
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if not self.scatterer_voxels:
             return np.full(len(pts), -1)
+        if self.lattice is not None:
+            return self.lattice.owner(pts)
         cheb = np.max(np.abs(pts[:, None, :] - self.positions()[None, :, :]), axis=-1)
         inside = cheb <= self.voxel_pitch / 2.0 + 1e-12
         return np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
@@ -122,6 +136,80 @@ class Scene:
         for p, _ in self.scatterer_voxels:
             margins.append(float(np.linalg.norm(x - np.asarray(p))) - self.voxel_pitch)
         return min(margins) if margins else np.inf
+
+
+@dataclass(frozen=True, eq=False)
+class Lattice:
+    """Voxels on one cubic lattice: pos[v] = origin + pitch * cells[v].
+
+    cells are non-negative integers inside the bounding box shape; each
+    cell holds at most one voxel.  keys are the cells' C-order linear
+    indices, sorted, and order[i] is the voxel at keys[i].
+    """
+
+    origin: np.ndarray  # (3,)
+    pitch: float
+    cells: np.ndarray  # (N, 3) int64
+    shape: tuple  # cells per axis
+    pos: np.ndarray  # (N, 3) the stored voxel centres
+    keys: np.ndarray  # (N,) sorted linear cell indices
+    order: np.ndarray  # (N,) voxel index of each key
+
+    def owner(self, pts):
+        """Scene.voxel_owner by rounding: the same rule, decided on the same centres.
+
+        Per axis a point lies in one cell, or in two when it is on a face
+        (to the 1e-12 face tolerance plus the 1e-9 lattice tolerance); each
+        candidate is looked up by its key and tested like the scan does.
+        """
+        n = len(self.cells)
+        t = (pts - self.origin) / self.pitch
+        # non-finite and far points map just outside the box, where no voxel is
+        t = np.clip(np.where(np.isfinite(t), t, -2.0), -2.0, np.array(self.shape) + 1.0)
+        tol = 1e-12 / self.pitch + 1e-8
+        lo = np.ceil(t - 0.5 - tol).astype(np.int64)
+        hi = np.floor(t + 0.5 + tol).astype(np.int64)
+        two = np.flatnonzero((hi != lo).any(axis=0))  # axes with a face point
+        best = np.full(len(pts), n)
+        for upper in itertools.product((False, True), repeat=len(two)):
+            m = lo.copy()
+            up = two[list(upper)]
+            m[:, up] = hi[:, up]
+            ok = np.all((m >= 0) & (m < self.shape), axis=1)
+            key = np.ravel_multi_index(tuple(m[ok].T), self.shape)
+            i = np.minimum(np.searchsorted(self.keys, key), n - 1)
+            v = self.order[i]
+            hit = self.keys[i] == key
+            hit &= np.max(np.abs(pts[ok] - self.pos[v]), axis=1) <= self.pitch / 2.0 + 1e-12
+            at = np.flatnonzero(ok)[hit]
+            best[at] = np.minimum(best[at], v[hit])
+        return np.where(best < n, best, -1)
+
+
+def _lattice(pos, pitch):
+    """A Lattice when every centre is origin + pitch * m to 1e-9 pitch, else None.
+
+    The origin is the per-axis minimum of the centres.  Two centres in one
+    cell, or a bounding box of 2^62 cells or more, also give None.
+    """
+    if not len(pos):
+        return None
+    origin = pos.min(axis=0)
+    t = (pos - origin) / pitch
+    cells = np.rint(t)
+    if np.abs(t - cells).max() > 1e-9:
+        return None
+    shape = cells.max(axis=0) + 1
+    if np.prod(shape) >= 2.0**62:
+        return None
+    cells = cells.astype(np.int64)
+    shape = tuple(int(L) for L in shape)
+    keys = np.ravel_multi_index(tuple(cells.T), shape)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    if np.any(keys[1:] == keys[:-1]):
+        return None
+    return Lattice(origin, float(pitch), cells, shape, pos, keys, order)
 
 
 def _material_tag(m):
@@ -237,32 +325,29 @@ def _coerce_material(m, base_dir="."):
 
 
 def _voxelize_primitive(prim, pitch, base_dir):
+    """Lattice cells center + pitch * i whose cube lies inside the primitive.
+
+    The cells come in C order of i, the order of a loop over ix, iy, iz.
+    """
     mat = _coerce_material(prim["material"], base_dir)
     center = np.asarray(prim.get("center", (0.0, 0.0, 0.0)), dtype=float)
     kind = prim["shape"]
-    out = []
     if kind == "sphere":
         radius = float(prim["radius"])
-        nmax = int(np.ceil(radius / pitch)) + 1
-        rng = np.arange(-nmax, nmax + 1)
-        for ix in rng:
-            for iy in rng:
-                for iz in rng:
-                    p = center + pitch * np.array([ix, iy, iz], dtype=float)
-                    if np.linalg.norm(p - center) <= radius - pitch / 2 + 1e-12:
-                        out.append((tuple(p), mat))
+        nmax = np.full(3, int(np.ceil(radius / pitch)) + 1)
     elif kind == "box":
         half = np.asarray(prim["half_size"], dtype=float)
         nmax = np.ceil(half / pitch).astype(int) + 1
-        for ix in range(-nmax[0], nmax[0] + 1):
-            for iy in range(-nmax[1], nmax[1] + 1):
-                for iz in range(-nmax[2], nmax[2] + 1):
-                    p = center + pitch * np.array([ix, iy, iz], dtype=float)
-                    if np.all(np.abs(p - center) <= half - pitch / 2 + 1e-12):
-                        out.append((tuple(p), mat))
     else:
         raise SceneError(f"unknown primitive shape {kind!r}")
-    return out
+    idx = np.indices(2 * nmax + 1).reshape(3, -1).T - nmax
+    p = center + pitch * idx.astype(float)
+    d = p - center
+    if kind == "sphere":
+        keep = np.sqrt((d * d).sum(axis=1)) <= radius - pitch / 2 + 1e-12
+    else:
+        keep = np.all(np.abs(d) <= half - pitch / 2 + 1e-12, axis=1)
+    return [(tuple(q), mat) for q in p[keep]]
 
 
 @dataclass(frozen=True)

@@ -103,6 +103,19 @@ def test_verify_identity_pass_and_fail(tmp_path):
     assert run_subcommand("verify-identity", cfg2, tmp_path / "out2") == 2
 
 
+def test_verify_identity_reports_route_and_margin(tmp_path):
+    sphere = {"box_side": 40.0, "voxel_pitch": 0.2, "primitives": [
+        {"shape": "sphere", "radius": 0.8, "material": BASE_SCENE["voxels"][0]["material"]}]}
+    cfg = write_cfg(tmp_path, {"scene": sphere, "verify_identity": {
+        "omega": 1.0, "a": [0.23, -0.36, 1.21], "b": [0.84, 0.47, -0.93],
+        "tolerance": 0.1}})
+    assert run_subcommand("verify-identity", cfg, tmp_path / "out") == 0
+    report = json.loads((tmp_path / "out" / "identity.json").read_text())
+    assert report["volume_route"] == "lattice-fft"
+    assert report["margin"] == float(report["residual"]) / 0.1
+    assert 0 < report["margin"] < 1
+
+
 def test_casimir_subcommand(tmp_path):
     scene = dict(BASE_SCENE)
     scene["voxels"] = [

@@ -13,6 +13,7 @@ from fluctem.greens import (
     assemble_ls_system,
     greens_identity_report,
     greens_identity_residual,
+    noise_volume_integral_scatterer,
     self_term_coupling,
     solve_effective_green,
     surface_functional,
@@ -175,7 +176,7 @@ def two_material_scene():
 
 
 def sphere_scene(radius):
-    """Drude-Lorentz sphere on the 0.2 lattice; |chi| = 4 at omega = 0.9."""
+    """Drude-Lorentz sphere on the 0.2 lattice; |chi| = 1.95 at omega = 0.9."""
     return build_scene({"box_side": 40.0, "voxel_pitch": 0.2, "primitives": [
         {"shape": "sphere", "radius": radius, "material": {
             "type": "drude_lorentz", "omega_p": 1.2, "omega_0": 0.9, "gamma": 0.4}}]})
@@ -200,7 +201,7 @@ def test_assembly_matches_pairwise_reference():
 
 def test_symmetric_solve_matches_dense_lu_of_the_collocation_matrix(rng):
     # chi A^-1 with A = I - M C by general LU, against the LDL^T of S; one
-    # scene has a chi = 0 voxel, the sphere has |chi| = 4
+    # scene has a chi = 0 voxel, the sphere has |chi| = 1.95
     sc = two_material_scene()
     vac = ((0.3, 0.0, 0.6), FixedEps(1.0))
     with_vacuum = Scene(sc.box_side, sc.voxel_pitch, sc.scatterer_voxels + (vac,))
@@ -487,7 +488,9 @@ def test_mixed_route_wide_solve_peak(monkeypatch, rng):
 def test_identity_report_peak_near_twice_the_matrix():
     # the matrix and its complex64 LDL^T factor (the N = 739 system is above
     # the mixed-precision crossover), plus one bounded block of coupling rows
-    # for the 5,912 Gauss nodes of the volume term
+    # for the 1,152 surface nodes; the volume term's FFT grid is smaller.
+    # Measured 1.804x (1.818x with coupling rows at the 5,912 Gauss nodes);
+    # the bound leaves 0.05x (4 MB) of margin
     sc = sphere_scene(1.2)
     assert sc.n_voxels == 739
     matrix_bytes = (3 * sc.n_voxels) ** 2 * 16
@@ -499,7 +502,7 @@ def test_identity_report_peak_near_twice_the_matrix():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 2.0 * matrix_bytes
+    assert peak <= 1.85 * matrix_bytes
 
 
 def test_system_reassembly_bit_exact():
@@ -615,8 +618,9 @@ def test_dyadic_block_export(tmp_path):
 
 
 def test_one_solve_per_call_site(monkeypatch):
-    # every call site hands all its sources to one green() call, so each
-    # costs one LS solve; counted at EffectiveSolver._solve
+    # every call site hands all its sources to one solve, counted at
+    # EffectiveSolver._solve; the identity report's terms, the shell's
+    # included, all radiate the one solve for [a, b]
     from fluctem.fluctuations import noise_correlator_density
     from fluctem.observables import green_trace_gradient
 
@@ -635,11 +639,96 @@ def test_one_solve_per_call_site(monkeypatch):
     cases = [
         (lambda: green_trace_gradient(sc, 1.0, x, side="left"), 1),
         (lambda: green_trace_gradient(sc, 1.0, x, side="both"), 2),
-        (lambda: greens_identity_report(sc, 1.0, a, b), 3),
-        (lambda: greens_identity_report(thick_shell_scene(), 1.0, a, b), 4),
+        (lambda: greens_identity_report(sc, 1.0, a, b), 1),
+        (lambda: greens_identity_report(thick_shell_scene(), 1.0, a, b), 1),
         (lambda: noise_correlator_density(sc, "scatterer", 1.0, a, b), 1),
     ]
     for run, expected in cases:
         solves.clear()
         run()
         assert len(solves) == expected
+
+
+# -- the lattice route of the scatterer volume term ---------------------------
+
+
+def lattice_and_dense_volume(monkeypatch, sc, omega, a, b, nsub=2):
+    """The scatterer volume term by the lattice FFT and by dense rows, one solver."""
+    solver = EffectiveSolver(sc, omega)
+    assert greens.volume_route(solver) == "lattice-fft"
+    fft = noise_volume_integral_scatterer(sc, omega, a, b, solver=solver, nsub=nsub)
+    with monkeypatch.context() as m:
+        m.setattr(greens, "_fft_grid", lambda solver: None)
+        dense = noise_volume_integral_scatterer(sc, omega, a, b, solver=solver, nsub=nsub)
+    return fft, dense
+
+
+@pytest.mark.parametrize("nsub", [1, 2, 3])
+def test_lattice_volume_term_matches_dense_rows_on_a_sphere(monkeypatch, nsub):
+    # nsub = 1 and 3 put a node at the voxel centre: r = 0 in the own cell
+    sc = sphere_scene(0.8)
+    assert sc.n_voxels == 179
+    a, b = np.array([0.23, -0.36, 1.21]), np.array([0.84, 0.47, -0.93])
+    fft, dense = lattice_and_dense_volume(monkeypatch, sc, 0.9, a, b, nsub)
+    assert np.linalg.norm(fft - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
+def test_lattice_volume_term_two_materials_and_a_vacuum_voxel(monkeypatch):
+    other = {"type": "drude_lorentz", "omega_p": 0.8, "omega_0": 1.3, "gamma": 0.2}
+    sc = build_scene({"box_side": 40.0, "voxel_pitch": 0.2, "voxels": [
+        {"position": [0.6, 0.0, 0.0], "material": "vacuum"},
+        {"position": [0.0, 0.6, 0.0], "material": other},
+    ], "primitives": [{"shape": "box", "half_size": [0.5, 0.5, 0.5], "material": {
+        "type": "drude_lorentz", "omega_p": 1.2, "omega_0": 0.9, "gamma": 0.4}}]})
+    assert sc.n_voxels == 127
+    a, b = np.array([0.1, -0.3, 1.4]), np.array([-1.1, 0.5, -0.6])
+    fft, dense = lattice_and_dense_volume(monkeypatch, sc, 0.9, a, b)
+    assert np.linalg.norm(fft - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
+def test_lattice_volume_term_off_centre_box(monkeypatch):
+    sc = build_scene({"box_side": 40.0, "voxel_pitch": 0.2, "primitives": [
+        {"shape": "box", "center": [0.37, -0.11, 0.05], "half_size": [0.5, 0.3, 0.4],
+         "material": {"type": "drude_lorentz", "omega_p": 1.2, "omega_0": 0.9,
+                      "gamma": 0.4}}]})
+    assert sc.n_voxels == 45
+    a, b = np.array([0.3, 0.2, 1.3]), np.array([-0.9, -0.7, -0.5])
+    fft, dense = lattice_and_dense_volume(monkeypatch, sc, 1.1, a, b)
+    assert np.linalg.norm(fft - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
+def test_sparse_single_and_off_lattice_scenes_take_dense_rows():
+    # the 2-voxel pair at +-0.6 with pitch pi/6 is off the lattice
+    pair = Scene(box_side=40.0, voxel_pitch=np.pi / 6, scatterer_voxels=(
+        ((0.0, 0.0, -0.6), FixedEps(2 + 0.5j)), ((0.0, 0.0, 0.6), FixedEps(2 + 0.5j))))
+    assert pair.lattice is None
+    assert greens.volume_route(EffectiveSolver(pair, 1.0)) == "dense-rows"
+    assert greens.volume_route(EffectiveSolver(one_voxel_scene(), 1.0)) == "dense-rows"
+    # voxels at the corners of a 60-pitch cube: a 121^3 grid against a 24 x 24 S
+    corners = Scene(box_side=100.0, voxel_pitch=0.2, scatterer_voxels=tuple(
+        ((12.0 * i, 12.0 * j, 12.0 * k), FixedEps(2 + 0.5j))
+        for i in (0, 1) for j in (0, 1) for k in (0, 1)))
+    assert corners.lattice.shape == (61, 61, 61)
+    solver = EffectiveSolver(corners, 1.0)
+    assert greens.volume_route(solver) == "dense-rows"
+    a, b = np.array([6.0, 6.0, 6.3]), np.array([5.1, 6.2, 5.8])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        noise_volume_integral_scatterer(corners, 1.0, a, b, solver=solver)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # the grid's transformed polarization alone is 0.5 GB
+
+
+def test_noise_density_records_the_volume_route():
+    from fluctem.fluctuations import noise_correlator_density
+
+    a, b = np.array([0.23, -0.36, 1.21]), np.array([0.84, 0.47, -0.93])
+    routes = [noise_correlator_density(sc, region, 1.0, a, b).metadata["volume_route"]
+              for sc, region in ((sphere_scene(0.8), "scatterer"),
+                                 (one_voxel_scene(), "scatterer"),
+                                 (thick_shell_scene(), "all"),
+                                 (thick_shell_scene(), "shell"))]
+    assert routes == ["lattice-fft", "dense-rows", "dense-rows", "dense-rows"]

@@ -3,6 +3,7 @@ import pytest
 
 from fluctem.material import DrudeLorentzModel, MaterialError, TabulatedPermittivity
 from fluctem.scene import (
+    Scene,
     SceneError,
     build_scene,
     shell_voxelization,
@@ -199,3 +200,74 @@ def test_thin_shell_warning():
     with _w.catch_warnings():
         _w.simplefilter("error")
         warn_if_thin_shell(thick, 1.0)  # compliant: no warning
+
+
+def owner_by_scan(sc, pts):
+    """The Chebyshev scan over every voxel: faces inside to 1e-12, first index wins."""
+    cheb = np.max(np.abs(pts[:, None, :] - sc.positions()[None, :, :]), axis=-1)
+    inside = cheb <= sc.voxel_pitch / 2.0 + 1e-12
+    return np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
+
+
+def cube_probe_points(sc, rng):
+    """Centres, face centres, edge midpoints and corners of every voxel, plus points around."""
+    offsets = np.array(np.meshgrid(*[(-0.5, 0.0, 0.5)] * 3, indexing="ij")).reshape(3, -1).T
+    pts = (sc.positions()[:, None, :] + sc.voxel_pitch * offsets[None]).reshape(-1, 3)
+    lo, hi = pts.min(axis=0) - 1.0, pts.max(axis=0) + 1.0
+    return np.vstack([pts, rng.uniform(lo, hi, (2000, 3)), [[1e30, 0.0, 0.0]]])
+
+
+def test_voxel_owner_matches_the_scan_on_and_off_the_lattice(rng):
+    pitch = 0.23
+    origin = np.array([0.31, -0.7, 0.05])
+    cells = rng.permutation(np.argwhere(rng.random((6, 5, 7)) < 0.4))
+    lattice = build_scene({"box_side": 20.0, "voxel_pitch": pitch, "voxels": [
+        {"position": list(origin + pitch * m), "material": "vacuum"} for m in cells]})
+    # the same cells in the permuted order: ties go to the lower index, not key
+    shuffled = Scene(box_side=20.0, voxel_pitch=pitch, scatterer_voxels=tuple(
+        (tuple(origin + pitch * m), FixedEps(2.0)) for m in cells))
+    assert lattice.lattice is not None and shuffled.lattice is not None
+    # the casimir.yaml pair: centres 1.2 apart at pitch pi/6
+    off = build_scene({"box_side": 20.0, "voxel_pitch": np.pi / 6, "voxels": [
+        {"position": [0.0, 0.0, z], "material": "vacuum"} for z in (-0.6, 0.6)]})
+    assert off.lattice is None
+    for sc in (lattice, shuffled, off):
+        pts = cube_probe_points(sc, rng)
+        owner = sc.voxel_owner(pts)
+        assert np.array_equal(owner, owner_by_scan(sc, pts))
+        assert np.any(owner >= 0) and np.any(owner < 0)
+
+
+def voxelize_by_loop(prim, pitch):
+    """The cell-by-cell voxelization: ix, iy, iz loops over the bounding box."""
+    center = np.asarray(prim["center"], dtype=float)
+    out = []
+    if prim["shape"] == "sphere":
+        nmax = [int(np.ceil(prim["radius"] / pitch)) + 1] * 3
+    else:
+        half = np.asarray(prim["half_size"], dtype=float)
+        nmax = np.ceil(half / pitch).astype(int) + 1
+    for ix in range(-nmax[0], nmax[0] + 1):
+        for iy in range(-nmax[1], nmax[1] + 1):
+            for iz in range(-nmax[2], nmax[2] + 1):
+                p = center + pitch * np.array([ix, iy, iz], dtype=float)
+                if prim["shape"] == "sphere":
+                    keep = np.linalg.norm(p - center) <= prim["radius"] - pitch / 2 + 1e-12
+                else:
+                    keep = np.all(np.abs(p - center) <= half - pitch / 2 + 1e-12)
+                if keep:
+                    out.append(tuple(p))
+    return out
+
+
+def test_voxelized_primitives_equal_the_cell_loop_bitwise():
+    from fluctem.scene import _voxelize_primitive
+
+    pitch = 0.17
+    for prim in ({"shape": "sphere", "radius": 0.93, "center": [0.31, -0.22, 0.45]},
+                 {"shape": "box", "half_size": [0.5, 0.27, 0.61], "center": [-0.13, 0.4, 0.07]}):
+        prim["material"] = "vacuum"
+        got = [p for p, _ in _voxelize_primitive(prim, pitch, ".")]
+        want = voxelize_by_loop(prim, pitch)
+        assert len(got) > 20
+        assert np.array(got).tobytes() == np.array(want).tobytes()
