@@ -25,7 +25,7 @@ from .fluctuations import (
     equivalence_fan,
     thermal_correlator_density,
 )
-from .greens import greens_identity_report
+from .greens import EffectiveSolver, greens_identity_report
 from .material import DrudeLorentzModel, MaterialError
 from .modes import enumerate_modes, mode_sum_spectral_density
 from .observables import BodySpec, EmitterSpec, casimir_thermal_force, ldos, spontaneous_rate
@@ -101,10 +101,19 @@ def _pmap(fn, items, threads):
         return list(ex.map(fn, items))
 
 
+def _solver(scene, omega, const, run):
+    """The solver an LDOS evaluation uses, its diagnostics reported in run; None without voxels."""
+    if not scene.n_voxels:
+        return None
+    solver = EffectiveSolver(scene, omega, const=const)
+    run["solver"] = solver.diagnostics
+    return solver
+
+
 # -- subcommand bodies -------------------------------------------------------
 
 
-def _run_dispersion(cfg, scene, outdir, const, notes):
+def _run_dispersion(cfg, scene, outdir, const, run):
     dc = cfg.get("dispersion") or {}
     mat = _coerce_material(dc["material"])
     if not isinstance(mat, DrudeLorentzModel):
@@ -117,12 +126,12 @@ def _run_dispersion(cfg, scene, outdir, const, notes):
     return [write_dispersion_csv(outdir / "dispersion.csv", rows)], 0
 
 
-def _run_ldos(cfg, scene, outdir, const, notes):
+def _run_ldos(cfg, scene, outdir, const, run):
     lc = cfg.get("ldos") or {}
     omega0 = float(lc["omega0"])
     x0 = np.asarray(lc["position"], dtype=float)
     n = np.asarray(lc.get("orientation", [0, 0, 1]), dtype=float)
-    val = ldos(scene, omega0, x0, n, const=const)
+    val = ldos(scene, omega0, x0, n, const=const, solver=_solver(scene, omega0, const, run))
     vac = omega0**2 / (np.pi**2 * const.c**3)
     out = outdir / "ldos.json"
     import json
@@ -134,14 +143,15 @@ def _run_ldos(cfg, scene, outdir, const, notes):
     return [out], 0
 
 
-def _run_rate(cfg, scene, outdir, const, notes):
+def _run_rate(cfg, scene, outdir, const, run):
     rc = cfg.get("rate") or {}
     em = EmitterSpec(position=tuple(rc["position"]),
                      n_hat=tuple(np.asarray(rc["orientation"], float)
                                  / np.linalg.norm(rc["orientation"])),
                      dipole_moment=float(rc["dipole_moment"]),
                      omega0=float(rc["omega0"]))
-    res = spontaneous_rate(scene, em, const=const)
+    res = spontaneous_rate(scene, em, const=const,
+                           solver=_solver(scene, em.omega0, const, run))
     import json
 
     out = outdir / "rate.json"
@@ -152,7 +162,7 @@ def _run_rate(cfg, scene, outdir, const, notes):
     return [out], 0
 
 
-def _run_correlator(cfg, scene, outdir, const, notes, threads=1):
+def _run_correlator(cfg, scene, outdir, const, run):
     cc = cfg.get("correlator") or {}
     a = np.asarray(cc["a"], float)
     b = np.asarray(cc["b"], float)
@@ -163,7 +173,7 @@ def _run_correlator(cfg, scene, outdir, const, notes, threads=1):
     def one(om):
         return thermal_correlator_density(scene, om, a, b, T, ordering, const=const)
 
-    dens = _pmap(one, grid, threads)
+    dens = _pmap(one, grid, run["threads"])
     rows = []
     for d in dens:
         rows.extend(density_rows(d, T=T, ordering=ordering))
@@ -184,7 +194,7 @@ def _run_correlator(cfg, scene, outdir, const, notes, threads=1):
     return arts, 0
 
 
-def _run_commutator(cfg, scene, outdir, const, notes):
+def _run_commutator(cfg, scene, outdir, const, run):
     cc = cfg.get("commutator") or {}
     a = np.asarray(cc["a"], float)
     b = np.asarray(cc["b"], float)
@@ -203,7 +213,7 @@ def _run_commutator(cfg, scene, outdir, const, notes):
     return arts, 0
 
 
-def _run_verify_identity(cfg, scene, outdir, const, notes):
+def _run_verify_identity(cfg, scene, outdir, const, run):
     vc = cfg.get("verify_identity") or {}
     omega = float(vc.get("omega", 1.0))
     a = np.asarray(vc.get("a", [0, 0, 0.3]), float)
@@ -214,8 +224,10 @@ def _run_verify_identity(cfg, scene, outdir, const, notes):
         from .scene import sphere_quadrature
 
         quad = sphere_quadrature(float(vc["quad_radius"]), int(vc.get("quad_order", 24)))
+    solver = EffectiveSolver(scene, omega, const=const)
     rep = greens_identity_report(scene, omega, a, b, quad=quad,
-                                 nsub=int(vc.get("nsub", 2)), const=const)
+                                 nsub=int(vc.get("nsub", 2)), const=const, solver=solver)
+    run["solver"] = solver.diagnostics
     import json
 
     out = outdir / "identity.json"
@@ -242,7 +254,7 @@ def _default_equivalence_levels():
     ]
 
 
-def _run_verify_equivalence(cfg, scene, outdir, const, notes):
+def _run_verify_equivalence(cfg, scene, outdir, const, run):
     vc = cfg.get("verify_equivalence") or {}
     omega = float(vc.get("omega", 1.0))
     a = np.asarray(vc.get("a", [0.0, 0.0, 1.25]), float)
@@ -273,11 +285,11 @@ def _run_verify_equivalence(cfg, scene, outdir, const, notes):
         seq = [lv.disagreements[pair] for lv in fan]
         if not all(seq[i] > seq[i + 1] for i in range(len(seq) - 1)):
             ok = False
-            notes.append(f"non-monotone disagreement for {pair}: {seq}")
+            run["notes"].append(f"non-monotone disagreement for {pair}: {seq}")
     return [out], 0 if ok else 2
 
 
-def _run_casimir(cfg, scene, outdir, const, notes):
+def _run_casimir(cfg, scene, outdir, const, run):
     cc = cfg.get("casimir") or {}
     T = float(cc.get("T", 1.0))
     sel = cc.get("body", "all")
@@ -293,7 +305,7 @@ def _run_casimir(cfg, scene, outdir, const, notes):
     return arts, 0
 
 
-def _run_oracle_suite(cfg, scene, outdir, const, notes):
+def _run_oracle_suite(cfg, scene, outdir, const, run):
     oc = cfg.get("oracle_suite") or {}
     base = outdir / "baselines"
     base.mkdir(exist_ok=True)
@@ -367,7 +379,9 @@ def run_subcommand(name, config_path, outdir, threads=None):
         threads = int(cfg.get("threads", os.environ.get("FLUCTEM_THREADS", 1)))
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    notes = []
+    # the manifest's run block, outside every digest: the runner adds its
+    # notes and, where it solves, the solver's diagnostics
+    run = {"subcommand": name, "threads": threads, "notes": []}
     # physics warnings go to the manifest's notes, each distinct message once
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -375,17 +389,11 @@ def run_subcommand(name, config_path, outdir, threads=None):
         if "scene" in cfg:
             scene = _scene_from_cfg(cfg, Path(config_path).parent)
         t0 = time.time()
-        runner = _RUNNERS[name]
-        if name == "correlator":
-            artifacts, status = runner(cfg, scene, outdir, const, notes, threads=threads)
-        else:
-            artifacts, status = runner(cfg, scene, outdir, const, notes)
+        artifacts, status = _RUNNERS[name](cfg, scene, outdir, const, run)
         wall = time.time() - t0
-    notes.extend(dict.fromkeys(str(w.message) for w in caught))
-    write_manifest(outdir, text, artifacts,
-                   extra={"subcommand": name, "threads": threads, "notes": notes,
-                          "exit_status": status},
-                   wall_time=wall)
+    run["notes"].extend(dict.fromkeys(str(w.message) for w in caught))
+    run["exit_status"] = status
+    write_manifest(outdir, text, artifacts, extra=run, wall_time=wall)
     return status
 
 

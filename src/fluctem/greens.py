@@ -32,6 +32,17 @@ then holds S and a complex64 factor (1.5x the matrix bytes) instead of S and
 a complex128 factor (2x); memory_cap still allows 2x, because the fallback
 holds S and the double factor.
 
+Large lattice scenes (Scene.lattice, 3N >= _COCG_MIN_ORDER, the padded FFT
+grid no larger than S) take a third route that never forms S: COCG (van
+der Vorst & Melissen 1990) on the Jacobi-scaled D^-1/2 S D^-1/2, D = diag S,
+each iteration one zero-padded FFT convolution with the kernel table at
+shift 0 (Goodman, Draine & Flatau 1991).  A column stops on the same test
+as the refinement, applied to its true residual.  Each such solver has a
+work budget in column-matvecs, about the cost of assembling and factoring
+S; a solve that would overrun it (too many columns, too many solves, slow
+convergence) or a COCG breakdown makes the solver assemble S and take the
+factor route for that solve and every later one.
+
 The scatterer volume term of the dissipation identity needs the field at
 every Gauss sub-node of every voxel.  On a lattice scene (Scene.lattice) the
 field at sub-node j is a zero-padded 3-D FFT convolution of the polarization
@@ -66,8 +77,9 @@ SELF_TERM_RULES = ("spherical_pv_radiative", "spherical_exact")
 _EYE = np.eye(3)
 
 # largest (targets, N, 3, 3) block of coupling rows alive at once; 8 MiB keeps
-# the N = 739 identity report at 2.4x the matrix bytes, while 32 MiB doubles
-# the traced peak of the N = 179 noise density (82 MB against 39 MB)
+# the N = 739 identity report on the factor route at 1.80x the matrix bytes,
+# while 32 MiB doubles the traced peak of the N = 179 noise density (82 MB
+# against 39 MB)
 _BLOCK_BYTES = 8 * 2**20
 
 # the same bound for the chunks of voxel rows the assembly evaluates; with
@@ -86,6 +98,22 @@ _LDLT_PANEL = 32
 # 73 against 86 ms.  Below the crossover the refinement's products with S
 # cost more than the cheaper factorization saves.
 _MIXED_MIN_ORDER = 768
+
+# smallest order 3N that solves by COCG on a lattice scene, without forming S.
+# Assembly, LDL^T and one 3-column solve against COCG on the same solve, one
+# thread, idle machine: N = 257 (3N = 771) 29 ms dense against 43 ms; N = 389
+# (1167) 72 against 46 ms; N = 739 (2217) 343 against 70 ms
+_COCG_MIN_ORDER = 1024
+
+# a lattice solver's work budget, in column-matvecs, is this constant times
+# (3N)^3 / (cells of the padded grid): about what assembly and LDL^T cost, in
+# matvecs.  That ratio measured 4.5e-4 to 5.1e-4 at N = 389 and 3.2e-4 to
+# 3.7e-4 at N = 739 (two runs, loaded and idle)
+_COCG_BUDGET = 3.8e-4
+
+# the iterations a lattice solver expects of its first solve, until one has
+# run: 27-33 on the Drude-Lorentz spheres of N = 179 to 1189, any frequency
+_COCG_ITERATIONS = 32
 
 # refinement falls back to the double factor when a step fails to halve the
 # backward error or after this many steps (two converge on the benchmark spheres)
@@ -189,6 +217,8 @@ def assemble_ls_system(
     block following the declared self-term rule, and C = diag(eps - 1); S is
     the collocation matrix A = I - M C in the scaling C^1/2 A C^-1/2.
     Bit-exact reproducible from (scene, omega, rule); nothing is factorized.
+    The solver assembles S on demand: at construction on the factor routes,
+    on first use on the lattice route, which may never need it.
     """
     if scene.n_voxels == 0 and not scene.shell_enabled:
         raise SceneError("scene has no polarizable voxels and no shell")
@@ -214,20 +244,24 @@ def vacuum_green_block_offdiag(omega, pts, c=1.0):
 
 
 class EffectiveSolver:
-    """Factorized Lippmann-Schwinger solve bound to one (scene, omega).
+    """Lippmann-Schwinger solve bound to one (scene, omega).
 
-    Immutable once factorized, but for the one-way switch from the mixed to
-    the double route on a stall; share freely across threads (a lock makes
-    that switch, and the first factorization, happen once).  All spatial
-    evaluations accept arbitrary points, handling points inside voxels
-    through the cell-averaged (regularized) kernel.
+    Large lattice scenes solve by COCG with the FFT matvec and form S only
+    if that route is abandoned; other scenes assemble S here and factor it
+    on first use.  Immutable but for the one-way switches (COCG to a factor,
+    mixed to double precision); share freely across threads (a lock makes
+    each switch, the assembly and the first factorization happen once).
+    All spatial evaluations accept arbitrary points, handling points inside
+    voxels through the cell-averaged (regularized) kernel.
     """
 
     def __init__(self, scene: Scene, omega, rule="spherical_pv_radiative",
                  const: Constants = DEFAULT, memory_cap=2 * 1024**3):
         n = scene.n_voxels
         # S and one chunk of kernel rows during assembly, S and its LDL^T copy
-        # later: complex64 on the mixed route, complex128 on the double one
+        # later: complex64 on the mixed route, complex128 on the double one.
+        # The lattice route forms neither unless it falls back, so it is held
+        # to the same bound
         peak = 2 * (3 * n) ** 2 * 16
         if peak > memory_cap:
             raise MemoryError(
@@ -237,14 +271,48 @@ class EffectiveSolver:
         self.scene = scene
         self.omega = float(omega)
         self.const = const
+        self.rule = rule
         self.k = omega / const.c
         self.pos = scene.positions()
         self.chi = scene.chi_at(omega)
         self.dv = scene.voxel_volume
         self.cself = self_term_coupling(omega, self.dv, rule, c=const.c)
         # any D with D^2 = C gives the same D S^-1 D = chi A^-1: one branch suffices
-        sq = np.sqrt(self.chi)
-        self._sqrt_chi3 = np.repeat(sq, 3)[:, None]
+        self._sqrt_chi3 = np.repeat(np.sqrt(self.chi), 3)[:, None]
+        self._system = None
+        self._fact = None
+        self._single = 3 * n >= _MIXED_MIN_ORDER  # precision of the next factorization
+        self._lock = threading.Lock()
+        grid = _fft_grid(self) if 3 * n >= _COCG_MIN_ORDER else None
+        # the lattice matvec while the COCG route lasts, None on the factor route
+        self._matvec = None if grid is None else _LatticeMatvec(self, grid)
+        self._budget = 0 if grid is None else int(_COCG_BUDGET * (3 * n) ** 3 / np.prod(grid))
+        self._spent = 0  # column-matvecs so far
+        self._iterations = _COCG_ITERATIONS  # the next solve's estimate
+        # a report, never read back: route "lattice-cocg" or "mixed-ldlt" until
+        # a fallback, the factor route for good after; iterations, refinement
+        # steps and backward error are those of the solve that finished last
+        self.diagnostics = {
+            "route": "lattice-cocg" if self._matvec is not None else self._factor_route(),
+            "fallback": None, "iterations": 0, "refinement_steps": 0,
+            "backward_error": None, "matvecs": 0, "budget": self._budget,
+        }
+        if self._matvec is None:
+            self._assemble()
+
+    @property
+    def system(self):
+        """The dense LSSystem S, assembled on first use on the lattice route."""
+        with self._lock:
+            return self._system or self._assemble()
+
+    def _factor_route(self):
+        return "mixed-ldlt" if self._single else "dense-ldlt"
+
+    def _assemble(self):
+        """Build S = I - C^1/2 M C^1/2 once (callers hold the lock or own the solver)."""
+        n = self.scene.n_voxels
+        sq = self._sqrt_chi3[::3, 0]
         S = np.empty((3 * n, 3 * n), dtype=complex)
         S4 = S.reshape(n, 3, n, 3)
         for sl in self._blocks(n, _ASSEMBLY_BYTES):
@@ -267,17 +335,8 @@ class EffectiveSolver:
         # each voxel centre lies in its own cell: the self term, no owner lookup
         own = np.arange(n)
         S4[own, :, own] = (1.0 - self.cself * self.chi)[:, None, None] * _EYE
-        self.system = LSSystem(scene, self.omega, S, rule, S.nbytes)
-        self._fact = None
-        self._single = 3 * n >= _MIXED_MIN_ORDER  # precision of the next factorization
-        self._lock = threading.Lock()
-        # a report, never read back: route "mixed-ldlt" until a fallback,
-        # "dense-ldlt" for good after; the refinement steps and backward error
-        # are those of the mixed solve that finished last
-        self.diagnostics = {
-            "route": "mixed-ldlt" if 3 * n >= _MIXED_MIN_ORDER else "dense-ldlt",
-            "fallback": None, "refinement_steps": 0, "backward_error": None,
-        }
+        self._system = LSSystem(self.scene, self.omega, S, self.rule, S.nbytes)
+        return self._system
 
     def _kernel(self, d):
         """-dV k^2 Gv for separations d (..., 3) of distinct voxels, shape (..., 3, 3)."""
@@ -288,14 +347,22 @@ class EffectiveSolver:
     def _solve(self, rhs):
         """chi A^-1 rhs = C^1/2 S^-1 C^1/2 rhs for rhs of shape (3N, m).
 
-        The operator is symmetric, so it also serves transposed solves.  S is
-        LDL^T-factorized (Bunch-Kaufman, lower triangle) on first use, in
-        single precision and refined on the mixed route, else in double.
+        The operator is symmetric, so it also serves transposed solves.  On
+        the lattice route COCG solves S x = C^1/2 rhs with the FFT matvec
+        while the work budget lasts; otherwise S is LDL^T-factorized
+        (Bunch-Kaufman, lower triangle) on first use, in single precision and
+        refined on the mixed route, else in double.
         """
         s = self._sqrt_chi3
         if not len(s):
             return np.zeros(rhs.shape, dtype=complex)  # zsytrs rejects n = 0
         b = s * rhs
+        op = self._matvec  # a switch racing this read is caught by _charge
+        if op is not None:
+            x = self._cocg_solve(op, b)
+            del op  # so that a fallback frees the lattice tables
+            if x is not None:
+                return s * x
         with self._lock:  # one factorization, however many threads share the solver
             fact = self._fact or self._factor()
         if fact[0].dtype == np.complex64:
@@ -313,8 +380,12 @@ class EffectiveSolver:
         return s * x
 
     def _factor(self):
-        """LDL^T of S, complex64 on the mixed route, complex128 on the double one."""
-        S = self.system.matrix
+        """LDL^T of S, complex64 on the mixed route, complex128 on the double one.
+
+        The caller holds the lock; S is assembled here if the lattice route
+        has not needed it yet.
+        """
+        S = (self._system or self._assemble()).matrix
         lwork = _LDLT_PANEL * len(S)
         self._fact = None  # a single factor goes before the double one is made
         if self._single:
@@ -346,7 +417,7 @@ class EffectiveSolver:
         ||b - S x||_inf / (||S||_inf ||x||_inf) <= sqrt(3N) u.  The residual
         reuses one buffer, so the solve holds b, x, r and a complex64 copy of r.
         """
-        S = self.system.matrix
+        S = self._system.matrix
         tol = np.sqrt(len(S)) * 2.0**-53
         x = np.zeros(b.shape, dtype=complex)
         r, err = b, np.inf
@@ -370,6 +441,108 @@ class EffectiveSolver:
         with self._lock:
             self.diagnostics.update(refinement_steps=step, backward_error=err)
         return x if err <= tol else None
+
+    # -- the matrix-free lattice route -----------------------------------
+
+    def _cocg_solve(self, op, b):
+        """S^-1 b by COCG in column blocks; None once the route is abandoned.
+
+        A solve whose columns times the expected iterations (the last solve's)
+        would not fit in what is left of the budget is not started; one that runs out of
+        budget or breaks down is dropped whole.  Either way the solver takes
+        the factor route for this solve and every later one.
+        """
+        m = b.shape[1]
+        with self._lock:
+            fits = self._spent + m * self._iterations <= self._budget
+        reason = "budget"
+        if fits:
+            x = np.empty(b.shape, dtype=complex)
+            for i in range(0, m, op.columns):
+                reason = self._cocg(op, b[:, i:i + op.columns], x[:, i:i + op.columns])
+                if reason:
+                    break
+            else:
+                return x
+        with self._lock:
+            if self._matvec is not None:  # no other thread switched yet
+                self._matvec = None
+                self.diagnostics.update(route=self._factor_route(), fallback=reason,
+                                        backward_error=None)
+        return None
+
+    def _charge(self, cols):
+        """Book cols column-matvecs; False, booking nothing, when they exceed the budget."""
+        with self._lock:
+            if self._matvec is None or self._spent + cols > self._budget:
+                return False
+            self._spent += cols
+            self.diagnostics["matvecs"] = self._spent
+            return True
+
+    def _cocg(self, op, b, out):
+        """Jacobi-scaled COCG for S out = b; None on success, else the reason to stop.
+
+        COCG (van der Vorst & Melissen 1990) is CG with the unconjugated
+        product, for the complex-symmetric D^-1/2 S D^-1/2, D = diag S.  A
+        column stops when its true residual passes the test the refinement
+        uses, ||b - S x||_inf <= sqrt(3N) u ||S||_inf ||x||_inf; the
+        recursive residual only nominates it, and one that fails the test
+        is replaced by its true residual.
+        """
+        tol = np.sqrt(len(b)) * 2.0**-53
+        d = op.sqrt_diag
+        out[:] = 0  # zero columns stay zero, without a matvec
+        live = np.flatnonzero(np.abs(b).max(axis=0) > 0)
+        bl = b[:, live]
+        r = bl / d  # scaled residual of y = D^1/2 x = 0
+        y = np.zeros(r.shape, dtype=complex)
+        p = r.copy()
+        rho = np.einsum("ij,ij->j", r, r)
+        its, err, reason = 0, 0.0, None
+        while live.size:
+            if not self._charge(live.size):
+                reason = "budget"
+                break
+            its += 1
+            q = op(p / d) / d
+            with np.errstate(divide="ignore", invalid="ignore"):
+                alpha = rho / np.einsum("ij,ij->j", p, q)
+            if not np.all(np.isfinite(alpha)):  # p^T q = 0 or an overflow
+                reason = "breakdown"
+                break
+            y += alpha * p
+            r -= alpha * q
+            x = y / d
+            xmax = np.abs(x).max(axis=0)
+            near = np.flatnonzero(np.abs(d * r).max(axis=0) <= tol * op.norm * xmax)
+            if near.size:
+                if not self._charge(near.size):
+                    reason = "budget"
+                    break
+                true = bl[:, near] - op(x[:, near])
+                bwd = np.abs(true).max(axis=0) / (op.norm * xmax[near])
+                ok = bwd <= tol
+                r[:, near[~ok]] = true[:, ~ok] / d
+                out[:, live[near[ok]]] = x[:, near[ok]]
+                err = max(err, float(np.max(bwd[ok], initial=0.0)))
+                keep = np.ones(live.size, dtype=bool)
+                keep[near[ok]] = False
+                live, bl, r, y, p, rho = (live[keep], bl[:, keep], r[:, keep], y[:, keep],
+                                          p[:, keep], rho[keep])
+            rho_next = np.einsum("ij,ij->j", r, r)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                beta = rho_next / rho
+            if not np.all(np.isfinite(beta)):
+                reason = "breakdown"
+                break
+            p = r + beta * p
+            rho = rho_next
+        with self._lock:
+            self.diagnostics.update(iterations=its, backward_error=None if reason else err)
+            if reason is None:
+                self._iterations = max(its, 1)
+        return reason
 
     # -- rhs / kernel helpers -------------------------------------------
 
@@ -519,7 +692,7 @@ def solve_effective_green(scene: Scene, omega, sources, targets,
         values=vals,
         metadata={
             "scene": scene.digest(),
-            "self_term_rule": solver.system.self_term_rule,
+            "self_term_rule": solver.rule,
             "solver": solver.diagnostics["route"],
         },
     )
@@ -660,14 +833,14 @@ def _fft_grid(solver):
 
     Each axis of L cells pads to next_fast_len(2L - 1), so the circular
     convolution holds every displacement -(L-1)..L-1 once; the route is
-    taken when that grid needs no more bytes than S, which the solver
-    already holds under memory_cap.
+    taken when that grid needs no more bytes than S, which memory_cap
+    already allows the solver, whether or not it forms S.
     """
     lat = solver.scene.lattice
     if lat is None:
         return None
     grid = tuple(sfft.next_fast_len(2 * L - 1) for L in lat.shape)
-    if np.prod(grid, dtype=float) * _FFT_CELL_BYTES > solver.system.matrix.nbytes:
+    if np.prod(grid, dtype=float) * _FFT_CELL_BYTES > (3 * solver.scene.n_voxels) ** 2 * 16:
         return None
     return grid
 
@@ -694,6 +867,62 @@ def _scatterer_term(scene, omega, a, b, const, solver, chiX, nsub):
 # the six distinct components (i, k) of the symmetric 3x3 kernel
 _SYM = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 _SYM_INDEX = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
+_AXES = (-3, -2, -1)
+
+
+def _kernel_hat(solver, grid, s):
+    """The kernel table K(m) = dV k^2 Gv(pitch m + s), (grid..., 3, 3), and its transform.
+
+    m runs over the circular displacements of the padded grid; the own cell
+    m = 0 holds the self term cself I, since a node at shift s lies in its
+    own voxel.  The transform is that of the six distinct components, shape
+    (6,) + grid.
+    """
+    lat = solver.scene.lattice
+    # circular displacements: 0..L-1 then negative ones from the top of each axis
+    disp = np.stack(np.meshgrid(*[np.where(np.arange(g) < L, np.arange(g), np.arange(g) - g)
+                                  for g, L in zip(grid, lat.shape)], indexing="ij"), axis=-1)
+    d = lat.pitch * disp + s
+    r = np.linalg.norm(d, axis=-1)
+    r[0, 0, 0] = 1.0  # a centred node has r = 0 there, overwritten below
+    K = _dyadic(d, r, solver.k, solver.dv * solver.k**2)
+    del d, r
+    K[0, 0, 0] = solver.cself * _EYE
+    return K, sfft.fftn(np.stack([K[..., i, k] for i, k in _SYM]), axes=_AXES, overwrite_x=True)
+
+
+def _convolve(Kh, Ph, lat):
+    """Component i of sum_k K_ik * P_k at the lattice cells, shape (3, m, N).
+
+    Kh is a kernel table's transform (6,) + grid, Ph the transformed sources
+    (3, m) + grid: three products and one inverse transform per component,
+    an axis at a time, keeping only the lattice box's rows of each axis.
+    """
+    cells = tuple(lat.cells.T)
+    E = np.empty((3, Ph.shape[1], len(lat.cells)), dtype=complex)
+    for i in range(3):
+        F = Kh[_SYM_INDEX[i, 0]] * Ph[0]
+        F += Kh[_SYM_INDEX[i, 1]] * Ph[1]
+        F += Kh[_SYM_INDEX[i, 2]] * Ph[2]
+        for ax, L in zip(_AXES, lat.shape):
+            F = sfft.ifft(F, axis=ax, overwrite_x=True)
+            F = F[(Ellipsis, slice(L)) + (slice(None),) * (-1 - ax)]  # the box's rows
+        E[i] = F[:, cells[0], cells[1], cells[2]]
+        del F
+    return E
+
+
+def _scatter(X, grid, lat):
+    """(3, m, N) sources on the lattice box, transformed on the zero-padded grid.
+
+    An axis at a time, each padded as it is transformed, so the all-zero
+    lines of the padding are never transformed.  Shape (3, m) + grid.
+    """
+    P = np.zeros(X.shape[:2] + lat.shape, dtype=complex)
+    P[:, :, lat.cells[:, 0], lat.cells[:, 1], lat.cells[:, 2]] = X
+    for ax in _AXES[::-1]:
+        P = sfft.fft(P, n=grid[ax], axis=ax)
+    return P
 
 
 def _lattice_fields(solver, grid, sub, a, b, chiX):
@@ -706,39 +935,55 @@ def _lattice_fields(solver, grid, sub, a, b, chiX):
     """
     lat = solver.scene.lattice
     n = len(lat.cells)
-    cells = tuple(lat.cells.T)
-    axes = (-3, -2, -1)
     # P[k, (s, c)] on the grid: component k of column c of the source-s polarization
-    P = np.zeros((3, 6) + grid, dtype=complex)
-    P[:, :, cells[0], cells[1], cells[2]] = chiX.transpose(2, 1, 3, 0).reshape(3, 6, n)
-    P = sfft.fftn(P, axes=axes, overwrite_x=True)
-    # circular displacements: 0..L-1 then negative ones from the top of each axis
-    disp = np.stack(np.meshgrid(*[np.where(np.arange(g) < L, np.arange(g), np.arange(g) - g)
-                                  for g, L in zip(grid, lat.shape)], indexing="ij"), axis=-1)
-    disp = lat.pitch * disp
-    scale = solver.dv * solver.k**2
+    P = _scatter(chiX.transpose(2, 1, 3, 0).reshape(3, 6, n), grid, lat)
     pos = solver.scene.positions()
-    E = np.empty((3, 6, n), dtype=complex)
     for s in sub:
-        d = disp + s
-        r = np.linalg.norm(d, axis=-1)
-        r[0, 0, 0] = 1.0  # a centred sub-node has r = 0 there, overwritten below
-        K = _dyadic(d, r, solver.k, scale)
-        del d, r
-        K[0, 0, 0] = solver.cself * _EYE  # the node lies in its own voxel
-        Kh = sfft.fftn(np.stack([K[..., i, k] for i, k in _SYM]), axes=axes, overwrite_x=True)
-        del K
-        for i in range(3):
-            F = Kh[_SYM_INDEX[i, 0]] * P[0]
-            F += Kh[_SYM_INDEX[i, 1]] * P[1]
-            F += Kh[_SYM_INDEX[i, 2]] * P[2]
-            F = sfft.ifftn(F, axes=axes, overwrite_x=True)
-            E[i] = F[:, cells[0], cells[1], cells[2]]
-            del F
-        del Kh
+        _, Kh = _kernel_hat(solver, grid, s)
         # E[i, (s, c), v] is component i of G(x_v, s)[:, c]
-        scat = E.reshape(3, 2, 3, n).transpose(3, 1, 0, 2)
+        scat = _convolve(Kh, P, lat).reshape(3, 2, 3, n).transpose(3, 1, 0, 2)
+        del Kh
         yield vacuum_green_block(solver.omega, pos + s, np.stack([a, b]), c=solver.const.c) + scat
+
+
+class _LatticeMatvec:
+    """x -> S x on a lattice scene by one FFT convolution; S is never formed.
+
+    S x = x - C^1/2 (K_0 * C^1/2 x), K_0 the kernel table at shift 0 (its
+    own cell holding cself I), the DDA matvec of Goodman, Draine & Flatau
+    (1991).  Also holds what COCG needs besides: D^1/2 for the Jacobi
+    scaling (D = diag S = 1 - cself chi), ||S||_inf and the column block.
+    """
+
+    def __init__(self, solver, grid):
+        self.grid = grid
+        self.lat = solver.scene.lattice
+        self.sq = solver._sqrt_chi3
+        K, self.Kh = _kernel_hat(solver, grid, np.zeros(3))
+        diag = 1.0 - solver.cself * solver.chi
+        self.sqrt_diag = np.repeat(np.sqrt(diag), 3)[:, None]
+        # ||S||_inf exactly: row (v, i) sums |D_v| and |sq_v| sum_{u != v, k}
+        # |K_ik(m_v - m_u)| |sq_u|, one real convolution of |K|'s row sums
+        R = np.moveaxis(np.abs(K).sum(axis=-1), -1, 0)
+        del K
+        R[:, 0, 0, 0] = 0.0  # the own block is D_v I, counted apart
+        asq = np.abs(self.sq[::3, 0])
+        A = np.zeros(grid)
+        cells = tuple(self.lat.cells.T)
+        A[cells] = asq
+        off = sfft.irfftn(sfft.rfftn(R, axes=_AXES) * sfft.rfftn(A), s=grid, axes=_AXES)
+        self.norm = float(np.max(np.abs(diag) + asq * off[:, cells[0], cells[1], cells[2]]))
+        # columns per block: the transformed sources, the largest array of a
+        # matvec at 3 complex numbers per cell and column, stay within the
+        # assembly's chunk bound, so the allocator keeps no more resident
+        self.columns = max(1, _ASSEMBLY_BYTES // (3 * 16 * int(np.prod(grid))))
+
+    def __call__(self, x):
+        """S x for x of shape (3N, m)."""
+        n3, m = x.shape
+        X = (self.sq * x).reshape(n3 // 3, 3, m).transpose(1, 2, 0)
+        E = _convolve(self.Kh, _scatter(X, self.grid, self.lat), self.lat)
+        return x - self.sq * E.transpose(2, 0, 1).reshape(n3, m)
 
 
 def noise_volume_integral_shell(scene, omega, a, b, solver=None, shell_pitch=None,

@@ -82,10 +82,11 @@ class RateResult:
     ldos: float
 
 
-def spontaneous_rate(scene: Scene, emitter: EmitterSpec,
-                     const: Constants = DEFAULT) -> RateResult:
+def spontaneous_rate(scene: Scene, emitter: EmitterSpec, const: Constants = DEFAULT,
+                     solver: EffectiveSolver = None) -> RateResult:
     """Gamma = (pi/3) (w0/hbar) |mu|^2 rho(x0), plus the Purcell ratio."""
-    rho = ldos(scene, emitter.omega0, emitter.position, emitter.n_hat, const=const)
+    rho = ldos(scene, emitter.omega0, emitter.position, emitter.n_hat, const=const,
+               solver=solver)
     pref = (np.pi / 3) * (emitter.omega0 / const.hbar) * emitter.dipole_moment**2
     g = pref * rho
     gv = pref * vacuum_ldos(emitter.omega0, const)

@@ -104,8 +104,20 @@ def effective_photon_weight(m: DrudeLorentzModel, omega, omega_alpha, hbar=1.0):
     """
     if omega <= 0:
         raise MaterialError("omega must be > 0")
+    return _weight(m, omega, omega - np.roots(_quartic(m, float(omega_alpha) ** 2)), hbar)
+
+
+def _weight(m, omega, offsets, hbar):
+    """effective_photon_weight with w_a^2 - w^2 eps_w = P(w) / D(w) in product form.
+
+    P is the monic quartic, the product of offsets = w - W_r over its four
+    roots.  The direct difference cancels to the distance from the nearest
+    root, about 1e-8 of w_a^2 inside a narrow branch's window; the product
+    keeps the relative accuracy of each offset, which the caller computes.
+    """
     eps = m.eval(omega)
-    return omega**2 / (omega_alpha**2 - omega**2 * eps) * np.sqrt(hbar * eps.imag / np.pi)
+    return (omega**2 * _den(m, omega) / np.prod(offsets)
+            * np.sqrt(hbar * eps.imag / np.pi))
 
 
 def _weight_sq_longitudinal(m, omega, hbar):
@@ -151,13 +163,16 @@ def window_integral_norm(m: DrudeLorentzModel, omega_alpha, branch="upper",
     halfw = abs(bp.Omega.imag)
     if halfw == 0:
         raise PolaritonError("branch has zero linewidth; lossless norm is ill defined")
-    lo = max(center - w * halfw, 1e-12)
-    hi = center + w * halfw
+    # in the window coordinate t, w = center + halfw t: the nodes and each
+    # offset w - W_r = (center - W_r) + halfw t keep their relative accuracy
+    # however narrow the window, where w itself rounds to 1e-7 of a 4e-9 width
+    rel = center - np.roots(_quartic(m, float(omega_alpha) ** 2))
 
-    def integrand(x):
-        return abs(effective_photon_weight(m, x, omega_alpha, hbar=hbar)) ** 2
+    def integrand(t):
+        return abs(_weight(m, center + halfw * t, rel + halfw * t, hbar)) ** 2
 
-    val, err = quad(integrand, lo, hi, points=[center], limit=800)
+    val, err = quad(integrand, max(-w, (1e-12 - center) / halfw), w, points=[0.0], limit=800)
+    val, err = val * halfw, err * halfw
     raw = float(np.sqrt(val))
 
     W = bp.Omega

@@ -116,6 +116,42 @@ def test_verify_identity_reports_route_and_margin(tmp_path):
     assert 0 < report["margin"] < 1
 
 
+def test_solver_diagnostics_recorded_in_manifest(tmp_path, monkeypatch):
+    # the run block reports how each solve went; the artifacts do not change
+    cfg = write_cfg(tmp_path, {
+        "ldos": {"omega0": 1.0, "position": [0, 0, 1.2], "orientation": [1, 0, 0]},
+        "rate": {"omega0": 1.0, "position": [0, 0, 1.2], "orientation": [1, 0, 0],
+                 "dipole_moment": 1.0},
+        "verify_identity": {"omega": 1.0, "a": [0, 0, 1.2], "b": [0.6, 0.2, -0.9],
+                            "tolerance": 0.1},
+    })
+    for name in ("ldos", "rate", "verify-identity"):
+        out = tmp_path / name
+        assert run_subcommand(name, cfg, out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        solver = manifest["run"]["solver"]
+        assert solver["route"] == "dense-ldlt"
+        assert solver["fallback"] is None
+        assert solver["iterations"] == solver["refinement_steps"] == 0
+        assert set(solver) >= {"backward_error", "matvecs", "budget"}
+        assert "solver" not in json.dumps(manifest["artifacts"])
+    # a lattice sphere with the crossover at 0: the COCG route and its work
+    from fluctem import greens
+
+    monkeypatch.setattr(greens, "_COCG_MIN_ORDER", 0)
+    monkeypatch.setattr(greens, "_COCG_BUDGET", 1.0)
+    sphere = {"box_side": 40.0, "voxel_pitch": 0.2, "primitives": [
+        {"shape": "sphere", "radius": 0.8, "material": BASE_SCENE["voxels"][0]["material"]}]}
+    cfg = write_cfg(tmp_path, {"scene": sphere, "ldos": {
+        "omega0": 0.9, "position": [0.1, 0.2, 1.6], "orientation": [0, 0, 1]}}, "sphere.yaml")
+    assert run_subcommand("ldos", cfg, tmp_path / "cocg") == 0
+    solver = json.loads((tmp_path / "cocg" / "manifest.json").read_text())["run"]["solver"]
+    assert solver["route"] == "lattice-cocg"
+    assert solver["fallback"] is None
+    assert 0 < solver["iterations"] <= solver["matvecs"] <= solver["budget"]
+    assert 0 < solver["backward_error"] <= np.sqrt(3 * 179) * 2.0**-53
+
+
 def test_casimir_subcommand(tmp_path):
     scene = dict(BASE_SCENE)
     scene["voxels"] = [

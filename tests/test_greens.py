@@ -22,6 +22,8 @@ from fluctem.greens import (
     vacuum_green_block_offdiag,
     vacuum_imag_coincidence,
 )
+from fluctem.modes import enumerate_modes, scattered_mode_field
+from fluctem.observables import ldos
 from fluctem.scene import Scene, Shell, build_scene, sphere_quadrature
 
 from conftest import LAM, FixedEps, one_voxel_scene
@@ -400,6 +402,253 @@ def test_exactly_singular_system_raises_on_the_mixed_route(monkeypatch):
         solver.interior_field(np.ones((1, 3)))
     assert solver.diagnostics["route"] == "dense-ldlt"
     assert solver.diagnostics["fallback"] == "singular"
+
+
+# -- the matrix-free lattice route ------------------------------------------
+
+
+def cocg_budget(monkeypatch, sc, matvecs):
+    """Set the budget constant so that a solver on sc gets this many column-matvecs."""
+    n3 = 3 * sc.n_voxels
+    grid = greens._fft_grid(EffectiveSolver(sc, 1.0))
+    monkeypatch.setattr(greens, "_COCG_BUDGET", (matvecs + 0.5) * np.prod(grid) / n3**3)
+
+
+def dense_lu_reference(sc, omega, rhs):
+    """chi A^-1 rhs by general LU of the collocation matrix A = I - M C."""
+    chi = np.repeat(sc.chi_at(omega), 3)
+    A = np.eye(len(chi)) - pairwise_coupling(sc, omega) * chi[None, :]
+    return chi[:, None] * sla.lu_solve(sla.lu_factor(A), rhs)
+
+
+def factor_route(sc, omega):
+    """A solver on the factor route, as below the crossover."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(greens, "_COCG_MIN_ORDER", np.inf)
+        return EffectiveSolver(sc, omega)
+
+
+def two_material_sphere():
+    """The N = 179 sphere, a flat material in its upper half and a vacuum voxel."""
+    sc = sphere_scene(0.8)
+    flat, vac = FixedEps(4 + 0.1j), FixedEps(1.0)
+    voxels = [(p, flat if p[2] > 0 else m) for p, m in sc.scatterer_voxels]
+    voxels[0] = (voxels[0][0], vac)
+    return Scene(sc.box_side, sc.voxel_pitch, tuple(voxels))
+
+
+# the benchmark's LDOS point and orientation on the N = 739 sphere
+LDOS_X0 = np.array([0.42, -0.27, 1.61])
+LDOS_N = np.array([0.62, 0.35, 0.70])
+
+
+def metallic_sphere():
+    """The N = 179 sphere of a Drude metal: Re chi from -4 to -23 at omega 0.6..1.4."""
+    return build_scene({"box_side": 40.0, "voxel_pitch": 0.2, "primitives": [
+        {"shape": "sphere", "radius": 0.8, "material": {
+            "type": "drude_lorentz", "omega_p": 3.0, "omega_0": 0.0, "gamma": 0.1}}]})
+
+
+def test_cocg_route_matches_dense_lu_of_the_collocation_matrix(monkeypatch, rng):
+    # the 1e-12 check of the factor routes, with no matrix formed for the solve
+    monkeypatch.setattr(greens, "_COCG_MIN_ORDER", 0)
+    cocg_budget(monkeypatch, sphere_scene(0.8), 10**6)
+    for sc, omega in ((sphere_scene(0.8), 0.6), (sphere_scene(0.8), 0.9),
+                      (sphere_scene(0.8), 1.4), (two_material_sphere(), 0.9)):
+        shape = (3 * sc.n_voxels, 4)
+        rhs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        ref = dense_lu_reference(sc, omega, rhs)
+        solver = EffectiveSolver(sc, omega)
+        got = solver._solve(rhs)
+        assert solver._system is None
+        assert solver.diagnostics["route"] == "lattice-cocg"
+        assert solver.diagnostics["fallback"] is None
+        assert solver.diagnostics["iterations"] > 0
+        assert solver.diagnostics["backward_error"] <= refine_tol(solver)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_lattice_norm_is_the_dense_row_sum_maximum(monkeypatch):
+    monkeypatch.setattr(greens, "_COCG_MIN_ORDER", 0)
+    for sc, omega in ((sphere_scene(0.8), 0.9), (two_material_sphere(), 1.4)):
+        solver = EffectiveSolver(sc, omega)
+        dense = np.abs(solver.system.matrix).sum(axis=1).max()
+        assert abs(solver._matvec.norm - dense) <= 1e-13 * dense
+        assert solver.diagnostics["route"] == "lattice-cocg"  # reading S switches nothing
+
+
+def test_lattice_matvec_is_the_product_with_s(monkeypatch, rng):
+    monkeypatch.setattr(greens, "_COCG_MIN_ORDER", 0)
+    solver = EffectiveSolver(two_material_sphere(), 1.1)
+    x = rng.standard_normal((3 * solver.scene.n_voxels, 2)) + 0j
+    ref = solver.system.matrix @ x
+    assert np.linalg.norm(solver._matvec(x) - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+def test_cocg_route_solves_are_bitwise_reproducible(monkeypatch, rng):
+    monkeypatch.setattr(greens, "_COCG_MIN_ORDER", 0)
+    cocg_budget(monkeypatch, sphere_scene(0.8), 10**6)
+    sc = sphere_scene(0.8)
+    rhs = rng.standard_normal((3 * sc.n_voxels, 6)) + 0j
+    first, second = (EffectiveSolver(sc, 0.9) for _ in range(2))
+    assert np.array_equal(first._solve(rhs), second._solve(rhs))
+    assert first.diagnostics == second.diagnostics
+    assert first.diagnostics["route"] == "lattice-cocg"
+
+
+def test_wide_solve_goes_to_the_factor_before_any_matvec(monkeypatch):
+    # the green form of a mode field solves one column per voxel component
+    monkeypatch.setattr(greens, "_COCG_MIN_ORDER", 0)
+    sc = sphere_scene(0.8)
+    cocg_budget(monkeypatch, sc, 1000)  # ten narrow solves, far from 3N = 537 columns
+    basis = enumerate_modes(12.0, 1.3)
+    om = basis.omega_alpha[7]
+    x = np.array([0.2, -0.4, 1.9])
+    solver = EffectiveSolver(sc, om)
+    got = scattered_mode_field(sc, basis, 7, x, solver=solver, form="green")
+    ref = scattered_mode_field(sc, basis, 7, x, solver=factor_route(sc, om), form="green")
+    assert np.array_equal(got, ref)
+    assert solver.diagnostics["route"] == "dense-ldlt"
+    assert solver.diagnostics["fallback"] == "budget"
+    assert solver.diagnostics["matvecs"] == 0
+
+
+def test_many_narrow_solves_switch_to_the_factor_for_good(monkeypatch):
+    # one 3-column solve per source, as the force makes one per body voxel
+    monkeypatch.setattr(greens, "_COCG_MIN_ORDER", 0)
+    sc = sphere_scene(0.8)
+    cocg_budget(monkeypatch, sc, 300)
+    solver, factor = EffectiveSolver(sc, 0.9), factor_route(sc, 0.9)
+    routes = []
+    for z in np.linspace(1.0, 1.9, 6):
+        src = np.array([[0.1, -0.2, z]])
+        got, ref = solver.interior_solution(src), factor.interior_solution(src)
+        routes.append(solver.diagnostics["route"])
+        if routes[-1] == "lattice-cocg":
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        else:
+            assert np.array_equal(got, ref)
+    assert routes == ["lattice-cocg"] * 3 + ["dense-ldlt"] * 3
+    assert solver.diagnostics["fallback"] == "budget"
+    assert solver.diagnostics["matvecs"] <= solver.diagnostics["budget"]
+
+
+def test_metallic_spectrum_abandons_cocg_within_one_budget(monkeypatch, rng):
+    # Re chi of -4 to -23: COCG needs about 500 column-matvecs per 3-column
+    # solve here, the dielectric sphere about 90
+    monkeypatch.setattr(greens, "_COCG_MIN_ORDER", 0)
+    cocg_budget(monkeypatch, sphere_scene(0.8), 300)
+    sc = metallic_sphere()
+    rhs = rng.standard_normal((3 * sc.n_voxels, 3)) + 0j
+    for omega in (0.6, 0.9, 1.4):
+        solver = EffectiveSolver(sc, omega)
+        got = solver._solve(rhs)
+        assert np.array_equal(got, factor_route(sc, omega)._solve(rhs))
+        assert solver.diagnostics["route"] == "dense-ldlt"
+        assert solver.diagnostics["fallback"] == "budget"
+        assert 0 < solver.diagnostics["matvecs"] <= solver.diagnostics["budget"] == 300
+
+
+def test_cocg_breakdown_switches_to_the_factor(monkeypatch, rng):
+    # a matvec with p^T q = 0 breaks COCG down at its first step
+    monkeypatch.setattr(greens, "_COCG_MIN_ORDER", 0)
+    sc = sphere_scene(0.8)
+    cocg_budget(monkeypatch, sc, 10**6)
+    solver = EffectiveSolver(sc, 0.9)
+    monkeypatch.setattr(greens._LatticeMatvec, "__call__", lambda op, x: np.zeros_like(x))
+    rhs = rng.standard_normal((3 * sc.n_voxels, 2)) + 0j
+    ref = factor_route(sc, 0.9)._solve(rhs)
+    assert np.array_equal(solver._solve(rhs), ref)
+    assert solver.diagnostics["route"] == "dense-ldlt"
+    assert solver.diagnostics["fallback"] == "breakdown"
+    # for good: the next solve, well inside the budget, makes no matvec
+    spent = solver.diagnostics["matvecs"]
+    assert np.array_equal(solver._solve(rhs), ref)
+    assert solver.diagnostics["matvecs"] == spent
+
+
+def test_threads_sharing_a_cocg_solver_switch_once(monkeypatch, rng):
+    # eight 3-column solves against a budget for about three: some threads
+    # finish on COCG, the rest run out; S is assembled and factored once
+    monkeypatch.setattr(greens, "_COCG_MIN_ORDER", 0)
+    sc = sphere_scene(0.8)
+    cocg_budget(monkeypatch, sc, 300)
+    rhs = rng.standard_normal((3 * sc.n_voxels, 3)) + 0j
+    ref = factor_route(sc, 0.9)._solve(rhs)
+    counts = []
+    real_zsytrf, real_assemble = sla.lapack.zsytrf, EffectiveSolver._assemble
+    monkeypatch.setattr(sla.lapack, "zsytrf", lambda *a, **k: counts.append("zsytrf")
+                        or real_zsytrf(*a, **k))
+    monkeypatch.setattr(EffectiveSolver, "_assemble", lambda s: counts.append("assemble")
+                        or real_assemble(s))
+    solver = EffectiveSolver(sc, 0.9)
+    results = [None] * 8
+    start = threading.Barrier(len(results))
+
+    def work(i):
+        start.wait(timeout=30)
+        results[i] = solver._solve(rhs)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(results))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert counts == ["assemble", "zsytrf"]
+    assert solver.diagnostics["route"] == "dense-ldlt"
+    assert solver.diagnostics["fallback"] == "budget"
+    assert solver.diagnostics["matvecs"] <= solver.diagnostics["budget"]
+    assert all(np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref) for x in results)
+
+
+def test_lattice_ldos_at_n739_factors_nothing_and_reads_no_matrix(monkeypatch):
+    # the N = 739 sphere is above the crossover: each frequency's LDOS is one
+    # 3-column COCG solve, no LDL^T and no S
+    sc = sphere_scene(1.2)
+    assert sc.n_voxels == 739 and 3 * sc.n_voxels >= greens._COCG_MIN_ORDER
+    factored, reads = [], []
+    for name in ("csytrf", "zsytrf"):
+        real = getattr(sla.lapack, name)
+        monkeypatch.setattr(sla.lapack, name, lambda *a, _f=real, _n=name, **k:
+                            factored.append(_n) or _f(*a, **k))
+    monkeypatch.setattr(EffectiveSolver, "system", property(lambda s: reads.append("system")))
+    assemble = EffectiveSolver._assemble
+    monkeypatch.setattr(EffectiveSolver, "_assemble", lambda s: reads.append("assemble")
+                        or assemble(s))
+    for omega in (0.6, 1.0, 1.4):
+        solver = EffectiveSolver(sc, omega)
+        ldos(sc, omega, LDOS_X0, LDOS_N, solver=solver)
+        assert solver.diagnostics["route"] == "lattice-cocg"
+        assert 0 < solver.diagnostics["iterations"] <= 40
+        assert solver.diagnostics["backward_error"] <= refine_tol(solver)
+    assert factored == []
+    assert reads == []
+
+
+def test_lattice_route_agrees_with_the_factor_route_at_n739():
+    # the benchmark's 8-frequency LDOS and identity report, COCG against LDL^T
+    sc = sphere_scene(1.2)
+    for omega in np.linspace(0.6, 1.4, 8):
+        got = ldos(sc, omega, LDOS_X0, LDOS_N)
+        ref = ldos(sc, omega, LDOS_X0, LDOS_N, solver=factor_route(sc, omega))
+        assert abs(got - ref) <= 1e-12 * abs(ref)
+    a, b = np.array([0.31, -0.47, 1.83]), np.array([-1.52, 0.66, -1.07])
+    solver = EffectiveSolver(sc, 1.0)
+    got = greens_identity_report(sc, 1.0, a, b, solver=solver)
+    ref = greens_identity_report(sc, 1.0, a, b, solver=factor_route(sc, 1.0))
+    # the report's one 6-column solve stays inside the budget
+    assert solver.diagnostics["route"] == "lattice-cocg"
+    assert solver.diagnostics["matvecs"] <= solver.diagnostics["budget"]
+    for term in ("imag_green", "surface_term", "volume_scatterer"):
+        x, y = getattr(got, term), getattr(ref, term)
+        assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
+    assert abs(got.residual - ref.residual) <= 1e-12 * ref.residual
 
 
 def test_materials_evaluated_once_per_solver(monkeypatch):

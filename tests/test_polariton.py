@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+
+from fluctem import polariton
 
 from fluctem.material import DrudeLorentzModel, resonance_params
 from fluctem.polariton import (
@@ -201,3 +205,22 @@ def test_window_norm_derivative_matches_central_difference(m, wa, branch):
     W = transverse_branches(m, wa)[idx].Omega
     norm = window_integral_norm(m, wa, branch)
     assert norm.n_pred == pytest.approx(np.sqrt(abs(W / 2 * fd)), rel=1e-8)
+
+
+def test_window_ratio_is_insensitive_to_a_one_ulp_shift_of_the_branch(monkeypatch):
+    # criterion 6's narrow window (half-width 4.4e-9 at Omega = 2.00003):
+    # there w_a^2 - w^2 eps(w) cancels to about 1e-8 of w_a^2, so the direct
+    # form of the weight moves the ratio by 1.2e-8 when the window moves by
+    # one ulp; the product form over the quartic's roots does not cancel
+    m = DrudeLorentzModel(1e-2, 1.0, 1e-4)
+    base = window_integral_norm(m, 2.0, "upper", 10.0).ratio
+    branches = polariton.transverse_branches
+
+    def nudged(model, wa):
+        up, lo = branches(model, wa)
+        W = complex(np.nextafter(up.Omega.real, np.inf), up.Omega.imag)
+        return dataclasses.replace(up, Omega=W), lo
+
+    monkeypatch.setattr(polariton, "transverse_branches", nudged)
+    moved = window_integral_norm(m, 2.0, "upper", 10.0).ratio
+    assert abs(moved - base) <= 1e-12 * base
