@@ -9,6 +9,8 @@ config and a single thread are bit-identical at the artifact level.
 from __future__ import annotations
 
 import argparse
+import csv
+import json
 import os
 import sys
 import time
@@ -28,7 +30,14 @@ from .fluctuations import (
 from .greens import EffectiveSolver, greens_identity_report
 from .material import DrudeLorentzModel, MaterialError
 from .modes import enumerate_modes, mode_sum_spectral_density
-from .observables import BodySpec, EmitterSpec, casimir_thermal_force, ldos, spontaneous_rate
+from .observables import (
+    BodySpec,
+    EmitterSpec,
+    casimir_thermal_force,
+    ldos,
+    spontaneous_rate,
+    vacuum_ldos,
+)
 from .oracle import mode_counting_ldos, quadrature_convergence, richardson_gradient
 from .polariton import dispersion_sweep
 from .reports import (
@@ -132,10 +141,8 @@ def _run_ldos(cfg, scene, outdir, const, run):
     x0 = np.asarray(lc["position"], dtype=float)
     n = np.asarray(lc.get("orientation", [0, 0, 1]), dtype=float)
     val = ldos(scene, omega0, x0, n, const=const, solver=_solver(scene, omega0, const, run))
-    vac = omega0**2 / (np.pi**2 * const.c**3)
+    vac = vacuum_ldos(omega0, const)
     out = outdir / "ldos.json"
-    import json
-
     out.write_text(json.dumps({"omega0": omega0, "position": list(map(float, x0)),
                                "orientation": list(map(float, n / np.linalg.norm(n))),
                                "ldos": repr(val), "vacuum_ldos": repr(vac),
@@ -152,8 +159,6 @@ def _run_rate(cfg, scene, outdir, const, run):
                      omega0=float(rc["omega0"]))
     res = spontaneous_rate(scene, em, const=const,
                            solver=_solver(scene, em.omega0, const, run))
-    import json
-
     out = outdir / "rate.json"
     out.write_text(json.dumps({"gamma": repr(res.gamma),
                                "gamma_vacuum": repr(res.gamma_vacuum),
@@ -183,8 +188,6 @@ def _run_correlator(cfg, scene, outdir, const, run):
 
         tau = float(cc["tau"])
         td = time_domain_correlator([d.value for d in dens], grid, tau)
-        import json
-
         p = outdir / "correlator_time.json"
         p.write_text(json.dumps({"tau": tau,
                                  "value_re": [[repr(x) for x in row] for row in td.real.tolist()],
@@ -228,8 +231,6 @@ def _run_verify_identity(cfg, scene, outdir, const, run):
     rep = greens_identity_report(scene, omega, a, b, quad=quad,
                                  nsub=int(vc.get("nsub", 2)), const=const, solver=solver)
     run["solver"] = solver.diagnostics
-    import json
-
     out = outdir / "identity.json"
     out.write_text(json.dumps({
         "omega": omega, "residual": repr(rep.residual), "tolerance": tol,
@@ -267,11 +268,9 @@ def _run_verify_equivalence(cfg, scene, outdir, const, run):
     fan = equivalence_fan(mat, omega, a, b, levels, const=const,
                           delta_omega=float(vc.get("delta_omega", 0.05)),
                           window=vc.get("window", "hann"))
-    import csv as _csv
-
     out = outdir / "equivalence.csv"
     with out.open("w", newline="") as fh:
-        w = _csv.writer(fh)
+        w = csv.writer(fh)
         w.writerow(["level", "box_side", "shell_eps_imag", "shell_lengths",
                     "pitch", "mode_count", "pair", "disagreement"])
         for i, lv in enumerate(fan):

@@ -71,7 +71,7 @@ def planck_factor(omega, T, kind="minus-plus", const: Constants = DEFAULT):
 
 def noise_correlator_density(scene: Scene, region, omega, a, b,
                              const: Constants = DEFAULT, solver: EffectiveSolver = None,
-                             nsub=2, shell_pitch=None, n_theta_shell=24) -> CorrelatorDensity:
+                             nsub=2) -> CorrelatorDensity:
     """Fluctuating-current density over a region of the composed medium.
 
     (hbar/pi) (w/c)^2 int_region (w/c)^2 eps''(x) G(a,x) . conj(G(x,b)) dV.
@@ -93,8 +93,7 @@ def noise_correlator_density(scene: Scene, region, omega, a, b,
     if region in ("scatterer", "all"):
         parts["scatterer"] = pref * _scatterer_term(scene, omega, a, b, const, solver, chiX, nsub)
     if region in ("shell", "all"):
-        parts["shell"] = pref * _shell_term(scene, omega, a, b, const, solver, chiX,
-                                            shell_pitch, n_theta_shell)
+        parts["shell"] = pref * _shell_term(scene, omega, a, b, const, solver, chiX)
     total = sum(parts.values(), np.zeros((3, 3), complex))
     route = volume_route(solver) if region != "shell" else "dense-rows"
     return CorrelatorDensity(
@@ -168,12 +167,13 @@ def _pairwise(dens):
 
 
 def equivalence_densities(scatterer_material, omega, a, b, box_side, shell_eps_imag,
-                          shell_lengths, pitch, inner_radius=2.0,
-                          delta_omega=0.05, window="hann", nsub=2,
+                          shell_lengths, pitch, delta_omega=0.05, window="hann", nsub=2,
                           const: Constants = DEFAULT):
     """The three spectral densities on the reference one-voxel scene.
 
-    Returns (dict of 3x3 arrays, mode_count).  Routes:
+    The composed scene's absorbing shell starts at radius 2 and is
+    shell_lengths attenuation lengths thick.  Returns (dict of 3x3 arrays,
+    mode_count).  Routes:
       mode-sum         binned scattered-mode fields of the vacuum-bounded scene
       shell-noise      far-shell fluctuating currents of the composed scene
       imag-minus-scat  Imag G density minus the scatterer-region noise density
@@ -186,7 +186,7 @@ def equivalence_densities(scatterer_material, omega, a, b, box_side, shell_eps_i
         box_side=box_side,
         voxel_pitch=pitch,
         scatterer_voxels=(((0.0, 0.0, 0.0), scatterer_material),),
-        shell=Shell(inner_radius, inner_radius + shell_lengths * ell, shell_mat),
+        shell=Shell(2.0, 2.0 + shell_lengths * ell, shell_mat),
         shell_enabled=True,
     )
     scene3 = scene.without_shell()

@@ -25,23 +25,27 @@ mixed-precision iterative refinement with LAPACK zcgesv's stopping test, the
 backward error the double factorization guarantees (Buttari et al. 2007,
 Carson & Higham 2018).  It converges while cond(S) times the single-precision
 unit roundoff is small.  A step that fails to halve the backward error, too
-many steps, or an exactly zero
-single pivot drops the single factor for good and takes the double route,
-zsytrf/zsytrs, which smaller systems take from the start.  The first solve
+many steps, or an exactly zero single pivot leaves this route for the double
+one, zsytrf/zsytrs, which smaller systems take from the start.  The first solve
 then holds S and a complex64 factor (1.5x the matrix bytes) instead of S and
 a complex128 factor (2x); memory_cap still allows 2x, because the fallback
 holds S and the double factor.
 
-Large lattice scenes (Scene.lattice, 3N >= _COCG_MIN_ORDER, the padded FFT
-grid no larger than S) take a third route that never forms S: COCG (van
-der Vorst & Melissen 1990) on the Jacobi-scaled D^-1/2 S D^-1/2, D = diag S,
-each iteration one zero-padded FFT convolution with the kernel table at
-shift 0 (Goodman, Draine & Flatau 1991).  A column stops on the same test
-as the refinement, applied to its true residual.  Each such solver has a
-work budget in column-matvecs, about the cost of assembling and factoring
-S; a solve that would overrun it (too many columns, too many solves, slow
-convergence) or a COCG breakdown makes the solver assemble S and take the
-factor route for that solve and every later one.
+Lattice scenes (Scene.lattice, the padded FFT grid no larger than S) can
+take a third route that never forms S: COCG (van der Vorst & Melissen 1990)
+on the Jacobi-scaled D^-1/2 S D^-1/2, D = diag S, each iteration one
+zero-padded FFT convolution with the kernel table at shift 0 (Goodman,
+Draine & Flatau 1991).  A column stops on the same test as the refinement,
+applied to its true residual.  Such a solver has a work budget in
+column-matvecs, about the cost of assembling and factoring S, and starts on
+COCG only if that budget covers the expected iterations of a one-source
+(3-column) solve: the crossover follows from the budget.
+
+A solver runs down one ladder, lattice-cocg -> mixed-ldlt (3N >=
+_MIXED_MIN_ORDER) -> dense-ldlt, from the first route it qualifies for.  A
+solve that would overrun the budget (too many columns, too many solves, slow
+convergence) or a COCG breakdown leaves COCG for good, and the next route
+serves that solve and every later one.
 
 The scatterer volume term of the dissipation identity needs the field at
 every Gauss sub-node of every voxel.  On a lattice scene (Scene.lattice) the
@@ -70,7 +74,7 @@ import scipy.linalg as sla
 
 from .constants import DEFAULT, Constants
 from .material import eval_permittivity
-from .scene import Scene, SceneError, shell_voxelization, sphere_quadrature
+from .scene import Scene, SceneError, shell_voxelization, sphere_quadrature, warn_if_thin_shell
 
 SELF_TERM_RULES = ("spherical_pv_radiative", "spherical_exact")
 
@@ -99,16 +103,14 @@ _LDLT_PANEL = 32
 # cost more than the cheaper factorization saves.
 _MIXED_MIN_ORDER = 768
 
-# smallest order 3N that solves by COCG on a lattice scene, without forming S.
-# Assembly, LDL^T and one 3-column solve against COCG on the same solve, one
-# thread, idle machine: N = 257 (3N = 771) 29 ms dense against 43 ms; N = 389
-# (1167) 72 against 46 ms; N = 739 (2217) 343 against 70 ms
-_COCG_MIN_ORDER = 1024
-
 # a lattice solver's work budget, in column-matvecs, is this constant times
 # (3N)^3 / (cells of the padded grid): about what assembly and LDL^T cost, in
 # matvecs.  That ratio measured 4.5e-4 to 5.1e-4 at N = 389 and 3.2e-4 to
-# 3.7e-4 at N = 739 (two runs, loaded and idle)
+# 3.7e-4 at N = 739 (two runs, loaded and idle).  A solver starts on COCG
+# when the budget covers one 3-column solve at _COCG_ITERATIONS.  At pitch
+# 0.2 that splits the spheres of N = 257 (budget 29) and N = 389 (103), where
+# assembly, LDL^T and one 3-column solve against COCG, one thread, idle
+# machine, read 29 against 43 ms and 72 against 46 ms
 _COCG_BUDGET = 3.8e-4
 
 # the iterations a lattice solver expects of its first solve, until one has
@@ -246,13 +248,14 @@ def vacuum_green_block_offdiag(omega, pts, c=1.0):
 class EffectiveSolver:
     """Lippmann-Schwinger solve bound to one (scene, omega).
 
-    Large lattice scenes solve by COCG with the FFT matvec and form S only
-    if that route is abandoned; other scenes assemble S here and factor it
-    on first use.  Immutable but for the one-way switches (COCG to a factor,
-    mixed to double precision); share freely across threads (a lock makes
-    each switch, the assembly and the first factorization happen once).
-    All spatial evaluations accept arbitrary points, handling points inside
-    voxels through the cell-averaged (regularized) kernel.
+    Lattice scenes whose budget covers a one-source solve start on COCG
+    with the FFT matvec and form S only if that route is left; other scenes
+    assemble S here and factor it on first use.  Immutable but for the
+    route, which only moves down the ladder (see _leave); share freely
+    across threads (a lock makes each move, the assembly, the lattice
+    tables and each factorization happen once).  All spatial evaluations
+    accept arbitrary points, handling points inside voxels through the
+    cell-averaged (regularized) kernel.
     """
 
     def __init__(self, scene: Scene, omega, rule="spherical_pv_radiative",
@@ -280,24 +283,25 @@ class EffectiveSolver:
         # any D with D^2 = C gives the same D S^-1 D = chi A^-1: one branch suffices
         self._sqrt_chi3 = np.repeat(np.sqrt(self.chi), 3)[:, None]
         self._system = None
-        self._fact = None
-        self._single = 3 * n >= _MIXED_MIN_ORDER  # precision of the next factorization
+        self._fact = None  # the LDL^T factor of the route, once made
+        self._matvec = None  # the lattice matvec, built by the first COCG solve
         self._lock = threading.Lock()
-        grid = _fft_grid(self) if 3 * n >= _COCG_MIN_ORDER else None
-        # the lattice matvec while the COCG route lasts, None on the factor route
-        self._matvec = None if grid is None else _LatticeMatvec(self, grid)
-        self._budget = 0 if grid is None else int(_COCG_BUDGET * (3 * n) ** 3 / np.prod(grid))
+        self.grid = _fft_grid(scene)  # the padded grid of both FFT routes, or None
+        budget = 0 if self.grid is None else int(_COCG_BUDGET * (3 * n) ** 3 / np.prod(self.grid))
+        self._budget = budget if budget >= 3 * _COCG_ITERATIONS else 0
         self._spent = 0  # column-matvecs so far
         self._iterations = _COCG_ITERATIONS  # the next solve's estimate
-        # a report, never read back: route "lattice-cocg" or "mixed-ldlt" until
-        # a fallback, the factor route for good after; iterations, refinement
-        # steps and backward error are those of the solve that finished last
+        self._route = "lattice-cocg"  # the top of the ladder, left at once without a budget
+        # a report, never read back: the route, the reason the last one was
+        # left; iterations, refinement steps and backward error are those of
+        # the solve that finished last
         self.diagnostics = {
-            "route": "lattice-cocg" if self._matvec is not None else self._factor_route(),
-            "fallback": None, "iterations": 0, "refinement_steps": 0,
-            "backward_error": None, "matvecs": 0, "budget": self._budget,
+            "route": self._route, "fallback": None, "iterations": 0,
+            "refinement_steps": 0, "backward_error": None, "matvecs": 0,
+            "budget": self._budget,
         }
-        if self._matvec is None:
+        if not self._budget:
+            self._leave("lattice-cocg", None)
             self._assemble()
 
     @property
@@ -306,8 +310,18 @@ class EffectiveSolver:
         with self._lock:
             return self._system or self._assemble()
 
-    def _factor_route(self):
-        return "mixed-ldlt" if self._single else "dense-ldlt"
+    def _leave(self, route, reason):
+        """Leave route for the next one down the ladder, for good, reporting reason.
+
+        The caller holds the lock (or owns the solver); once any thread has
+        left route this does nothing.  Its matvec or factor is dropped.
+        """
+        if self._route != route:
+            return
+        single = route == "lattice-cocg" and 3 * self.scene.n_voxels >= _MIXED_MIN_ORDER
+        self._route = "mixed-ldlt" if single else "dense-ldlt"
+        self._matvec = self._fact = None
+        self.diagnostics.update(route=self._route, fallback=reason, backward_error=None)
 
     def _assemble(self):
         """Build S = I - C^1/2 M C^1/2 once (callers hold the lock or own the solver)."""
@@ -349,46 +363,36 @@ class EffectiveSolver:
 
         The operator is symmetric, so it also serves transposed solves.  On
         the lattice route COCG solves S x = C^1/2 rhs with the FFT matvec
-        while the work budget lasts; otherwise S is LDL^T-factorized
+        while the work budget lasts; then S is LDL^T-factorized
         (Bunch-Kaufman, lower triangle) on first use, in single precision and
-        refined on the mixed route, else in double.
+        refined on the mixed route, in double on the dense one.  A route that
+        fails the solve leaves itself, and the next one serves it.
         """
         s = self._sqrt_chi3
         if not len(s):
             return np.zeros(rhs.shape, dtype=complex)  # zsytrs rejects n = 0
         b = s * rhs
-        op = self._matvec  # a switch racing this read is caught by _charge
-        if op is not None:
-            x = self._cocg_solve(op, b)
-            del op  # so that a fallback frees the lattice tables
-            if x is not None:
-                return s * x
-        with self._lock:  # one factorization, however many threads share the solver
-            fact = self._fact or self._factor()
-        if fact[0].dtype == np.complex64:
-            x = self._refine(b, *fact)
-            if x is not None:
-                return s * x
-            del fact  # so that _factor frees the single factor
-            with self._lock:
-                if self._single:  # no other thread fell back yet
-                    self._single = False
-                    self.diagnostics.update(route="dense-ldlt", fallback="stall")
-                    self._factor()
-                fact = self._fact
-        x, _ = sla.lapack.zsytrs(*fact, b, lower=1)
+        x = self._cocg_solve(b) if self._route == "lattice-cocg" else None
+        while x is None:
+            with self._lock:  # one factorization per route, however many threads share it
+                fact = self._fact or self._factor()
+            if fact[0].dtype == np.complex64:
+                x = self._refine(b, *fact)
+            else:
+                x, _ = sla.lapack.zsytrs(*fact, b, lower=1)
+            del fact  # so that the next route's _factor frees the single factor
         return s * x
 
     def _factor(self):
-        """LDL^T of S, complex64 on the mixed route, complex128 on the double one.
+        """LDL^T of S, complex64 on the mixed route, complex128 on the dense one.
 
         The caller holds the lock; S is assembled here if the lattice route
-        has not needed it yet.
+        has not needed it yet.  An exactly zero single pivot leaves the
+        mixed route for the dense one.
         """
         S = (self._system or self._assemble()).matrix
         lwork = _LDLT_PANEL * len(S)
-        self._fact = None  # a single factor goes before the double one is made
-        if self._single:
+        if self._route == "mixed-ldlt":
             # ||S||_inf for the refinement's stopping test, a few rows at a time
             rows = max(1, _ASSEMBLY_BYTES // S[0].nbytes)
             self._norm = max(float(np.abs(S[i:i + rows]).sum(axis=1).max())
@@ -401,8 +405,7 @@ class EffectiveSolver:
                 self._fact = ldu, ipiv
                 return self._fact
             del ldu
-            self._single = False
-            self.diagnostics.update(route="dense-ldlt", fallback="singular")
+            self._leave("mixed-ldlt", "singular")
         ldu, ipiv, info = sla.lapack.zsytrf(S.T, lower=1, lwork=lwork)
         if info > 0:
             raise GreensError(f"LS matrix is singular: LDL^T pivot D[{info - 1}] "
@@ -411,11 +414,12 @@ class EffectiveSolver:
         return self._fact
 
     def _refine(self, b, ldu, ipiv):
-        """S^-1 b from the complex64 factor refined against the double S; None on a stall.
+        """S^-1 b from the complex64 factor refined against the double S.
 
         Converged when every column has the normwise backward error
-        ||b - S x||_inf / (||S||_inf ||x||_inf) <= sqrt(3N) u.  The residual
-        reuses one buffer, so the solve holds b, x, r and a complex64 copy of r.
+        ||b - S x||_inf / (||S||_inf ||x||_inf) <= sqrt(3N) u.  A stall leaves
+        the mixed route and returns None.  The residual reuses one buffer,
+        so the solve holds b, x, r and a complex64 copy of r.
         """
         S = self._system.matrix
         tol = np.sqrt(len(S)) * 2.0**-53
@@ -438,43 +442,46 @@ class EffectiveSolver:
             last, err = err, float(np.max(bwd, initial=0.0))
             if err <= tol or not err <= 0.5 * last:  # NaN stalls too
                 break
+        converged = err <= tol  # not on NaN
         with self._lock:
+            if not converged:
+                self._leave("mixed-ldlt", "stall")
             self.diagnostics.update(refinement_steps=step, backward_error=err)
-        return x if err <= tol else None
+        return x if converged else None
 
     # -- the matrix-free lattice route -----------------------------------
 
-    def _cocg_solve(self, op, b):
-        """S^-1 b by COCG in column blocks; None once the route is abandoned.
+    def _cocg_solve(self, b):
+        """S^-1 b by COCG in column blocks; None once the route is left.
 
         A solve whose columns times the expected iterations (the last solve's)
-        would not fit in what is left of the budget is not started; one that runs out of
-        budget or breaks down is dropped whole.  Either way the solver takes
-        the factor route for this solve and every later one.
+        would not fit in what is left of the budget is not started; one that
+        runs out of budget or breaks down is dropped whole.  Either way the
+        solver leaves COCG for this solve and every later one.  The first
+        solve that starts builds the lattice matvec.
         """
         m = b.shape[1]
+        with self._lock:  # a no-op leave when another thread has left already
+            if self._route != "lattice-cocg" or self._spent + m * self._iterations > self._budget:
+                self._leave("lattice-cocg", "budget")
+                return None
+            op = self._matvec = self._matvec or _LatticeMatvec(self, self.grid)
+        x = np.empty(b.shape, dtype=complex)
+        for i in range(0, m, op.columns):
+            reason = self._cocg(op, b[:, i:i + op.columns], x[:, i:i + op.columns])
+            if reason:
+                break
+        else:
+            return x
+        del op  # so that leaving frees the lattice tables
         with self._lock:
-            fits = self._spent + m * self._iterations <= self._budget
-        reason = "budget"
-        if fits:
-            x = np.empty(b.shape, dtype=complex)
-            for i in range(0, m, op.columns):
-                reason = self._cocg(op, b[:, i:i + op.columns], x[:, i:i + op.columns])
-                if reason:
-                    break
-            else:
-                return x
-        with self._lock:
-            if self._matvec is not None:  # no other thread switched yet
-                self._matvec = None
-                self.diagnostics.update(route=self._factor_route(), fallback=reason,
-                                        backward_error=None)
+            self._leave("lattice-cocg", reason)
         return None
 
     def _charge(self, cols):
         """Book cols column-matvecs; False, booking nothing, when they exceed the budget."""
         with self._lock:
-            if self._matvec is None or self._spent + cols > self._budget:
+            if self._route != "lattice-cocg" or self._spent + cols > self._budget:
                 return False
             self._spent += cols
             self.diagnostics["matvecs"] = self._spent
@@ -825,22 +832,22 @@ _FFT_CELL_BYTES = 45 * 16
 
 def volume_route(solver):
     """'lattice-fft' when the scatterer volume term convolves on the lattice, else 'dense-rows'."""
-    return "dense-rows" if _fft_grid(solver) is None else "lattice-fft"
+    return "dense-rows" if solver.grid is None else "lattice-fft"
 
 
-def _fft_grid(solver):
-    """Padded grid shape of the lattice route, or None where the dense rows serve.
+def _fft_grid(scene):
+    """Padded grid shape of the lattice routes, or None where the dense rows serve.
 
     Each axis of L cells pads to next_fast_len(2L - 1), so the circular
     convolution holds every displacement -(L-1)..L-1 once; the route is
     taken when that grid needs no more bytes than S, which memory_cap
     already allows the solver, whether or not it forms S.
     """
-    lat = solver.scene.lattice
+    lat = scene.lattice
     if lat is None:
         return None
     grid = tuple(sfft.next_fast_len(2 * L - 1) for L in lat.shape)
-    if np.prod(grid, dtype=float) * _FFT_CELL_BYTES > (3 * solver.scene.n_voxels) ** 2 * 16:
+    if np.prod(grid, dtype=float) * _FFT_CELL_BYTES > (3 * scene.n_voxels) ** 2 * 16:
         return None
     return grid
 
@@ -851,15 +858,14 @@ def _scatterer_term(scene, omega, a, b, const, solver, chiX, nsub):
     k2 = (omega / const.c) ** 2
     sub, wsub = _gauss_subnodes(scene.voxel_pitch, nsub)
     epsim = solver.chi.imag  # Im(eps - 1) = Im eps
-    grid = _fft_grid(solver)
-    if grid is None:
+    if solver.grid is None:
         pts = (scene.positions()[:, None, :] + sub[None, :, :]).reshape(-1, 3)
         B = _field(solver, pts, a, b, chiX)  # G(x_s, a), G(x_s, b)
         w = (epsim[:, None] * wsub[None, :]).reshape(-1)
         # G(a, x) = G(x, a)^T by reciprocity of the discrete model
         return k2 * np.einsum("n,nki,nkj->ij", w, B[:, 0], np.conj(B[:, 1]))
     out = np.zeros((3, 3), complex)
-    for s, B in zip(wsub, _lattice_fields(solver, grid, sub, a, b, chiX)):
+    for s, B in zip(wsub, _lattice_fields(solver, solver.grid, sub, a, b, chiX)):
         out += np.einsum("n,nki,nkj->ij", s * epsim, B[:, 0], np.conj(B[:, 1]))
     return k2 * out
 
@@ -986,8 +992,7 @@ class _LatticeMatvec:
         return x - self.sq * E.transpose(2, 0, 1).reshape(n3, m)
 
 
-def noise_volume_integral_shell(scene, omega, a, b, solver=None, shell_pitch=None,
-                                n_theta=24, const: Constants = DEFAULT):
+def noise_volume_integral_shell(scene, omega, a, b, solver=None, const: Constants = DEFAULT):
     """(w/c)^2 int_{shell} eps'' G(a, x) . conj(G(x, b)) dV, bare.
 
     Shell propagation uses the in-shell path factor on top of the
@@ -999,17 +1004,16 @@ def noise_volume_integral_shell(scene, omega, a, b, solver=None, shell_pitch=Non
         solver = EffectiveSolver(scene, omega, const=const)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return _shell_term(scene, omega, a, b, const, solver, _polarization(solver, a, b),
-                       shell_pitch, n_theta)
+    return _shell_term(scene, omega, a, b, const, solver, _polarization(solver, a, b))
 
 
-def _shell_term(scene, omega, a, b, const, solver, chiX, shell_pitch, n_theta):
+def _shell_term(scene, omega, a, b, const, solver, chiX):
     if not scene.shell_enabled or scene.shell is None:
         return np.zeros((3, 3), complex)
-    if shell_pitch is None:
-        shell_pitch = scene.shell.attenuation_length(omega, c=const.c) / 6.0
-        shell_pitch = min(shell_pitch, (scene.shell.outer_radius - scene.shell.inner_radius) / 24.0)
-    nodes = shell_voxelization(scene, shell_pitch, omega=omega, n_theta=n_theta, c=const.c)
+    # a sixth of the attenuation length, at least 24 radial spacings
+    shell_pitch = scene.shell.attenuation_length(omega, c=const.c) / 6.0
+    shell_pitch = min(shell_pitch, (scene.shell.outer_radius - scene.shell.inner_radius) / 24.0)
+    nodes = shell_voxelization(scene, shell_pitch, omega=omega, c=const.c)
     eps1 = eval_permittivity(scene.shell.material, omega)
     k2 = (omega / const.c) ** 2
     B = _field(solver, nodes.positions, a, b, chiX)
@@ -1030,7 +1034,6 @@ class IdentityReport:
 
 
 def greens_identity_report(scene: Scene, omega, a, b, quad=None, nsub=2,
-                           shell_pitch=None, n_theta_shell=24,
                            const: Constants = DEFAULT,
                            solver: EffectiveSolver = None) -> IdentityReport:
     """All terms of Imag G = surface + volume, with the relative residual.
@@ -1048,8 +1051,6 @@ def greens_identity_report(scene: Scene, omega, a, b, quad=None, nsub=2,
     if scene.shell_enabled and scene.shell is not None:
         if quad.radius < scene.shell.outer_radius:
             raise SceneError("identity quadrature sphere must enclose the shell")
-        from .scene import warn_if_thin_shell
-
         warn_if_thin_shell(scene, omega, c=const.c)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -1059,7 +1060,7 @@ def greens_identity_report(scene: Scene, omega, a, b, quad=None, nsub=2,
                   + solver._radiate(a[None, :], chiX[:, 1:])[0, 0])
     F = _surface_term(scene, omega, a, b, quad, const, solver, chiX)
     nv = _scatterer_term(scene, omega, a, b, const, solver, chiX, nsub)
-    ns = _shell_term(scene, omega, a, b, const, solver, chiX, shell_pitch, n_theta_shell)
+    ns = _shell_term(scene, omega, a, b, const, solver, chiX)
     vol = nv + ns
     resid = np.linalg.norm(img - F - vol) / np.linalg.norm(img)
     return IdentityReport(

@@ -78,14 +78,12 @@ class ResonanceParams:
 class TabulatedPermittivity:
     """Permittivity given as samples (omega_i, eps_i), omega_i > 0 increasing.
 
-    interpolation: 'cubic-log' (the default and only rule) interpolates the
-    real part with a cubic spline in ln(omega) and the imaginary part
-    linearly in omega.  Requests outside [omega_min, omega_max] raise.
+    The real part is a cubic spline in ln(omega), the imaginary part linear
+    in omega.  Requests outside [omega_min, omega_max] raise.
     """
 
     omegas: tuple
     values: tuple
-    interpolation: str = "cubic-log"
     _spline: CubicSpline = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
@@ -99,8 +97,6 @@ class TabulatedPermittivity:
             raise MaterialError("sample frequencies must be positive and strictly increasing")
         if np.any(v.imag < 0):
             raise MaterialError("Imag[eps] must be >= 0 at every sample (no gain media)")
-        if self.interpolation != "cubic-log":
-            raise MaterialError(f"unknown interpolation rule {self.interpolation!r}")
         object.__setattr__(self, "omegas", tuple(float(x) for x in w))
         object.__setattr__(self, "values", tuple(complex(x) for x in v))
         object.__setattr__(self, "_spline", CubicSpline(np.log(w), v.real))

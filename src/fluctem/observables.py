@@ -159,14 +159,13 @@ class ForceResult:
     metadata: dict = field(default_factory=dict, compare=False)
 
 
-def default_force_grid(material, points_per_decade=200, decades=(-2.0, 2.0)):
-    """Log grid around the material's resonance landmark omega_L."""
+def default_force_grid(material):
+    """801 log-spaced points over two decades either side of the resonance omega_L."""
     if isinstance(material, DrudeLorentzModel):
         wl = resonance_params(material).omega_L
     else:
         wl = 1.0
-    return np.logspace(np.log10(wl) + decades[0], np.log10(wl) + decades[1],
-                       int(points_per_decade * (decades[1] - decades[0])) + 1)
+    return np.logspace(np.log10(wl) - 2.0, np.log10(wl) + 2.0, 801)
 
 
 def _diameter(pts):
@@ -177,8 +176,7 @@ def _diameter(pts):
 
 
 def casimir_thermal_force(scene: Scene, body: BodySpec, T, omega_grid=None,
-                          const: Constants = DEFAULT, h=None,
-                          tail_tol=0.01) -> ForceResult:
+                          const: Constants = DEFAULT, tail_tol=0.01) -> ForceResult:
     """Thermal-Casimir force on a voxel subset by frequency quadrature.
 
     Per frequency, per body voxel: (hbar/pi) (w/c)^2 coth(hbar w / 2 k T)
@@ -217,8 +215,8 @@ def casimir_thermal_force(scene: Scene, body: BodySpec, T, omega_grid=None,
             chi = solver.chi[i]
             if chi.imag == 0 and chi.real == 0:
                 continue
-            gr = green_trace_gradient(scene, om, pos[jv], side="left", h=h,
-                                      const=const, solver=solver)
+            gr = green_trace_gradient(scene, om, pos[jv], side="left", const=const,
+                                      solver=solver)
             core = np.imag(chi * gr.gradient)
             integrand_sym[iw, jv] = pref * planck_factor(om, T, "symmetrized", const) * core
             integrand_anti[iw, jv] = pref * planck_factor(om, T, "plus-minus", const) * core

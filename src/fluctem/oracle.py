@@ -121,15 +121,13 @@ def mode_counting_ldos(L, omega, delta, const: Constants = DEFAULT):
     return count / (L**3 * delta)
 
 
-def richardson_gradient(f, x, h0, levels=2):
+def richardson_gradient(f, x, h0):
     """Central differences at h0 and h0/2 with one Richardson sweep.
 
     Returns (gradient (3,), error bar = max level difference).  Exact on
     quadratics by construction.
     """
     x = np.asarray(x, dtype=float)
-    if levels != 2:
-        raise OracleError("two levels are what the error bar is defined on")
     g = np.zeros(3)
     err = 0.0
     for i in range(3):

@@ -450,15 +450,15 @@ def shell_voxelization(scene: Scene, shell_pitch, omega=None, n_theta=24, c=1.0)
     return ShellNodes(pts, w)
 
 
-def warn_if_thin_shell(scene: Scene, omega, n_lengths=3.0, c=1.0):
-    """Warn when the shell is thinner than n_lengths attenuation lengths."""
+def warn_if_thin_shell(scene: Scene, omega, c=1.0):
+    """Warn when the shell is thinner than 3 attenuation lengths."""
     if not scene.shell_enabled or scene.shell is None:
         return
     ell = scene.shell.attenuation_length(omega, c=c)
     thick = scene.shell.outer_radius - scene.shell.inner_radius
-    if thick < n_lengths * ell:
+    if thick < 3.0 * ell:
         warnings.warn(
-            f"shell thickness {thick:.3g} is below {n_lengths} attenuation lengths "
-            f"({n_lengths * ell:.3g}) at omega={omega:.6g}; residual incoming field "
+            f"shell thickness {thick:.3g} is below 3.0 attenuation lengths "
+            f"({3.0 * ell:.3g}) at omega={omega:.6g}; residual incoming field "
             f"of order exp(-{thick/ell:.2f}) remains"
         )

@@ -135,10 +135,9 @@ def test_solver_diagnostics_recorded_in_manifest(tmp_path, monkeypatch):
         assert solver["iterations"] == solver["refinement_steps"] == 0
         assert set(solver) >= {"backward_error", "matvecs", "budget"}
         assert "solver" not in json.dumps(manifest["artifacts"])
-    # a lattice sphere with the crossover at 0: the COCG route and its work
+    # a lattice sphere with a budget that starts it on COCG: the route and its work
     from fluctem import greens
 
-    monkeypatch.setattr(greens, "_COCG_MIN_ORDER", 0)
     monkeypatch.setattr(greens, "_COCG_BUDGET", 1.0)
     sphere = {"box_side": 40.0, "voxel_pitch": 0.2, "primitives": [
         {"shape": "sphere", "radius": 0.8, "material": BASE_SCENE["voxels"][0]["material"]}]}

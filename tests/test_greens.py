@@ -177,11 +177,16 @@ def two_material_scene():
         (tuple(0.3 * np.array(p, float)), mats[i % 2]) for i, p in enumerate(sites)))
 
 
+def lattice_scene(*primitives):
+    """Drude-Lorentz primitives on the 0.2 lattice, each a dict of shape keys."""
+    material = {"type": "drude_lorentz", "omega_p": 1.2, "omega_0": 0.9, "gamma": 0.4}
+    return build_scene({"box_side": 40.0, "voxel_pitch": 0.2, "primitives": [
+        dict(p, material=material) for p in primitives]})
+
+
 def sphere_scene(radius):
     """Drude-Lorentz sphere on the 0.2 lattice; |chi| = 1.95 at omega = 0.9."""
-    return build_scene({"box_side": 40.0, "voxel_pitch": 0.2, "primitives": [
-        {"shape": "sphere", "radius": radius, "material": {
-            "type": "drude_lorentz", "omega_p": 1.2, "omega_0": 0.9, "gamma": 0.4}}]})
+    return lattice_scene({"shape": "sphere", "radius": radius})
 
 
 def pairwise_coupling(sc, omega):
@@ -410,7 +415,7 @@ def test_exactly_singular_system_raises_on_the_mixed_route(monkeypatch):
 def cocg_budget(monkeypatch, sc, matvecs):
     """Set the budget constant so that a solver on sc gets this many column-matvecs."""
     n3 = 3 * sc.n_voxels
-    grid = greens._fft_grid(EffectiveSolver(sc, 1.0))
+    grid = greens._fft_grid(sc)
     monkeypatch.setattr(greens, "_COCG_BUDGET", (matvecs + 0.5) * np.prod(grid) / n3**3)
 
 
@@ -424,7 +429,7 @@ def dense_lu_reference(sc, omega, rhs):
 def factor_route(sc, omega):
     """A solver on the factor route, as below the crossover."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(greens, "_COCG_MIN_ORDER", np.inf)
+        m.setattr(greens, "_COCG_BUDGET", 0.0)
         return EffectiveSolver(sc, omega)
 
 
@@ -451,7 +456,6 @@ def metallic_sphere():
 
 def test_cocg_route_matches_dense_lu_of_the_collocation_matrix(monkeypatch, rng):
     # the 1e-12 check of the factor routes, with no matrix formed for the solve
-    monkeypatch.setattr(greens, "_COCG_MIN_ORDER", 0)
     cocg_budget(monkeypatch, sphere_scene(0.8), 10**6)
     for sc, omega in ((sphere_scene(0.8), 0.6), (sphere_scene(0.8), 0.9),
                       (sphere_scene(0.8), 1.4), (two_material_sphere(), 0.9)):
@@ -469,24 +473,25 @@ def test_cocg_route_matches_dense_lu_of_the_collocation_matrix(monkeypatch, rng)
 
 
 def test_lattice_norm_is_the_dense_row_sum_maximum(monkeypatch):
-    monkeypatch.setattr(greens, "_COCG_MIN_ORDER", 0)
+    monkeypatch.setattr(greens, "_COCG_BUDGET", 1.0)
     for sc, omega in ((sphere_scene(0.8), 0.9), (two_material_sphere(), 1.4)):
         solver = EffectiveSolver(sc, omega)
         dense = np.abs(solver.system.matrix).sum(axis=1).max()
-        assert abs(solver._matvec.norm - dense) <= 1e-13 * dense
+        op = greens._LatticeMatvec(solver, solver.grid)
+        assert abs(op.norm - dense) <= 1e-13 * dense
         assert solver.diagnostics["route"] == "lattice-cocg"  # reading S switches nothing
 
 
 def test_lattice_matvec_is_the_product_with_s(monkeypatch, rng):
-    monkeypatch.setattr(greens, "_COCG_MIN_ORDER", 0)
+    monkeypatch.setattr(greens, "_COCG_BUDGET", 1.0)
     solver = EffectiveSolver(two_material_sphere(), 1.1)
     x = rng.standard_normal((3 * solver.scene.n_voxels, 2)) + 0j
     ref = solver.system.matrix @ x
-    assert np.linalg.norm(solver._matvec(x) - ref) <= 1e-14 * np.linalg.norm(ref)
+    op = greens._LatticeMatvec(solver, solver.grid)
+    assert np.linalg.norm(op(x) - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
 def test_cocg_route_solves_are_bitwise_reproducible(monkeypatch, rng):
-    monkeypatch.setattr(greens, "_COCG_MIN_ORDER", 0)
     cocg_budget(monkeypatch, sphere_scene(0.8), 10**6)
     sc = sphere_scene(0.8)
     rhs = rng.standard_normal((3 * sc.n_voxels, 6)) + 0j
@@ -498,7 +503,6 @@ def test_cocg_route_solves_are_bitwise_reproducible(monkeypatch, rng):
 
 def test_wide_solve_goes_to_the_factor_before_any_matvec(monkeypatch):
     # the green form of a mode field solves one column per voxel component
-    monkeypatch.setattr(greens, "_COCG_MIN_ORDER", 0)
     sc = sphere_scene(0.8)
     cocg_budget(monkeypatch, sc, 1000)  # ten narrow solves, far from 3N = 537 columns
     basis = enumerate_modes(12.0, 1.3)
@@ -515,7 +519,6 @@ def test_wide_solve_goes_to_the_factor_before_any_matvec(monkeypatch):
 
 def test_many_narrow_solves_switch_to_the_factor_for_good(monkeypatch):
     # one 3-column solve per source, as the force makes one per body voxel
-    monkeypatch.setattr(greens, "_COCG_MIN_ORDER", 0)
     sc = sphere_scene(0.8)
     cocg_budget(monkeypatch, sc, 300)
     solver, factor = EffectiveSolver(sc, 0.9), factor_route(sc, 0.9)
@@ -536,7 +539,6 @@ def test_many_narrow_solves_switch_to_the_factor_for_good(monkeypatch):
 def test_metallic_spectrum_abandons_cocg_within_one_budget(monkeypatch, rng):
     # Re chi of -4 to -23: COCG needs about 500 column-matvecs per 3-column
     # solve here, the dielectric sphere about 90
-    monkeypatch.setattr(greens, "_COCG_MIN_ORDER", 0)
     cocg_budget(monkeypatch, sphere_scene(0.8), 300)
     sc = metallic_sphere()
     rhs = rng.standard_normal((3 * sc.n_voxels, 3)) + 0j
@@ -551,7 +553,6 @@ def test_metallic_spectrum_abandons_cocg_within_one_budget(monkeypatch, rng):
 
 def test_cocg_breakdown_switches_to_the_factor(monkeypatch, rng):
     # a matvec with p^T q = 0 breaks COCG down at its first step
-    monkeypatch.setattr(greens, "_COCG_MIN_ORDER", 0)
     sc = sphere_scene(0.8)
     cocg_budget(monkeypatch, sc, 10**6)
     solver = EffectiveSolver(sc, 0.9)
@@ -569,8 +570,8 @@ def test_cocg_breakdown_switches_to_the_factor(monkeypatch, rng):
 
 def test_threads_sharing_a_cocg_solver_switch_once(monkeypatch, rng):
     # eight 3-column solves against a budget for about three: some threads
-    # finish on COCG, the rest run out; S is assembled and factored once
-    monkeypatch.setattr(greens, "_COCG_MIN_ORDER", 0)
+    # finish on COCG, the rest run out; the lattice matvec is built once, S
+    # assembled and factored once
     sc = sphere_scene(0.8)
     cocg_budget(monkeypatch, sc, 300)
     rhs = rng.standard_normal((3 * sc.n_voxels, 3)) + 0j
@@ -581,6 +582,9 @@ def test_threads_sharing_a_cocg_solver_switch_once(monkeypatch, rng):
                         or real_zsytrf(*a, **k))
     monkeypatch.setattr(EffectiveSolver, "_assemble", lambda s: counts.append("assemble")
                         or real_assemble(s))
+    real_lattice = greens._LatticeMatvec.__init__
+    monkeypatch.setattr(greens._LatticeMatvec, "__init__", lambda op, *a: counts.append("lattice")
+                        or real_lattice(op, *a))
     solver = EffectiveSolver(sc, 0.9)
     results = [None] * 8
     start = threading.Barrier(len(results))
@@ -600,7 +604,7 @@ def test_threads_sharing_a_cocg_solver_switch_once(monkeypatch, rng):
     finally:
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
-    assert counts == ["assemble", "zsytrf"]
+    assert counts == ["lattice", "assemble", "zsytrf"]
     assert solver.diagnostics["route"] == "dense-ldlt"
     assert solver.diagnostics["fallback"] == "budget"
     assert solver.diagnostics["matvecs"] <= solver.diagnostics["budget"]
@@ -611,7 +615,9 @@ def test_lattice_ldos_at_n739_factors_nothing_and_reads_no_matrix(monkeypatch):
     # the N = 739 sphere is above the crossover: each frequency's LDOS is one
     # 3-column COCG solve, no LDL^T and no S
     sc = sphere_scene(1.2)
-    assert sc.n_voxels == 739 and 3 * sc.n_voxels >= greens._COCG_MIN_ORDER
+    n3, cells = 3 * sc.n_voxels, np.prod(greens._fft_grid(sc))
+    assert sc.n_voxels == 739
+    assert int(greens._COCG_BUDGET * n3**3 / cells) >= 3 * greens._COCG_ITERATIONS
     factored, reads = [], []
     for name in ("csytrf", "zsytrf"):
         real = getattr(sla.lapack, name)
@@ -649,6 +655,69 @@ def test_lattice_route_agrees_with_the_factor_route_at_n739():
         x, y = getattr(got, term), getattr(ref, term)
         assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
     assert abs(got.residual - ref.residual) <= 1e-12 * ref.residual
+
+
+def refuse_lattice_matvec(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the lattice matvec was built")
+    monkeypatch.setattr(greens._LatticeMatvec, "__init__", refuse)
+
+
+@pytest.mark.parametrize("shape, n, budget, route", [
+    ({"shape": "sphere", "radius": 0.8}, 179, 0, "dense-ldlt"),  # budget 21
+    ({"shape": "sphere", "radius": 0.9}, 257, 0, "mixed-ldlt"),  # budget 29
+    ({"shape": "sphere", "radius": 1.0}, 389, 103, "lattice-cocg"),
+    ({"shape": "sphere", "radius": 1.2}, 739, 447, "lattice-cocg"),
+    ({"shape": "box", "half_size": [0.5] * 3}, 125, 0, "dense-ldlt"),  # budget 27
+    ({"shape": "box", "half_size": [0.7] * 3}, 343, 150, "lattice-cocg"),
+])
+def test_the_budget_picks_the_starting_route(shape, n, budget, route):
+    # a lattice solver starts on COCG iff its budget covers one 3-column
+    # solve at the expected iterations, 3 * 32 = 96 column-matvecs; on these
+    # scenes that keeps the measured crossover between N = 257 and N = 389
+    solver = EffectiveSolver(lattice_scene(shape), 0.9)
+    assert solver.scene.n_voxels == n
+    assert solver.diagnostics["budget"] == budget
+    assert solver.diagnostics["route"] == route
+    assert solver.diagnostics["fallback"] is None
+    assert (solver._system is None) == (route == "lattice-cocg")
+
+
+def test_thin_slab_starts_on_cocg_and_matches_the_factor_route():
+    # 29 x 3 x 3 cells: a long grid of few cells for its N = 261, budget 121
+    sc = lattice_scene({"shape": "box", "half_size": [3.0, 0.3, 0.3]})
+    x0, n_hat = np.array([0.7, -0.2, 0.6]), np.array([0.0, 0.6, 0.8])
+    assert sc.n_voxels == 261
+    for omega in (0.6, 1.0, 1.4):
+        solver = EffectiveSolver(sc, omega)
+        assert solver.diagnostics["route"] == "lattice-cocg"
+        assert solver.diagnostics["budget"] == 121
+        got = ldos(sc, omega, x0, n_hat, solver=solver)
+        ref = ldos(sc, omega, x0, n_hat, solver=factor_route(sc, omega))
+        assert solver.diagnostics["route"] == "lattice-cocg"
+        assert solver.diagnostics["fallback"] is None
+        assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+def test_two_spheres_without_a_budget_start_on_the_factor(monkeypatch):
+    # a 60 x 18 x 18 grid for N = 514: the budget, 71, covers no 3-column
+    # solve, so the solver starts on the mixed LDL^T and builds no lattice matvec
+    sc = lattice_scene({"shape": "sphere", "radius": 0.9, "center": [-2.0, 0.0, 0.0]},
+                       {"shape": "sphere", "radius": 0.9, "center": [2.0, 0.0, 0.0]})
+    assert sc.n_voxels == 514
+    refuse_lattice_matvec(monkeypatch)
+    solver = EffectiveSolver(sc, 0.9)
+    ldos(sc, 0.9, LDOS_X0, LDOS_N, solver=solver)
+    assert solver.diagnostics["route"] == "mixed-ldlt"
+    assert solver.diagnostics["fallback"] is None
+    assert solver.diagnostics["budget"] == solver.diagnostics["matvecs"] == 0
+
+
+def test_assemble_ls_system_builds_no_lattice_matvec(monkeypatch):
+    sc = sphere_scene(1.2)
+    ref = EffectiveSolver(sc, 1.0).system.matrix
+    refuse_lattice_matvec(monkeypatch)
+    assert np.array_equal(assemble_ls_system(sc, 1.0).matrix, ref)
 
 
 def test_materials_evaluated_once_per_solver(monkeypatch):
@@ -901,28 +970,27 @@ def test_one_solve_per_call_site(monkeypatch):
 # -- the lattice route of the scatterer volume term ---------------------------
 
 
-def lattice_and_dense_volume(monkeypatch, sc, omega, a, b, nsub=2):
+def lattice_and_dense_volume(sc, omega, a, b, nsub=2):
     """The scatterer volume term by the lattice FFT and by dense rows, one solver."""
     solver = EffectiveSolver(sc, omega)
     assert greens.volume_route(solver) == "lattice-fft"
     fft = noise_volume_integral_scatterer(sc, omega, a, b, solver=solver, nsub=nsub)
-    with monkeypatch.context() as m:
-        m.setattr(greens, "_fft_grid", lambda solver: None)
-        dense = noise_volume_integral_scatterer(sc, omega, a, b, solver=solver, nsub=nsub)
+    solver.grid = None
+    dense = noise_volume_integral_scatterer(sc, omega, a, b, solver=solver, nsub=nsub)
     return fft, dense
 
 
 @pytest.mark.parametrize("nsub", [1, 2, 3])
-def test_lattice_volume_term_matches_dense_rows_on_a_sphere(monkeypatch, nsub):
+def test_lattice_volume_term_matches_dense_rows_on_a_sphere(nsub):
     # nsub = 1 and 3 put a node at the voxel centre: r = 0 in the own cell
     sc = sphere_scene(0.8)
     assert sc.n_voxels == 179
     a, b = np.array([0.23, -0.36, 1.21]), np.array([0.84, 0.47, -0.93])
-    fft, dense = lattice_and_dense_volume(monkeypatch, sc, 0.9, a, b, nsub)
+    fft, dense = lattice_and_dense_volume(sc, 0.9, a, b, nsub)
     assert np.linalg.norm(fft - dense) <= 1e-12 * np.linalg.norm(dense)
 
 
-def test_lattice_volume_term_two_materials_and_a_vacuum_voxel(monkeypatch):
+def test_lattice_volume_term_two_materials_and_a_vacuum_voxel():
     other = {"type": "drude_lorentz", "omega_p": 0.8, "omega_0": 1.3, "gamma": 0.2}
     sc = build_scene({"box_side": 40.0, "voxel_pitch": 0.2, "voxels": [
         {"position": [0.6, 0.0, 0.0], "material": "vacuum"},
@@ -931,18 +999,18 @@ def test_lattice_volume_term_two_materials_and_a_vacuum_voxel(monkeypatch):
         "type": "drude_lorentz", "omega_p": 1.2, "omega_0": 0.9, "gamma": 0.4}}]})
     assert sc.n_voxels == 127
     a, b = np.array([0.1, -0.3, 1.4]), np.array([-1.1, 0.5, -0.6])
-    fft, dense = lattice_and_dense_volume(monkeypatch, sc, 0.9, a, b)
+    fft, dense = lattice_and_dense_volume(sc, 0.9, a, b)
     assert np.linalg.norm(fft - dense) <= 1e-12 * np.linalg.norm(dense)
 
 
-def test_lattice_volume_term_off_centre_box(monkeypatch):
+def test_lattice_volume_term_off_centre_box():
     sc = build_scene({"box_side": 40.0, "voxel_pitch": 0.2, "primitives": [
         {"shape": "box", "center": [0.37, -0.11, 0.05], "half_size": [0.5, 0.3, 0.4],
          "material": {"type": "drude_lorentz", "omega_p": 1.2, "omega_0": 0.9,
                       "gamma": 0.4}}]})
     assert sc.n_voxels == 45
     a, b = np.array([0.3, 0.2, 1.3]), np.array([-0.9, -0.7, -0.5])
-    fft, dense = lattice_and_dense_volume(monkeypatch, sc, 1.1, a, b)
+    fft, dense = lattice_and_dense_volume(sc, 1.1, a, b)
     assert np.linalg.norm(fft - dense) <= 1e-12 * np.linalg.norm(dense)
 
 
