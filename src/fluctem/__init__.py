@@ -18,8 +18,6 @@ from .scene import Scene, Shell, SurfaceQuadrature, build_scene, shell_voxelizat
 from .greens import (
     DyadicBlock,
     EffectiveSolver,
-    LSSystem,
-    assemble_ls_system,
     greens_identity_report,
     greens_identity_residual,
     solve_effective_green,

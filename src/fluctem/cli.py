@@ -26,8 +26,9 @@ from .fluctuations import (
     commutator_density,
     equivalence_fan,
     thermal_correlator_density,
+    time_domain_correlator,
 )
-from .greens import EffectiveSolver, greens_identity_report
+from .greens import EffectiveSolver, greens_identity_report, greens_identity_residual
 from .material import DrudeLorentzModel, MaterialError
 from .modes import enumerate_modes, mode_sum_spectral_density
 from .observables import (
@@ -38,7 +39,13 @@ from .observables import (
     spontaneous_rate,
     vacuum_ldos,
 )
-from .oracle import mode_counting_ldos, quadrature_convergence, richardson_gradient
+from .oracle import (
+    OracleReport,
+    _digest,
+    mode_counting_ldos,
+    quadrature_convergence,
+    richardson_gradient,
+)
 from .polariton import dispersion_sweep
 from .reports import (
     density_rows,
@@ -49,7 +56,7 @@ from .reports import (
     write_per_voxel_force_csv,
     write_spectral_csv,
 )
-from .scene import _coerce_material, build_scene
+from .scene import Scene, _coerce_material, build_scene
 
 SUBCOMMANDS = (
     "dispersion", "ldos", "rate", "correlator", "commutator",
@@ -184,8 +191,6 @@ def _run_correlator(cfg, scene, outdir, const, run):
         rows.extend(density_rows(d, T=T, ordering=ordering))
     arts = [write_density_csv(outdir / "correlator.csv", rows)]
     if "tau" in cc:
-        from .fluctuations import time_domain_correlator
-
         tau = float(cc["tau"])
         td = time_domain_correlator([d.value for d in dens], grid, tau)
         p = outdir / "correlator_time.json"
@@ -222,14 +227,9 @@ def _run_verify_identity(cfg, scene, outdir, const, run):
     a = np.asarray(vc.get("a", [0, 0, 0.3]), float)
     b = np.asarray(vc.get("b", [0.4, 0.1, -0.2]), float)
     tol = float(vc.get("tolerance", 1e-6 if scene.n_voxels == 0 else 1e-2))
-    quad = None
-    if vc.get("quad_radius"):
-        from .scene import sphere_quadrature
-
-        quad = sphere_quadrature(float(vc["quad_radius"]), int(vc.get("quad_order", 24)))
     solver = EffectiveSolver(scene, omega, const=const)
-    rep = greens_identity_report(scene, omega, a, b, quad=quad,
-                                 nsub=int(vc.get("nsub", 2)), const=const, solver=solver)
+    rep = greens_identity_report(scene, omega, a, b, nsub=int(vc.get("nsub", 2)),
+                                 const=const, solver=solver)
     run["solver"] = solver.diagnostics
     out = outdir / "identity.json"
     out.write_text(json.dumps({
@@ -315,8 +315,6 @@ def _run_oracle_suite(cfg, scene, outdir, const, run):
     L = float(oc.get("box_side", 40 * np.pi * const.c / omega))
     val = mode_counting_ldos(L, omega, delta=0.1 * omega, const=const)
     tgt = omega**2 / (np.pi**2 * const.c**3)
-    from .oracle import OracleReport, _digest
-
     reports.append(OracleReport(
         name="mode-counting-ldos", inputs_digest=_digest(L, omega),
         values=(val,), error_estimate=abs(val / tgt - 1), target=tgt,
@@ -331,9 +329,6 @@ def _run_oracle_suite(cfg, scene, outdir, const, run):
         details={}))
 
     # identity-residual convergence in pitch on a one-voxel scene
-    from .greens import greens_identity_residual
-    from .scene import Scene as _Scene
-
     class _Eps:
         def eval(self, omega):
             return 2 + 0.5j
@@ -341,7 +336,7 @@ def _run_oracle_suite(cfg, scene, outdir, const, run):
     lam = 2 * np.pi * const.c / omega
     resid = []
     for pitch in (lam / 10, lam / 20, lam / 40):
-        s = _Scene(scene.box_side, pitch, (((0.0, 0.0, 0.0), _Eps()),))
+        s = Scene(scene.box_side, pitch, (((0.0, 0.0, 0.0), _Eps()),))
         resid.append(greens_identity_residual(
             s, omega, np.array([0, 0, 1.0]) * lam / (2 * np.pi),
             np.array([0.7, 0.3, -0.6]) * lam / (2 * np.pi), const=const))

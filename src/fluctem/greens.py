@@ -55,11 +55,23 @@ holding the self term (Goodman, Draine & Flatau 1991).  It is taken when the
 padded grid needs no more bytes than S; one-voxel, sparse and off-lattice
 scenes build dense coupling rows at the nodes instead.
 
+The surface term of the dissipation identity is taken on the sphere at
+infinity, a discrete optical theorem (Draine & Flatau 1994).  Far from every
+source G(R r, s) -> e^{ikR}/(4 pi R) (I - r r) F_s(r) with the amplitude
+F_s(r) = e^{-ik r.s} I + k^2 dV sum_v e^{-ik r.x_v} (chi X)_v(s), so the term
+is (k / 16 pi^2) sum_i w_i F_a(r_i)^T (I - r_i r_i) conj(F_b(r_i)) over one
+fixed direction rule: one (directions, N) phase table and one product with
+the polarization the other terms radiate.  A sphere of finite radius R
+differs from this limit by O(1/(kR)^2), by O(1/(kR)) behind an absorbing
+shell.
+
 An absorbing far shell, when enabled, is not discretized into the matrix:
 its effect on propagation is the accumulated complex path factor
 exp(i (w/c) (sqrt(eps_shell) - 1) * path-length-in-shell), the leading
 behaviour of a weak quasi-homogeneous absorber.  Tiny shells can instead be
-voxelized explicitly (see tests) to bound the error of this treatment.
+voxelized explicitly (see tests) to bound the error of this treatment.  On
+the sphere at infinity each amplitude takes the factor of the ray from its
+source along r, which crosses the annulus exactly.
 """
 
 from __future__ import annotations
@@ -74,16 +86,17 @@ import scipy.linalg as sla
 
 from .constants import DEFAULT, Constants
 from .material import eval_permittivity
-from .scene import Scene, SceneError, shell_voxelization, sphere_quadrature, warn_if_thin_shell
-
-SELF_TERM_RULES = ("spherical_pv_radiative", "spherical_exact")
+from .scene import Scene, shell_voxelization, sphere_quadrature, warn_if_thin_shell
 
 _EYE = np.eye(3)
 
-# largest (targets, N, 3, 3) block of coupling rows alive at once; 8 MiB keeps
-# the N = 739 identity report on the factor route at 1.80x the matrix bytes,
-# while 32 MiB doubles the traced peak of the N = 179 noise density (82 MB
-# against 39 MB)
+# polar order of the direction rule of the far-field surface term: 24
+# Gauss-Legendre polar nodes times 48 azimuths, 1,152 directions.  On the
+# N = 739 sphere the term moves by 4e-15 relative from order 12 to 32
+_FAR_ORDER = 24
+
+# largest (targets, N, 3, 3) block of coupling rows alive at once; 32 MiB
+# doubles the traced peak of the N = 179 noise density (82 MB against 39 MB)
 _BLOCK_BYTES = 8 * 2**20
 
 # the same bound for the chunks of voxel rows the assembly evaluates; with
@@ -179,53 +192,14 @@ def vacuum_imag_coincidence(omega, c=1.0):
     return (omega / (6 * np.pi * c)) * _EYE
 
 
-def self_term_coupling(omega, voxel_volume, rule="spherical_pv_radiative", c=1.0):
+def self_term_coupling(omega, voxel_volume, c=1.0):
     """Diagonal coupling constant C_self so that C_self * chi enters A's diagonal.
 
-    spherical_pv_radiative: -1/3 (static depolarization of an equal-volume
-    spherical cell) + i k^3 dV / (6 pi) (radiative reaction).
-    spherical_exact: closed-form cell integral (2 (1 - i k a) e^{i k a} - 3)/3
-    with a the equal-volume sphere radius; same leading terms.
+    -1/3 (static depolarization of an equal-volume spherical cell)
+    + i k^3 dV / (6 pi) (radiative reaction).
     """
     k = omega / c
-    dv = voxel_volume
-    if rule == "spherical_pv_radiative":
-        return -1.0 / 3.0 + 1j * k**3 * dv / (6 * np.pi)
-    if rule == "spherical_exact":
-        a = (3 * dv / (4 * np.pi)) ** (1.0 / 3.0)
-        return (2 * (1 - 1j * k * a) * np.exp(1j * k * a) - 3) / 3.0
-    raise GreensError(f"unknown self-term rule {rule!r}; choose from {SELF_TERM_RULES}")
-
-
-@dataclass
-class LSSystem:
-    scene: Scene
-    omega: float
-    matrix: np.ndarray  # (3N, 3N) S = I - C^1/2 M C^1/2, bitwise symmetric
-    self_term_rule: str
-    memory_bytes: int
-
-
-def assemble_ls_system(
-    scene: Scene,
-    omega,
-    rule="spherical_pv_radiative",
-    memory_cap=2 * 1024**3,
-    const: Constants = DEFAULT,
-) -> LSSystem:
-    """Dense symmetric interaction matrix S = I - C^1/2 M C^1/2 over the voxels.
-
-    M couples voxel v to voxel u through dV (w/c)^2 Gv(v, u), the diagonal
-    block following the declared self-term rule, and C = diag(eps - 1); S is
-    the collocation matrix A = I - M C in the scaling C^1/2 A C^-1/2.
-    Bit-exact reproducible from (scene, omega, rule); nothing is factorized.
-    The solver assembles S on demand: at construction on the factor routes,
-    on first use on the lattice route, which may never need it.
-    """
-    if scene.n_voxels == 0 and not scene.shell_enabled:
-        raise SceneError("scene has no polarizable voxels and no shell")
-    return EffectiveSolver(scene, omega, rule=rule, const=const,
-                           memory_cap=memory_cap).system
+    return -1.0 / 3.0 + 1j * k**3 * voxel_volume / (6 * np.pi)
 
 
 def vacuum_green_block_offdiag(omega, pts, c=1.0):
@@ -258,8 +232,8 @@ class EffectiveSolver:
     cell-averaged (regularized) kernel.
     """
 
-    def __init__(self, scene: Scene, omega, rule="spherical_pv_radiative",
-                 const: Constants = DEFAULT, memory_cap=2 * 1024**3):
+    def __init__(self, scene: Scene, omega, const: Constants = DEFAULT,
+                 memory_cap=2 * 1024**3):
         n = scene.n_voxels
         # S and one chunk of kernel rows during assembly, S and its LDL^T copy
         # later: complex64 on the mixed route, complex128 on the double one.
@@ -274,12 +248,11 @@ class EffectiveSolver:
         self.scene = scene
         self.omega = float(omega)
         self.const = const
-        self.rule = rule
         self.k = omega / const.c
         self.pos = scene.positions()
         self.chi = scene.chi_at(omega)
         self.dv = scene.voxel_volume
-        self.cself = self_term_coupling(omega, self.dv, rule, c=const.c)
+        self.cself = self_term_coupling(omega, self.dv, c=const.c)
         # any D with D^2 = C gives the same D S^-1 D = chi A^-1: one branch suffices
         self._sqrt_chi3 = np.repeat(np.sqrt(self.chi), 3)[:, None]
         self._system = None
@@ -306,9 +279,16 @@ class EffectiveSolver:
 
     @property
     def system(self):
-        """The dense LSSystem S, assembled on first use on the lattice route."""
+        """S = I - C^1/2 M C^1/2, (3N, 3N) and bitwise symmetric.
+
+        M couples voxel v to voxel u through dV (w/c)^2 Gv(v, u), the self
+        term on its diagonal, and C = diag(eps - 1); S is the collocation
+        matrix A = I - M C in the scaling C^1/2 A C^-1/2, bit-exact from
+        (scene, omega).  Assembled at construction on the factor routes, here
+        on first use on the lattice route, which builds no lattice matvec for it.
+        """
         with self._lock:
-            return self._system or self._assemble()
+            return self._assemble()
 
     def _leave(self, route, reason):
         """Leave route for the next one down the ladder, for good, reporting reason.
@@ -324,7 +304,9 @@ class EffectiveSolver:
         self.diagnostics.update(route=self._route, fallback=reason, backward_error=None)
 
     def _assemble(self):
-        """Build S = I - C^1/2 M C^1/2 once (callers hold the lock or own the solver)."""
+        """S = I - C^1/2 M C^1/2, built once (callers hold the lock or own the solver)."""
+        if self._system is not None:
+            return self._system
         n = self.scene.n_voxels
         sq = self._sqrt_chi3[::3, 0]
         S = np.empty((3 * n, 3 * n), dtype=complex)
@@ -349,8 +331,8 @@ class EffectiveSolver:
         # each voxel centre lies in its own cell: the self term, no owner lookup
         own = np.arange(n)
         S4[own, :, own] = (1.0 - self.cself * self.chi)[:, None, None] * _EYE
-        self._system = LSSystem(self.scene, self.omega, S, self.rule, S.nbytes)
-        return self._system
+        self._system = S
+        return S
 
     def _kernel(self, d):
         """-dV k^2 Gv for separations d (..., 3) of distinct voxels, shape (..., 3, 3)."""
@@ -390,7 +372,7 @@ class EffectiveSolver:
         has not needed it yet.  An exactly zero single pivot leaves the
         mixed route for the dense one.
         """
-        S = (self._system or self._assemble()).matrix
+        S = self._assemble()
         lwork = _LDLT_PANEL * len(S)
         if self._route == "mixed-ldlt":
             # ||S||_inf for the refinement's stopping test, a few rows at a time
@@ -421,7 +403,7 @@ class EffectiveSolver:
         the mixed route and returns None.  The residual reuses one buffer,
         so the solve holds b, x, r and a complex64 copy of r.
         """
-        S = self._system.matrix
+        S = self._system
         tol = np.sqrt(len(S)) * 2.0**-53
         x = np.zeros(b.shape, dtype=complex)
         r, err = b, np.inf
@@ -683,12 +665,11 @@ class DyadicBlock:
     metadata: dict = field(default_factory=dict, compare=False)
 
 
-def solve_effective_green(scene: Scene, omega, sources, targets,
-                          rule="spherical_pv_radiative", const: Constants = DEFAULT,
+def solve_effective_green(scene: Scene, omega, sources, targets, const: Constants = DEFAULT,
                           solver: EffectiveSolver = None) -> DyadicBlock:
     """Effective Green block target <- source through the scatterer voxels."""
     if solver is None:
-        solver = EffectiveSolver(scene, omega, rule=rule, const=const)
+        solver = EffectiveSolver(scene, omega, const=const)
     sources = np.atleast_2d(np.asarray(sources, dtype=float))
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     vals = solver.green(targets, sources)
@@ -699,7 +680,7 @@ def solve_effective_green(scene: Scene, omega, sources, targets,
         values=vals,
         metadata={
             "scene": scene.digest(),
-            "self_term_rule": solver.rule,
+            "self_term_rule": "spherical_pv_radiative",
             "solver": solver.diagnostics["route"],
         },
     )
@@ -744,20 +725,20 @@ def shell_path_factors(scene: Scene, omega, endpoint, pts, const: Constants = DE
 # -- surface functional and the dissipation identity -----------------------
 
 
-def surface_functional(scene: Scene, omega, a, b, quad, const: Constants = DEFAULT,
+def surface_functional(scene: Scene, omega, a, b, const: Constants = DEFAULT,
                        solver: EffectiveSolver = None):
-    """Far-boundary term of the dissipation identity, a 3x3 dyadic.
+    """Surface term of the dissipation identity on the sphere at infinity, a 3x3 dyadic.
 
-    (w sqrt(eps_at_R) / c) * sum_i w_i G^T(x_i, a) (I - R R) conj(G(x_i, b)),
-    the transverse projector being the outgoing-wave (Sommerfeld) reduction
-    of the exact boundary integrand on a large sphere.
+    (k / 16 pi^2) sum_i w_i F_a(r_i)^T (I - r_i r_i) conj(F_b(r_i)) over the
+    unit directions r_i, F_s the far-field amplitude of G(., s): the limit
+    R -> infinity of (k / R^2) times the outgoing-wave (Sommerfeld) boundary
+    integral on a sphere of radius R (see the module docstring).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    _check_surface(scene, a, b, quad)
     if solver is None:
         solver = EffectiveSolver(scene, omega, const=const)
-    return _surface_term(scene, omega, a, b, quad, const, solver, _polarization(solver, a, b))
+    return _surface_term(scene, omega, a, b, const, solver, _polarization(solver, a, b))
 
 
 def _polarization(solver, a, b):
@@ -771,27 +752,22 @@ def _field(solver, pts, a, b, chiX):
     return vacuum_green_block(solver.omega, pts, srcs, c=solver.const.c) + solver._radiate(pts, chiX)
 
 
-def _check_surface(scene, a, b, quad):
-    R = quad.radius
-    if R <= max(np.linalg.norm(a), np.linalg.norm(b)):
-        raise SceneError("quadrature sphere must enclose both evaluation points")
-    if scene.n_voxels:
-        rmax = np.max(np.linalg.norm(scene.positions(), axis=1))
-        if R <= rmax + scene.voxel_pitch:
-            raise SceneError("quadrature sphere intersects or touches a scatterer voxel")
-
-
-def _surface_term(scene, omega, a, b, quad, const, solver, chiX):
-    eps_bulk = 1.0 + 0.0j
+def _surface_term(scene, omega, a, b, const, solver, chiX):
+    k = omega / const.c
+    dirs = sphere_quadrature(1.0, _FAR_ORDER)
+    r = dirs.normals
+    srcs = np.stack([a, b])
+    # the amplitudes F_s(r) of both sources, shape (P, 2, 3, 3)
+    F = np.exp(-1j * k * (r @ srcs.T))[:, :, None, None] * _EYE
+    phase = -1j * k * (r @ solver.pos.T)  # (P, N)
+    np.exp(phase, out=phase)
+    F += (k**2 * solver.dv) * (phase @ chiX.reshape(scene.n_voxels, 18)).reshape(F.shape)
     if scene.shell_enabled and scene.shell is not None:
-        if scene.shell.inner_radius <= quad.radius <= scene.shell.outer_radius:
-            eps_bulk = eval_permittivity(scene.shell.material, omega)
-    G = _field(solver, quad.nodes, a, b, chiX)
-    Ga = G[:, 0] * shell_path_factors(scene, omega, a, quad.nodes, const)[:, None, None]
-    Gb = G[:, 1] * shell_path_factors(scene, omega, b, quad.nodes, const)[:, None, None]
-    proj = _EYE[None, :, :] - quad.normals[:, :, None] * quad.normals[:, None, :]
-    pref = omega * np.sqrt(eps_bulk) / const.c
-    return pref * np.einsum("n,nki,nkl,nlj->ij", quad.weights, Ga, proj, np.conj(Gb))
+        for i, s in enumerate(srcs):
+            far = s + (np.linalg.norm(s) + 2 * scene.shell.outer_radius) * r  # beyond the shell
+            F[:, i] *= shell_path_factors(scene, omega, s, far, const)[:, None, None]
+    Fb = F[:, 1] - r[:, :, None] * np.einsum("pk,pkj->pj", r, F[:, 1])[:, None, :]  # (I - rr) F_b
+    return (k / (16 * np.pi**2)) * np.einsum("p,pki,pkj->ij", dirs.weights, F[:, 0], np.conj(Fb))
 
 
 def _gauss_subnodes(pitch, nsub):
@@ -1033,8 +1009,7 @@ class IdentityReport:
     volume_route: str  # of the scatterer volume term, see volume_route()
 
 
-def greens_identity_report(scene: Scene, omega, a, b, quad=None, nsub=2,
-                           const: Constants = DEFAULT,
+def greens_identity_report(scene: Scene, omega, a, b, nsub=2, const: Constants = DEFAULT,
                            solver: EffectiveSolver = None) -> IdentityReport:
     """All terms of Imag G = surface + volume, with the relative residual.
 
@@ -1043,22 +1018,13 @@ def greens_identity_report(scene: Scene, omega, a, b, quad=None, nsub=2,
     """
     if solver is None:
         solver = EffectiveSolver(scene, omega, const=const)
-    if quad is None:
-        radius = 3000.0 * const.c / omega
-        if scene.shell_enabled and scene.shell is not None:
-            radius = max(radius, 1.5 * scene.shell.outer_radius)
-        quad = sphere_quadrature(radius, 24)
-    if scene.shell_enabled and scene.shell is not None:
-        if quad.radius < scene.shell.outer_radius:
-            raise SceneError("identity quadrature sphere must enclose the shell")
-        warn_if_thin_shell(scene, omega, c=const.c)
+    warn_if_thin_shell(scene, omega, c=const.c)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    _check_surface(scene, a, b, quad)
     chiX = _polarization(solver, a, b)
     img = np.imag(vacuum_green_block(omega, a, b, c=const.c)[0, 0]
                   + solver._radiate(a[None, :], chiX[:, 1:])[0, 0])
-    F = _surface_term(scene, omega, a, b, quad, const, solver, chiX)
+    F = _surface_term(scene, omega, a, b, const, solver, chiX)
     nv = _scatterer_term(scene, omega, a, b, const, solver, chiX, nsub)
     ns = _shell_term(scene, omega, a, b, const, solver, chiX)
     vol = nv + ns
@@ -1074,6 +1040,6 @@ def greens_identity_report(scene: Scene, omega, a, b, quad=None, nsub=2,
     )
 
 
-def greens_identity_residual(scene, omega, a, b, quad=None, **kw) -> float:
+def greens_identity_residual(scene, omega, a, b, **kw) -> float:
     """Relative defect of Imag G(a,b) = surface term + absorption volume term."""
-    return greens_identity_report(scene, omega, a, b, quad=quad, **kw).residual
+    return greens_identity_report(scene, omega, a, b, **kw).residual

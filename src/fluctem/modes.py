@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import DEFAULT, Constants
-from .greens import EffectiveSolver, vacuum_imag_coincidence
+from .greens import EffectiveSolver, vacuum_green, vacuum_imag_coincidence
 from .scene import Scene
 
 
@@ -266,8 +266,6 @@ def commutator_integral_density(scene, a, b, omega, const: Constants = DEFAULT,
             img = img + np.imag(solver.green_coincident_scattered(a[None, :])[0])
     else:
         if solver is None:
-            from .greens import vacuum_green
-
             img = np.imag(vacuum_green(omega, a, b, c=const.c))
         else:
             img = np.imag(solver.green(a[None, :], b[None, :], warn_near=False)[0, 0])

@@ -9,6 +9,7 @@ term is force free by construction.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,8 +196,6 @@ def casimir_thermal_force(scene: Scene, body: BodySpec, T, omega_grid=None,
     if scene.n_voxels > 1:
         diam = _diameter(scene.positions())
         if diam > 0 and float(np.max(np.diff(w))) > np.pi * const.c / (4 * diam):
-            import warnings
-
             warnings.warn(
                 "omega grid under-resolves the 2 k d interference oscillation "
                 f"(largest step {np.max(np.diff(w)):.3g} vs pi c / 4 d = "

@@ -14,7 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import DEFAULT, Constants
-from .greens import self_term_coupling, vacuum_green, vacuum_green_block
+from .greens import (
+    self_term_coupling,
+    vacuum_green,
+    vacuum_green_block,
+    vacuum_green_block_offdiag,
+)
 from .scene import Scene
 
 
@@ -55,8 +60,7 @@ def _digest(*parts):
     return h.hexdigest()[:16]
 
 
-def born_series_oracle(scene: Scene, omega, a, b, order=1, const: Constants = DEFAULT,
-                       rule="spherical_pv_radiative"):
+def born_series_oracle(scene: Scene, omega, a, b, order=1, const: Constants = DEFAULT):
     """Truncated Neumann series for the effective tensor; no linear solve.
 
     order 0 returns the bare vacuum dyadic; order 1 adds the single-pass
@@ -76,12 +80,10 @@ def born_series_oracle(scene: Scene, omega, a, b, order=1, const: Constants = DE
     pos = scene.positions()
     chi = scene.chi_at(omega)
     # contraction check: worst row sum of coupling norms must be < 1/2
-    cself = self_term_coupling(omega, dv, rule, c=const.c)
+    cself = self_term_coupling(omega, dv, c=const.c)
     n = scene.n_voxels
     row = np.full(n, abs(cself)) * np.abs(chi)
     if n > 1:
-        from .greens import vacuum_green_block_offdiag
-
         g = vacuum_green_block_offdiag(omega, pos, c=const.c)
         norms = np.linalg.norm(g, axis=(2, 3)) * dv * k**2
         row = row + norms @ np.abs(chi)

@@ -111,20 +111,18 @@ def test_gradient_identity_with_boundary_term():
     # the volume term uses the point rule, which is the discrete model's
     # exact absorption.
     from fluctem.greens import noise_volume_integral_scatterer, surface_functional
-    from fluctem.scene import sphere_quadrature
 
     sc = one_voxel_scene(eps=2 + 0.5j, pitch=0.45)
     x = np.array([0.0, 0.0, 1.1])
     solver = EffectiveSolver(sc, 1.0)
     h = 0.02
-    quad = sphere_quadrature(3000.0, 24)
 
     def imtr(b):
         g = solver.green(x[None], b[None], warn_near=False)[0, 0]
         return np.imag(np.trace(g))
 
     def rhs_tr(b):
-        F = surface_functional(sc, 1.0, x, b, quad, solver=solver)
+        F = surface_functional(sc, 1.0, x, b, solver=solver)
         N = noise_volume_integral_scatterer(sc, 1.0, x, b, solver=solver, nsub=1)
         return np.trace(F + N)
 

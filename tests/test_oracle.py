@@ -126,11 +126,13 @@ def test_identity_residual_order_in_pitch():
 
 
 @pytest.mark.slow
-def test_surface_functional_order_refinement():
-    # recorded: spectral decay 2.2, 2.6e-4, 7.6e-7 at orders 6, 12, 24 for
-    # k|a-b| ~ 13; far beyond the order-4 floor
+def test_surface_functional_order_refinement(monkeypatch):
+    # the polar order of the direction rule, k|a-b| ~ 13: recorded 2.2,
+    # 2.6e-4, 4.7e-15 at orders 6, 12, 24, spectral decay far beyond the
+    # order-4 floor (a sphere of radius 3000 stopped at 7.6e-7)
+    from fluctem import greens
     from fluctem.greens import surface_functional
-    from fluctem.scene import build_scene, sphere_quadrature
+    from fluctem.scene import build_scene
 
     sc = build_scene({"box_side": 40000.0, "voxel_pitch": 0.1, "voxels": []})
     a = np.array([0.0, 0.0, 6.0])
@@ -139,8 +141,8 @@ def test_surface_functional_order_refinement():
     solver = EffectiveSolver(sc, 1.0)
     errs = []
     for order in (6, 12, 24):
-        F = surface_functional(sc, 1.0, a, b, sphere_quadrature(3000.0, order),
-                               solver=solver)
+        monkeypatch.setattr(greens, "_FAR_ORDER", order)
+        F = surface_functional(sc, 1.0, a, b, solver=solver)
         errs.append(np.linalg.norm(img - F) / np.linalg.norm(img))
     rep = quadrature_convergence("surface-functional", "order", errs, min_order=4.0)
     assert rep.passed

@@ -1,0 +1,43 @@
+"""The benchmark's span tracer still finds every public name it wraps.
+
+perfbench/tracing.py rebinds named functions and methods of the package;
+a deleted or renamed one fails its install, which otherwise only a
+benchmark run would notice.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+import fluctem
+import fluctem.cli  # noqa: F401  the tracer wraps cli.run_subcommand
+from fluctem import greens
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_uninstalls_on_the_package():
+    original = greens.surface_functional
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert greens.surface_functional is not original
+        assert fluctem.surface_functional is greens.surface_functional
+        tracer.enabled = True
+        sc = fluctem.build_scene({"box_side": 40.0, "voxel_pitch": 0.2, "voxels": []})
+        a = np.array([0.0, 0.0, 0.3])
+        greens.surface_functional(sc, 1.0, a, a)
+        assert tracer.calls["greens.surface_functional"] == 1
+        assert tracer.calls["scene.build"] == 1
+    finally:
+        tracer.uninstall()
+    assert greens.surface_functional is original
+    assert fluctem.surface_functional is original
