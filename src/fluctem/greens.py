@@ -17,35 +17,26 @@ indefinite matrices, about half the flops of LU).  Every caller radiates the
 polarization chi A^-1 rhs = C^1/2 S^-1 C^1/2 rhs, so no step divides by chi
 and voxels with chi = 0 stay exact.
 
-Large systems (3N >= _MIXED_MIN_ORDER) factor a complex64 copy of S (LAPACK
-csytrf, half the time of zsytrf) and refine each solve against the double S,
-x <- x + S_single^-1 (b - S x) with the residual in complex128, until
-||b - S x||_inf <= sqrt(3N) u ||S||_inf ||x||_inf per column (u = 2^-53):
-mixed-precision iterative refinement with LAPACK zcgesv's stopping test, the
-backward error the double factorization guarantees (Buttari et al. 2007,
-Carson & Higham 2018).  It converges while cond(S) times the single-precision
-unit roundoff is small.  A step that fails to halve the backward error, too
-many steps, or an exactly zero single pivot leaves this route for the double
-one, zsytrf/zsytrs, which smaller systems take from the start.  The first solve
-then holds S and a complex64 factor (1.5x the matrix bytes) instead of S and
-a complex128 factor (2x); memory_cap still allows 2x, because the fallback
-holds S and the double factor.
+The first solve factors S in place, so the solver never holds S beside its
+factor: the factor takes the place of S, and a first solve adds only the
+LDL^T workspace to the matrix bytes.  memory_cap still allows 2x, for the
+factor and an S that a later read of system reassembles.
 
 Lattice scenes (Scene.lattice, the padded FFT grid no larger than S) can
-take a third route that never forms S: COCG (van der Vorst & Melissen 1990)
+take a second route that never forms S: COCG (van der Vorst & Melissen 1990)
 on the Jacobi-scaled D^-1/2 S D^-1/2, D = diag S, each iteration one
 zero-padded FFT convolution with the kernel table at shift 0 (Goodman,
-Draine & Flatau 1991).  A column stops on the same test as the refinement,
-applied to its true residual.  Such a solver has a work budget in
-column-matvecs, about the cost of assembling and factoring S, and starts on
-COCG only if that budget covers the expected iterations of a one-source
-(3-column) solve: the crossover follows from the budget.
+Draine & Flatau 1991).  A column stops when its true residual passes LAPACK
+zcgesv's test, ||b - S x||_inf <= sqrt(3N) u ||S||_inf ||x||_inf (u = 2^-53),
+the backward error the double factorization guarantees.  Such a solver has
+a work budget in column-matvecs, about the cost of assembling and factoring
+S, and starts on COCG only if that budget covers the expected iterations of
+a one-source (3-column) solve: the crossover follows from the budget.
 
-A solver runs down one ladder, lattice-cocg -> mixed-ldlt (3N >=
-_MIXED_MIN_ORDER) -> dense-ldlt, from the first route it qualifies for.  A
-solve that would overrun the budget (too many columns, too many solves, slow
-convergence) or a COCG breakdown leaves COCG for good, and the next route
-serves that solve and every later one.
+A solver runs down one ladder, lattice-cocg -> dense-ldlt, from the first
+route it qualifies for.  A solve that would overrun the budget (too many
+columns, too many solves, slow convergence) or a COCG breakdown leaves COCG
+for good, and the factor route serves that solve and every later one.
 
 The scatterer volume term of the dissipation identity needs the field at
 every Gauss sub-node of every voxel.  On a lattice scene (Scene.lattice) the
@@ -105,34 +96,24 @@ _BLOCK_BYTES = 8 * 2**20
 _ASSEMBLY_BYTES = 2 * 2**20
 
 # column width of the LDL^T panels (LAPACK's default is 64); the workspace is
-# 3N x this, so 32 keeps the N = 179 first solve within 2.1x the matrix
-# bytes, and at N = 739 it factors as fast as 64
+# 3N x this, so with S factored in place the N = 179 first solve peaks at
+# 1.085x the matrix bytes (1.140x at 64), and at N = 739 it factors as fast
+# as 64
 _LDLT_PANEL = 32
-
-# smallest order 3N that factors S in single precision and refines.  Factor
-# plus one 6-column solve, one thread: N = 179 (3N = 537) 11.7 ms mixed
-# against 8.7 ms double; N = 257 (771) 26 ms either way; N = 389 (1167)
-# 73 against 86 ms.  Below the crossover the refinement's products with S
-# cost more than the cheaper factorization saves.
-_MIXED_MIN_ORDER = 768
 
 # a lattice solver's work budget, in column-matvecs, is this constant times
 # (3N)^3 / (cells of the padded grid): about what assembly and LDL^T cost, in
-# matvecs.  That ratio measured 4.5e-4 to 5.1e-4 at N = 389 and 3.2e-4 to
-# 3.7e-4 at N = 739 (two runs, loaded and idle).  A solver starts on COCG
-# when the budget covers one 3-column solve at _COCG_ITERATIONS.  At pitch
-# 0.2 that splits the spheres of N = 257 (budget 29) and N = 389 (103), where
-# assembly, LDL^T and one 3-column solve against COCG, one thread, idle
-# machine, read 29 against 43 ms and 72 against 46 ms
+# matvecs.  That ratio measured 4.5e-4 to 5.2e-4 at N = 389 and 4.4e-4 to
+# 5.4e-4 at N = 739 (two runs, one thread, shared machine).  A solver starts
+# on COCG when the budget covers one 3-column solve at _COCG_ITERATIONS.  At
+# pitch 0.2 that splits the spheres of N = 257 (budget 29) and N = 389 (103),
+# where assembly, LDL^T and one 3-column solve against COCG read 34 against
+# 67 ms and 94 against 81 ms (best of nine, the same runs)
 _COCG_BUDGET = 3.8e-4
 
 # the iterations a lattice solver expects of its first solve, until one has
 # run: 27-33 on the Drude-Lorentz spheres of N = 179 to 1189, any frequency
 _COCG_ITERATIONS = 32
-
-# refinement falls back to the double factor when a step fails to halve the
-# backward error or after this many steps (two converge on the benchmark spheres)
-_REFINE_STEPS = 5
 
 
 class GreensError(RuntimeError):
@@ -235,10 +216,10 @@ class EffectiveSolver:
     def __init__(self, scene: Scene, omega, const: Constants = DEFAULT,
                  memory_cap=2 * 1024**3):
         n = scene.n_voxels
-        # S and one chunk of kernel rows during assembly, S and its LDL^T copy
-        # later: complex64 on the mixed route, complex128 on the double one.
-        # The lattice route forms neither unless it falls back, so it is held
-        # to the same bound
+        # S and one chunk of kernel rows during assembly; later the LDL^T
+        # factor, which overwrites S, and an S that a read of system
+        # reassembles.  The lattice route forms neither unless it falls back,
+        # so it is held to the same bound
         peak = 2 * (3 * n) ** 2 * 16
         if peak > memory_cap:
             raise MemoryError(
@@ -256,7 +237,7 @@ class EffectiveSolver:
         # any D with D^2 = C gives the same D S^-1 D = chi A^-1: one branch suffices
         self._sqrt_chi3 = np.repeat(np.sqrt(self.chi), 3)[:, None]
         self._system = None
-        self._fact = None  # the LDL^T factor of the route, once made
+        self._fact = None  # the LDL^T factor, made in place of S by the first solve on it
         self._matvec = None  # the lattice matvec, built by the first COCG solve
         self._lock = threading.Lock()
         self.grid = _fft_grid(scene)  # the padded grid of both FFT routes, or None
@@ -265,16 +246,15 @@ class EffectiveSolver:
         self._spent = 0  # column-matvecs so far
         self._iterations = _COCG_ITERATIONS  # the next solve's estimate
         self._route = "lattice-cocg"  # the top of the ladder, left at once without a budget
-        # a report, never read back: the route, the reason the last one was
-        # left; iterations, refinement steps and backward error are those of
-        # the solve that finished last
+        # a report, never read back: the route, the reason COCG was left;
+        # iterations and backward error are those of the COCG solve that
+        # finished last, and the factor route reports no backward error
         self.diagnostics = {
             "route": self._route, "fallback": None, "iterations": 0,
-            "refinement_steps": 0, "backward_error": None, "matvecs": 0,
-            "budget": self._budget,
+            "backward_error": None, "matvecs": 0, "budget": self._budget,
         }
         if not self._budget:
-            self._leave("lattice-cocg", None)
+            self._leave(None)
             self._assemble()
 
     @property
@@ -284,23 +264,25 @@ class EffectiveSolver:
         M couples voxel v to voxel u through dV (w/c)^2 Gv(v, u), the self
         term on its diagonal, and C = diag(eps - 1); S is the collocation
         matrix A = I - M C in the scaling C^1/2 A C^-1/2, bit-exact from
-        (scene, omega).  Assembled at construction on the factor routes, here
-        on first use on the lattice route, which builds no lattice matvec for it.
+        (scene, omega).  Assembled at construction on the factor route, here
+        on first use on the lattice route, which builds no lattice matvec for
+        it.  The first solve on the factor route overwrites this array with
+        its LDL^T factor, so copy it to keep it past a solve; a read after
+        that reassembles S.
         """
         with self._lock:
             return self._assemble()
 
-    def _leave(self, route, reason):
-        """Leave route for the next one down the ladder, for good, reporting reason.
+    def _leave(self, reason):
+        """Leave COCG for the factor route, for good, reporting reason.
 
         The caller holds the lock (or owns the solver); once any thread has
-        left route this does nothing.  Its matvec or factor is dropped.
+        left COCG this does nothing.  The lattice matvec is dropped.
         """
-        if self._route != route:
+        if self._route != "lattice-cocg":
             return
-        single = route == "lattice-cocg" and 3 * self.scene.n_voxels >= _MIXED_MIN_ORDER
-        self._route = "mixed-ldlt" if single else "dense-ldlt"
-        self._matvec = self._fact = None
+        self._route = "dense-ldlt"
+        self._matvec = None
         self.diagnostics.update(route=self._route, fallback=reason, backward_error=None)
 
     def _assemble(self):
@@ -345,91 +327,37 @@ class EffectiveSolver:
 
         The operator is symmetric, so it also serves transposed solves.  On
         the lattice route COCG solves S x = C^1/2 rhs with the FFT matvec
-        while the work budget lasts; then S is LDL^T-factorized
-        (Bunch-Kaufman, lower triangle) on first use, in single precision and
-        refined on the mixed route, in double on the dense one.  A route that
-        fails the solve leaves itself, and the next one serves it.
+        while the work budget lasts; otherwise zsytrs solves it with the
+        LDL^T factor of S (Bunch-Kaufman, lower triangle), made on first use.
         """
         s = self._sqrt_chi3
         if not len(s):
             return np.zeros(rhs.shape, dtype=complex)  # zsytrs rejects n = 0
         b = s * rhs
         x = self._cocg_solve(b) if self._route == "lattice-cocg" else None
-        while x is None:
-            with self._lock:  # one factorization per route, however many threads share it
+        if x is None:
+            with self._lock:  # one factorization, however many threads share the solver
                 fact = self._fact or self._factor()
-            if fact[0].dtype == np.complex64:
-                x = self._refine(b, *fact)
-            else:
-                x, _ = sla.lapack.zsytrs(*fact, b, lower=1)
-            del fact  # so that the next route's _factor frees the single factor
+            x, _ = sla.lapack.zsytrs(*fact, b, lower=1)
         return s * x
 
     def _factor(self):
-        """LDL^T of S, complex64 on the mixed route, complex128 on the dense one.
+        """LDL^T of S, made in the array of S, which the solver then drops.
 
         The caller holds the lock; S is assembled here if the lattice route
-        has not needed it yet.  An exactly zero single pivot leaves the
-        mixed route for the dense one.
+        has not needed it yet.
         """
         S = self._assemble()
-        lwork = _LDLT_PANEL * len(S)
-        if self._route == "mixed-ldlt":
-            # ||S||_inf for the refinement's stopping test, a few rows at a time
-            rows = max(1, _ASSEMBLY_BYTES // S[0].nbytes)
-            self._norm = max(float(np.abs(S[i:i + rows]).sum(axis=1).max())
-                             for i in range(0, len(S), rows))
-            # S is symmetric, so S.T is S in the Fortran order LAPACK takes;
-            # the complex64 copy keeps that order and is factored in place
-            ldu, ipiv, info = sla.lapack.csytrf(S.T.astype(np.complex64), lower=1,
-                                                lwork=lwork, overwrite_a=1)
-            if info == 0:
-                self._fact = ldu, ipiv
-                return self._fact
-            del ldu
-            self._leave("mixed-ldlt", "singular")
-        ldu, ipiv, info = sla.lapack.zsytrf(S.T, lower=1, lwork=lwork)
+        self._system = None
+        # S is symmetric, so S.T is S in the Fortran order LAPACK takes, and
+        # zsytrf overwrites it without a copy
+        ldu, ipiv, info = sla.lapack.zsytrf(S.T, lower=1, lwork=_LDLT_PANEL * len(S),
+                                            overwrite_a=1)
         if info > 0:
             raise GreensError(f"LS matrix is singular: LDL^T pivot D[{info - 1}] "
                               f"is exactly zero")
         self._fact = ldu, ipiv
         return self._fact
-
-    def _refine(self, b, ldu, ipiv):
-        """S^-1 b from the complex64 factor refined against the double S.
-
-        Converged when every column has the normwise backward error
-        ||b - S x||_inf / (||S||_inf ||x||_inf) <= sqrt(3N) u.  A stall leaves
-        the mixed route and returns None.  The residual reuses one buffer,
-        so the solve holds b, x, r and a complex64 copy of r.
-        """
-        S = self._system
-        tol = np.sqrt(len(S)) * 2.0**-53
-        x = np.zeros(b.shape, dtype=complex)
-        r, err = b, np.inf
-        for step in range(_REFINE_STEPS + 1):
-            # a residual beyond complex64's range gives inf or a lost correction,
-            # and so a stall: the double route takes it
-            dx, _ = sla.lapack.csytrs(ldu, ipiv, r.astype(np.complex64, order="F"),
-                                      lower=1, overwrite_b=1)
-            x += dx
-            del dx
-            if r is b:
-                r = np.empty(b.shape, dtype=complex)
-            np.matmul(S, x, out=r)
-            np.subtract(b, r, out=r)
-            bwd = np.abs(r).max(axis=0)
-            with np.errstate(divide="ignore"):  # x = 0 with r != 0 is no solution yet
-                np.divide(bwd, self._norm * np.abs(x).max(axis=0), out=bwd, where=bwd > 0)
-            last, err = err, float(np.max(bwd, initial=0.0))
-            if err <= tol or not err <= 0.5 * last:  # NaN stalls too
-                break
-        converged = err <= tol  # not on NaN
-        with self._lock:
-            if not converged:
-                self._leave("mixed-ldlt", "stall")
-            self.diagnostics.update(refinement_steps=step, backward_error=err)
-        return x if converged else None
 
     # -- the matrix-free lattice route -----------------------------------
 
@@ -445,7 +373,7 @@ class EffectiveSolver:
         m = b.shape[1]
         with self._lock:  # a no-op leave when another thread has left already
             if self._route != "lattice-cocg" or self._spent + m * self._iterations > self._budget:
-                self._leave("lattice-cocg", "budget")
+                self._leave("budget")
                 return None
             op = self._matvec = self._matvec or _LatticeMatvec(self, self.grid)
         x = np.empty(b.shape, dtype=complex)
@@ -457,7 +385,7 @@ class EffectiveSolver:
             return x
         del op  # so that leaving frees the lattice tables
         with self._lock:
-            self._leave("lattice-cocg", reason)
+            self._leave(reason)
         return None
 
     def _charge(self, cols):
@@ -474,8 +402,8 @@ class EffectiveSolver:
 
         COCG (van der Vorst & Melissen 1990) is CG with the unconjugated
         product, for the complex-symmetric D^-1/2 S D^-1/2, D = diag S.  A
-        column stops when its true residual passes the test the refinement
-        uses, ||b - S x||_inf <= sqrt(3N) u ||S||_inf ||x||_inf; the
+        column stops when its true residual passes LAPACK zcgesv's test,
+        ||b - S x||_inf <= sqrt(3N) u ||S||_inf ||x||_inf; the
         recursive residual only nominates it, and one that fails the test
         is replaced by its true residual.
         """
