@@ -217,6 +217,7 @@ def _run_commutator(cfg, scene, outdir, const, run):
         sd = mode_sum_spectral_density(scene, a, b, omega,
                                        ms.get("delta_omega"), basis,
                                        window=ms.get("window", "boxcar"), const=const)
+        run["mode_sum"] = {k: sd.metadata[k] for k in ("solves", "nodes", "tail")}
         arts.append(write_spectral_csv(outdir / "commutator_modes.csv", [sd]))
     return arts, 0
 

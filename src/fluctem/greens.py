@@ -333,13 +333,14 @@ class EffectiveSolver:
         s = self._sqrt_chi3
         if not len(s):
             return np.zeros(rhs.shape, dtype=complex)  # zsytrs rejects n = 0
-        b = s * rhs
-        x = self._cocg_solve(b) if self._route == "lattice-cocg" else None
+        x = self._cocg_solve(s * rhs) if self._route == "lattice-cocg" else None
         if x is None:
             with self._lock:  # one factorization, however many threads share the solver
                 fact = self._fact or self._factor()
-            x, _ = sla.lapack.zsytrs(*fact, b, lower=1)
-        return s * x
+            # in the Fortran order zsytrs takes, so it solves in b without a copy
+            b = np.multiply(s, rhs, order="F")
+            x, _ = sla.lapack.zsytrs(*fact, b, lower=1, overwrite_b=1)
+        return np.multiply(s, x, out=x)  # s on the left: the bits of s * x
 
     def _factor(self):
         """LDL^T of S, made in the array of S, which the solver then drops.

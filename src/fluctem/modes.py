@@ -15,10 +15,20 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft as sfft
 
 from .constants import DEFAULT, Constants
 from .greens import EffectiveSolver, vacuum_green, vacuum_imag_coincidence
 from .scene import Scene
+
+
+# modes per block of plane-wave fields in the mode sum
+_CHUNK = 4096
+# nested Chebyshev-Lobatto node counts across a mode-sum bin, and the size of
+# the two trailing Chebyshev coefficients of W(omega), relative to the
+# largest, at which the nodes resolve W
+_NODE_COUNTS = (5, 9, 17)
+_TAIL_TOLERANCE = 1e-13
 
 
 class ModeError(ValueError):
@@ -173,12 +183,14 @@ def default_bin_width(L, omega, const: Constants = DEFAULT):
 
 def mode_sum_spectral_density(scene, a, b, omega_center, delta_omega, basis: ModeBasis,
                               window="boxcar", const: Constants = DEFAULT,
-                              min_modes=20, chunk=4096) -> SpectralDensity:
+                              min_modes=20) -> SpectralDensity:
     """Binned mode sum E(a) (x) E*(b) / (bin measure) around omega_center.
 
     scene=None sums the bare plane waves; with a scene the scattered mode
     fields enter.  window='boxcar' is the sharp bin; 'hann' tapers the bin
-    edges (smoother box-size convergence, same normalization).
+    edges (smoother box-size convergence, same normalization).  The
+    metadata records the solves made, the Chebyshev node count (None when
+    each frequency group is solved) and the final coefficient tail.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -205,15 +217,15 @@ def mode_sum_spectral_density(scene, a, b, omega_center, delta_omega, basis: Mod
     acc = np.zeros((3, 3), complex)
     use_scene = scene is not None and scene.n_voxels > 0
     pts = np.vstack([a, b])
+    record = {"solves": 0, "nodes": None, "tail": None}
     if not use_scene:
-        for start in range(0, sel.size, chunk):
-            ss = sel[start : start + chunk]
-            ww = wts[start : start + chunk]
+        for start in range(0, sel.size, _CHUNK):
+            ss = sel[start : start + _CHUNK]
+            ww = wts[start : start + _CHUNK]
             F = mode_field_vacuum(basis, ss, pts)  # (m, 2, 3)
             acc += np.einsum("m,mi,mj->ij", ww, F[:, 0], np.conj(F[:, 1]))
     else:
-        vox = scene.positions()
-        # group by identical mode frequency so one factorization serves a group
+        # group by identical mode frequency: one W serves a group
         omsel = basis.omega_alpha[sel]
         order = np.argsort(omsel, kind="stable")
         sel = sel[order]
@@ -222,21 +234,18 @@ def mode_sum_spectral_density(scene, a, b, omega_center, delta_omega, basis: Mod
         bounds = np.nonzero(np.diff(omsel) > 1e-12 * omega_center)[0] + 1
         groups = np.split(np.arange(sel.size), bounds)
         n = scene.n_voxels
-        for g in groups:
-            om = float(omsel[g[0]])
-            solver = EffectiveSolver(scene, om, const=const)
-            # the field at a and b is R chi A^-1 Ev with R = rows(pts); chi A^-1
-            # is symmetric, so one solve for W^T = chi A^-1 R^T serves every mode
-            R = solver._coupling_rows(pts)
-            Wt = solver._solve(R.transpose(0, 2, 1, 3).reshape(6, 3 * n).T)
-            for start in range(0, g.size, chunk):
-                gg = g[start : start + chunk]
-                ss = sel[gg]
-                ww = wts[gg]
-                F = mode_field_vacuum(basis, ss, pts)  # (m, 2, 3)
-                ev_vox = mode_field_vacuum(basis, ss, vox)  # (m, N, 3)
-                F = F + (ev_vox.reshape(ss.size, 3 * n) @ Wt).reshape(ss.size, 2, 3)
-                acc += np.einsum("m,mi,mj->ij", ww, F[:, 0], np.conj(F[:, 1]))
+        interp, values, record = _rows_across_bin(
+            scene, pts, lo, hi, omsel[[g[0] for g in groups]], const)
+        tables = _axis_tables(basis, sel, scene.positions())
+        amp_pol = basis.amplitude[sel, None] * basis.pol[sel]  # (M, 3)
+        for row, g in zip(interp, groups):
+            Wg = (row @ values).reshape(n, 18)  # rows (voxel), columns (j, point, i)
+            for start in range(0, g.size, _CHUNK):
+                gg = g[start : start + _CHUNK]
+                F = mode_field_vacuum(basis, sel[gg], pts)  # (m, 2, 3)
+                T = (_phases(tables, gg) @ Wg).reshape(gg.size, 3, 6)
+                F = F + np.einsum("mj,mjc->mc", amp_pol[gg], T).reshape(gg.size, 2, 3)
+                acc += np.einsum("m,mi,mj->ij", wts[gg], F[:, 0], np.conj(F[:, 1]))
     return SpectralDensity(
         omega=float(omega_center),
         delta_omega=float(delta_omega),
@@ -244,8 +253,105 @@ def mode_sum_spectral_density(scene, a, b, omega_center, delta_omega, basis: Mod
         mode_count=int(sel.size),
         window=window,
         box_side=basis.box_side,
-        metadata={"scene": None if scene is None else scene.digest()},
+        metadata={"scene": None if scene is None else scene.digest(), **record},
     )
+
+
+def _coupled_rows(scene, pts, omega, const):
+    """W = chi A^-1 rows(pts)^T at omega, (3N, 3P), from one solve.
+
+    The scattered field at pts is R chi A^-1 Ev with R = rows(pts); chi A^-1
+    is symmetric, so one solve for W serves every mode of the frequency.
+    """
+    solver = EffectiveSolver(scene, omega, const=const)
+    R = solver._coupling_rows(pts)
+    return solver._solve(R.transpose(0, 2, 1, 3).reshape(3 * len(pts), -1).T)
+
+
+def _rows_across_bin(scene, pts, lo, hi, freqs, const):
+    """W at each group frequency freqs in [lo, hi], as interpolation rows over node values.
+
+    W(omega) is analytic across the bin, so it is solved at nested
+    Chebyshev-Lobatto points of [lo, hi], 5, then 9, then 17, until its two
+    trailing Chebyshev coefficients (the DCT-I of the node values) fall below
+    _TAIL_TOLERANCE of the largest, and carried to the groups by barycentric
+    interpolation (Berrut & Trefethen, SIAM Rev. 46, 501 (2004)).  When there
+    are no more groups than the next node count, or 17 nodes do not resolve
+    W (a resonance in the bin), the nodes are the group frequencies
+    themselves, where the interpolant is exact.  Returns the (G, nodes)
+    interpolation matrix, the (nodes, 18 N) node values and the record.
+    """
+    mid, half = (lo + hi) / 2, (hi - lo) / 2
+    top = _NODE_COUNTS[-1] - 1
+    cheb = np.sin(np.pi * (top - 2 * np.arange(top + 1)) / (2 * top))  # 1 .. -1
+    solved = {}
+    nodes, tail = None, None
+    for count in _NODE_COUNTS:
+        if len(freqs) <= count:
+            break
+        idx = np.arange(0, top + 1, top // (count - 1))
+        for j in idx:
+            if j not in solved:
+                solved[j] = _coupled_rows(scene, pts, mid + half * cheb[j], const).ravel()
+        values = np.stack([solved[j] for j in idx])
+        coef = np.abs(sfft.dct(values, type=1, axis=0)).max(axis=1)
+        coef[[0, -1]] /= 2
+        tail = float(coef[-2:].max() / coef.max()) if coef.max() else 0.0  # W = 0 at chi = 0
+        if tail <= _TAIL_TOLERANCE:
+            nodes = cheb[idx]
+            break
+    at = (freqs - mid) / half
+    record = {"solves": len(solved), "nodes": None if nodes is None else len(nodes),
+              "tail": tail}
+    if nodes is None:
+        nodes = at
+        values = np.stack([_coupled_rows(scene, pts, f, const).ravel() for f in freqs])
+        record["solves"] += len(freqs)
+    return _barycentric(nodes, at), values, record
+
+
+def _barycentric(nodes, at):
+    """(len(at), len(nodes)) rows carrying values at Chebyshev-Lobatto nodes to the points at.
+
+    The barycentric formula of the second kind, weights (-1)^j, halved at
+    the ends; a point on a node takes that node's value exactly.
+    """
+    w = (-1.0) ** np.arange(len(nodes))
+    w[[0, -1]] /= 2
+    d = at[:, None] - nodes
+    hit = d == 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rows = w / d
+        rows /= rows.sum(axis=1, keepdims=True)
+    on_node = hit.any(axis=1)
+    rows[on_node] = hit[on_node]
+    return rows
+
+
+def _axis_tables(basis, sel, pts):
+    """Per-axis factors of exp(i k . x) for the modes sel at the points pts.
+
+    k = 2 pi n / L, so exp(i k . x) is the product over the axes of
+    exp(2 pi i n_a x_a / L).  Each axis tables its factor over the distinct
+    n_a of the modes and the distinct coordinates x_a of the points, which
+    needs no lattice.  Returns, per axis, the table and each mode's and each
+    point's index into it.
+    """
+    tables = []
+    for n_a, x_a in zip(basis.n_index[sel].T, np.atleast_2d(pts).T):
+        nu, ni = np.unique(n_a, return_inverse=True)
+        xu, xi = np.unique(x_a, return_inverse=True)
+        tables.append((np.exp((2j * np.pi / basis.box_side) * np.outer(nu, xu)), ni, xi))
+    return tables
+
+
+def _phases(tables, rows):
+    """exp(i k . x), (len(rows), P), for the modes at positions rows of the tabled selection."""
+    (t, ni, xi), *rest = tables
+    ph = t[np.ix_(ni[rows], xi)]
+    for t, ni, xi in rest:
+        ph *= t[np.ix_(ni[rows], xi)]
+    return ph
 
 
 def commutator_integral_density(scene, a, b, omega, const: Constants = DEFAULT,

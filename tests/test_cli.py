@@ -88,6 +88,45 @@ def test_commutator_with_mode_sum(tmp_path):
     assert (out / "commutator_modes.csv").exists()
 
 
+def test_mode_sum_solves_recorded_in_manifest(tmp_path):
+    # the one-voxel scene's bin holds few groups: each is solved at its own
+    # frequency, so there are no Chebyshev nodes
+    cfg = write_cfg(tmp_path, {"commutator": {
+        "a": [0, 0, 1.2], "b": [0.6, 0.2, -0.4], "omega": 1.0,
+        "mode_sum": {"box_side": 10 * 2 * np.pi, "delta_omega": 0.1},
+    }})
+    out = tmp_path / "out"
+    assert run_subcommand("commutator", cfg, out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    record = manifest["run"]["mode_sum"]
+    assert set(record) == {"solves", "nodes", "tail"}
+    assert record["solves"] >= 1 and record["nodes"] is None
+    assert "mode_sum" not in json.dumps(manifest["artifacts"])
+
+
+def test_mode_sum_rerun_byte_identical_across_chebyshev_nodes(tmp_path):
+    # a lattice cube whose bin holds 68 frequency groups, so W is
+    # interpolated from Chebyshev nodes; one thread, the same bytes twice
+    cube = {"box_side": 40.0, "voxel_pitch": 0.2, "primitives": [
+        {"shape": "box", "half_size": [0.3, 0.3, 0.3],
+         "material": BASE_SCENE["voxels"][0]["material"]}]}
+    cfg = write_cfg(tmp_path, {"scene": cube, "commutator": {
+        "a": [0, 0, 1.2], "b": [0.6, 0.2, -0.4], "omega": 1.0,
+        "mode_sum": {"box_side": 40 * np.pi, "delta_omega": 0.1, "window": "hann"},
+    }})
+    out1, out2 = tmp_path / "o1", tmp_path / "o2"
+    assert run_subcommand("commutator", cfg, out1) == 0
+    assert run_subcommand("commutator", cfg, out2) == 0
+    assert ((out1 / "commutator_modes.csv").read_bytes()
+            == (out2 / "commutator_modes.csv").read_bytes())
+    m1 = json.loads((out1 / "manifest.json").read_text())
+    m2 = json.loads((out2 / "manifest.json").read_text())
+    assert m1["artifacts"] == m2["artifacts"]
+    assert m1["run"]["threads"] == 1
+    assert m1["run"]["mode_sum"]["nodes"] is not None
+    assert m1["run"]["mode_sum"] == m2["run"]["mode_sum"]
+
+
 def test_verify_identity_pass_and_fail(tmp_path):
     vac = {"box_side": 10.0, "voxel_pitch": 0.2, "voxels": []}
     cfg = write_cfg(tmp_path, {"scene": vac,

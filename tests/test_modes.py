@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fluctem import modes
 from fluctem.greens import EffectiveSolver, vacuum_green, vacuum_imag_coincidence
 from fluctem.material import DrudeLorentzModel
 from fluctem.modes import (
@@ -11,7 +12,7 @@ from fluctem.modes import (
     mode_sum_spectral_density,
     scattered_mode_field,
 )
-from fluctem.scene import Scene
+from fluctem.scene import Scene, build_scene
 
 from conftest import LAM, one_voxel_scene
 
@@ -162,14 +163,16 @@ def two_material_cube():
         (tuple(0.3 * np.array(p, float)), mats[i % 2]) for i, p in enumerate(sites)))
 
 
-def test_mode_sum_matches_forward_route():
+def test_mode_sum_matches_forward_route(monkeypatch):
     # reference: each mode's interior field solved forward and radiated by
-    # the coupling rows (scattered_mode_field, form="interior")
+    # the coupling rows (scattered_mode_field, form="interior"); blocks of 7
+    # modes put block boundaries inside the frequency groups
+    monkeypatch.setattr(modes, "_CHUNK", 7)
     sc = two_material_cube()
     a, b = np.array([0.3, 0.2, 1.5]), np.array([-0.9, 0.4, 0.1])
     basis = enumerate_modes(8 * np.pi, 1.2)
     omega, delta = 1.0, 0.3
-    got = mode_sum_spectral_density(sc, a, b, omega, delta, basis, chunk=7).value
+    got = mode_sum_spectral_density(sc, a, b, omega, delta, basis).value
     sel = np.nonzero(np.abs(basis.omega_alpha - omega) <= delta / 2)[0]
     sel = sel[np.argsort(basis.omega_alpha[sel], kind="stable")]
     ref = np.zeros((3, 3), complex)
@@ -200,6 +203,99 @@ def test_mode_sum_group_is_one_six_column_transposed_solve(monkeypatch):
     mode_sum_spectral_density(sc, [0.3, 0.2, 1.5], [-0.9, 0.4, 0.1], 1.0, 0.2, basis,
                               min_modes=1)
     assert calls == [(3 * sc.n_voxels, 6)]
+
+
+def per_group_mode_sum(sc, a, b, omega, delta, basis):
+    """Boxcar mode sum with one solve per distinct mode frequency and exp(i k.x) at the voxels."""
+    om = basis.omega_alpha
+    sel = np.nonzero((om >= omega - delta / 2) & (om <= omega + delta / 2))[0]
+    sel = sel[np.argsort(om[sel], kind="stable")]
+    om = om[sel]
+    groups = np.split(sel, np.nonzero(np.diff(om) > 1e-12 * omega)[0] + 1)
+    pts, n = np.stack([a, b]), sc.n_voxels
+    ref = np.zeros((3, 3), complex)
+    for g in groups:
+        solver = EffectiveSolver(sc, basis.omega_alpha[g[0]])
+        R = solver._coupling_rows(pts)
+        W = solver._solve(R.transpose(0, 2, 1, 3).reshape(6, 3 * n).T)
+        ev = mode_field_vacuum(basis, g, sc.positions()).reshape(g.size, 3 * n)
+        F = mode_field_vacuum(basis, g, pts) + (ev @ W).reshape(g.size, 2, 3)
+        ref += np.einsum("mi,mj->ij", F[:, 0], np.conj(F[:, 1]))
+    return ref / delta, len(groups)
+
+
+def count_solvers(monkeypatch):
+    made = []
+    init = EffectiveSolver.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(args[1] if len(args) > 1 else kwargs["omega"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(EffectiveSolver, "__init__", counted)
+    return made
+
+
+def test_mode_sum_interpolates_many_groups_from_chebyshev_nodes(monkeypatch):
+    # 68 frequency groups in the bin: W(omega) is solved at 17 nested
+    # Chebyshev-Lobatto points of the bin and interpolated to each group
+    sc = two_material_cube()
+    a, b = np.array([0.3, 0.2, 1.5]), np.array([-0.9, 0.4, 0.1])
+    basis = enumerate_modes(40 * np.pi, 1.06)
+    ref, groups = per_group_mode_sum(sc, a, b, 1.0, 0.1, basis)
+    made = count_solvers(monkeypatch)
+    sd = mode_sum_spectral_density(sc, a, b, 1.0, 0.1, basis)
+    assert groups > 17
+    assert len(made) <= 17
+    assert sd.metadata["solves"] == len(made)
+    assert sd.metadata["nodes"] == len(made)
+    assert sd.metadata["tail"] <= modes._TAIL_TOLERANCE
+    assert min(made) == pytest.approx(0.95, rel=1e-15)
+    assert max(made) == pytest.approx(1.05, rel=1e-15)
+    assert np.linalg.norm(sd.value - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_mode_sum_resonance_in_the_bin_falls_back_to_one_solve_per_group(monkeypatch):
+    # a Lorentzian of width 1e-3 at 1.01: 17 nodes do not resolve W(omega),
+    # so each frequency group is solved at its own frequency
+    res = DrudeLorentzModel(omega_p=0.1, omega_0=1.01, gamma=1e-3)
+    sc = Scene(box_side=20.0, voxel_pitch=0.3, scatterer_voxels=tuple(
+        ((0.3 * i, 0.0, 0.3 * j), res) for i in range(2) for j in range(2)))
+    a, b = np.array([0.3, 0.2, 1.5]), np.array([-0.9, 0.4, 0.1])
+    basis = enumerate_modes(40 * np.pi, 1.06)
+    ref, groups = per_group_mode_sum(sc, a, b, 1.0, 0.1, basis)
+    made = count_solvers(monkeypatch)
+    sd = mode_sum_spectral_density(sc, a, b, 1.0, 0.1, basis)
+    assert sd.metadata["nodes"] is None
+    assert sd.metadata["tail"] > modes._TAIL_TOLERANCE
+    assert len(made) == sd.metadata["solves"] == modes._NODE_COUNTS[-1] + groups
+    assert np.linalg.norm(sd.value - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_mode_sum_on_the_n179_sphere_makes_17_solves(monkeypatch):
+    # the sphere, box and Hann bin of the modesum-sphere benchmark workload:
+    # 68 frequency groups, one solver each before the Chebyshev nodes
+    sc = build_scene({"box_side": 40.0, "voxel_pitch": 0.2, "primitives": [
+        {"shape": "sphere", "radius": 0.8, "material": {
+            "type": "drude_lorentz", "omega_p": 1.2, "omega_0": 0.9, "gamma": 0.4}}]})
+    assert sc.n_voxels == 179
+    basis = enumerate_modes(40 * np.pi, 1.05)
+    made = count_solvers(monkeypatch)
+    sd = mode_sum_spectral_density(sc, [0.23, -0.36, 1.21], [0.84, 0.47, -0.93], 1.0, 0.1,
+                                   basis, window="hann")
+    assert len(made) == 17
+    assert (sd.metadata["solves"], sd.metadata["nodes"]) == (17, 17)
+
+
+def test_per_axis_phase_tables_match_the_exponential(rng):
+    # off-lattice points: every coordinate distinct, so nothing is shared
+    basis = enumerate_modes(12.0, 2.2)
+    sel = np.arange(0, len(basis), 3)
+    pts = rng.uniform(-4.0, 4.0, size=(57, 3))
+    got = modes._phases(modes._axis_tables(basis, sel, pts), np.arange(sel.size))
+    ref = np.exp(1j * (basis.k[sel] @ pts.T))
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-14
 
 
 def test_commutator_density_vacuum_coincidence():
