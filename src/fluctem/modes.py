@@ -234,12 +234,11 @@ def mode_sum_spectral_density(scene, a, b, omega_center, delta_omega, basis: Mod
         bounds = np.nonzero(np.diff(omsel) > 1e-12 * omega_center)[0] + 1
         groups = np.split(np.arange(sel.size), bounds)
         n = scene.n_voxels
-        interp, values, record = _rows_across_bin(
-            scene, pts, lo, hi, omsel[[g[0] for g in groups]], const)
+        record, rows = _rows_by_group(scene, pts, omsel[[g[0] for g in groups]], const)
         tables = _axis_tables(basis, sel, scene.positions())
         amp_pol = basis.amplitude[sel, None] * basis.pol[sel]  # (M, 3)
-        for row, g in zip(interp, groups):
-            Wg = (row @ values).reshape(n, 18)  # rows (voxel), columns (j, point, i)
+        for W, g in zip(rows, groups):
+            Wg = W.reshape(n, 18)  # rows (voxel), columns (j, point, i)
             for start in range(0, g.size, _CHUNK):
                 gg = g[start : start + _CHUNK]
                 F = mode_field_vacuum(basis, sel[gg], pts)  # (m, 2, 3)
@@ -268,46 +267,42 @@ def _coupled_rows(scene, pts, omega, const):
     return solver._solve(R.transpose(0, 2, 1, 3).reshape(3 * len(pts), -1).T)
 
 
-def _rows_across_bin(scene, pts, lo, hi, freqs, const):
-    """W at each group frequency freqs in [lo, hi], as interpolation rows over node values.
+def _rows_by_group(scene, pts, freqs, const):
+    """W = chi A^-1 rows(pts)^T at each group frequency freqs (ascending), (3N, 6) each.
 
-    W(omega) is analytic across the bin, so it is solved at nested
-    Chebyshev-Lobatto points of [lo, hi], 5, then 9, then 17, until its two
+    W(omega) is analytic across the groups, so when there are more groups
+    than the largest node count it is solved at nested Chebyshev-Lobatto
+    points of [freqs[0], freqs[-1]], 5, then 9, then 17, until its two
     trailing Chebyshev coefficients (the DCT-I of the node values) fall below
     _TAIL_TOLERANCE of the largest, and carried to the groups by barycentric
-    interpolation (Berrut & Trefethen, SIAM Rev. 46, 501 (2004)).  When there
-    are no more groups than the next node count, or 17 nodes do not resolve
-    W (a resonance in the bin), the nodes are the group frequencies
-    themselves, where the interpolant is exact.  Returns the (G, nodes)
-    interpolation matrix, the (nodes, 18 N) node values and the record.
+    interpolation (Berrut & Trefethen, SIAM Rev. 46, 501 (2004)).  With
+    fewer groups, or when 17 nodes do not resolve W (a resonance among the
+    groups), each group is solved at its own frequency, one at a time.
+    Returns the record and an iterator over the groups' W.
     """
-    mid, half = (lo + hi) / 2, (hi - lo) / 2
-    top = _NODE_COUNTS[-1] - 1
-    cheb = np.sin(np.pi * (top - 2 * np.arange(top + 1)) / (2 * top))  # 1 .. -1
-    solved = {}
-    nodes, tail = None, None
-    for count in _NODE_COUNTS:
-        if len(freqs) <= count:
-            break
-        idx = np.arange(0, top + 1, top // (count - 1))
-        for j in idx:
-            if j not in solved:
-                solved[j] = _coupled_rows(scene, pts, mid + half * cheb[j], const).ravel()
-        values = np.stack([solved[j] for j in idx])
-        coef = np.abs(sfft.dct(values, type=1, axis=0)).max(axis=1)
-        coef[[0, -1]] /= 2
-        tail = float(coef[-2:].max() / coef.max()) if coef.max() else 0.0  # W = 0 at chi = 0
-        if tail <= _TAIL_TOLERANCE:
-            nodes = cheb[idx]
-            break
-    at = (freqs - mid) / half
-    record = {"solves": len(solved), "nodes": None if nodes is None else len(nodes),
-              "tail": tail}
-    if nodes is None:
-        nodes = at
-        values = np.stack([_coupled_rows(scene, pts, f, const).ravel() for f in freqs])
-        record["solves"] += len(freqs)
-    return _barycentric(nodes, at), values, record
+    record = {"solves": 0, "nodes": None, "tail": None}
+    if len(freqs) > _NODE_COUNTS[-1]:
+        mid, half = (freqs[0] + freqs[-1]) / 2, (freqs[-1] - freqs[0]) / 2
+        top = _NODE_COUNTS[-1] - 1
+        cheb = np.sin(np.pi * (top - 2 * np.arange(top + 1)) / (2 * top))  # 1 .. -1
+        solved = {}
+        for count in _NODE_COUNTS:
+            idx = np.arange(0, top + 1, top // (count - 1))
+            for j in idx:
+                if j not in solved:
+                    solved[j] = _coupled_rows(scene, pts, mid + half * cheb[j], const)
+            values = np.stack([solved[j].ravel() for j in idx])
+            coef = np.abs(sfft.dct(values, type=1, axis=0)).max(axis=1)
+            coef[[0, -1]] /= 2
+            tail = float(coef[-2:].max() / coef.max()) if coef.max() else 0.0  # W = 0 at chi = 0
+            record.update(solves=len(solved), tail=tail)
+            if tail <= _TAIL_TOLERANCE:
+                record["nodes"] = len(idx)
+                shape = solved[0].shape
+                interp = _barycentric(cheb[idx], (freqs - mid) / half)
+                return record, ((row @ values).reshape(shape) for row in interp)
+    record["solves"] += len(freqs)
+    return record, (_coupled_rows(scene, pts, f, const) for f in freqs)
 
 
 def _barycentric(nodes, at):

@@ -104,6 +104,19 @@ def test_mode_sum_solves_recorded_in_manifest(tmp_path):
     assert "mode_sum" not in json.dumps(manifest["artifacts"])
 
 
+def test_mode_sum_default_bin_in_a_small_box(tmp_path):
+    # L = 20 and no delta_omega: the default bin is pi wide and starts below
+    # zero frequency; its groups are each solved at their own frequency
+    cfg = write_cfg(tmp_path, {"commutator": {
+        "a": [0, 0, 1.2], "b": [0.6, 0.2, -0.4], "omega": 1.0,
+        "mode_sum": {"box_side": 20.0},
+    }})
+    out = tmp_path / "out"
+    assert run_subcommand("commutator", cfg, out) == 0
+    record = json.loads((out / "manifest.json").read_text())["run"]["mode_sum"]
+    assert record["solves"] > 5 and record["nodes"] is None
+
+
 def test_mode_sum_rerun_byte_identical_across_chebyshev_nodes(tmp_path):
     # a lattice cube whose bin holds 68 frequency groups, so W is
     # interpolated from Chebyshev nodes; one thread, the same bytes twice

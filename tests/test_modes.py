@@ -7,6 +7,7 @@ from fluctem.material import DrudeLorentzModel
 from fluctem.modes import (
     ModeError,
     commutator_integral_density,
+    default_bin_width,
     enumerate_modes,
     mode_field_vacuum,
     mode_sum_spectral_density,
@@ -237,21 +238,55 @@ def count_solvers(monkeypatch):
 
 
 def test_mode_sum_interpolates_many_groups_from_chebyshev_nodes(monkeypatch):
-    # 68 frequency groups in the bin: W(omega) is solved at 17 nested
-    # Chebyshev-Lobatto points of the bin and interpolated to each group
+    # 90 frequency groups in the bin: W(omega) is solved at nested
+    # Chebyshev-Lobatto points spanning the groups, not the bin edges, and
+    # interpolated to each group
     sc = two_material_cube()
     a, b = np.array([0.3, 0.2, 1.5]), np.array([-0.9, 0.4, 0.1])
     basis = enumerate_modes(40 * np.pi, 1.06)
-    ref, groups = per_group_mode_sum(sc, a, b, 1.0, 0.1, basis)
+    ref, groups = per_group_mode_sum(sc, a, b, 1.0, 0.11, basis)
+    om = basis.omega_alpha[np.abs(basis.omega_alpha - 1.0) <= 0.055]
     made = count_solvers(monkeypatch)
-    sd = mode_sum_spectral_density(sc, a, b, 1.0, 0.1, basis)
+    sd = mode_sum_spectral_density(sc, a, b, 1.0, 0.11, basis)
     assert groups > 17
     assert len(made) <= 17
     assert sd.metadata["solves"] == len(made)
     assert sd.metadata["nodes"] == len(made)
     assert sd.metadata["tail"] <= modes._TAIL_TOLERANCE
-    assert min(made) == pytest.approx(0.95, rel=1e-15)
-    assert max(made) == pytest.approx(1.05, rel=1e-15)
+    assert min(made) == pytest.approx(om.min(), rel=1e-15) and om.min() > 0.945
+    assert max(made) == pytest.approx(om.max(), rel=1e-15) and om.max() < 1.055
+    assert np.linalg.norm(sd.value - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_mode_sum_few_groups_make_one_solve_each(monkeypatch):
+    # no more groups than the largest node count: no Chebyshev node is
+    # solved, so the bin costs one solve per group and no more
+    sc = two_material_cube()
+    a, b = np.array([0.3, 0.2, 1.5]), np.array([-0.9, 0.4, 0.1])
+    basis = enumerate_modes(8 * np.pi, 1.2)
+    ref, groups = per_group_mode_sum(sc, a, b, 1.0, 0.3, basis)
+    made = count_solvers(monkeypatch)
+    sd = mode_sum_spectral_density(sc, a, b, 1.0, 0.3, basis)
+    assert 5 < groups <= 17
+    assert len(made) == sd.metadata["solves"] == groups
+    assert (sd.metadata["nodes"], sd.metadata["tail"]) == (None, None)
+    assert np.linalg.norm(sd.value - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_mode_sum_default_bin_reaching_below_zero_frequency(monkeypatch):
+    # the default bin width at L = 20 is pi, so the bin starts at 1 - pi/2 < 0;
+    # every solve stays at a mode frequency or between two of them
+    sc = two_material_cube()
+    a, b = np.array([0.3, 0.2, 1.5]), np.array([-0.9, 0.4, 0.1])
+    delta = default_bin_width(20.0, 1.0)
+    basis = enumerate_modes(20.0, 1.0 + delta / 2)
+    ref, groups = per_group_mode_sum(sc, a, b, 1.0, delta, basis)
+    made = count_solvers(monkeypatch)
+    sd = mode_sum_spectral_density(sc, a, b, 1.0, None, basis)
+    assert 1.0 - delta / 2 < 0 and groups > 17
+    assert sd.metadata["solves"] == len(made)
+    assert min(made) >= basis.omega_alpha.min() * (1 - 1e-15)
+    assert max(made) <= basis.omega_alpha.max() * (1 + 1e-15)
     assert np.linalg.norm(sd.value - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
