@@ -197,11 +197,10 @@ def equivalence_densities(scatterer_material, omega, a, b, box_side, shell_eps_i
     smode = mode_sum_spectral_density(scene3, a, b, omega, delta_omega, basis,
                                       window=window, const=const)
 
-    solver12 = EffectiveSolver(scene, omega, const=const)
-    shell_noise = noise_correlator_density(scene, "shell", omega, a, b,
-                                           const=const, solver=solver12, nsub=nsub)
-
+    # the shell is not in the interaction matrix: one solver serves both scenes
     solver3 = EffectiveSolver(scene3, omega, const=const)
+    shell_noise = noise_correlator_density(scene, "shell", omega, a, b,
+                                           const=const, solver=solver3, nsub=nsub)
     imag_density = commutator_density(scene3, omega, a, b, const=const, solver=solver3)
     scat_noise = noise_correlator_density(scene3, "scatterer", omega, a, b,
                                           const=const, solver=solver3, nsub=nsub)

@@ -77,7 +77,7 @@ import scipy.linalg as sla
 
 from .constants import DEFAULT, Constants
 from .material import eval_permittivity
-from .scene import Scene, shell_voxelization, sphere_quadrature, warn_if_thin_shell
+from .scene import Scene, owner_of, shell_voxelization, sphere_quadrature, warn_if_thin_shell
 
 _EYE = np.eye(3)
 
@@ -471,9 +471,9 @@ class EffectiveSolver:
         reshapes to the (3P, 3N) operand of a product without a copy.
         """
         pts = np.atleast_2d(pts)
-        owner = self.scene.voxel_owner(pts)
         d = pts[:, None, :] - self.pos[None, :, :]
         r = np.linalg.norm(d, axis=-1)
+        owner = owner_of(d, r, self.scene.voxel_pitch)
         r[r == 0] = 1.0  # r = 0 only inside the owner voxel, overwritten below
         rows = np.empty((len(pts), 3, len(self.pos), 3), dtype=complex).transpose(0, 2, 1, 3)
         _dyadic(d, r, self.k, self.dv * self.k**2, out=rows)
@@ -572,10 +572,11 @@ class EffectiveSolver:
     def _near_field_guard(self, pts):
         dmin = np.inf
         for sl in self._blocks(len(pts)):
-            if np.any(self.scene.voxel_owner(pts[sl]) >= 0):
+            d = pts[sl, None, :] - self.pos[None, :, :]
+            r = np.linalg.norm(d, axis=-1)
+            if np.any(owner_of(d, r, self.scene.voxel_pitch) >= 0):
                 return
-            d = np.linalg.norm(pts[sl, None, :] - self.pos[None, :, :], axis=-1)
-            dmin = d.min(initial=dmin)
+            dmin = r.min(initial=dmin)
         if dmin < self.scene.voxel_pitch:
             warnings.warn(
                 "evaluation point within one pitch of a scatterer voxel; "

@@ -117,9 +117,6 @@ class TabulatedPermittivity:
         return complex(val) if np.ndim(omega) == 0 else val
 
 
-MaterialRef = (Vacuum, DrudeLorentzModel, TabulatedPermittivity)
-
-
 def _check_omega(omega):
     w = np.asarray(omega)
     if not np.all(np.isreal(w)) or np.any(np.real(w) <= 0):

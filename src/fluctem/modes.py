@@ -132,13 +132,11 @@ def mode_field_vacuum(basis: ModeBasis, sel, pts):
 
 
 def scattered_mode_field(scene: Scene, basis: ModeBasis, mode_index, x,
-                         const: Constants = DEFAULT, solver: EffectiveSolver = None,
-                         form="interior"):
+                         const: Constants = DEFAULT, solver: EffectiveSolver = None):
     """Self-consistent mode field at x for one basis mode.
 
-    form='interior' solves for the interior polarization and radiates it with the
-    vacuum kernel; form='green' uses the effective tensor acting on the
-    incident field.  The two agree to solver tolerance.
+    Solves for the interior polarization and radiates it with the vacuum
+    kernel.
     """
     sel = np.array([mode_index])
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -149,17 +147,9 @@ def scattered_mode_field(scene: Scene, basis: ModeBasis, mode_index, x,
     if solver is None or abs(solver.omega - om) > 1e-12 * om:
         solver = EffectiveSolver(scene, om, const=const)
     ev_vox = mode_field_vacuum(basis, sel, scene.positions())[0]  # (N, 3)
-    if form == "interior":
-        pol = solver.interior_field(ev_vox)  # chi E
-        rows = solver._coupling_rows(x)  # (P, N, 3, 3) = dV k^2 Gv(x, u)
-        scat = np.einsum("pnij,nj->pi", rows, pol)
-    elif form == "green":
-        geff = solver.green(x, scene.positions(), warn_near=False)  # (P, N, 3, 3)
-        scat = solver.dv * solver.k**2 * np.einsum(
-            "pnij,nj->pi", geff, solver.chi[:, None] * ev_vox
-        )
-    else:
-        raise ModeError(f"unknown form {form!r}")
+    pol = solver.interior_field(ev_vox)  # chi E
+    rows = solver._coupling_rows(x)  # (P, N, 3, 3) = dV k^2 Gv(x, u)
+    scat = np.einsum("pnij,nj->pi", rows, pol)
     out = ev_x + scat
     return out[0] if len(x) == 1 else out
 

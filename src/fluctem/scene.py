@@ -9,7 +9,6 @@ query is pure, so frequency sweeps can share one Scene across workers.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -87,19 +86,11 @@ class Scene:
         """Index of the scatterer voxel whose closed cube holds each point.
 
         pts is (3,) or (P, 3); returns (P,) indices, -1 for points outside
-        every voxel.  Faces count as inside (to 1e-12); a point on a face
-        shared by two voxels belongs to the first in the sorted order.  On a
-        lattice the candidates come from rounding, O(P log N); off-lattice
-        scenes scan every voxel, O(P N).
+        every voxel, by owner_of on every separation, O(P N) time and memory.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if not self.scatterer_voxels:
-            return np.full(len(pts), -1)
-        if self.lattice is not None:
-            return self.lattice.owner(pts)
-        cheb = np.max(np.abs(pts[:, None, :] - self.positions()[None, :, :]), axis=-1)
-        inside = cheb <= self.voxel_pitch / 2.0 + 1e-12
-        return np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
+        d = pts[:, None, :] - self.positions()[None, :, :]
+        return owner_of(d, np.linalg.norm(d, axis=-1), self.voxel_pitch)
 
     def digest(self):
         """Stable content hash recorded in artifact metadata."""
@@ -138,52 +129,36 @@ class Scene:
         return min(margins) if margins else np.inf
 
 
+def owner_of(d, r, pitch):
+    """The owning voxel of each point from its separations d = pts - centres.
+
+    d is (P, N, 3) and r (P, N) their lengths.  A point belongs to the first
+    voxel, in the scene's sorted order, whose closed cube holds it:
+    |d|_inf <= pitch / 2, faces inside to 1e-12.  Returns (P,) indices, -1
+    for a point outside every voxel.
+    """
+    h = pitch / 2.0 + 1e-12
+    # a cube lies within sqrt(3) h of its centre: only those pairs are tested
+    near = r <= 1.75 * h
+    inside = np.zeros_like(near)
+    inside[near] = np.max(np.abs(d[near]), axis=-1) <= h
+    if not inside.shape[1]:  # no voxels: argmax has nothing to reduce
+        return np.full(len(inside), -1)
+    return np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
+
+
 @dataclass(frozen=True, eq=False)
 class Lattice:
-    """Voxels on one cubic lattice: pos[v] = origin + pitch * cells[v].
+    """Voxels on one cubic lattice: centre v = origin + pitch * cells[v].
 
     cells are non-negative integers inside the bounding box shape; each
-    cell holds at most one voxel.  keys are the cells' C-order linear
-    indices, sorted, and order[i] is the voxel at keys[i].
+    cell holds at most one voxel.  The origin is the per-axis minimum of the
+    centres.
     """
 
-    origin: np.ndarray  # (3,)
     pitch: float
     cells: np.ndarray  # (N, 3) int64
     shape: tuple  # cells per axis
-    pos: np.ndarray  # (N, 3) the stored voxel centres
-    keys: np.ndarray  # (N,) sorted linear cell indices
-    order: np.ndarray  # (N,) voxel index of each key
-
-    def owner(self, pts):
-        """Scene.voxel_owner by rounding: the same rule, decided on the same centres.
-
-        Per axis a point lies in one cell, or in two when it is on a face
-        (to the 1e-12 face tolerance plus the 1e-9 lattice tolerance); each
-        candidate is looked up by its key and tested like the scan does.
-        """
-        n = len(self.cells)
-        t = (pts - self.origin) / self.pitch
-        # non-finite and far points map just outside the box, where no voxel is
-        t = np.clip(np.where(np.isfinite(t), t, -2.0), -2.0, np.array(self.shape) + 1.0)
-        tol = 1e-12 / self.pitch + 1e-8
-        lo = np.ceil(t - 0.5 - tol).astype(np.int64)
-        hi = np.floor(t + 0.5 + tol).astype(np.int64)
-        two = np.flatnonzero((hi != lo).any(axis=0))  # axes with a face point
-        best = np.full(len(pts), n)
-        for upper in itertools.product((False, True), repeat=len(two)):
-            m = lo.copy()
-            up = two[list(upper)]
-            m[:, up] = hi[:, up]
-            ok = np.all((m >= 0) & (m < self.shape), axis=1)
-            key = np.ravel_multi_index(tuple(m[ok].T), self.shape)
-            i = np.minimum(np.searchsorted(self.keys, key), n - 1)
-            v = self.order[i]
-            hit = self.keys[i] == key
-            hit &= np.max(np.abs(pts[ok] - self.pos[v]), axis=1) <= self.pitch / 2.0 + 1e-12
-            at = np.flatnonzero(ok)[hit]
-            best[at] = np.minimum(best[at], v[hit])
-        return np.where(best < n, best, -1)
 
 
 def _lattice(pos, pitch):
@@ -204,12 +179,9 @@ def _lattice(pos, pitch):
         return None
     cells = cells.astype(np.int64)
     shape = tuple(int(L) for L in shape)
-    keys = np.ravel_multi_index(tuple(cells.T), shape)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    if np.any(keys[1:] == keys[:-1]):
+    if len(np.unique(np.ravel_multi_index(tuple(cells.T), shape))) < len(cells):
         return None
-    return Lattice(origin, float(pitch), cells, shape, pos, keys, order)
+    return Lattice(float(pitch), cells, shape)
 
 
 def _material_tag(m):
@@ -363,11 +335,6 @@ class SurfaceQuadrature:
     normals: np.ndarray  # (N, 3)
     weights: np.ndarray  # (N,)
     exactness_degree: int
-
-    def integrate(self, values):
-        """Sum_i w_i values_i along the first axis."""
-        v = np.asarray(values)
-        return np.tensordot(self.weights, v, axes=(0, 0))
 
 
 def sphere_quadrature(radius, order) -> SurfaceQuadrature:

@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from fluctem.cli import UsageError, main, run_subcommand
+from fluctem.cli import SUBCOMMANDS, UsageError, main, run_subcommand
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 BASE_SCENE = {
     "box_side": 40.0,
@@ -353,3 +356,12 @@ def test_verify_equivalence_levels(tmp_path):
         "omega": 1.0, "tolerance": 1e-5, "levels": levels}}, name="strict.yaml")
     assert run_subcommand("verify-equivalence", cfg2, tmp_path / "out2") == 2
 
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_shipped_configs_run(tmp_path, name):
+    config = CONFIGS / ("casimir.yaml" if name == "casimir" else "reference.yaml")
+    assert run_subcommand(name, config, tmp_path) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["artifacts"]
+    for artifact in manifest["artifacts"]:
+        assert len(list(tmp_path.rglob(artifact))) == 1, artifact

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg as sla
 
 from fluctem import greens
+from fluctem import scene as scene_module
 from fluctem.greens import (
     EffectiveSolver,
     GreensError,
@@ -22,7 +23,7 @@ from fluctem.greens import (
     vacuum_green_block_offdiag,
     vacuum_imag_coincidence,
 )
-from fluctem.modes import enumerate_modes, scattered_mode_field
+from fluctem.modes import enumerate_modes
 from fluctem.observables import ldos
 from fluctem.scene import Scene, Shell, build_scene, sphere_quadrature
 
@@ -316,11 +317,14 @@ def test_assembly_work_counters(monkeypatch):
     # the kernel on pairs v > u only, one chunk of rows at a time, and no
     # voxel-owner lookup: each centre lies in its own cell
     pairs, owner_calls = [], []
-    dyadic, owner = greens._dyadic, Scene.voxel_owner
+    dyadic, owner, owner_of = greens._dyadic, Scene.voxel_owner, scene_module.owner_of
     monkeypatch.setattr(greens, "_dyadic",
                         lambda d, r, k, scale=1.0: pairs.append(r.size) or dyadic(d, r, k, scale))
     monkeypatch.setattr(Scene, "voxel_owner",
                         lambda sc, pts: owner_calls.append(len(pts)) or owner(sc, pts))
+    for module in (scene_module, greens):
+        monkeypatch.setattr(module, "owner_of",
+                            lambda d, r, pitch: owner_calls.append(len(d)) or owner_of(d, r, pitch))
     sc = sphere_scene(0.8)
     n, rows = sc.n_voxels, 16
     monkeypatch.setattr(greens, "_ASSEMBLY_BYTES", rows * n * 9 * 16)
@@ -442,15 +446,14 @@ def test_cocg_route_solves_are_bitwise_reproducible(monkeypatch, rng):
 
 
 def test_wide_solve_goes_to_the_factor_before_any_matvec(monkeypatch):
-    # the green form of a mode field solves one column per voxel component
+    # sources at every voxel centre: one column per voxel component
     sc = sphere_scene(0.8)
     cocg_budget(monkeypatch, sc, 1000)  # ten narrow solves, far from 3N = 537 columns
-    basis = enumerate_modes(12.0, 1.3)
-    om = basis.omega_alpha[7]
+    om = enumerate_modes(12.0, 1.3).omega_alpha[7]
     x = np.array([0.2, -0.4, 1.9])
     solver = EffectiveSolver(sc, om)
-    got = scattered_mode_field(sc, basis, 7, x, solver=solver, form="green")
-    ref = scattered_mode_field(sc, basis, 7, x, solver=factor_route(sc, om), form="green")
+    got = solver.green(x, sc.positions(), warn_near=False)
+    ref = factor_route(sc, om).green(x, sc.positions(), warn_near=False)
     assert np.array_equal(got, ref)
     assert solver.diagnostics["route"] == "dense-ldlt"
     assert solver.diagnostics["fallback"] == "budget"

@@ -145,16 +145,6 @@ def test_scattered_field_weak_voxel_born():
     assert np.linalg.norm(scat - born) < 1e-3 * np.linalg.norm(scat)
 
 
-def test_scattered_field_two_forms_agree():
-    sc = one_voxel_scene(eps=2 + 0.5j, pitch=0.4, box=12.0)
-    basis = enumerate_modes(12.0, 1.3)
-    idx = 7
-    x = np.array([0.2, -0.4, 1.9])
-    f1 = scattered_mode_field(sc, basis, idx, x, form="interior")
-    f2 = scattered_mode_field(sc, basis, idx, x, form="green")
-    assert np.linalg.norm(f1 - f2) < 1e-10 * np.linalg.norm(f1)
-
-
 def two_material_cube():
     """27 voxels on the 0.3 lattice, alternating two Drude-Lorentz materials."""
     mats = (DrudeLorentzModel(omega_p=1.2, omega_0=0.9, gamma=0.4),
@@ -166,7 +156,7 @@ def two_material_cube():
 
 def test_mode_sum_matches_forward_route(monkeypatch):
     # reference: each mode's interior field solved forward and radiated by
-    # the coupling rows (scattered_mode_field, form="interior"); blocks of 7
+    # the coupling rows (scattered_mode_field); blocks of 7
     # modes put block boundaries inside the frequency groups
     monkeypatch.setattr(modes, "_CHUNK", 7)
     sc = two_material_cube()

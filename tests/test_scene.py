@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fluctem.greens import EffectiveSolver
 from fluctem.material import DrudeLorentzModel, MaterialError, TabulatedPermittivity
 from fluctem.scene import (
     Scene,
@@ -217,6 +218,21 @@ def cube_probe_points(sc, rng):
     return np.vstack([pts, rng.uniform(lo, hi, (2000, 3)), [[1e30, 0.0, 0.0]]])
 
 
+def owner_scenes(rng):
+    """A lattice scene, the same cells in permuted order, and an off-lattice pair."""
+    pitch = 0.23
+    origin = np.array([0.31, -0.7, 0.05])
+    cells = rng.permutation(np.argwhere(rng.random((6, 5, 7)) < 0.4))
+    lattice = build_scene({"box_side": 20.0, "voxel_pitch": pitch, "voxels": [
+        {"position": list(origin + pitch * m), "material": "vacuum"} for m in cells]})
+    shuffled = Scene(box_side=20.0, voxel_pitch=pitch, scatterer_voxels=tuple(
+        (tuple(origin + pitch * m), FixedEps(2.0)) for m in cells))
+    off = build_scene({"box_side": 20.0, "voxel_pitch": np.pi / 6, "voxels": [
+        {"position": [0.0, 0.0, z], "material": "vacuum"} for z in (-0.6, 0.6)]})
+    assert lattice.lattice is not None and shuffled.lattice is not None and off.lattice is None
+    return lattice, shuffled, off
+
+
 def test_voxel_owner_matches_the_scan_on_and_off_the_lattice(rng):
     pitch = 0.23
     origin = np.array([0.31, -0.7, 0.05])
@@ -236,6 +252,21 @@ def test_voxel_owner_matches_the_scan_on_and_off_the_lattice(rng):
         owner = sc.voxel_owner(pts)
         assert np.array_equal(owner, owner_by_scan(sc, pts))
         assert np.any(owner >= 0) and np.any(owner < 0)
+
+
+def test_coupling_rows_hold_the_self_term_in_the_owner_column_only(rng):
+    # the rows read the owner off their own separations: cself I exactly in
+    # the scan's voxel, and nowhere else, at faces, edges and corners too
+    for sc in owner_scenes(rng):
+        pts = cube_probe_points(sc, rng)
+        owner = owner_by_scan(sc, pts)
+        solver = EffectiveSolver(sc, 1.0)
+        held = np.all(solver._coupling_rows(pts) == solver.cself * np.eye(3), axis=(-2, -1))
+        want = np.zeros_like(held)
+        inside = np.flatnonzero(owner >= 0)
+        want[inside, owner[inside]] = True
+        assert np.array_equal(held, want)
+        assert inside.size and inside.size < len(pts)
 
 
 def voxelize_by_loop(prim, pitch):
