@@ -87,8 +87,13 @@ def noise_correlator_density(scene: Scene, region, omega, a, b,
     b = np.asarray(b, dtype=float)
     if solver is None:
         solver = EffectiveSolver(scene, omega, const=const)
+    return _region_density(scene, region, omega, a, b, const, solver,
+                           _polarization(solver, a, b), nsub)
+
+
+def _region_density(scene, region, omega, a, b, const, solver, chiX, nsub):
+    """noise_correlator_density radiated from a given chi X for [a, b]."""
     pref = (const.hbar / np.pi) * (omega / const.c) ** 2
-    chiX = _polarization(solver, a, b)
     parts = {}
     if region in ("scatterer", "all"):
         parts["scatterer"] = pref * _scatterer_term(scene, omega, a, b, const, solver, chiX, nsub)
@@ -197,13 +202,13 @@ def equivalence_densities(scatterer_material, omega, a, b, box_side, shell_eps_i
     smode = mode_sum_spectral_density(scene3, a, b, omega, delta_omega, basis,
                                       window=window, const=const)
 
-    # the shell is not in the interaction matrix: one solver serves both scenes
+    # the shell is not in the interaction matrix: one solver, and its one
+    # solve for the sources [a, b], serve both scenes
     solver3 = EffectiveSolver(scene3, omega, const=const)
-    shell_noise = noise_correlator_density(scene, "shell", omega, a, b,
-                                           const=const, solver=solver3, nsub=nsub)
+    chiX = _polarization(solver3, a, b)
+    shell_noise = _region_density(scene, "shell", omega, a, b, const, solver3, chiX, nsub)
     imag_density = commutator_density(scene3, omega, a, b, const=const, solver=solver3)
-    scat_noise = noise_correlator_density(scene3, "scatterer", omega, a, b,
-                                          const=const, solver=solver3, nsub=nsub)
+    scat_noise = _region_density(scene3, "scatterer", omega, a, b, const, solver3, chiX, nsub)
     dens = {
         "mode-sum": smode.value,
         "shell-noise": shell_noise.value,

@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 
 class MaterialError(ValueError):
@@ -84,9 +83,12 @@ class TabulatedPermittivity:
 
     omegas: tuple
     values: tuple
-    _spline: CubicSpline = field(init=False, repr=False, compare=False, default=None)
+    _spline: object = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
+        # imported here, its only user, so a run without a table never loads it
+        from scipy.interpolate import CubicSpline
+
         w = np.asarray(self.omegas, dtype=float)
         v = np.asarray(self.values, dtype=complex)
         if w.ndim != 1 or w.size < 4:
@@ -119,8 +121,8 @@ class TabulatedPermittivity:
 
 def _check_omega(omega):
     w = np.asarray(omega)
-    if not np.all(np.isreal(w)) or np.any(np.real(w) <= 0):
-        raise MaterialError("omega must be real and > 0")
+    if not np.all(np.isreal(w)) or not np.all(np.isfinite(w)) or np.any(np.real(w) <= 0):
+        raise MaterialError("omega must be real, finite and > 0")
 
 
 def eval_permittivity(material, omega):

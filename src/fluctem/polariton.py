@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .material import DrudeLorentzModel, MaterialError, resonance_params
 
@@ -144,6 +143,9 @@ def window_integral_norm(m: DrudeLorentzModel, omega_alpha, branch="upper",
     (2/pi) arctan(w)^(1/2) -> 1 for a resonance-dominated window of
     half-width w leak widths.
     """
+    # imported here, its only user, so a run that integrates no window never loads it
+    from scipy.integrate import quad
+
     w = float(window_halfwidths)
     if w < 3:
         raise PolaritonError("window_halfwidths must be >= 3")

@@ -16,7 +16,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .material import (
     VACUUM,
@@ -184,6 +183,62 @@ def _lattice(pos, pitch):
     return Lattice(float(pitch), cells, shape)
 
 
+# a cell itself, then the 13 of its 26 neighbours that follow it in key order
+_FORWARD = [(0, 0, 0), (0, 0, 1), (0, 1, -1), (0, 1, 0), (0, 1, 1)] + [
+    (1, dy, dz) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
+]
+
+
+def _any_pair_within(pos, dmin):
+    """Whether two of the centres pos (N, 3) lie at distance <= dmin.
+
+    Centres are binned into cubic cells a hair wider than dmin, so a close
+    pair shares a cell or sits in two touching ones, and every cell that
+    holds no close pair holds at most 15 centres.  Sorted by cell, each
+    centre meets the others in its cell and in its 13 forward neighbours,
+    one index offset within the met cell per pass: O(N log N) time, O(N)
+    memory.  The centres must be finite.
+    """
+    if len(pos) < 2:
+        return False
+    # the margin absorbs the rounding of the binning: a pair within dmin
+    # lands in cells at most one apart on every axis while the scene spans
+    # fewer than 1e9 cells.  Lattice centres sit mid-cell, one to a cell
+    t = (pos - pos.min(axis=0)) / (dmin * (1 + 1e-6))
+    cells = np.floor(t + 0.5).astype(np.int64)
+    # per axis, steps of 0 and 1 between occupied cells stay, longer ones
+    # become 2: neighbours stay neighbours, and the key below is bounded by
+    # the voxel count (it fits int64 below 2^20 voxels), not the extent
+    for ax in range(3):
+        u, inv = np.unique(cells[:, ax], return_inverse=True)
+        cells[:, ax] = np.concatenate(([1], 1 + np.cumsum(np.minimum(np.diff(u), 2))))[inv]
+    L = cells.max(axis=0) + 2  # a free cell either side of every axis
+    if np.prod(L, dtype=float) >= 2.0**63:
+        raise SceneError("too many scatterer voxels for the overlap check")
+    key = (cells[:, 0] * L[1] + cells[:, 1]) * L[2] + cells[:, 2]
+    order = np.argsort(key, kind="stable")
+    key, pos = key[order], pos[order]
+
+    def close(i, j):
+        d = pos[i] - pos[j]
+        return bool(np.any(np.einsum("ij,ij->i", d, d) <= dmin * dmin))
+
+    # a centre meets those after it in its own cell, and that comes first, so
+    # no neighbour cell met later holds more than 15 centres
+    after = np.arange(1, len(key) + 1)
+    for dx, dy, dz in _FORWARD:
+        target = key + (dx * L[1] + dy) * L[2] + dz
+        lo = after if (dx, dy, dz) == (0, 0, 0) else np.searchsorted(key, target)
+        hi = np.searchsorted(key, target, side="right")
+        for k in range(len(key)):
+            i = np.flatnonzero(lo + k < hi)
+            if not i.size:
+                break
+            if close(i, lo[i] + k):
+                return True
+    return False
+
+
 def _material_tag(m):
     if isinstance(m, Vacuum):
         return "vacuum"
@@ -208,10 +263,10 @@ def build_scene(config: dict, base_dir=".") -> Scene:
     """
     box_side = float(config.get("box_side", 0.0))
     pitch = float(config.get("voxel_pitch", 0.0))
-    if pitch <= 0:
-        raise SceneError("voxel_pitch must be > 0")
-    if box_side <= 0:
-        raise SceneError("box_side must be > 0")
+    if not 0 < pitch < np.inf:
+        raise SceneError("voxel_pitch must be finite and > 0")
+    if not 0 < box_side < np.inf:
+        raise SceneError("box_side must be finite and > 0")
 
     voxels = []
     for entry in config.get("voxels", []):
@@ -222,7 +277,9 @@ def build_scene(config: dict, base_dir=".") -> Scene:
 
     voxels.sort(key=lambda pm: pm[0])
     pos = np.array([p for p, _ in voxels]) if voxels else np.zeros((0, 3))
-    if len(voxels) > 1 and cKDTree(pos).query_pairs(pitch * (1 - 1e-9)):
+    if not np.all(np.isfinite(pos)):
+        raise SceneError("scatterer voxel positions must be finite")
+    if _any_pair_within(pos, pitch * (1 - 1e-9)):
         raise SceneError("overlapping scatterer voxels (centers closer than one pitch)")
 
     shell = None

@@ -357,6 +357,24 @@ def test_verify_equivalence_levels(tmp_path):
     assert run_subcommand("verify-equivalence", cfg2, tmp_path / "out2") == 2
 
 
+def test_verify_equivalence_solves_each_source_pair_once(tmp_path, monkeypatch):
+    # per level: one solve for [a, b] serves both noise densities, and the
+    # commutator density makes one solve of its own
+    from fluctem.greens import EffectiveSolver
+
+    solve = EffectiveSolver.interior_solution
+    sources = []
+
+    def counted(self, src):
+        sources.append(len(np.atleast_2d(src)))
+        return solve(self, src)
+
+    monkeypatch.setattr(EffectiveSolver, "interior_solution", counted)
+    assert run_subcommand("verify-equivalence", CONFIGS / "reference.yaml", tmp_path) == 0
+    assert len(sources) == 6
+    assert sources.count(2) == 3  # one two-source solve per level of the three
+
+
 @pytest.mark.parametrize("name", SUBCOMMANDS)
 def test_shipped_configs_run(tmp_path, name):
     config = CONFIGS / ("casimir.yaml" if name == "casimir" else "reference.yaml")

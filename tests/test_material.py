@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fluctem.greens import EffectiveSolver
 from fluctem.material import (
     VACUUM,
     DrudeLorentzModel,
@@ -54,6 +55,23 @@ def test_omega_must_be_positive_real():
         eval_permittivity(m, 0.0)
     with pytest.raises(MaterialError):
         eval_permittivity(m, -2.0)
+
+
+@pytest.mark.parametrize("omega", [np.nan, np.inf, -np.inf, np.array([1.0, np.nan])])
+def test_omega_must_be_finite(omega):
+    # a NaN frequency used to evaluate to nan+nanj and surface later as a
+    # singular LS matrix
+    tab = TabulatedPermittivity((0.5, 1.0, 1.5, 2.0), (2 + 0.1j, 1.8 + 0.2j, 1.6 + 0.1j, 1.5 + 0j))
+    for m in (VACUUM, DrudeLorentzModel(1.2, 0.9, 0.4), tab):
+        with pytest.raises(MaterialError, match="finite"):
+            m.eval(omega)
+
+
+def test_solver_rejects_nan_frequency():
+    scene = Scene(box_side=10.0, voxel_pitch=0.3,
+                  scatterer_voxels=(((0.0, 0.0, 0.0), DrudeLorentzModel(1.2, 0.9, 0.4)),))
+    with pytest.raises(MaterialError, match="finite"):
+        EffectiveSolver(scene, np.nan)
 
 
 def test_gamma_strictly_positive():

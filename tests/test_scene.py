@@ -6,6 +6,7 @@ from fluctem.material import DrudeLorentzModel, MaterialError, TabulatedPermitti
 from fluctem.scene import (
     Scene,
     SceneError,
+    _any_pair_within,
     build_scene,
     shell_voxelization,
     sphere_quadrature,
@@ -74,6 +75,105 @@ def test_lattice_neighbours_do_not_overlap():
                    {"position": [0.1, 0.1, 0], "material": DL}],
     })
     assert sc.n_voxels == 3
+
+
+DMIN = 0.1 * (1 - 1e-9)  # build_scene's bound at pitch 0.1
+
+
+def _oracle(pos, dmin):
+    """Whether any pair lies at distance <= dmin, by cKDTree.query_pairs."""
+    from scipy.spatial import cKDTree
+
+    return len(pos) > 1 and bool(cKDTree(pos).query_pairs(dmin))
+
+
+def test_overlap_check_matches_kdtree_on_random_clouds(rng):
+    hits = 0
+    for _ in range(300):
+        n = int(rng.integers(2, 80))
+        pos = rng.uniform(-1.0, 1.0, (n, 3)) * rng.choice([0.2, 1.0, 10.0])
+        if rng.random() < 0.3:  # snap to a grid: exact distances and ties
+            pos = np.round(pos * 20) / 20
+        dmin = float(rng.choice([0.05, 0.1, 0.3]))
+        want = _oracle(pos, dmin)
+        assert _any_pair_within(pos, dmin) == want
+        hits += want
+    assert 30 < hits < 270  # both answers were exercised
+
+
+def test_overlap_check_on_shuffled_lattice_spheres(rng):
+    for radius in (0.25, 0.6):
+        sc = build_scene({"box_side": 40.0, "voxel_pitch": 0.1, "primitives": [
+            {"shape": "sphere", "radius": radius, "material": DL}]})
+        pos = rng.permutation(sc.positions())
+        assert not _any_pair_within(pos, DMIN) and not _oracle(pos, DMIN)
+        # one centre moved a hundredth of a pitch toward a face neighbour
+        i = int(rng.integers(len(pos)))
+        j = int(np.argmin(np.where(np.arange(len(pos)) == i, np.inf,
+                                   np.linalg.norm(pos - pos[i], axis=1))))
+        pos[i] += 0.01 * (pos[j] - pos[i])
+        assert _any_pair_within(pos, DMIN) and _oracle(pos, DMIN)
+
+
+@pytest.mark.parametrize("direction", [(1, 0, 0), (1, 1, 0), (1, 1, 1), (-3, 2, 1)])
+def test_overlap_check_inclusive_at_dmin_to_one_ulp(direction):
+    u = np.asarray(direction, float) / np.linalg.norm(direction)
+    for origin in (np.zeros(3), np.array([0.37, -5.1, 2.2])):
+        for dist in (np.nextafter(DMIN, 0), DMIN, np.nextafter(DMIN, 1)):
+            pos = np.array([origin, origin + dist * u])
+            assert _any_pair_within(pos, DMIN) == _oracle(pos, DMIN)
+    # on an axis the distance is exact: dmin itself overlaps, one ulp more does not
+    assert _any_pair_within(np.array([[0, 0, 0], [DMIN, 0, 0]]), DMIN)
+    assert not _any_pair_within(np.array([[0, 0, 0], [np.nextafter(DMIN, 1), 0, 0]]), DMIN)
+
+
+def test_overlap_check_finds_every_lone_close_pair(rng):
+    # two centres just inside dmin, in a random direction: over the draws
+    # the pair straddles every face, edge and corner between cells
+    for _ in range(500):
+        u = rng.normal(size=3)
+        p = rng.uniform(-1.0, 1.0, 3)
+        pos = np.array([p, p + rng.uniform(0.5, 0.999) * DMIN * u / np.linalg.norm(u)])
+        assert _any_pair_within(pos, DMIN)
+
+
+def test_overlap_check_coincident_and_crowded_centres(rng):
+    assert _any_pair_within(np.array([[0.3, 0.2, 0.1]] * 2), DMIN)
+    # in units of dmin; the centre at the origin pins the cells.  In one
+    # cell the close pair is the first and the third centre, the second far
+    # from both
+    cell = np.array([[0, 0, 0], [1.6, 1.6, 1.6], [2.45, 2.45, 2.45], [2.1, 1.6, 1.6]])
+    assert _any_pair_within(cell * DMIN, DMIN)
+    assert not _any_pair_within(cell[:3] * DMIN, DMIN)
+    # the cell above (1.6, 1.6, 1.6) holds two centres, and only its second
+    # is close to it
+    above = np.array([[0, 0, 0], [1.6, 1.6, 1.6], [2.45, 2.45, 3.45], [1.6, 1.6, 2.55]])
+    assert _any_pair_within(above * DMIN, DMIN)
+    assert not _any_pair_within(above[:3] * DMIN, DMIN)
+    # a hundred centres in one cell, and a cell crowded far from the rest
+    crowd = rng.uniform(0.0, DMIN / 2, (100, 3))
+    assert _any_pair_within(crowd, DMIN)
+    far = np.vstack([np.arange(50)[:, None] * [0.2, 0, 0], crowd + 100.0])
+    assert _any_pair_within(far, DMIN) == _oracle(far, DMIN)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_lengths_error(bad):
+    two = [{"position": [0, 0, 0], "material": DL}, {"position": [1, 0, 0], "material": DL}]
+    off = [two[0], {"position": [bad, 0, 0], "material": DL}]
+    for cfg in ({"box_side": 10.0, "voxel_pitch": 0.1, "voxels": off},
+                {"box_side": 10.0, "voxel_pitch": bad, "voxels": two},
+                {"box_side": bad, "voxel_pitch": 0.1, "voxels": two}):
+        with pytest.raises(SceneError, match="finite"):
+            build_scene(cfg)
+
+
+def test_overlap_check_on_empty_and_single_scenes():
+    assert not _any_pair_within(np.zeros((0, 3)), DMIN)
+    assert not _any_pair_within(np.zeros((1, 3)), DMIN)
+    for voxels in ([], [{"position": [0, 0, 0], "material": DL}]):
+        sc = build_scene({"box_side": 10.0, "voxel_pitch": 0.1, "voxels": voxels})
+        assert sc.n_voxels == len(voxels)
 
 
 def test_gamma_clamp_applies_to_config_mappings_only():
