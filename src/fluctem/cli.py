@@ -399,7 +399,9 @@ def main(argv=None):
     parser.add_argument("--config", required=True, help="YAML run configuration")
     parser.add_argument("--out", required=True, help="output directory for artifacts")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: config, env FLUCTEM_THREADS, or 1)")
+                        help="worker threads; correlator runs its frequencies in parallel, "
+                             "each on its own solver (default: config, env FLUCTEM_THREADS, "
+                             "or 1)")
     try:
         args = parser.parse_args(argv)
         return run_subcommand(args.subcommand, args.config, args.out, threads=args.threads)

@@ -17,10 +17,10 @@ indefinite matrices, about half the flops of LU).  Every caller radiates the
 polarization chi A^-1 rhs = C^1/2 S^-1 C^1/2 rhs, so no step divides by chi
 and voxels with chi = 0 stay exact.
 
-The first solve factors S in place, so the solver never holds S beside its
-factor: the factor takes the place of S, and a first solve adds only the
-LDL^T workspace to the matrix bytes.  memory_cap still allows 2x, for the
-factor and an S that a later read of system reassembles.
+The first solve on the factor route assembles S and factors it in place, so
+the solver never holds S beside its factor: the factor takes the place of
+S.  A solver has one owner and holds no lock; callers that run in parallel
+each build their own.
 
 Lattice scenes (Scene.lattice, the padded FFT grid no larger than S) can
 take a second route that never forms S: COCG (van der Vorst & Melissen 1990)
@@ -67,7 +67,6 @@ source along r, which crosses the annulus exactly.
 
 from __future__ import annotations
 
-import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -100,6 +99,10 @@ _ASSEMBLY_BYTES = 2 * 2**20
 # 1.085x the matrix bytes (1.140x at 64), and at N = 739 it factors as fast
 # as 64
 _LDLT_PANEL = 32
+
+# the largest estimated peak a solver admits, 2 x (3N)^2 x 16 bytes: S or its
+# factor, plus one more array as large as S (see EffectiveSolver.__init__)
+_MEMORY_CAP = 2 * 1024**3
 
 # a lattice solver's work budget, in column-matvecs, is this constant times
 # (3N)^3 / (cells of the padded grid): about what assembly and LDL^T cost, in
@@ -204,27 +207,27 @@ class EffectiveSolver:
     """Lippmann-Schwinger solve bound to one (scene, omega).
 
     Lattice scenes whose budget covers a one-source solve start on COCG
-    with the FFT matvec and form S only if that route is left; other scenes
-    assemble S here and factor it on first use.  Immutable but for the
-    route, which only moves down the ladder (see _leave); share freely
-    across threads (a lock makes each move, the assembly, the lattice
-    tables and each factorization happen once).  All spatial evaluations
-    accept arbitrary points, handling points inside voxels through the
+    with the FFT matvec and form S only if that route is left; on the
+    factor route the first solve assembles S and factors it.  Its state is
+    the route, which only moves down the ladder (see _leave), the factor
+    and the COCG budget.  It has one owner and holds no lock: threads that
+    run in parallel each build their own.  All spatial evaluations accept
+    arbitrary points, handling points inside voxels through the
     cell-averaged (regularized) kernel.
     """
 
-    def __init__(self, scene: Scene, omega, const: Constants = DEFAULT,
-                 memory_cap=2 * 1024**3):
+    def __init__(self, scene: Scene, omega, const: Constants = DEFAULT):
         n = scene.n_voxels
-        # S and one chunk of kernel rows during assembly; later the LDL^T
-        # factor, which overwrites S, and an S that a read of system
-        # reassembles.  The lattice route forms neither unless it falls back,
-        # so it is held to the same bound
+        # S or its LDL^T factor, which overwrites S, plus one more array as
+        # large as S: the lattice tables, the assembly chunk, a right-hand
+        # side as wide as S, or a read of system after the factor.  The
+        # lattice route forms S only if it falls back, so it is held to the
+        # same bound
         peak = 2 * (3 * n) ** 2 * 16
-        if peak > memory_cap:
+        if peak > _MEMORY_CAP:
             raise MemoryError(
                 f"interaction matrix assembly and factorization would peak at "
-                f"{peak/1e9:.2f} GB (cap {memory_cap/1e9:.2f} GB) for {n} voxels"
+                f"{peak/1e9:.2f} GB (cap {_MEMORY_CAP/1e9:.2f} GB) for {n} voxels"
             )
         self.scene = scene
         self.omega = float(omega)
@@ -236,10 +239,8 @@ class EffectiveSolver:
         self.cself = self_term_coupling(omega, self.dv, c=const.c)
         # any D with D^2 = C gives the same D S^-1 D = chi A^-1: one branch suffices
         self._sqrt_chi3 = np.repeat(np.sqrt(self.chi), 3)[:, None]
-        self._system = None
         self._fact = None  # the LDL^T factor, made in place of S by the first solve on it
         self._matvec = None  # the lattice matvec, built by the first COCG solve
-        self._lock = threading.Lock()
         self.grid = _fft_grid(scene)  # the padded grid of both FFT routes, or None
         budget = 0 if self.grid is None else int(_COCG_BUDGET * (3 * n) ** 3 / np.prod(self.grid))
         self._budget = budget if budget >= 3 * _COCG_ITERATIONS else 0
@@ -255,7 +256,6 @@ class EffectiveSolver:
         }
         if not self._budget:
             self._leave(None)
-            self._assemble()
 
     @property
     def system(self):
@@ -264,31 +264,10 @@ class EffectiveSolver:
         M couples voxel v to voxel u through dV (w/c)^2 Gv(v, u), the self
         term on its diagonal, and C = diag(eps - 1); S is the collocation
         matrix A = I - M C in the scaling C^1/2 A C^-1/2, bit-exact from
-        (scene, omega).  Assembled at construction on the factor route, here
-        on first use on the lattice route, which builds no lattice matvec for
-        it.  The first solve on the factor route overwrites this array with
-        its LDL^T factor, so copy it to keep it past a solve; a read after
-        that reassembles S.
+        (scene, omega).  Assembled afresh on every read, on either route and
+        without the lattice matvec: the caller owns the array, and it is
+        never the one the factor overwrites.
         """
-        with self._lock:
-            return self._assemble()
-
-    def _leave(self, reason):
-        """Leave COCG for the factor route, for good, reporting reason.
-
-        The caller holds the lock (or owns the solver); once any thread has
-        left COCG this does nothing.  The lattice matvec is dropped.
-        """
-        if self._route != "lattice-cocg":
-            return
-        self._route = "dense-ldlt"
-        self._matvec = None
-        self.diagnostics.update(route=self._route, fallback=reason, backward_error=None)
-
-    def _assemble(self):
-        """S = I - C^1/2 M C^1/2, built once (callers hold the lock or own the solver)."""
-        if self._system is not None:
-            return self._system
         n = self.scene.n_voxels
         sq = self._sqrt_chi3[::3, 0]
         S = np.empty((3 * n, 3 * n), dtype=complex)
@@ -313,8 +292,13 @@ class EffectiveSolver:
         # each voxel centre lies in its own cell: the self term, no owner lookup
         own = np.arange(n)
         S4[own, :, own] = (1.0 - self.cself * self.chi)[:, None, None] * _EYE
-        self._system = S
         return S
+
+    def _leave(self, reason):
+        """Leave COCG for the factor route, for good, reporting reason; drop the lattice matvec."""
+        self._route = "dense-ldlt"
+        self._matvec = None
+        self.diagnostics.update(route=self._route, fallback=reason, backward_error=None)
 
     def _kernel(self, d):
         """-dV k^2 Gv for separations d (..., 3) of distinct voxels, shape (..., 3, 3)."""
@@ -335,21 +319,15 @@ class EffectiveSolver:
             return np.zeros(rhs.shape, dtype=complex)  # zsytrs rejects n = 0
         x = self._cocg_solve(s * rhs) if self._route == "lattice-cocg" else None
         if x is None:
-            with self._lock:  # one factorization, however many threads share the solver
-                fact = self._fact or self._factor()
+            fact = self._fact or self._factor()
             # in the Fortran order zsytrs takes, so it solves in b without a copy
             b = np.multiply(s, rhs, order="F")
             x, _ = sla.lapack.zsytrs(*fact, b, lower=1, overwrite_b=1)
         return np.multiply(s, x, out=x)  # s on the left: the bits of s * x
 
     def _factor(self):
-        """LDL^T of S, made in the array of S, which the solver then drops.
-
-        The caller holds the lock; S is assembled here if the lattice route
-        has not needed it yet.
-        """
-        S = self._assemble()
-        self._system = None
+        """LDL^T of S, made in the array of an S assembled for it."""
+        S = self.system
         # S is symmetric, so S.T is S in the Fortran order LAPACK takes, and
         # zsytrf overwrites it without a copy
         ldu, ipiv, info = sla.lapack.zsytrf(S.T, lower=1, lwork=_LDLT_PANEL * len(S),
@@ -372,11 +350,10 @@ class EffectiveSolver:
         solve that starts builds the lattice matvec.
         """
         m = b.shape[1]
-        with self._lock:  # a no-op leave when another thread has left already
-            if self._route != "lattice-cocg" or self._spent + m * self._iterations > self._budget:
-                self._leave("budget")
-                return None
-            op = self._matvec = self._matvec or _LatticeMatvec(self, self.grid)
+        if self._spent + m * self._iterations > self._budget:
+            self._leave("budget")
+            return None
+        op = self._matvec = self._matvec or _LatticeMatvec(self, self.grid)
         x = np.empty(b.shape, dtype=complex)
         for i in range(0, m, op.columns):
             reason = self._cocg(op, b[:, i:i + op.columns], x[:, i:i + op.columns])
@@ -385,18 +362,16 @@ class EffectiveSolver:
         else:
             return x
         del op  # so that leaving frees the lattice tables
-        with self._lock:
-            self._leave(reason)
+        self._leave(reason)
         return None
 
     def _charge(self, cols):
         """Book cols column-matvecs; False, booking nothing, when they exceed the budget."""
-        with self._lock:
-            if self._route != "lattice-cocg" or self._spent + cols > self._budget:
-                return False
-            self._spent += cols
-            self.diagnostics["matvecs"] = self._spent
-            return True
+        if self._spent + cols > self._budget:
+            return False
+        self._spent += cols
+        self.diagnostics["matvecs"] = self._spent
+        return True
 
     def _cocg(self, op, b, out):
         """Jacobi-scaled COCG for S out = b; None on success, else the reason to stop.
@@ -456,10 +431,9 @@ class EffectiveSolver:
                 break
             p = r + beta * p
             rho = rho_next
-        with self._lock:
-            self.diagnostics.update(iterations=its, backward_error=None if reason else err)
-            if reason is None:
-                self._iterations = max(its, 1)
+        self.diagnostics.update(iterations=its, backward_error=None if reason else err)
+        if reason is None:
+            self._iterations = max(its, 1)
         return reason
 
     # -- rhs / kernel helpers -------------------------------------------
@@ -746,7 +720,7 @@ def _fft_grid(scene):
 
     Each axis of L cells pads to next_fast_len(2L - 1), so the circular
     convolution holds every displacement -(L-1)..L-1 once; the route is
-    taken when that grid needs no more bytes than S, which memory_cap
+    taken when that grid needs no more bytes than S, which _MEMORY_CAP
     already allows the solver, whether or not it forms S.
     """
     lat = scene.lattice

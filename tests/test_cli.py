@@ -79,6 +79,19 @@ def test_correlator_rerun_bit_identical(tmp_path):
     assert m1["config_sha256"] == m2["config_sha256"]
 
 
+def test_correlator_threads_write_the_same_bytes(tmp_path):
+    # each frequency builds its own solver, so worker threads share none
+    cfg = write_cfg(tmp_path, {"correlator": {
+        "a": [0, 0, 1.2], "b": [0.6, 0.2, -0.4], "T": 0.8,
+        "omega": {"min": 0.8, "max": 1.2, "points": 5},
+    }})
+    out1, out2 = tmp_path / "t1", tmp_path / "t2"
+    assert run_subcommand("correlator", cfg, out1, threads=1) == 0
+    assert run_subcommand("correlator", cfg, out2, threads=2) == 0
+    assert (out1 / "correlator.csv").read_bytes() == (out2 / "correlator.csv").read_bytes()
+    assert json.loads((out2 / "manifest.json").read_text())["run"]["threads"] == 2
+
+
 def test_commutator_with_mode_sum(tmp_path):
     cfg = write_cfg(tmp_path, {"commutator": {
         "a": [0, 0, 1.2], "b": [0.6, 0.2, -0.4], "omega": 1.0,

@@ -1,5 +1,3 @@
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -147,16 +145,19 @@ def test_near_field_guard_warns():
         solver.green(np.array([[0.0, 0.0, 0.35]]), np.array([[0.0, 0.0, 2.0]]))
 
 
-def test_memory_cap_error_reports_estimate():
+def test_memory_cap_error_reports_estimate(monkeypatch):
     voxels = tuple(((0.0, 0.0, 0.4 * i), FixedEps(2.0)) for i in range(40))
     sc = Scene(box_side=100.0, voxel_pitch=0.35, scatterer_voxels=voxels)
+    monkeypatch.setattr(greens, "_MEMORY_CAP", 1000)
     with pytest.raises(MemoryError, match="GB"):
-        EffectiveSolver(sc, 1.0, memory_cap=1000)
+        EffectiveSolver(sc, 1.0)
     # the cap bounds the matrix plus one more of its size, not the matrix alone
     matrix_bytes = (3 * sc.n_voxels) ** 2 * 16
+    monkeypatch.setattr(greens, "_MEMORY_CAP", 2 * matrix_bytes - 1)
     with pytest.raises(MemoryError, match="peak"):
-        EffectiveSolver(sc, 1.0, memory_cap=2 * matrix_bytes - 1)
-    assert EffectiveSolver(sc, 1.0, memory_cap=2 * matrix_bytes).system.nbytes == matrix_bytes
+        EffectiveSolver(sc, 1.0)
+    monkeypatch.setattr(greens, "_MEMORY_CAP", 2 * matrix_bytes)
+    assert EffectiveSolver(sc, 1.0).system.nbytes == matrix_bytes
 
 
 def two_material_scene():
@@ -243,7 +244,7 @@ def backward_tol(solver):
     return np.sqrt(3 * solver.scene.n_voxels) * 2**-53
 
 
-def test_near_singular_system_falls_back_to_the_double_route(rng):
+def test_near_singular_system_solves_on_the_factor_route(rng):
     # the one factor route on a system near a coupled-mode zero, against
     # general LU of the collocation matrix
     omega = 1e-3
@@ -261,47 +262,13 @@ def test_near_singular_system_falls_back_to_the_double_route(rng):
     assert np.linalg.norm(got - ref) <= 10 * cond * 2**-53 * np.linalg.norm(ref)
 
 
-def test_threads_sharing_a_solver_factor_once(monkeypatch, rng):
-    # more threads than cores on one factor-route solver: each first solve
-    # checks then acts on the shared factor, and since S is factored in place
-    # a lost race would overwrite the live factor, not only factor twice
-    sc = sphere_scene(0.8)
-    rhs = rng.standard_normal((3 * sc.n_voxels, 2)) + 0j
-    ref = EffectiveSolver(sc, 0.9)._solve(rhs)
-    factored = []
-    real = sla.lapack.zsytrf
-    monkeypatch.setattr(sla.lapack, "zsytrf", lambda *a, **k: factored.append(1) or real(*a, **k))
-    solver = EffectiveSolver(sc, 0.9)
-    assert solver.diagnostics["route"] == "dense-ldlt"
-    results = [None] * 8
-    start = threading.Barrier(len(results))
-
-    def work(i):
-        start.wait(timeout=30)
-        results[i] = solver._solve(rhs)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(results))]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(th.is_alive() for th in threads)
-    assert len(factored) == 1
-    assert all(np.array_equal(x, ref) for x in results)
-
-
 def test_factor_route_solves_are_bitwise_reproducible(rng):
     # two solvers give the same bits, and the factor made in place of S gives
-    # the bits of zsytrf on a copy of S
+    # the bits of zsytrf on an S read before the solve, which it leaves intact
     sc = sphere_scene(0.8)
     rhs = rng.standard_normal((3 * sc.n_voxels, 6)) + 0j
     first, second = (EffectiveSolver(sc, 0.9) for _ in range(2))
-    S = first.system.copy()
+    S = first.system
     got = first._solve(rhs)
     assert np.array_equal(got, second._solve(rhs))
     assert first.diagnostics == second.diagnostics
@@ -328,7 +295,7 @@ def test_assembly_work_counters(monkeypatch):
     sc = sphere_scene(0.8)
     n, rows = sc.n_voxels, 16
     monkeypatch.setattr(greens, "_ASSEMBLY_BYTES", rows * n * 9 * 16)
-    EffectiveSolver(sc, 1.0)
+    EffectiveSolver(sc, 1.0).system
     assert 0 < sum(pairs) <= n * (n + 1) // 2 + rows * n  # the parent route: n^2
     assert owner_calls == []
 
@@ -347,13 +314,23 @@ def test_diagnostics_are_a_report_only(monkeypatch):
     monkeypatch.setattr(greens, "_COCG_BUDGET", 1.0)
     solver = EffectiveSolver(sphere_scene(0.8), 0.9)
     solver.diagnostics["route"] = "dense-ldlt"
+    counts = count_assembly(monkeypatch)
     solver.interior_field(np.ones((solver.scene.n_voxels, 3)))
     assert solver._route == "lattice-cocg"
-    assert solver._fact is None and solver._system is None
+    assert solver._fact is None and counts == []
     assert solver.diagnostics["iterations"] > 0
 
 
 # -- the matrix-free lattice route ------------------------------------------
+
+
+def count_assembly(monkeypatch):
+    """A list that gets "assemble" for each assembly of S, through reads of system."""
+    counts = []
+    real = EffectiveSolver.system.fget
+    monkeypatch.setattr(EffectiveSolver, "system",
+                        property(lambda s: counts.append("assemble") or real(s)))
+    return counts
 
 
 def cocg_budget(monkeypatch, sc, matvecs):
@@ -401,6 +378,7 @@ def metallic_sphere():
 def test_cocg_route_matches_dense_lu_of_the_collocation_matrix(monkeypatch, rng):
     # the 1e-12 check of the factor routes, with no matrix formed for the solve
     cocg_budget(monkeypatch, sphere_scene(0.8), 10**6)
+    counts = count_assembly(monkeypatch)
     for sc, omega in ((sphere_scene(0.8), 0.6), (sphere_scene(0.8), 0.9),
                       (sphere_scene(0.8), 1.4), (two_material_sphere(), 0.9)):
         shape = (3 * sc.n_voxels, 4)
@@ -408,7 +386,7 @@ def test_cocg_route_matches_dense_lu_of_the_collocation_matrix(monkeypatch, rng)
         ref = dense_lu_reference(sc, omega, rhs)
         solver = EffectiveSolver(sc, omega)
         got = solver._solve(rhs)
-        assert solver._system is None
+        assert solver._fact is None and counts == []
         assert solver.diagnostics["route"] == "lattice-cocg"
         assert solver.diagnostics["fallback"] is None
         assert solver.diagnostics["iterations"] > 0
@@ -511,47 +489,37 @@ def test_cocg_breakdown_switches_to_the_factor(monkeypatch, rng):
     assert solver.diagnostics["matvecs"] == spent
 
 
-def test_threads_sharing_a_cocg_solver_switch_once(monkeypatch, rng):
-    # eight 3-column solves against a budget for about three: some threads
-    # finish on COCG, the rest run out; the lattice matvec is built once, S
-    # assembled and factored once
+def test_each_route_builds_its_operators_once(monkeypatch, rng):
+    # eight 3-column solves against a budget for about three: the first run
+    # on COCG, the rest on the factor; the lattice matvec is built once, S
+    # assembled and factored once.  A factor-route solver assembles and
+    # factors once over three solves and builds no lattice matvec
     sc = sphere_scene(0.8)
     cocg_budget(monkeypatch, sc, 300)
     rhs = rng.standard_normal((3 * sc.n_voxels, 3)) + 0j
     ref = factor_route(sc, 0.9)._solve(rhs)
-    counts = []
-    real_zsytrf, real_assemble = sla.lapack.zsytrf, EffectiveSolver._assemble
+    counts = count_assembly(monkeypatch)
+    real_zsytrf = sla.lapack.zsytrf
     monkeypatch.setattr(sla.lapack, "zsytrf", lambda *a, **k: counts.append("zsytrf")
                         or real_zsytrf(*a, **k))
-    monkeypatch.setattr(EffectiveSolver, "_assemble", lambda s: counts.append("assemble")
-                        or real_assemble(s))
     real_lattice = greens._LatticeMatvec.__init__
     monkeypatch.setattr(greens._LatticeMatvec, "__init__", lambda op, *a: counts.append("lattice")
                         or real_lattice(op, *a))
     solver = EffectiveSolver(sc, 0.9)
-    results = [None] * 8
-    start = threading.Barrier(len(results))
-
-    def work(i):
-        start.wait(timeout=30)
-        results[i] = solver._solve(rhs)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(results))]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(th.is_alive() for th in threads)
+    routes = []
+    for _ in range(8):
+        x = solver._solve(rhs)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+        routes.append(solver.diagnostics["route"])
     assert counts == ["lattice", "assemble", "zsytrf"]
-    assert solver.diagnostics["route"] == "dense-ldlt"
+    assert routes[0] == "lattice-cocg" and routes[-1] == "dense-ldlt"
     assert solver.diagnostics["fallback"] == "budget"
     assert solver.diagnostics["matvecs"] <= solver.diagnostics["budget"]
-    assert all(np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref) for x in results)
+    counts.clear()
+    solver = factor_route(sc, 0.9)
+    for _ in range(3):
+        assert np.array_equal(solver._solve(rhs), ref)
+    assert counts == ["assemble", "zsytrf"]
 
 
 def test_lattice_ldos_at_n739_factors_nothing_and_reads_no_matrix(monkeypatch):
@@ -565,9 +533,6 @@ def test_lattice_ldos_at_n739_factors_nothing_and_reads_no_matrix(monkeypatch):
     real = sla.lapack.zsytrf
     monkeypatch.setattr(sla.lapack, "zsytrf", lambda *a, **k: factored.append(1) or real(*a, **k))
     monkeypatch.setattr(EffectiveSolver, "system", property(lambda s: reads.append("system")))
-    assemble = EffectiveSolver._assemble
-    monkeypatch.setattr(EffectiveSolver, "_assemble", lambda s: reads.append("assemble")
-                        or assemble(s))
     for omega in (0.6, 1.0, 1.4):
         solver = EffectiveSolver(sc, omega)
         ldos(sc, omega, LDOS_X0, LDOS_N, solver=solver)
@@ -612,16 +577,18 @@ def refuse_lattice_matvec(monkeypatch):
     ({"shape": "box", "half_size": [0.5] * 3}, 125, 0, "dense-ldlt"),  # budget 27
     ({"shape": "box", "half_size": [0.7] * 3}, 343, 150, "lattice-cocg"),
 ])
-def test_the_budget_picks_the_starting_route(shape, n, budget, route):
+def test_the_budget_picks_the_starting_route(monkeypatch, shape, n, budget, route):
     # a lattice solver starts on COCG iff its budget covers one 3-column
     # solve at the expected iterations, 3 * 32 = 96 column-matvecs; on these
-    # scenes that keeps the measured crossover between N = 257 and N = 389
+    # scenes that keeps the measured crossover between N = 257 and N = 389.
+    # Construction assembles nothing on either route
+    counts = count_assembly(monkeypatch)
     solver = EffectiveSolver(lattice_scene(shape), 0.9)
     assert solver.scene.n_voxels == n
     assert solver.diagnostics["budget"] == budget
     assert solver.diagnostics["route"] == route
     assert solver.diagnostics["fallback"] is None
-    assert (solver._system is None) == (route == "lattice-cocg")
+    assert solver._fact is None and counts == []
 
 
 def test_thin_slab_starts_on_cocg_and_matches_the_factor_route():
@@ -654,7 +621,7 @@ def test_two_spheres_without_a_budget_start_on_the_factor(monkeypatch):
     assert solver.diagnostics["budget"] == solver.diagnostics["matvecs"] == 0
 
 
-def test_assemble_ls_system_builds_no_lattice_matvec(monkeypatch):
+def test_reading_system_builds_no_lattice_matvec(monkeypatch):
     sc = sphere_scene(1.2)
     solver = EffectiveSolver(sc, 1.0)
     assert solver.diagnostics["route"] == "lattice-cocg"
@@ -673,9 +640,9 @@ def test_materials_evaluated_once_per_solver(monkeypatch):
 
 
 def test_assembly_and_first_solve_peak_within_twice_the_matrix():
-    # assembly holds S and one chunk of kernel rows; the first solve factors
-    # S in place, so it adds the LDL^T workspace and no second matrix
-    # (measured 1.085x)
+    # construction assembles nothing; the first solve assembles S, one chunk
+    # of kernel rows at a time, then factors it in place, adding the LDL^T
+    # workspace and no second matrix (measured 1.50x, the assembly's peak)
     sc = sphere_scene(0.8)
     assert sc.n_voxels == 179
     matrix_bytes = (3 * sc.n_voxels) ** 2 * 16
@@ -683,14 +650,12 @@ def test_assembly_and_first_solve_peak_within_twice_the_matrix():
     try:
         base = tracemalloc.get_traced_memory()[0]
         solver = EffectiveSolver(sc, 1.0)
-        built = tracemalloc.get_traced_memory()[1] - base
-        tracemalloc.reset_peak()
         solver.green([[0.0, 0.0, 1.8]], [[0.3, 0.0, 2.3]], warn_near=False)
-        solved = tracemalloc.get_traced_memory()[1] - base
+        peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert built <= 2.1 * matrix_bytes
-    assert solved <= 1.2 * matrix_bytes
+    assert solver.diagnostics["route"] == "dense-ldlt"
+    assert peak <= 1.6 * matrix_bytes
 
 
 def test_blocked_evaluation_matches_any_block_size(monkeypatch, rng):
@@ -757,12 +722,18 @@ def test_system_reassembly_bit_exact():
     m1 = EffectiveSolver(sc, 1.0).system
     m2 = EffectiveSolver(sc, 1.0).system
     assert np.array_equal(m1, m2)
-    # the first solve factors S in place and drops it; a later read reassembles it
+    # the first solve factors an S of its own in place; a later read
+    # assembles a fresh S, never the array the factor overwrote
     sc = sphere_scene(0.8)
     solver = EffectiveSolver(sc, 0.9)
+    before = solver.system
     solver.interior_field(np.ones((sc.n_voxels, 3)))
-    assert solver._system is None
-    assert np.array_equal(solver.system, EffectiveSolver(sc, 0.9).system)
+    after = solver.system
+    assert solver._fact is not None
+    assert not np.shares_memory(before, solver._fact[0])
+    assert not np.shares_memory(after, solver._fact[0])
+    assert np.array_equal(before, after)
+    assert np.array_equal(after, EffectiveSolver(sc, 0.9).system)
 
 
 # -- surface functional and the dissipation identity ------------------------
