@@ -489,15 +489,8 @@ def test_cocg_breakdown_switches_to_the_factor(monkeypatch, rng):
     assert solver.diagnostics["matvecs"] == spent
 
 
-def test_each_route_builds_its_operators_once(monkeypatch, rng):
-    # eight 3-column solves against a budget for about three: the first run
-    # on COCG, the rest on the factor; the lattice matvec is built once, S
-    # assembled and factored once.  A factor-route solver assembles and
-    # factors once over three solves and builds no lattice matvec
-    sc = sphere_scene(0.8)
-    cocg_budget(monkeypatch, sc, 300)
-    rhs = rng.standard_normal((3 * sc.n_voxels, 3)) + 0j
-    ref = factor_route(sc, 0.9)._solve(rhs)
+def count_operators(monkeypatch):
+    # "assemble", "zsytrf" and "lattice" in the order the solver builds them
     counts = count_assembly(monkeypatch)
     real_zsytrf = sla.lapack.zsytrf
     monkeypatch.setattr(sla.lapack, "zsytrf", lambda *a, **k: counts.append("zsytrf")
@@ -505,6 +498,18 @@ def test_each_route_builds_its_operators_once(monkeypatch, rng):
     real_lattice = greens._LatticeMatvec.__init__
     monkeypatch.setattr(greens._LatticeMatvec, "__init__", lambda op, *a: counts.append("lattice")
                         or real_lattice(op, *a))
+    return counts
+
+
+def test_a_cocg_solver_switches_once(monkeypatch, rng):
+    # eight 3-column solves against a budget for about three: the first run
+    # on COCG, the rest on the factor; the lattice matvec is built once, S
+    # assembled and factored once
+    sc = sphere_scene(0.8)
+    cocg_budget(monkeypatch, sc, 300)
+    rhs = rng.standard_normal((3 * sc.n_voxels, 3)) + 0j
+    ref = factor_route(sc, 0.9)._solve(rhs)
+    counts = count_operators(monkeypatch)
     solver = EffectiveSolver(sc, 0.9)
     routes = []
     for _ in range(8):
@@ -515,7 +520,15 @@ def test_each_route_builds_its_operators_once(monkeypatch, rng):
     assert routes[0] == "lattice-cocg" and routes[-1] == "dense-ldlt"
     assert solver.diagnostics["fallback"] == "budget"
     assert solver.diagnostics["matvecs"] <= solver.diagnostics["budget"]
-    counts.clear()
+
+
+def test_a_solver_factors_once(monkeypatch, rng):
+    # a factor-route solver assembles and factors once over three solves and
+    # builds no lattice matvec
+    sc = sphere_scene(0.8)
+    rhs = rng.standard_normal((3 * sc.n_voxels, 3)) + 0j
+    ref = factor_route(sc, 0.9)._solve(rhs)
+    counts = count_operators(monkeypatch)
     solver = factor_route(sc, 0.9)
     for _ in range(3):
         assert np.array_equal(solver._solve(rhs), ref)
