@@ -37,6 +37,7 @@ from .observables import (
     casimir_thermal_force,
     ldos,
     spontaneous_rate,
+    unit_orientation,
     vacuum_ldos,
 )
 from .oracle import (
@@ -160,8 +161,7 @@ def _run_ldos(cfg, scene, outdir, const, run):
 def _run_rate(cfg, scene, outdir, const, run):
     rc = cfg.get("rate") or {}
     em = EmitterSpec(position=tuple(rc["position"]),
-                     n_hat=tuple(np.asarray(rc["orientation"], float)
-                                 / np.linalg.norm(rc["orientation"])),
+                     n_hat=tuple(unit_orientation(rc["orientation"])),
                      dipole_moment=float(rc["dipole_moment"]),
                      omega0=float(rc["omega0"]))
     res = spontaneous_rate(scene, em, const=const,

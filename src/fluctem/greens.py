@@ -511,10 +511,26 @@ class EffectiveSolver:
             return scat
         return vacuum_green_block(self.omega, targets, sources, c=self.const.c) + scat
 
-    def green_coincident_scattered(self, pts):
-        """Scattered part at coincidence, shape (P, 3, 3); finite everywhere."""
+    def green_coincident_scattered(self, pts, n_hat=None):
+        """Scattered part at coincidence, finite everywhere: (P, 3, 3), or (P,) with n_hat.
+
+        With an orientation n_hat (a 3-vector) only n . G_s(p, p) . n is
+        formed: its right-hand side is the one column
+        rows(p)^T n / (dV k^2), the same cell-averaged couplings, so one
+        solve of P columns serves the P points instead of one of 3P.  n_hat
+        is taken as given, not normalized.
+        """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         n = self.scene.n_voxels
+        if n_hat is not None:
+            nh = np.asarray(n_hat, dtype=float)
+            # n^T rows(p), a column per point: the right-hand side up to
+            # dV k^2 and, by reciprocity, the row that reads the field back
+            v = np.empty((3 * n, len(pts)), dtype=complex)
+            for sl, R in self._row_blocks(pts):
+                np.einsum("i,tij->jt", nh, R, out=v[:, sl])
+            w = self._solve(v / (self.dv * self.k**2))
+            return np.einsum("jt,jt->t", v, w)
         chiX = self.interior_solution(pts)  # (N, P, 3, 3)
         out = np.empty((len(pts), 3, 3), dtype=complex)
         for sl, R in self._row_blocks(pts):

@@ -25,6 +25,23 @@ class ObservableError(ValueError):
     pass
 
 
+def _finite_vector(v, name):
+    """v as a float array of shape (3,), else ObservableError."""
+    a = np.asarray(v, dtype=float)
+    if a.shape != (3,) or not np.all(np.isfinite(a)):
+        raise ObservableError(f"{name} must be three finite numbers, not {v!r}")
+    return a
+
+
+def unit_orientation(n_hat):
+    """n_hat / |n_hat| for three finite numbers not all zero, else ObservableError."""
+    n = _finite_vector(n_hat, "orientation")
+    norm = np.linalg.norm(n)
+    if not norm > 0:
+        raise ObservableError("orientation must be nonzero")
+    return n / norm
+
+
 @dataclass(frozen=True)
 class EmitterSpec:
     position: tuple
@@ -33,13 +50,14 @@ class EmitterSpec:
     omega0: float
 
     def __post_init__(self):
-        n = np.asarray(self.n_hat, dtype=float)
-        if abs(np.linalg.norm(n) - 1.0) > 1e-9:
+        _finite_vector(self.position, "position")
+        # written so that a NaN fails each test
+        if not abs(np.linalg.norm(_finite_vector(self.n_hat, "n_hat")) - 1.0) <= 1e-9:
             raise ObservableError("n_hat must be a unit vector")
-        if self.dipole_moment < 0:
-            raise ObservableError("dipole magnitude must be >= 0")
-        if self.omega0 <= 0:
-            raise ObservableError("transition frequency must be > 0")
+        if not 0 <= self.dipole_moment < np.inf:
+            raise ObservableError("dipole magnitude must be finite and >= 0")
+        if not 0 < self.omega0 < np.inf:
+            raise ObservableError("transition frequency must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -60,18 +78,22 @@ def ldos(scene: Scene, omega0, x0, n_hat, const: Constants = DEFAULT,
          solver: EffectiveSolver = None):
     """(6 w / pi c^2) Imag[n . G(x0, x0) . n], orientation resolved.
 
-    Empty scenes take the purely analytic path and return the vacuum value
-    to round-off.
+    n_hat is normalized; a zero or non-finite n_hat or x0, or a frequency
+    that is not finite and positive, raises ObservableError.  The scattered
+    part n . G_s(x0, x0) . n is one one-column solve
+    (EffectiveSolver.green_coincident_scattered with n_hat).  Empty scenes
+    take the purely analytic path and return the vacuum value to round-off.
     """
-    x0 = np.asarray(x0, dtype=float)
-    n = np.asarray(n_hat, dtype=float)
-    n = n / np.linalg.norm(n)
+    if not 0 < omega0 < np.inf:
+        raise ObservableError(f"frequency must be finite and > 0, not {omega0!r}")
+    x0 = _finite_vector(x0, "x0")
+    n = unit_orientation(n_hat)
     img_nn = omega0 / (6 * np.pi * const.c)
     if scene is not None and scene.n_voxels:
         if solver is None:
             solver = EffectiveSolver(scene, omega0, const=const)
-        gs = solver.green_coincident_scattered(x0[None, :])[0]
-        img_nn = img_nn + float(np.imag(n @ gs @ n))
+        gnn = solver.green_coincident_scattered(x0[None, :], n)[0]
+        img_nn = img_nn + float(np.imag(gnn))
     return (6 * omega0 / (np.pi * const.c**2)) * img_nn
 
 

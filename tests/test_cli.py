@@ -309,6 +309,17 @@ def test_memory_error_is_an_error_line(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("name", ["ldos", "rate"])
+def test_zero_orientation_is_an_error_line(tmp_path, capsys, name):
+    # it used to exit 0 and write "nan" (and bare NaN tokens in ldos.json)
+    cfg = write_cfg(tmp_path, {name: {"omega0": 1.0, "position": [0, 0, 1.2],
+                                      "orientation": [0, 0, 0], "dipole_moment": 1.0}})
+    out = tmp_path / "out"
+    assert main([name, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: orientation must be nonzero")
+    assert not (out / f"{name}.json").exists()
+
+
 def test_bad_material_config_is_an_error_line(tmp_path, capsys):
     scene = dict(BASE_SCENE)
     scene["voxels"] = [{"position": [0, 0, 0], "material": {"type": "unobtainium"}}]

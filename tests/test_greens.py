@@ -537,7 +537,8 @@ def test_a_solver_factors_once(monkeypatch, rng):
 
 def test_lattice_ldos_at_n739_factors_nothing_and_reads_no_matrix(monkeypatch):
     # the N = 739 sphere is above the crossover: each frequency's LDOS is one
-    # 3-column COCG solve, no LDL^T and no S
+    # one-column COCG solve, its 26-32 iterations plus the true-residual
+    # checks, no LDL^T and no S
     sc = sphere_scene(1.2)
     n3, cells = 3 * sc.n_voxels, np.prod(greens._fft_grid(sc))
     assert sc.n_voxels == 739
@@ -551,9 +552,49 @@ def test_lattice_ldos_at_n739_factors_nothing_and_reads_no_matrix(monkeypatch):
         ldos(sc, omega, LDOS_X0, LDOS_N, solver=solver)
         assert solver.diagnostics["route"] == "lattice-cocg"
         assert 0 < solver.diagnostics["iterations"] <= 40
+        assert solver.diagnostics["matvecs"] <= 40
         assert solver.diagnostics["backward_error"] <= backward_tol(solver)
     assert factored == []
     assert reads == []
+
+
+@pytest.mark.parametrize("radius, route", [(0.8, "dense-ldlt"), (1.2, "lattice-cocg")])
+def test_oriented_coincidence_is_the_projected_tensor(radius, route):
+    # n . G_s . n from its one column against the full tensor's three, on
+    # the N = 179 (factor) and N = 739 (COCG) spheres, outside the body and
+    # inside a voxel (its self term), for a non-unit orientation too; ldos
+    # reads the same value through the unit orientation
+    sc = sphere_scene(radius)
+    inside = sc.positions()[7] + np.array([0.03, -0.02, 0.01])
+    for x0 in (LDOS_X0, inside):
+        G = EffectiveSolver(sc, 1.0).green_coincident_scattered(x0)[0]
+        for n in (LDOS_N, np.array([0.0, 0.0, 1.0]), np.array([1.5, -0.3, 2.0])):
+            solver = EffectiveSolver(sc, 1.0)
+            got = solver.green_coincident_scattered(x0, n)
+            assert solver.diagnostics["route"] == route
+            assert got.shape == (1,)
+            assert abs(got[0] - n @ G @ n) <= 1e-13 * abs(n @ G @ n)
+            u = n / np.linalg.norm(n)
+            ref = (6 / np.pi) * (1 / (6 * np.pi) + np.imag(u @ G @ u))
+            assert abs(ldos(sc, 1.0, x0, n, solver=solver) - ref) <= 1e-13 * ref
+
+
+def test_factor_route_ldos_solves_one_column(monkeypatch):
+    # an LDOS or a rate hands zsytrs one column, not the tensor's three
+    from fluctem.observables import EmitterSpec, spontaneous_rate
+
+    sc = sphere_scene(0.8)
+    cols = []
+    real = sla.lapack.zsytrs
+    monkeypatch.setattr(sla.lapack, "zsytrs", lambda *a, **k: cols.append(a[2].shape[1])
+                        or real(*a, **k))
+    em = EmitterSpec(tuple(LDOS_X0), tuple(LDOS_N / np.linalg.norm(LDOS_N)), 1.0, 1.0)
+    for omega in (0.6, 1.0, 1.4):
+        solver = EffectiveSolver(sc, omega)
+        assert solver.diagnostics["route"] == "dense-ldlt"
+        ldos(sc, omega, LDOS_X0, LDOS_N, solver=solver)
+        spontaneous_rate(sc, em, solver=solver)
+    assert cols == [1] * 6
 
 
 def test_lattice_route_agrees_with_the_factor_route_at_n739():

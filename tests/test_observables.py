@@ -91,6 +91,45 @@ def test_emitter_validation():
         BodySpec(())
 
 
+def test_emitter_rejects_a_nan_orientation():
+    with pytest.raises(ObservableError):
+        EmitterSpec((0, 0, 0), (np.nan, 0, 1.0), 1.0, 1.0)
+
+
+def test_emitter_rejects_a_nan_dipole_moment():
+    with pytest.raises(ObservableError):
+        EmitterSpec((0, 0, 0), (0, 0, 1.0), np.nan, 1.0)
+
+
+def test_emitter_rejects_a_non_finite_position():
+    with pytest.raises(ObservableError):
+        EmitterSpec((0, np.inf, 0), (0, 0, 1.0), 1.0, 1.0)
+
+
+def test_ldos_rejects_a_zero_orientation():
+    with pytest.raises(ObservableError):
+        ldos(one_voxel_scene(), 1.0, np.array([0.0, 0.0, 1.0]), np.zeros(3))
+
+
+def test_ldos_rejects_a_nan_position():
+    with pytest.raises(ObservableError):
+        ldos(one_voxel_scene(), 1.0, np.array([0.0, np.nan, 1.0]), np.array([0, 0, 1.0]))
+
+
+def test_ldos_rejects_a_nan_frequency():
+    # NaN used to return NaN without voxels and raise GreensError with them
+    for sc in (Scene(box_side=10.0, voxel_pitch=0.1, scatterer_voxels=()), one_voxel_scene()):
+        with pytest.raises(ObservableError):
+            ldos(sc, np.nan, np.array([0.0, 0.0, 1.2]), np.array([0, 0, 1.0]))
+
+
+def test_ldos_without_voxels_still_rejects_a_bad_orientation():
+    sc = Scene(box_side=10.0, voxel_pitch=0.1, scatterer_voxels=())
+    for n in (np.zeros(3), np.array([0.0, np.nan, 1.0])):
+        with pytest.raises(ObservableError):
+            ldos(sc, 1.0, np.zeros(3), n)
+
+
 def test_gradient_vanishes_without_scatterer():
     sc = Scene(box_side=10.0, voxel_pitch=0.2, scatterer_voxels=())
     res = green_trace_gradient(sc, 1.0, np.array([0.2, 0.1, -0.3]))
