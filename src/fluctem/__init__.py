@@ -9,17 +9,14 @@ from .material import (
     DrudeLorentzModel,
     TabulatedPermittivity,
     Vacuum,
-    compose_scene_susceptibility,
-    eval_permittivity,
     kramers_kronig_residual,
     resonance_params,
 )
-from .scene import Scene, Shell, SurfaceQuadrature, build_scene, shell_voxelization, sphere_quadrature
+from .scene import Scene, Shell, build_scene, shell_voxelization, sphere_quadrature
 from .greens import (
     DyadicBlock,
     EffectiveSolver,
     greens_identity_report,
-    greens_identity_residual,
     solve_effective_green,
     surface_functional,
     vacuum_green,
@@ -28,10 +25,8 @@ from .greens import (
 )
 from .modes import (
     ModeBasis,
-    commutator_integral_density,
     enumerate_modes,
     mode_sum_spectral_density,
-    scattered_mode_field,
 )
 from .polariton import (
     BranchPoint,

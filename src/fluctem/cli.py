@@ -2,8 +2,9 @@
 
 Every run reads one YAML config, writes CSV/JSON artifacts plus a
 manifest.json into the output directory, and exits 0 on success, 2 when a
-physics verification fails, 1 on usage or I/O errors.  Reruns with the same
-config and a single thread are bit-identical at the artifact level.
+physics verification fails, 1 on usage, I/O or numerical errors.  Reruns
+with the same config and a single thread are bit-identical at the artifact
+level.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .fluctuations import (
     thermal_correlator_density,
     time_domain_correlator,
 )
-from .greens import EffectiveSolver, greens_identity_report, greens_identity_residual
+from .greens import EffectiveSolver, GreensError, greens_identity_report
 from .material import DrudeLorentzModel, MaterialError
 from .modes import enumerate_modes, mode_sum_spectral_density
 from .observables import (
@@ -41,13 +42,14 @@ from .observables import (
     vacuum_ldos,
 )
 from .oracle import (
+    OracleError,
     OracleReport,
     _digest,
     mode_counting_ldos,
     quadrature_convergence,
     richardson_gradient,
 )
-from .polariton import dispersion_sweep
+from .polariton import PolaritonError, dispersion_sweep
 from .reports import (
     density_rows,
     write_density_csv,
@@ -338,9 +340,9 @@ def _run_oracle_suite(cfg, scene, outdir, const, run):
     resid = []
     for pitch in (lam / 10, lam / 20, lam / 40):
         s = Scene(scene.box_side, pitch, (((0.0, 0.0, 0.0), _Eps()),))
-        resid.append(greens_identity_residual(
+        resid.append(greens_identity_report(
             s, omega, np.array([0, 0, 1.0]) * lam / (2 * np.pi),
-            np.array([0.7, 0.3, -0.6]) * lam / (2 * np.pi), const=const))
+            np.array([0.7, 0.3, -0.6]) * lam / (2 * np.pi), const=const).residual)
     reports.append(quadrature_convergence("identity-residual", "pitch", resid, min_order=1.0))
 
     ok = True
@@ -408,7 +410,8 @@ def main(argv=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, KeyError, ValueError, MemoryError) as exc:
+    except (OSError, KeyError, ValueError, MemoryError,
+            GreensError, OracleError, PolaritonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

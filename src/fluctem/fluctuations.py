@@ -21,12 +21,12 @@ import numpy as np
 from .constants import DEFAULT, Constants
 from .greens import (
     EffectiveSolver,
-    _polarization,
-    _scatterer_term,
-    _shell_term,
+    noise_volume_integral_scatterer,
+    noise_volume_integral_shell,
+    vacuum_imag_coincidence,
     volume_route,
 )
-from .modes import commutator_integral_density, enumerate_modes, mode_sum_spectral_density
+from .modes import enumerate_modes, mode_sum_spectral_density
 from .scene import Scene, Shell
 
 
@@ -71,15 +71,17 @@ def planck_factor(omega, T, kind="minus-plus", const: Constants = DEFAULT):
 
 def noise_correlator_density(scene: Scene, region, omega, a, b,
                              const: Constants = DEFAULT, solver: EffectiveSolver = None,
-                             nsub=2) -> CorrelatorDensity:
+                             nsub=2, *, chiX=None) -> CorrelatorDensity:
     """Fluctuating-current density over a region of the composed medium.
 
     (hbar/pi) (w/c)^2 int_region (w/c)^2 eps''(x) G(a,x) . conj(G(x,b)) dV.
     Region 'all' is computed as scatterer + shell on identical nodes, so
     the additivity of disjoint regions is exact up to float summation; both
-    regions radiate one solve for the sources [a, b].  metadata records the
-    volume_route of the scatterer term ('lattice-fft' or 'dense-rows'; the
-    shell nodes always take dense rows, so region 'shell' reads 'dense-rows').
+    regions radiate one solve for the sources [a, b], chiX =
+    solver.interior_solution([a, b]), made here unless given.  metadata
+    records the volume_route of the scatterer term ('lattice-fft' or
+    'dense-rows'; the shell nodes always take dense rows, so region 'shell'
+    reads 'dense-rows').
     """
     if region not in REGIONS:
         raise FluctuationError(f"region must be one of {REGIONS}")
@@ -87,18 +89,16 @@ def noise_correlator_density(scene: Scene, region, omega, a, b,
     b = np.asarray(b, dtype=float)
     if solver is None:
         solver = EffectiveSolver(scene, omega, const=const)
-    return _region_density(scene, region, omega, a, b, const, solver,
-                           _polarization(solver, a, b), nsub)
-
-
-def _region_density(scene, region, omega, a, b, const, solver, chiX, nsub):
-    """noise_correlator_density radiated from a given chi X for [a, b]."""
+    if chiX is None:
+        chiX = solver.interior_solution(np.stack([a, b]))
     pref = (const.hbar / np.pi) * (omega / const.c) ** 2
     parts = {}
     if region in ("scatterer", "all"):
-        parts["scatterer"] = pref * _scatterer_term(scene, omega, a, b, const, solver, chiX, nsub)
+        parts["scatterer"] = pref * noise_volume_integral_scatterer(
+            scene, omega, a, b, solver, nsub, const, chiX=chiX)
     if region in ("shell", "all"):
-        parts["shell"] = pref * _shell_term(scene, omega, a, b, const, solver, chiX)
+        parts["shell"] = pref * noise_volume_integral_shell(scene, omega, a, b, solver, const,
+                                                            chiX=chiX)
     total = sum(parts.values(), np.zeros((3, 3), complex))
     route = volume_route(solver) if region != "shell" else "dense-rows"
     return CorrelatorDensity(
@@ -110,7 +110,11 @@ def _region_density(scene, region, omega, a, b, const, solver, chiX, nsub):
 
 def commutator_density(scene: Scene, omega, a, b, const: Constants = DEFAULT,
                        solver: EffectiveSolver = None) -> CorrelatorDensity:
-    """Closed-form commutator density (hbar/pi) (w/c)^2 Imag G(a, b)."""
+    """Closed-form commutator density (hbar/pi) (w/c)^2 Imag G(a, b).
+
+    At coincidence the vacuum part is the analytic constant (w / 6 pi c) I
+    and only the scattered part is evaluated numerically.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     meta = {"scene": scene.digest()}
@@ -120,7 +124,14 @@ def commutator_density(scene: Scene, omega, a, b, const: Constants = DEFAULT,
             meta[f"compliance_warning_{name}"] = (
                 f"point {name} within {margin:.3g} of a region boundary"
             )
-    val = commutator_integral_density(scene, a, b, omega, const=const, solver=solver)
+    if solver is None:
+        solver = EffectiveSolver(scene, omega, const=const)
+    if np.allclose(a, b):
+        scat = solver.green_coincident_scattered(a[None, :])[0]
+        img = vacuum_imag_coincidence(omega, const.c) + np.imag(scat)
+    else:
+        img = np.imag(solver.green(a[None, :], b[None, :], warn_near=False)[0, 0])
+    val = (const.hbar / np.pi) * (omega / const.c) ** 2 * img
     return CorrelatorDensity(a=a, b=b, omega=float(omega), value=val,
                              provenance="imag-green", metadata=meta)
 
@@ -205,10 +216,12 @@ def equivalence_densities(scatterer_material, omega, a, b, box_side, shell_eps_i
     # the shell is not in the interaction matrix: one solver, and its one
     # solve for the sources [a, b], serve both scenes
     solver3 = EffectiveSolver(scene3, omega, const=const)
-    chiX = _polarization(solver3, a, b)
-    shell_noise = _region_density(scene, "shell", omega, a, b, const, solver3, chiX, nsub)
+    chiX = solver3.interior_solution(np.stack([a, b]))
+    shell_noise = noise_correlator_density(scene, "shell", omega, a, b, const, solver3, nsub,
+                                           chiX=chiX)
     imag_density = commutator_density(scene3, omega, a, b, const=const, solver=solver3)
-    scat_noise = _region_density(scene3, "scatterer", omega, a, b, const, solver3, chiX, nsub)
+    scat_noise = noise_correlator_density(scene3, "scatterer", omega, a, b, const, solver3,
+                                          nsub, chiX=chiX)
     dens = {
         "mode-sum": smode.value,
         "shell-noise": shell_noise.value,

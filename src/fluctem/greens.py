@@ -75,7 +75,6 @@ import scipy.fft as sfft
 import scipy.linalg as sla
 
 from .constants import DEFAULT, Constants
-from .material import eval_permittivity
 from .scene import Scene, owner_of, shell_voxelization, sphere_quadrature, warn_if_thin_shell
 
 _EYE = np.eye(3)
@@ -184,23 +183,6 @@ def self_term_coupling(omega, voxel_volume, c=1.0):
     """
     k = omega / c
     return -1.0 / 3.0 + 1j * k**3 * voxel_volume / (6 * np.pi)
-
-
-def vacuum_green_block_offdiag(omega, pts, c=1.0):
-    """(N, N, 3, 3) vacuum block over one point set, zeros on the diagonal."""
-    n = len(pts)
-    out = np.zeros((n, n, 3, 3), dtype=complex)
-    if n < 2:
-        return out
-    iu, ju = np.triu_indices(n, 1)
-    d = pts[iu] - pts[ju]
-    r = np.linalg.norm(d, axis=-1)
-    if np.any(r == 0):
-        raise GreensError("vacuum_green_block_offdiag hit coincident points")
-    vals = _dyadic(d, r, omega / c)
-    out[iu, ju] = vals
-    out[ju, iu] = vals.transpose(0, 2, 1)
-    return out
 
 
 class EffectiveSolver:
@@ -514,29 +496,21 @@ class EffectiveSolver:
     def green_coincident_scattered(self, pts, n_hat=None):
         """Scattered part at coincidence, finite everywhere: (P, 3, 3), or (P,) with n_hat.
 
-        With an orientation n_hat (a 3-vector) only n . G_s(p, p) . n is
-        formed: its right-hand side is the one column
-        rows(p)^T n / (dV k^2), the same cell-averaged couplings, so one
-        solve of P columns serves the P points instead of one of 3P.  n_hat
-        is taken as given, not normalized.
+        With orientations E (I, or the one row n_hat) the right-hand side of
+        point p is v = E rows(p)^T / (dV k^2), the same cell-averaged
+        couplings, and by reciprocity E rows(p) also reads the field back:
+        the result is v^T chi A^-1 v times dV k^2, from one solve of P
+        columns per orientation.  n_hat is taken as given, not normalized.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        n = self.scene.n_voxels
-        if n_hat is not None:
-            nh = np.asarray(n_hat, dtype=float)
-            # n^T rows(p), a column per point: the right-hand side up to
-            # dV k^2 and, by reciprocity, the row that reads the field back
-            v = np.empty((3 * n, len(pts)), dtype=complex)
-            for sl, R in self._row_blocks(pts):
-                np.einsum("i,tij->jt", nh, R, out=v[:, sl])
-            w = self._solve(v / (self.dv * self.k**2))
-            return np.einsum("jt,jt->t", v, w)
-        chiX = self.interior_solution(pts)  # (N, P, 3, 3)
-        out = np.empty((len(pts), 3, 3), dtype=complex)
+        E = _EYE if n_hat is None else np.asarray(n_hat, dtype=float)[None, :]
+        v = np.empty((3 * self.scene.n_voxels, len(pts), len(E)), dtype=complex)
         for sl, R in self._row_blocks(pts):
-            Y = chiX[:, sl].transpose(1, 0, 2, 3).reshape(len(R), 3 * n, 3)
-            np.matmul(R, Y, out=out[sl])
-        return out
+            np.einsum("oi,tij->jto", E, R, out=v[:, sl])
+        rhs = v.reshape(len(v), len(pts) * len(E)) / (self.dv * self.k**2)
+        w = self._solve(rhs).reshape(v.shape)
+        out = np.einsum("jto,jtp->top", v, w)
+        return out if n_hat is None else out[:, 0, 0]
 
     def _radiate(self, targets, Y):
         """sum_n rows(t, n) . Y(n, s) for Y of shape (N, S, 3, 3), shape (T, S, 3, 3).
@@ -634,7 +608,7 @@ def shell_path_factors(scene: Scene, omega, endpoint, pts, const: Constants = DE
     if not scene.shell_enabled or scene.shell is None:
         return np.ones(len(pts), complex)
     y = np.asarray(endpoint, dtype=float)
-    eps1 = eval_permittivity(scene.shell.material, omega)
+    eps1 = scene.shell.material.eval(omega)
     k = omega / const.c
     path = _segment_ball_length(y, pts, scene.shell.outer_radius) - _segment_ball_length(
         y, pts, scene.shell.inner_radius
@@ -646,33 +620,18 @@ def shell_path_factors(scene: Scene, omega, endpoint, pts, const: Constants = DE
 
 
 def surface_functional(scene: Scene, omega, a, b, const: Constants = DEFAULT,
-                       solver: EffectiveSolver = None):
+                       solver: EffectiveSolver = None, *, chiX=None):
     """Surface term of the dissipation identity on the sphere at infinity, a 3x3 dyadic.
 
     (k / 16 pi^2) sum_i w_i F_a(r_i)^T (I - r_i r_i) conj(F_b(r_i)) over the
     unit directions r_i, F_s the far-field amplitude of G(., s): the limit
     R -> infinity of (k / R^2) times the outgoing-wave (Sommerfeld) boundary
     integral on a sphere of radius R (see the module docstring).
+
+    chiX, when given, is solver.interior_solution([a, b]), the polarization
+    a caller has already solved; otherwise the term solves it.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if solver is None:
-        solver = EffectiveSolver(scene, omega, const=const)
-    return _surface_term(scene, omega, a, b, const, solver, _polarization(solver, a, b))
-
-
-def _polarization(solver, a, b):
-    """chi X for the sources [a, b], shape (N, 2, 3, 3): the one solve the terms share."""
-    return solver.interior_solution(np.stack([a, b]))
-
-
-def _field(solver, pts, a, b, chiX):
-    """G(x, a) and G(x, b) at the points, shape (P, 2, 3, 3), radiated from chiX."""
-    srcs = np.stack([a, b])
-    return vacuum_green_block(solver.omega, pts, srcs, c=solver.const.c) + solver._radiate(pts, chiX)
-
-
-def _surface_term(scene, omega, a, b, const, solver, chiX):
+    a, b, solver, chiX = _solved(scene, omega, a, b, const, solver, chiX)
     k = omega / const.c
     dirs = sphere_quadrature(1.0, _FAR_ORDER)
     r = dirs.normals
@@ -690,6 +649,23 @@ def _surface_term(scene, omega, a, b, const, solver, chiX):
     return (k / (16 * np.pi**2)) * np.einsum("p,pki,pkj->ij", dirs.weights, F[:, 0], np.conj(Fb))
 
 
+def _solved(scene, omega, a, b, const, solver, chiX):
+    """(a, b, solver, chiX) of a term: chiX = solver.interior_solution([a, b]) unless given."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if solver is None:
+        solver = EffectiveSolver(scene, omega, const=const)
+    if chiX is None:
+        chiX = solver.interior_solution(np.stack([a, b]))
+    return a, b, solver, chiX
+
+
+def _field(solver, pts, a, b, chiX):
+    """G(x, a) and G(x, b) at the points, shape (P, 2, 3, 3), radiated from chiX."""
+    srcs = np.stack([a, b])
+    return vacuum_green_block(solver.omega, pts, srcs, c=solver.const.c) + solver._radiate(pts, chiX)
+
+
 def _gauss_subnodes(pitch, nsub):
     xg, wg = np.polynomial.legendre.leggauss(nsub)
     pts = np.array([[x, y, z] for x in xg for y in xg for z in xg]) * (pitch / 2.0)
@@ -698,7 +674,7 @@ def _gauss_subnodes(pitch, nsub):
 
 
 def noise_volume_integral_scatterer(scene, omega, a, b, solver=None, nsub=2,
-                                    const: Constants = DEFAULT):
+                                    const: Constants = DEFAULT, *, chiX=None):
     """(w/c)^2 int_{scatterer} eps'' G(a, x) . conj(G(x, b)) dV, bare.
 
     Per-voxel tensor-product Gauss quadrature of the continuous integrand;
@@ -709,15 +685,25 @@ def noise_volume_integral_scatterer(scene, omega, a, b, solver=None, nsub=2,
     than S, the field at each Gauss sub-node is one zero-padded 3-D FFT
     convolution of the polarization with the kernel table of that sub-node
     (volume_route "lattice-fft"); other scenes build coupling rows at every
-    node ("dense-rows").  Both give the same sum to rounding.
+    node ("dense-rows").  Both give the same sum to rounding.  chiX is as
+    in surface_functional.
     """
-    if solver is None:
-        solver = EffectiveSolver(scene, omega, const=const)
     if scene.n_voxels == 0:
         return np.zeros((3, 3), complex)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return _scatterer_term(scene, omega, a, b, const, solver, _polarization(solver, a, b), nsub)
+    a, b, solver, chiX = _solved(scene, omega, a, b, const, solver, chiX)
+    k2 = (omega / const.c) ** 2
+    sub, wsub = _gauss_subnodes(scene.voxel_pitch, nsub)
+    epsim = solver.chi.imag  # Im(eps - 1) = Im eps
+    if solver.grid is None:
+        pts = (scene.positions()[:, None, :] + sub[None, :, :]).reshape(-1, 3)
+        B = _field(solver, pts, a, b, chiX)  # G(x_s, a), G(x_s, b)
+        w = (epsim[:, None] * wsub[None, :]).reshape(-1)
+        # G(a, x) = G(x, a)^T by reciprocity of the discrete model
+        return k2 * np.einsum("n,nki,nkj->ij", w, B[:, 0], np.conj(B[:, 1]))
+    out = np.zeros((3, 3), complex)
+    for s, B in zip(wsub, _lattice_fields(solver, solver.grid, sub, a, b, chiX)):
+        out += np.einsum("n,nki,nkj->ij", s * epsim, B[:, 0], np.conj(B[:, 1]))
+    return k2 * out
 
 
 # bytes per cell of the padded grid the lattice route holds at its peak: 18
@@ -746,24 +732,6 @@ def _fft_grid(scene):
     if np.prod(grid, dtype=float) * _FFT_CELL_BYTES > (3 * scene.n_voxels) ** 2 * 16:
         return None
     return grid
-
-
-def _scatterer_term(scene, omega, a, b, const, solver, chiX, nsub):
-    if scene.n_voxels == 0:
-        return np.zeros((3, 3), complex)
-    k2 = (omega / const.c) ** 2
-    sub, wsub = _gauss_subnodes(scene.voxel_pitch, nsub)
-    epsim = solver.chi.imag  # Im(eps - 1) = Im eps
-    if solver.grid is None:
-        pts = (scene.positions()[:, None, :] + sub[None, :, :]).reshape(-1, 3)
-        B = _field(solver, pts, a, b, chiX)  # G(x_s, a), G(x_s, b)
-        w = (epsim[:, None] * wsub[None, :]).reshape(-1)
-        # G(a, x) = G(x, a)^T by reciprocity of the discrete model
-        return k2 * np.einsum("n,nki,nkj->ij", w, B[:, 0], np.conj(B[:, 1]))
-    out = np.zeros((3, 3), complex)
-    for s, B in zip(wsub, _lattice_fields(solver, solver.grid, sub, a, b, chiX)):
-        out += np.einsum("n,nki,nkj->ij", s * epsim, B[:, 0], np.conj(B[:, 1]))
-    return k2 * out
 
 
 # the six distinct components (i, k) of the symmetric 3x3 kernel
@@ -888,29 +856,21 @@ class _LatticeMatvec:
         return x - self.sq * E.transpose(2, 0, 1).reshape(n3, m)
 
 
-def noise_volume_integral_shell(scene, omega, a, b, solver=None, const: Constants = DEFAULT):
+def noise_volume_integral_shell(scene, omega, a, b, solver=None, const: Constants = DEFAULT,
+                                *, chiX=None):
     """(w/c)^2 int_{shell} eps'' G(a, x) . conj(G(x, b)) dV, bare.
 
     Shell propagation uses the in-shell path factor on top of the
-    scatterer-only effective tensor.
+    scatterer-only effective tensor.  chiX is as in surface_functional.
     """
     if not scene.shell_enabled or scene.shell is None:
         return np.zeros((3, 3), complex)
-    if solver is None:
-        solver = EffectiveSolver(scene, omega, const=const)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return _shell_term(scene, omega, a, b, const, solver, _polarization(solver, a, b))
-
-
-def _shell_term(scene, omega, a, b, const, solver, chiX):
-    if not scene.shell_enabled or scene.shell is None:
-        return np.zeros((3, 3), complex)
+    a, b, solver, chiX = _solved(scene, omega, a, b, const, solver, chiX)
     # a sixth of the attenuation length, at least 24 radial spacings
     shell_pitch = scene.shell.attenuation_length(omega, c=const.c) / 6.0
     shell_pitch = min(shell_pitch, (scene.shell.outer_radius - scene.shell.inner_radius) / 24.0)
     nodes = shell_voxelization(scene, shell_pitch, omega=omega, c=const.c)
-    eps1 = eval_permittivity(scene.shell.material, omega)
+    eps1 = scene.shell.material.eval(omega)
     k2 = (omega / const.c) ** 2
     B = _field(solver, nodes.positions, a, b, chiX)
     Ba = B[:, 0] * shell_path_factors(scene, omega, a, nodes.positions, const)[:, None, None]
@@ -934,19 +894,19 @@ def greens_identity_report(scene: Scene, omega, a, b, nsub=2, const: Constants =
     """All terms of Imag G = surface + volume, with the relative residual.
 
     One solve for the sources [a, b] serves every term: Imag G(a, b), the
-    surface term and both volume terms radiate the same polarization.
+    surface term and both volume terms radiate the same polarization.  At
+    a = b the vacuum part of Imag G is its finite coincidence limit.
     """
-    if solver is None:
-        solver = EffectiveSolver(scene, omega, const=const)
     warn_if_thin_shell(scene, omega, c=const.c)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    chiX = _polarization(solver, a, b)
-    img = np.imag(vacuum_green_block(omega, a, b, c=const.c)[0, 0]
-                  + solver._radiate(a[None, :], chiX[:, 1:])[0, 0])
-    F = _surface_term(scene, omega, a, b, const, solver, chiX)
-    nv = _scatterer_term(scene, omega, a, b, const, solver, chiX, nsub)
-    ns = _shell_term(scene, omega, a, b, const, solver, chiX)
+    a, b, solver, chiX = _solved(scene, omega, a, b, const, solver, None)
+    if np.allclose(a, b):
+        img = vacuum_imag_coincidence(omega, const.c)
+    else:
+        img = np.imag(vacuum_green_block(omega, a, b, c=const.c)[0, 0])
+    img = img + np.imag(solver._radiate(a[None, :], chiX[:, 1:])[0, 0])
+    F = surface_functional(scene, omega, a, b, const, solver, chiX=chiX)
+    nv = noise_volume_integral_scatterer(scene, omega, a, b, solver, nsub, const, chiX=chiX)
+    ns = noise_volume_integral_shell(scene, omega, a, b, solver, const, chiX=chiX)
     vol = nv + ns
     resid = np.linalg.norm(img - F - vol) / np.linalg.norm(img)
     return IdentityReport(
@@ -958,8 +918,3 @@ def greens_identity_report(scene: Scene, omega, a, b, nsub=2, const: Constants =
         volume_shell=ns,
         volume_route=volume_route(solver),
     )
-
-
-def greens_identity_residual(scene, omega, a, b, **kw) -> float:
-    """Relative defect of Imag G(a,b) = surface term + absorption volume term."""
-    return greens_identity_report(scene, omega, a, b, **kw).residual

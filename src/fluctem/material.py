@@ -1,4 +1,4 @@
-"""Causal permittivity models and the composed-medium susceptibility.
+"""Causal permittivity models and their Kramers-Kronig check.
 
 Materials are referenced everywhere through three concrete types:
 
@@ -125,11 +125,6 @@ def _check_omega(omega):
         raise MaterialError("omega must be real, finite and > 0")
 
 
-def eval_permittivity(material, omega):
-    """eps(omega) of any material reference.  omega real, > 0."""
-    return material.eval(omega)
-
-
 def resonance_params(m: DrudeLorentzModel) -> ResonanceParams:
     """Derived spectral landmarks of a Drude-Lorentz oscillator.
 
@@ -141,25 +136,6 @@ def resonance_params(m: DrudeLorentzModel) -> ResonanceParams:
         raise MaterialError("resonance_params needs a DrudeLorentzModel")
     omega_L = float(np.hypot(m.omega_p, m.omega_0))
     return ResonanceParams(omega_L=omega_L, longitudinal_branch=omega_L - 1j * m.gamma)
-
-
-def compose_scene_susceptibility(scene, x, omega):
-    """Total eps(x, omega) - 1 of the composed medium 1+2.
-
-    Inside the scatterer support the background shell susceptibility is
-    exactly compensated, so only the scatterer contrast remains; in the
-    absorbing shell the shell contrast applies; everywhere else (the void
-    inside the shell and all space beyond it) the composed contrast is zero.
-    """
-    x = np.asarray(x, dtype=float)
-    idx = scene.voxel_owner(x)[0]
-    if idx >= 0:
-        return eval_permittivity(scene.scatterer_voxels[idx][1], omega) - 1.0
-    if scene.shell_enabled and scene.shell is not None:
-        r = float(np.linalg.norm(x))
-        if scene.shell.inner_radius <= r <= scene.shell.outer_radius:
-            return eval_permittivity(scene.shell.material, omega) - 1.0
-    return complex(0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -183,7 +159,7 @@ def kramers_kronig_residual(material, grid) -> KKResult:
     if np.any(w <= 0) or np.any(np.diff(w) <= 0):
         raise MaterialError("grid must be positive, strictly increasing")
 
-    eps = np.asarray([eval_permittivity(material, wi) for wi in w], dtype=complex)
+    eps = np.asarray([material.eval(wi) for wi in w], dtype=complex)
     if isinstance(material, Vacuum):
         return KKResult(residual=0.0)
 

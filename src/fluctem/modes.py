@@ -18,8 +18,7 @@ import numpy as np
 import scipy.fft as sfft
 
 from .constants import DEFAULT, Constants
-from .greens import EffectiveSolver, vacuum_green, vacuum_imag_coincidence
-from .scene import Scene
+from .greens import EffectiveSolver
 
 
 # modes per block of plane-wave fields in the mode sum
@@ -129,29 +128,6 @@ def mode_field_vacuum(basis: ModeBasis, sel, pts):
     pts = np.atleast_2d(pts)
     ph = np.exp(1j * (basis.k[sel] @ pts.T))  # (M, P)
     return basis.amplitude[sel, None, None] * basis.pol[sel, None, :] * ph[:, :, None]
-
-
-def scattered_mode_field(scene: Scene, basis: ModeBasis, mode_index, x,
-                         const: Constants = DEFAULT, solver: EffectiveSolver = None):
-    """Self-consistent mode field at x for one basis mode.
-
-    Solves for the interior polarization and radiates it with the vacuum
-    kernel.
-    """
-    sel = np.array([mode_index])
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    ev_x = mode_field_vacuum(basis, sel, x)[0]  # (P, 3)
-    if scene.n_voxels == 0:
-        return ev_x[0] if len(x) == 1 else ev_x
-    om = float(basis.omega_alpha[mode_index])
-    if solver is None or abs(solver.omega - om) > 1e-12 * om:
-        solver = EffectiveSolver(scene, om, const=const)
-    ev_vox = mode_field_vacuum(basis, sel, scene.positions())[0]  # (N, 3)
-    pol = solver.interior_field(ev_vox)  # chi E
-    rows = solver._coupling_rows(x)  # (P, N, 3, 3) = dV k^2 Gv(x, u)
-    scat = np.einsum("pnij,nj->pi", rows, pol)
-    out = ev_x + scat
-    return out[0] if len(x) == 1 else out
 
 
 @dataclass(frozen=True)
@@ -337,27 +313,3 @@ def _phases(tables, rows):
     for t, ni, xi in rest:
         ph *= t[np.ix_(ni[rows], xi)]
     return ph
-
-
-def commutator_integral_density(scene, a, b, omega, const: Constants = DEFAULT,
-                                solver: EffectiveSolver = None):
-    """(hbar/pi) (w/c)^2 Imag G(a, b): the closed-form commutator density.
-
-    At coincidence the vacuum part is the analytic constant (w / 6 pi c) I
-    and only the scattered part is evaluated numerically.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if scene is not None and (solver is None):
-        solver = EffectiveSolver(scene, omega, const=const)
-    pref = (const.hbar / np.pi) * (omega / const.c) ** 2
-    if np.allclose(a, b):
-        img = vacuum_imag_coincidence(omega, const.c).copy()
-        if solver is not None and scene.n_voxels:
-            img = img + np.imag(solver.green_coincident_scattered(a[None, :])[0])
-    else:
-        if solver is None:
-            img = np.imag(vacuum_green(omega, a, b, c=const.c))
-        else:
-            img = np.imag(solver.green(a[None, :], b[None, :], warn_near=False)[0, 0])
-    return pref * img

@@ -14,12 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import DEFAULT, Constants
-from .greens import (
-    self_term_coupling,
-    vacuum_green,
-    vacuum_green_block,
-    vacuum_green_block_offdiag,
-)
+from .greens import self_term_coupling, vacuum_green, vacuum_green_block
 from .scene import Scene
 
 
@@ -84,7 +79,7 @@ def born_series_oracle(scene: Scene, omega, a, b, order=1, const: Constants = DE
     n = scene.n_voxels
     row = np.full(n, abs(cself)) * np.abs(chi)
     if n > 1:
-        g = vacuum_green_block_offdiag(omega, pos, c=const.c)
+        g = _vacuum_green_block_offdiag(omega, pos, c=const.c)
         norms = np.linalg.norm(g, axis=(2, 3)) * dv * k**2
         row = row + norms @ np.abs(chi)
     strength = float(np.max(row))
@@ -104,6 +99,16 @@ def born_series_oracle(scene: Scene, omega, a, b, order=1, const: Constants = DE
             )
             second += dv * k**2 * g_a_u[u] @ (chi[u] * cpl) @ (chi[v] * g_u_b[v])
     return g_ab + first + second
+
+
+def _vacuum_green_block_offdiag(omega, pts, c=1.0):
+    """(N, N, 3, 3) vacuum block over one point set, zeros on the diagonal."""
+    n = len(pts)
+    out = np.zeros((n, n, 3, 3), dtype=complex)
+    for u in range(n):
+        others = np.arange(n) != u
+        out[u, others] = vacuum_green_block(omega, pts[u], pts[others], c=c)[0]
+    return out
 
 
 def mode_counting_ldos(L, omega, delta, const: Constants = DEFAULT):

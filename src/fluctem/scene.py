@@ -11,19 +11,13 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .material import (
-    VACUUM,
-    DrudeLorentzModel,
-    TabulatedPermittivity,
-    Vacuum,
-    eval_permittivity,
-)
+from .material import VACUUM, DrudeLorentzModel, TabulatedPermittivity, Vacuum
 
 
 class SceneError(ValueError):
@@ -38,7 +32,7 @@ class Shell:
 
     def attenuation_length(self, omega, c=1.0):
         """1 / Imag[omega sqrt(eps) / c]: the amplitude e-folding distance."""
-        eps = eval_permittivity(self.material, omega)
+        eps = self.material.eval(omega)
         im = np.imag(np.sqrt(eps)) * omega / c
         return float(1.0 / im) if im > 0 else np.inf
 
@@ -50,7 +44,6 @@ class Scene:
     scatterer_voxels: tuple  # ((x, y, z), material) sorted lexicographically
     shell: Shell | None = None
     shell_enabled: bool = False
-    report: dict = field(default_factory=dict, compare=False)
 
     @property
     def n_voxels(self):
@@ -70,7 +63,7 @@ class Scene:
         chi = {}
         for _, m in self.scatterer_voxels:
             if id(m) not in chi:
-                chi[id(m)] = eval_permittivity(m, omega) - 1.0
+                chi[id(m)] = m.eval(omega) - 1.0
         return np.array([chi[id(m)] for _, m in self.scatterer_voxels], dtype=complex)
 
     @cached_property
@@ -80,16 +73,6 @@ class Scene:
         Computed once per scene; see _lattice for the rule.
         """
         return _lattice(self.positions(), self.voxel_pitch)
-
-    def voxel_owner(self, pts):
-        """Index of the scatterer voxel whose closed cube holds each point.
-
-        pts is (3,) or (P, 3); returns (P,) indices, -1 for points outside
-        every voxel, by owner_of on every separation, O(P N) time and memory.
-        """
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        d = pts[:, None, :] - self.positions()[None, :, :]
-        return owner_of(d, np.linalg.norm(d, axis=-1), self.voxel_pitch)
 
     def digest(self):
         """Stable content hash recorded in artifact metadata."""
@@ -301,19 +284,13 @@ def build_scene(config: dict, base_dir=".") -> Scene:
                     f"scatterer voxel at radius {rmax:.4g} not strictly inside R2={r2}"
                 )
 
-    n = len(voxels)
-    scene = Scene(
+    return Scene(
         box_side=box_side,
         voxel_pitch=pitch,
         scatterer_voxels=tuple(voxels),
         shell=shell,
         shell_enabled=shell_enabled,
-        report={
-            "voxel_count": n,
-            "interaction_matrix_bytes": (3 * n) ** 2 * 16,
-        },
     )
-    return scene
 
 
 def _coerce_material(m, base_dir="."):
@@ -433,12 +410,6 @@ class ShellNodes:
 
     positions: np.ndarray  # (N, 3)
     weights: np.ndarray  # (N,)
-
-    def __iter__(self):
-        return iter(zip(self.positions, self.weights))
-
-    def __len__(self):
-        return len(self.weights)
 
 
 def shell_voxelization(scene: Scene, shell_pitch, omega=None, n_theta=24, c=1.0) -> ShellNodes:

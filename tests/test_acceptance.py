@@ -15,7 +15,7 @@ from fluctem.fluctuations import (
     planck_factor,
     thermal_correlator_density,
 )
-from fluctem.greens import EffectiveSolver, greens_identity_report, greens_identity_residual
+from fluctem.greens import EffectiveSolver, greens_identity_report
 from fluctem.material import DrudeLorentzModel
 from fluctem.observables import BodySpec, casimir_thermal_force, green_trace_gradient, ldos
 from fluctem.oracle import mode_counting_ldos, quadrature_convergence
@@ -55,7 +55,7 @@ def test_criterion_2_green_identity():
     t0 = time.perf_counter()
     a = np.array([0.0, 0.0, 1.0])
     b = np.array([0.7, 0.3, -0.6])
-    resid = [greens_identity_residual(one_voxel_scene(eps=2 + 0.5j, pitch=p), 1.0, a, b)
+    resid = [greens_identity_report(one_voxel_scene(eps=2 + 0.5j, pitch=p), 1.0, a, b).residual
              for p in (LAM / 10, LAM / 20, LAM / 40)]
     conv = quadrature_convergence("identity", "pitch", resid, min_order=1.0)
     dt = time.perf_counter() - t0

@@ -175,6 +175,16 @@ def test_verify_identity_pass_and_fail(tmp_path):
     assert run_subcommand("verify-identity", cfg2, tmp_path / "out2") == 2
 
 
+def test_verify_identity_at_coincidence(tmp_path):
+    # a = b used to stop in the vacuum dyadic; it takes the coincidence limit
+    vac = {"box_side": 10.0, "voxel_pitch": 0.2, "voxels": []}
+    cfg = write_cfg(tmp_path, {"scene": vac, "verify_identity": {
+        "omega": 1.0, "a": [0.0, 0.0, 0.3], "b": [0.0, 0.0, 0.3], "tolerance": 1e-12}})
+    assert run_subcommand("verify-identity", cfg, tmp_path / "out") == 0
+    report = json.loads((tmp_path / "out" / "identity.json").read_text())
+    assert report["passed"]
+
+
 def test_verify_identity_reports_route_and_margin(tmp_path):
     sphere = {"box_side": 40.0, "voxel_pitch": 0.2, "primitives": [
         {"shape": "sphere", "radius": 0.8, "material": BASE_SCENE["voxels"][0]["material"]}]}
@@ -307,6 +317,23 @@ def test_memory_error_is_an_error_line(tmp_path, monkeypatch, capsys):
                                         "orientation": [0, 0, 1]}})
     assert main(["ldos", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_oracle_error_is_an_error_line(tmp_path, capsys):
+    # a box of side 10 holds no mode in the band of the LDOS count
+    cfg = write_cfg(tmp_path, {"oracle_suite": {"box_side": 10}})
+    assert main(["oracle-suite", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: band too narrow: only 0 modes")
+
+
+def test_greens_error_is_an_error_line(tmp_path, capsys):
+    # a source on a Gauss node of the volume term, where the vacuum dyadic is singular
+    from fluctem.greens import _gauss_subnodes
+
+    node = _gauss_subnodes(BASE_SCENE["voxel_pitch"], 2)[0][0]  # the voxel is at the origin
+    cfg = write_cfg(tmp_path, {"verify_identity": {"a": node.tolist(), "b": [0.6, 0.2, -0.9]}})
+    assert main(["verify-identity", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: vacuum_green_block hit a coincident")
 
 
 @pytest.mark.parametrize("name", ["ldos", "rate"])

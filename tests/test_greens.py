@@ -10,19 +10,19 @@ from fluctem.greens import (
     EffectiveSolver,
     GreensError,
     greens_identity_report,
-    greens_identity_residual,
     noise_volume_integral_scatterer,
+    noise_volume_integral_shell,
     self_term_coupling,
     shell_path_factors,
     solve_effective_green,
     surface_functional,
     vacuum_green,
     vacuum_green_block,
-    vacuum_green_block_offdiag,
     vacuum_imag_coincidence,
 )
 from fluctem.modes import enumerate_modes
 from fluctem.observables import ldos
+from fluctem.oracle import _vacuum_green_block_offdiag
 from fluctem.scene import Scene, Shell, build_scene, sphere_quadrature
 
 from conftest import LAM, FixedEps, one_voxel_scene
@@ -183,7 +183,7 @@ def sphere_scene(radius):
 def pairwise_coupling(sc, omega):
     """(3N, 3N) M = dV k^2 Gv between voxel centres, self term on the diagonal."""
     n, dv = sc.n_voxels, sc.voxel_volume
-    M = dv * omega**2 * vacuum_green_block_offdiag(omega, sc.positions())
+    M = dv * omega**2 * _vacuum_green_block_offdiag(omega, sc.positions())
     M[np.arange(n), np.arange(n)] = self_term_coupling(omega, dv) * np.eye(3)
     return M.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
 
@@ -284,11 +284,9 @@ def test_assembly_work_counters(monkeypatch):
     # the kernel on pairs v > u only, one chunk of rows at a time, and no
     # voxel-owner lookup: each centre lies in its own cell
     pairs, owner_calls = [], []
-    dyadic, owner, owner_of = greens._dyadic, Scene.voxel_owner, scene_module.owner_of
+    dyadic, owner_of = greens._dyadic, scene_module.owner_of
     monkeypatch.setattr(greens, "_dyadic",
                         lambda d, r, k, scale=1.0: pairs.append(r.size) or dyadic(d, r, k, scale))
-    monkeypatch.setattr(Scene, "voxel_owner",
-                        lambda sc, pts: owner_calls.append(len(pts)) or owner(sc, pts))
     for module in (scene_module, greens):
         monkeypatch.setattr(module, "owner_of",
                             lambda d, r, pitch: owner_calls.append(len(d)) or owner_of(d, r, pitch))
@@ -579,6 +577,25 @@ def test_oriented_coincidence_is_the_projected_tensor(radius, route):
             assert abs(ldos(sc, 1.0, x0, n, solver=solver) - ref) <= 1e-13 * ref
 
 
+@pytest.mark.parametrize("n_hat", [None, np.array([0.62, 0.35, 0.70])])
+def test_coincident_scattered_builds_rows_once_and_solves_once(monkeypatch, n_hat):
+    # the rows of each block of points serve as right-hand side and read-back:
+    # every point's rows are built once, and one solve serves all points
+    sc = sphere_scene(0.8)
+    pts = np.vstack([LDOS_X0, sc.positions()[7] + 0.03, [0.4, -1.3, 0.2]])
+    monkeypatch.setattr(greens, "_BLOCK_BYTES", 2 * sc.n_voxels * 9 * 16)
+    rows, solves = [], []
+    coupling_rows, solve = EffectiveSolver._coupling_rows, EffectiveSolver._solve
+    monkeypatch.setattr(EffectiveSolver, "_coupling_rows",
+                        lambda self, p: rows.append(len(p)) or coupling_rows(self, p))
+    monkeypatch.setattr(EffectiveSolver, "_solve",
+                        lambda self, rhs: solves.append(rhs.shape[1]) or solve(self, rhs))
+    got = EffectiveSolver(sc, 1.0).green_coincident_scattered(pts, n_hat)
+    assert rows == [2, 1]
+    assert solves == [len(pts) * (3 if n_hat is None else 1)]
+    assert got.shape == ((3, 3, 3) if n_hat is None else (3,))
+
+
 def test_factor_route_ldos_solves_one_column(monkeypatch):
     # an LDOS or a rate hands zsytrs one column, not the tensor's three
     from fluctem.observables import EmitterSpec, spontaneous_rate
@@ -858,8 +875,8 @@ def test_far_field_surface_term_is_the_large_sphere_limit(case, order):
 
 def test_identity_vacuum():
     sc = vacuum_scene()
-    res = greens_identity_residual(sc, 1.0, np.array([0, 0, 0.3]),
-                                   np.array([0.4, 0.1, -0.2]))
+    res = greens_identity_report(sc, 1.0, np.array([0, 0, 0.3]),
+                                 np.array([0.4, 0.1, -0.2])).residual
     assert res < 1e-12
 
 
@@ -867,7 +884,7 @@ def test_identity_vacuum():
 def test_identity_single_voxel_converges_with_pitch():
     a = np.array([0.0, 0.0, 1.0])
     b = np.array([0.7, 0.3, -0.6])
-    resid = [greens_identity_residual(one_voxel_scene(pitch=p), 1.0, a, b)
+    resid = [greens_identity_report(one_voxel_scene(pitch=p), 1.0, a, b).residual
              for p in (LAM / 10, LAM / 20, LAM / 40)]
     assert resid[1] < 1e-2  # the lam/20 level
     assert resid[0] > resid[1] > resid[2]
@@ -881,6 +898,53 @@ def test_identity_report_parts_vacuum():
                                  np.array([0.4, 0.1, -0.2]))
     assert np.allclose(rep.volume_term, 0.0)
     assert np.linalg.norm(rep.surface_term - rep.imag_green) < 1e-12
+
+
+def test_identity_report_at_coincidence():
+    # at a = b the vacuum part of Imag G is its limit (w / 6 pi c) I: the
+    # vacuum identity holds to rounding, and each term of a one-voxel report
+    # is the b -> a limit, the mean of b = a +- 1e-4 x (linear terms cancel)
+    a = np.array([0.0, 0.0, 0.3])
+    assert greens_identity_report(vacuum_scene(), 1.0, a, a).residual <= 1e-12
+    sc = one_voxel_scene(pitch=0.4)
+    a, dx = np.array([0.0, 0.0, 1.0]), np.array([1e-4, 0.0, 0.0])
+    rep = greens_identity_report(sc, 1.0, a, a)
+    near = [greens_identity_report(sc, 1.0, a, a + s * dx) for s in (1, -1)]
+    for term in ("imag_green", "surface_term", "volume_term"):
+        got = getattr(rep, term)
+        limit = (getattr(near[0], term) + getattr(near[1], term)) / 2
+        assert np.linalg.norm(got - limit) <= 1e-6 * np.linalg.norm(got)
+    assert abs(rep.residual - near[0].residual) <= 1e-5 * rep.residual
+
+
+def test_terms_take_the_callers_polarization(monkeypatch):
+    # chiX only passes the solve a caller has made: each term returns the
+    # same bits with it and without it, and makes no solve of its own
+    from fluctem.fluctuations import noise_correlator_density
+
+    a, b = np.array([0.23, -0.36, 1.21]), np.array([0.84, 0.47, -0.93])
+    solves = []
+    solve = EffectiveSolver._solve
+    monkeypatch.setattr(EffectiveSolver, "_solve",
+                        lambda self, rhs: solves.append(rhs.shape) or solve(self, rhs))
+    for sc in (sphere_scene(0.8), one_voxel_scene(), thick_shell_scene()):
+        solver = EffectiveSolver(sc, 1.0)
+        chiX = solver.interior_solution([a, b])
+        terms = (  # each term and the solves it makes without chiX
+            (lambda **kw: surface_functional(sc, 1.0, a, b, solver=solver, **kw), 1),
+            (lambda **kw: noise_volume_integral_scatterer(sc, 1.0, a, b, solver=solver,
+                                                          **kw), 1),
+            (lambda **kw: noise_volume_integral_shell(sc, 1.0, a, b, solver=solver, **kw),
+             int(sc.shell_enabled)),  # no shell: zero, before any solve
+            (lambda **kw: noise_correlator_density(sc, "all", 1.0, a, b, solver=solver,
+                                                   **kw).value, 1),
+        )
+        for term, own in terms:
+            solves.clear()
+            given = term(chiX=chiX)
+            assert solves == []
+            assert np.array_equal(given, term())
+            assert len(solves) == own
 
 
 def test_passivity_of_coincidence_imag(rng):

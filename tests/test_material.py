@@ -8,31 +8,29 @@ from fluctem.material import (
     KKResult,
     MaterialError,
     TabulatedPermittivity,
-    compose_scene_susceptibility,
-    eval_permittivity,
     kramers_kronig_residual,
     resonance_params,
 )
 from fluctem.scene import Scene, Shell
 
-from conftest import FixedEps
+from conftest import FixedEps, voxel_owner
 
 
 def test_vacuum_is_exactly_one():
-    assert eval_permittivity(VACUUM, 0.7) == 1.0 + 0.0j
-    assert eval_permittivity(VACUUM, 123.0) == 1.0 + 0.0j
+    assert VACUUM.eval(0.7) == 1.0 + 0.0j
+    assert VACUUM.eval(123.0) == 1.0 + 0.0j
 
 
 def test_static_limit():
     # omega -> 0 of the closed form tends to 1 + omega_p^2/omega_0^2 = 2
     m = DrudeLorentzModel(1.0, 1.0, 1e-9)
-    val = eval_permittivity(m, 1e-8)
+    val = m.eval(1e-8)
     assert val.real == pytest.approx(2.0, abs=1e-10)
 
 
 def test_high_frequency_limit():
     m = DrudeLorentzModel(2.0, 1.5, 0.3)
-    val = eval_permittivity(m, 1e8)
+    val = m.eval(1e8)
     assert abs(val - 1.0) < 1e-12
 
 
@@ -44,7 +42,7 @@ def test_resonant_value_against_high_precision():
     w = mpmath.mpc(1, 0.01)
     exact = 1 + 1 / (1 - w * w)
     m = DrudeLorentzModel(1.0, 1.0, 0.01)
-    val = eval_permittivity(m, 1.0)
+    val = m.eval(1.0)
     assert abs(val - complex(exact)) / abs(complex(exact)) < 1e-14
     assert val.imag > 10  # strongly resonant
 
@@ -52,9 +50,9 @@ def test_resonant_value_against_high_precision():
 def test_omega_must_be_positive_real():
     m = DrudeLorentzModel(1.0, 1.0, 0.1)
     with pytest.raises(MaterialError):
-        eval_permittivity(m, 0.0)
+        m.eval(0.0)
     with pytest.raises(MaterialError):
-        eval_permittivity(m, -2.0)
+        m.eval(-2.0)
 
 
 @pytest.mark.parametrize("omega", [np.nan, np.inf, -np.inf, np.array([1.0, np.nan])])
@@ -107,7 +105,7 @@ def test_positive_absorption_everywhere(rng):
     grid = np.logspace(-2, 2, 200)
     for m in models:
         for w in grid:
-            assert eval_permittivity(m, w).imag > 0
+            assert m.eval(w).imag > 0
 
 
 def test_reality_condition(rng):
@@ -118,7 +116,7 @@ def test_reality_condition(rng):
         w = rng.uniform(0.05, 20.0)
         m = DrudeLorentzModel(wp, w0, g)
         minus = 1.0 + wp**2 / (w0**2 - (-w + 1j * g) ** 2)
-        assert np.conj(minus) == pytest.approx(eval_permittivity(m, w), rel=1e-15)
+        assert np.conj(minus) == pytest.approx(m.eval(w), rel=1e-15)
 
 
 def _dl_table(m, lo=0.05, hi=20.0, n=400):
@@ -130,15 +128,15 @@ def test_table_interpolation_accuracy():
     m = DrudeLorentzModel(1.0, 1.0, 0.2)
     tab = _dl_table(m)
     for w in (0.1, 0.7, 1.05, 3.3, 15.0):
-        assert eval_permittivity(tab, w) == pytest.approx(m.eval(w), rel=2e-3)
+        assert tab.eval(w) == pytest.approx(m.eval(w), rel=2e-3)
 
 
 def test_table_extrapolation_forbidden():
     tab = _dl_table(DrudeLorentzModel(1.0, 1.0, 0.2))
     with pytest.raises(MaterialError):
-        eval_permittivity(tab, 0.01)
+        tab.eval(0.01)
     with pytest.raises(MaterialError):
-        eval_permittivity(tab, 100.0)
+        tab.eval(100.0)
 
 
 def test_table_rejects_gain_and_disorder():
@@ -185,38 +183,16 @@ def _shelled_scene():
                  shell=Shell(2.0, 5.0, FixedEps(1 + 0.1j)), shell_enabled=True)
 
 
-def test_compose_susceptibility_regions():
-    sc = _shelled_scene()
-    w = 1.0
-    # inside the scatterer voxel the shell contribution is exactly compensated
-    assert compose_scene_susceptibility(sc, (0.05, 0.0, 0.0), w) == (3 + 1j) - 1
-    # vacuum gap between scatterer and the shell inner surface
-    assert compose_scene_susceptibility(sc, (0.0, 0.0, 1.0), w) == 0.0
-    # inside the absorbing shell
-    assert compose_scene_susceptibility(sc, (0.0, 3.0, 0.0), w) == 0.1j
-    # beyond the shell outer surface
-    assert compose_scene_susceptibility(sc, (0.0, 0.0, 6.0), w) == 0.0
-
-
 def test_voxel_owner_inside_face_outside_empty():
     sc = _shelled_scene()  # one voxel of pitch 0.2 at the origin
-    # inside, on a face, then the compose cases outside the voxel
+    # inside, on a face, then outside: the vacuum gap, the shell, beyond it
     pts = [(0.05, 0.0, 0.0), (0.1, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 3.0, 0.0), (0.0, 0.0, 6.0)]
-    assert sc.voxel_owner(pts).tolist() == [0, 0, -1, -1, -1]
-    assert sc.voxel_owner((0.1, 0.0, 0.0)).tolist() == [0]
-    assert compose_scene_susceptibility(sc, (0.1, 0.0, 0.0), 1.0) == (3 + 1j) - 1
+    assert voxel_owner(sc, pts).tolist() == [0, 0, -1, -1, -1]
+    assert voxel_owner(sc, (0.1, 0.0, 0.0)).tolist() == [0]
     # a face shared by two voxels belongs to the first in sorted order
     pair = Scene(box_side=20.0, voxel_pitch=0.2,
                  scatterer_voxels=(((0.0, 0.0, 0.0), FixedEps(2.0)),
                                    ((0.2, 0.0, 0.0), FixedEps(3.0))))
-    assert pair.voxel_owner([(0.1, 0.0, 0.0), (0.25, 0.0, 0.0)]).tolist() == [0, 1]
+    assert voxel_owner(pair, [(0.1, 0.0, 0.0), (0.25, 0.0, 0.0)]).tolist() == [0, 1]
     empty = Scene(box_side=20.0, voxel_pitch=0.2, scatterer_voxels=())
-    assert empty.voxel_owner(pts).tolist() == [-1] * len(pts)
-
-
-def test_compose_susceptibility_pure():
-    sc = _shelled_scene()
-    x = (0.0, 3.0, 0.0)
-    first = compose_scene_susceptibility(sc, x, 1.0)
-    second = compose_scene_susceptibility(sc, x, 1.0)
-    assert first == second  # bit identical, pure function
+    assert voxel_owner(empty, pts).tolist() == [-1] * len(pts)

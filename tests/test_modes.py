@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 
 from fluctem import modes
+from fluctem.fluctuations import commutator_density
 from fluctem.greens import EffectiveSolver, vacuum_green, vacuum_imag_coincidence
 from fluctem.material import DrudeLorentzModel
 from fluctem.modes import (
     ModeError,
-    commutator_integral_density,
     default_bin_width,
     enumerate_modes,
     mode_field_vacuum,
     mode_sum_spectral_density,
-    scattered_mode_field,
 )
 from fluctem.scene import Scene, build_scene
 
@@ -121,6 +120,24 @@ def test_empty_bin_errors_and_guard_warns():
         mode_sum_spectral_density(None, np.zeros(3), np.zeros(3), 1.2, 0.01, basis)
     with pytest.warns(UserWarning, match="guard"):
         mode_sum_spectral_density(None, np.zeros(3), np.zeros(3), 1.0, 0.05, basis)
+
+
+def scattered_mode_field(scene, basis, mode_index, x, solver=None):
+    """Self-consistent field at x of one basis mode, the forward-route reference.
+
+    Solves for the interior polarization chi E of the mode's plane wave and
+    radiates it with the coupling rows, one mode at a time.
+    """
+    sel = np.array([mode_index])
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    ev_x = mode_field_vacuum(basis, sel, x)[0]  # (P, 3)
+    if scene.n_voxels == 0:
+        return ev_x[0] if len(x) == 1 else ev_x
+    if solver is None:
+        solver = EffectiveSolver(scene, float(basis.omega_alpha[mode_index]))
+    pol = solver.interior_field(mode_field_vacuum(basis, sel, scene.positions())[0])
+    out = ev_x + np.einsum("pnij,nj->pi", solver._coupling_rows(x), pol)
+    return out[0] if len(x) == 1 else out
 
 
 def test_scattered_field_vacuum_scene_is_incident():
@@ -325,7 +342,7 @@ def test_per_axis_phase_tables_match_the_exponential(rng):
 
 def test_commutator_density_vacuum_coincidence():
     sc = Scene(box_side=10.0, voxel_pitch=0.1, scatterer_voxels=())
-    d = commutator_integral_density(sc, np.zeros(3), np.zeros(3), 1.0)
+    d = commutator_density(sc, 1.0, np.zeros(3), np.zeros(3)).value
     target = (1 / np.pi) * 1.0**2 * vacuum_imag_coincidence(1.0)
     assert np.allclose(d, target, rtol=1e-14)
 
@@ -334,8 +351,8 @@ def test_commutator_density_hermitian_swap(rng):
     sc = one_voxel_scene(eps=2 + 0.5j, pitch=0.4)
     a = np.array([0.0, 0.0, 1.2])
     b = np.array([0.9, 0.4, -0.5])
-    dab = commutator_integral_density(sc, a, b, 1.0)
-    dba = commutator_integral_density(sc, b, a, 1.0)
+    dab = commutator_density(sc, 1.0, a, b).value
+    dba = commutator_density(sc, 1.0, b, a).value
     assert np.allclose(dab, dba.T, rtol=1e-9)  # reciprocity + real symmetry
 
 
@@ -346,7 +363,7 @@ def test_commutator_density_decays_far_from_scatterer():
     for dist in (2.0, 4.0, 8.0):
         a = np.array([0.0, 0.0, dist])
         b = np.array([0.3, 0.0, dist])
-        d1 = commutator_integral_density(sc, a, b, 1.0)
-        d0 = commutator_integral_density(vac, a, b, 1.0)
+        d1 = commutator_density(sc, 1.0, a, b).value
+        d0 = commutator_density(vac, 1.0, a, b).value
         diffs.append(np.linalg.norm(d1 - d0) / np.linalg.norm(d0))
     assert diffs[0] > diffs[1] > diffs[2]

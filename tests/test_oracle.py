@@ -115,11 +115,11 @@ def test_quadrature_convergence_pass_and_fail():
 
 @pytest.mark.slow
 def test_identity_residual_order_in_pitch():
-    from fluctem.greens import greens_identity_residual
+    from fluctem.greens import greens_identity_report
 
     a = np.array([0.0, 0.0, 1.0])
     b = np.array([0.7, 0.3, -0.6])
-    resid = [greens_identity_residual(one_voxel_scene(pitch=p), 1.0, a, b)
+    resid = [greens_identity_report(one_voxel_scene(pitch=p), 1.0, a, b).residual
              for p in (LAM / 10, LAM / 20, LAM / 40)]
     rep = quadrature_convergence("identity-residual", "pitch", resid, min_order=1.0)
     assert rep.passed

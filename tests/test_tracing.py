@@ -41,3 +41,27 @@ def test_tracer_installs_and_uninstalls_on_the_package():
         tracer.uninstall()
     assert greens.surface_functional is original
     assert fluctem.surface_functional is original
+
+
+def test_traced_identity_report_records_its_terms(monkeypatch):
+    # the report calls the public term functions, so a traced run sees a
+    # surface span and volume spans, and all of them share one solve
+    solutions = []
+    interior_solution = greens.EffectiveSolver.interior_solution
+    monkeypatch.setattr(greens.EffectiveSolver, "interior_solution",
+                        lambda self, s: solutions.append(len(s)) or interior_solution(self, s))
+    sc = fluctem.build_scene({"box_side": 40.0, "voxel_pitch": 0.2, "primitives": [
+        {"shape": "sphere", "radius": 0.5, "material": {
+            "type": "drude_lorentz", "omega_p": 1.2, "omega_0": 0.9, "gamma": 0.4}}]})
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        tracer.enabled = True
+        greens.greens_identity_report(sc, 1.0, np.array([0.31, -0.47, 1.83]),
+                                      np.array([-1.52, 0.66, -1.07]))
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["greens.identity_report"] == 1
+    assert tracer.calls["greens.surface_functional"] >= 1
+    assert tracer.calls["greens.noise_volume"] >= 1
+    assert solutions == [2]
