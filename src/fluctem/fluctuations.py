@@ -23,7 +23,6 @@ from .greens import (
     EffectiveSolver,
     noise_volume_integral_scatterer,
     noise_volume_integral_shell,
-    vacuum_imag_coincidence,
     volume_route,
 )
 from .modes import enumerate_modes, mode_sum_spectral_density
@@ -109,11 +108,14 @@ def noise_correlator_density(scene: Scene, region, omega, a, b,
 
 
 def commutator_density(scene: Scene, omega, a, b, const: Constants = DEFAULT,
-                       solver: EffectiveSolver = None) -> CorrelatorDensity:
+                       solver: EffectiveSolver = None, *, chiX=None) -> CorrelatorDensity:
     """Closed-form commutator density (hbar/pi) (w/c)^2 Imag G(a, b).
 
     At coincidence the vacuum part is the analytic constant (w / 6 pi c) I
-    and only the scattered part is evaluated numerically.
+    and only the scattered part is evaluated numerically.  chiX, when
+    given, is solver.interior_solution([a, b]), which a caller has already
+    solved (EffectiveSolver.imag_green); otherwise the density makes one
+    solve of its own.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -126,11 +128,7 @@ def commutator_density(scene: Scene, omega, a, b, const: Constants = DEFAULT,
             )
     if solver is None:
         solver = EffectiveSolver(scene, omega, const=const)
-    if np.allclose(a, b):
-        scat = solver.green_coincident_scattered(a[None, :])[0]
-        img = vacuum_imag_coincidence(omega, const.c) + np.imag(scat)
-    else:
-        img = np.imag(solver.green(a[None, :], b[None, :], warn_near=False)[0, 0])
+    img = solver.imag_green(a, b, chiX=chiX)
     val = (const.hbar / np.pi) * (omega / const.c) ** 2 * img
     return CorrelatorDensity(a=a, b=b, omega=float(omega), value=val,
                              provenance="imag-green", metadata=meta)
@@ -214,12 +212,13 @@ def equivalence_densities(scatterer_material, omega, a, b, box_side, shell_eps_i
                                       window=window, const=const)
 
     # the shell is not in the interaction matrix: one solver, and its one
-    # solve for the sources [a, b], serve both scenes
+    # solve for the sources [a, b], serve both scenes and all three densities
     solver3 = EffectiveSolver(scene3, omega, const=const)
     chiX = solver3.interior_solution(np.stack([a, b]))
     shell_noise = noise_correlator_density(scene, "shell", omega, a, b, const, solver3, nsub,
                                            chiX=chiX)
-    imag_density = commutator_density(scene3, omega, a, b, const=const, solver=solver3)
+    imag_density = commutator_density(scene3, omega, a, b, const=const, solver=solver3,
+                                      chiX=chiX)
     scat_noise = noise_correlator_density(scene3, "scatterer", omega, a, b, const, solver3,
                                           nsub, chiX=chiX)
     dens = {

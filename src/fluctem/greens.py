@@ -67,6 +67,7 @@ source along r, which crosses the annulus exactly.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -151,12 +152,18 @@ def _dyadic(d, r, k, scale=1.0, out=None):
     np.multiply(rh[..., :, None], rh[..., None, :], out=out)
     del rh
     u = k * r
-    out *= (-1 - 3j / u + 3 / u**2)[..., None, None]
+    u2 = u**2
+    out *= (-1 - 3j / u + 3 / u2)[..., None, None]
     diag = np.einsum("...ii->...i", out)  # a writeable view of the diagonal
-    diag += (1 + 1j / u - 1 / u**2)[..., None]
+    diag += (1 + 1j / u - 1 / u2)[..., None]
     g = np.exp(1j * u) / (4 * np.pi * r)
     # g on the left: numpy's complex product is not bitwise commutative
     return np.multiply(scale * g[..., None, None], out, out=out)
+
+
+def _lengths(d):
+    """|d| over the last axis: the bits of np.linalg.norm(d, axis=-1), without its wrapper."""
+    return np.sqrt(np.add.reduce(d * d, axis=-1))
 
 
 def vacuum_green_block(omega, targets, sources, c=1.0):
@@ -183,6 +190,19 @@ def self_term_coupling(omega, voxel_volume, c=1.0):
     """
     k = omega / c
     return -1.0 / 3.0 + 1j * k**3 * voxel_volume / (6 * np.pi)
+
+
+@functools.lru_cache(maxsize=4)
+def _strict_lower(m):
+    """(rows, cols) of the strict lower triangle of an m x m block, read-only.
+
+    Cached: the assembly takes the same chunk size for every chunk of every
+    frequency, and a frequency sweep on a small scene assembles once per
+    frequency.
+    """
+    iv, iu = np.nonzero(np.tri(m, k=-1, dtype=bool))
+    iv.flags.writeable = iu.flags.writeable = False
+    return iv, iu
 
 
 class EffectiveSolver:
@@ -220,7 +240,7 @@ class EffectiveSolver:
         self.dv = scene.voxel_volume
         self.cself = self_term_coupling(omega, self.dv, c=const.c)
         # any D with D^2 = C gives the same D S^-1 D = chi A^-1: one branch suffices
-        self._sqrt_chi3 = np.repeat(np.sqrt(self.chi), 3)[:, None]
+        self._sqrt_chi3 = np.sqrt(self.chi).repeat(3)[:, None]
         self._fact = None  # the LDL^T factor, made in place of S by the first solve on it
         self._matvec = None  # the lattice matvec, built by the first COCG solve
         self.grid = _fft_grid(scene)  # the padded grid of both FFT routes, or None
@@ -264,16 +284,17 @@ class EffectiveSolver:
                 B *= (sq[v0:v1, None] * sq[None, :v0])[..., None, None]
                 S4[v0:v1, :, :v0] = B.transpose(0, 2, 1, 3)
                 S4[:v0, :, v0:v1] = B.transpose(1, 3, 0, 2)
-            iv, iu = np.nonzero(np.tri(v1 - v0, k=-1, dtype=bool))  # strict lower
-            iv += v0
-            iu += v0
+            iv, iu = _strict_lower(v1 - v0)
+            if v0:
+                iv, iu = iv + v0, iu + v0
             B = self._kernel(self.pos[iv] - self.pos[iu])
             B *= (sq[iv] * sq[iu])[:, None, None]
             S4[iv, :, iu] = B
             S4[iu, :, iv] = B.transpose(0, 2, 1)
-        # each voxel centre lies in its own cell: the self term, no owner lookup
-        own = np.arange(n)
-        S4[own, :, own] = (1.0 - self.cself * self.chi)[:, None, None] * _EYE
+        # each voxel centre lies in its own cell: the self term, no owner lookup;
+        # written through a view of the diagonal blocks
+        np.multiply((1.0 - self.cself * self.chi)[:, None, None], _EYE,
+                    out=np.einsum("vivj->vij", S4))
         return S
 
     def _leave(self, reason):
@@ -284,7 +305,7 @@ class EffectiveSolver:
 
     def _kernel(self, d):
         """-dV k^2 Gv for separations d (..., 3) of distinct voxels, shape (..., 3, 3)."""
-        return _dyadic(d, np.linalg.norm(d, axis=-1), self.k, -self.dv * self.k**2)
+        return _dyadic(d, _lengths(d), self.k, -self.dv * self.k**2)
 
     # -- linear algebra -------------------------------------------------
 
@@ -428,14 +449,14 @@ class EffectiveSolver:
         """
         pts = np.atleast_2d(pts)
         d = pts[:, None, :] - self.pos[None, :, :]
-        r = np.linalg.norm(d, axis=-1)
+        r = _lengths(d)
         owner = owner_of(d, r, self.scene.voxel_pitch)
-        r[r == 0] = 1.0  # r = 0 only inside the owner voxel, overwritten below
+        inside = (owner >= 0).nonzero()[0]
+        cells = inside, owner[inside]
+        r[cells] = 1.0  # r = 0 only inside the owner voxel, whose block is overwritten below
         rows = np.empty((len(pts), 3, len(self.pos), 3), dtype=complex).transpose(0, 2, 1, 3)
         _dyadic(d, r, self.k, self.dv * self.k**2, out=rows)
-        inside = np.nonzero(owner >= 0)[0]
-        if inside.size:
-            rows[inside, owner[inside]] = self.cself * _EYE
+        rows[cells] = self.cself * _EYE
         return rows
 
     def _blocks(self, n_pts, nbytes=None):
@@ -451,12 +472,16 @@ class EffectiveSolver:
         the polarization that radiates it.  Shape (N, S, 3, 3).
         """
         sources = np.atleast_2d(sources)
-        n, s = self.scene.n_voxels, len(sources)
+        return self._interior(len(sources), self._row_blocks(sources))
+
+    def _interior(self, s, blocks):
+        """interior_solution for s sources given their (slice, rows) blocks (see _row_blocks)."""
+        n = self.scene.n_voxels
         # rhs(w, s) = cell-consistent Gv(w, s): reuse symmetry Gv(w,s) = Gv(s,w)^T
         rhs = np.empty((n, 3, s, 3), dtype=complex)
-        for sl in self._blocks(s):
-            rows = self._coupling_rows(sources[sl])  # couplings FROM voxels
-            np.divide(rows.transpose(1, 3, 0, 2), self.dv * self.k**2, out=rhs[:, :, sl])
+        for sl, R in blocks:  # couplings FROM voxels
+            np.divide(R.reshape(len(R), 3, n, 3).transpose(2, 3, 0, 1), self.dv * self.k**2,
+                      out=rhs[:, :, sl])
         chiX = self._solve(rhs.reshape(3 * n, 3 * s))
         return chiX.reshape(n, 3, s, 3).transpose(0, 2, 1, 3)
 
@@ -488,10 +513,40 @@ class EffectiveSolver:
         sources = np.atleast_2d(np.asarray(sources, dtype=float))
         if warn_near:
             self._near_field_guard(np.vstack([targets, sources]))
-        scat = self._radiate(targets, self.interior_solution(sources))
+        t = len(targets)
+        if len(self._blocks(t + len(sources))) == 1:
+            # the rows of every target and source fit in one block: build them in one pass
+            R = next(self._row_blocks(np.concatenate([targets, sources])))[1]
+            tgt, src = [(slice(None), R[:t])], [(slice(None), R[t:])]
+        else:
+            tgt, src = self._row_blocks(targets), self._row_blocks(sources)
+        scat = self._radiate(targets, self._interior(len(sources), src), tgt)
         if scattered_only:
             return scat
         return vacuum_green_block(self.omega, targets, sources, c=self.const.c) + scat
+
+    def imag_green(self, a, b, *, chiX=None):
+        """Imag G(a, b), (3, 3); at a = b the vacuum part is its finite coincidence limit.
+
+        chiX, when given, is interior_solution([a, b]), the polarization a
+        caller has already solved, and the scattered part is radiated from
+        its column for b; otherwise the scattered part takes one solve of
+        its own (green, or green_coincident_scattered at a = b).
+        """
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        coincident = np.allclose(a, b)
+        if coincident:
+            vac = vacuum_imag_coincidence(self.omega, self.const.c)
+        else:
+            vac = np.imag(vacuum_green_block(self.omega, a, b, c=self.const.c)[0, 0])
+        if chiX is not None:
+            scat = self._radiate(a[None, :], chiX[:, 1:])[0, 0]
+        elif coincident:
+            scat = self.green_coincident_scattered(a[None, :])[0]
+        else:
+            scat = self.green(a[None, :], b[None, :], scattered_only=True, warn_near=False)[0, 0]
+        return vac + np.imag(scat)
 
     def green_coincident_scattered(self, pts, n_hat=None):
         """Scattered part at coincidence, finite everywhere: (P, 3, 3), or (P,) with n_hat.
@@ -512,16 +567,17 @@ class EffectiveSolver:
         out = np.einsum("jto,jtp->top", v, w)
         return out if n_hat is None else out[:, 0, 0]
 
-    def _radiate(self, targets, Y):
+    def _radiate(self, targets, Y, blocks=None):
         """sum_n rows(t, n) . Y(n, s) for Y of shape (N, S, 3, 3), shape (T, S, 3, 3).
 
-        The rows are built one block of targets at a time and each block is
-        contracted as one (3t, 3N) @ (3N, 3S) product.
+        The rows are built one block of targets at a time, unless blocks
+        (see _row_blocks) holds them already, and each block is contracted
+        as one (3t, 3N) @ (3N, 3S) product.
         """
         n, s = Y.shape[:2]
         Ym = Y.transpose(0, 2, 1, 3).reshape(3 * n, 3 * s)
         out = np.empty((len(targets), 3, s, 3), dtype=complex)
-        for sl, R in self._row_blocks(targets):
+        for sl, R in self._row_blocks(targets) if blocks is None else blocks:
             t = len(R)
             np.matmul(R.reshape(3 * t, 3 * n), Ym, out=out[sl].reshape(3 * t, 3 * s))
         return out.transpose(0, 2, 1, 3)
@@ -537,7 +593,7 @@ class EffectiveSolver:
         dmin = np.inf
         for sl in self._blocks(len(pts)):
             d = pts[sl, None, :] - self.pos[None, :, :]
-            r = np.linalg.norm(d, axis=-1)
+            r = _lengths(d)
             if np.any(owner_of(d, r, self.scene.voxel_pitch) >= 0):
                 return
             dmin = r.min(initial=dmin)
@@ -895,15 +951,23 @@ def greens_identity_report(scene: Scene, omega, a, b, nsub=2, const: Constants =
 
     One solve for the sources [a, b] serves every term: Imag G(a, b), the
     surface term and both volume terms radiate the same polarization.  At
-    a = b the vacuum part of Imag G is its finite coincidence limit.
+    a = b the vacuum part of Imag G is its finite coincidence limit.  A
+    source inside a scatterer voxel (scene.owner_of) raises GreensError: the
+    absorption integrand is not integrable there.
     """
+    pts = np.array([a, b], dtype=float)
+    pos = scene.positions()
+    d = pts[:, None, :] - pos[None, :, :]
+    for name, p, v in zip("ab", pts, owner_of(d, _lengths(d), scene.voxel_pitch)):
+        if v >= 0:
+            raise GreensError(
+                f"source {name} = {tuple(map(float, p))} lies inside scatterer voxel {v} "
+                f"(centre {tuple(map(float, pos[v]))}), where the absorption integrand "
+                f"of the identity is not integrable"
+            )
     warn_if_thin_shell(scene, omega, c=const.c)
     a, b, solver, chiX = _solved(scene, omega, a, b, const, solver, None)
-    if np.allclose(a, b):
-        img = vacuum_imag_coincidence(omega, const.c)
-    else:
-        img = np.imag(vacuum_green_block(omega, a, b, c=const.c)[0, 0])
-    img = img + np.imag(solver._radiate(a[None, :], chiX[:, 1:])[0, 0])
+    img = solver.imag_green(a, b, chiX=chiX)
     F = surface_functional(scene, omega, a, b, const, solver, chiX=chiX)
     nv = noise_volume_integral_scatterer(scene, omega, a, b, solver, nsub, const, chiX=chiX)
     ns = noise_volume_integral_shell(scene, omega, a, b, solver, const, chiX=chiX)

@@ -120,6 +120,12 @@ class TabulatedPermittivity:
 
 
 def _check_omega(omega):
+    # a float is checked without an array: each solver checks its frequency
+    # once per material, and the array tests cost more than the evaluation
+    if type(omega) in (float, np.float64):
+        if not 0.0 < omega < np.inf:  # also False for NaN
+            raise MaterialError("omega must be real, finite and > 0")
+        return
     w = np.asarray(omega)
     if not np.all(np.isreal(w)) or not np.all(np.isfinite(w)) or np.any(np.real(w) <= 0):
         raise MaterialError("omega must be real, finite and > 0")

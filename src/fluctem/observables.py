@@ -117,6 +117,10 @@ def spontaneous_rate(scene: Scene, emitter: EmitterSpec, const: Constants = DEFA
                       purcell=float(g / gv) if gv > 0 else float("nan"), ldos=float(rho))
 
 
+# the unit steps of the gradient's stencil: +h, +h/2, -h, -h/2 along each axis
+_STENCIL = np.concatenate([np.eye(3), np.eye(3) / 2, -np.eye(3), -np.eye(3) / 2])
+
+
 @dataclass(frozen=True)
 class GradientResult:
     gradient: np.ndarray  # Richardson-refined, complex (3,)
@@ -143,14 +147,15 @@ def green_trace_gradient(scene: Scene, omega, x, side="both", h=None,
         solver = EffectiveSolver(scene, omega, const=const)
     if h is None:
         h = 0.02 * scene.voxel_pitch if scene.n_voxels else 0.02 / (omega / const.c)
-    steps = np.concatenate([h * np.eye(3), (h / 2) * np.eye(3)])
-    stencil = np.concatenate([x + steps, x - steps])  # +h, +h/2, -h, -h/2 per axis
+    stencil = x + h * _STENCIL
 
     def grad(g):
-        tr = np.trace(g, axis1=-2, axis2=-1).reshape(4, 3)
+        # array methods, not the np.trace and np.max wrappers: this runs once per
+        # frequency of a force sweep
+        tr = g.trace(axis1=-2, axis2=-1).reshape(4, 3)
         d_h = (tr[0] - tr[2]) / (2 * h)
         d_h2 = (tr[1] - tr[3]) / h
-        return (4 * d_h2 - d_h) / 3, float(np.max(np.abs(d_h2 - d_h)))
+        return (4 * d_h2 - d_h) / 3, float(np.abs(d_h2 - d_h).max())
 
     left = right = None
     err = 0.0
@@ -161,7 +166,7 @@ def green_trace_gradient(scene: Scene, omega, x, side="both", h=None,
         right, e2 = grad(solver.green(x, stencil, scattered_only=True, warn_near=False)[0])
         err = max(err, e2)
     g = left if right is None else right if left is None else (left + right) / 2
-    if np.linalg.norm(g) > 0 and err > 0.5 * np.linalg.norm(g) and h < 1e-6:
+    if h < 1e-6 and np.linalg.norm(g) > 0 and err > 0.5 * np.linalg.norm(g):
         raise GreensError(
             f"finite-difference step h={h:.2e} is in the solver noise floor; "
             "increase h"
@@ -238,7 +243,7 @@ def casimir_thermal_force(scene: Scene, body: BodySpec, T, omega_grid=None,
                 continue
             gr = green_trace_gradient(scene, om, pos[jv], side="left", const=const,
                                       solver=solver)
-            core = np.imag(chi * gr.gradient)
+            core = (chi * gr.gradient).imag
             integrand_sym[iw, jv] = pref * planck_factor(om, T, "symmetrized", const) * core
             integrand_anti[iw, jv] = pref * planck_factor(om, T, "plus-minus", const) * core
             integrand_bose[iw, jv] = pref * planck_factor(om, T, "minus-plus", const) * core

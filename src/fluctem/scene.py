@@ -120,10 +120,14 @@ def owner_of(d, r, pitch):
     for a point outside every voxel.
     """
     h = pitch / 2.0 + 1e-12
-    # a cube lies within sqrt(3) h of its centre: only those pairs are tested
-    near = r <= 1.75 * h
-    inside = np.zeros_like(near)
-    inside[near] = np.max(np.abs(d[near]), axis=-1) <= h
+    if r.size <= 100:
+        # on a few pairs the filter below costs more than testing them all
+        inside = np.abs(d).max(axis=-1) <= h
+    else:
+        # a cube lies within sqrt(3) h of its centre: only those pairs are tested
+        near = r <= 1.75 * h
+        inside = np.zeros_like(near)
+        inside[near] = np.max(np.abs(d[near]), axis=-1) <= h
     if not inside.shape[1]:  # no voxels: argmax has nothing to reduce
         return np.full(len(inside), -1)
     return np.where(inside.any(axis=1), inside.argmax(axis=1), -1)

@@ -327,13 +327,26 @@ def test_oracle_error_is_an_error_line(tmp_path, capsys):
 
 
 def test_greens_error_is_an_error_line(tmp_path, capsys):
-    # a source on a Gauss node of the volume term, where the vacuum dyadic is singular
+    # a source on a Gauss node of the volume term, where the vacuum dyadic is
+    # singular, lies inside the voxel: the report refuses it before any solve
     from fluctem.greens import _gauss_subnodes
 
     node = _gauss_subnodes(BASE_SCENE["voxel_pitch"], 2)[0][0]  # the voxel is at the origin
     cfg = write_cfg(tmp_path, {"verify_identity": {"a": node.tolist(), "b": [0.6, 0.2, -0.9]}})
     assert main(["verify-identity", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err.startswith("error: vacuum_green_block hit a coincident")
+    assert capsys.readouterr().err.startswith("error: source a = ")
+
+
+def test_verify_identity_source_inside_a_voxel_is_an_error_line(tmp_path, capsys):
+    # the absorption integrand is not integrable there: no residual is reported
+    cfg = write_cfg(tmp_path, {"verify_identity": {"a": [0.0, 0.0, 1.0],
+                                                   "b": [0.05, 0.03, 0.02]}})
+    out = tmp_path / "out"
+    assert main(["verify-identity", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: source b = (0.05, 0.03, 0.02) lies inside scatterer voxel 0 ")
+    assert "(centre (0.0, 0.0, 0.0))" in err
+    assert not (out / "identity.json").exists()
 
 
 @pytest.mark.parametrize("name", ["ldos", "rate"])
@@ -409,21 +422,33 @@ def test_verify_equivalence_levels(tmp_path):
 
 
 def test_verify_equivalence_solves_each_source_pair_once(tmp_path, monkeypatch):
-    # per level: one solve for [a, b] serves both noise densities, and the
-    # commutator density makes one solve of its own
+    # per level: one solve for [a, b] serves both noise densities and the
+    # commutator density.  Every solve for a point source is counted, made
+    # through interior_solution or through green (which may or may not call
+    # interior_solution: a call inside green is green's solve)
     from fluctem.greens import EffectiveSolver
 
-    solve = EffectiveSolver.interior_solution
-    sources = []
+    interior, green = EffectiveSolver.interior_solution, EffectiveSolver.green
+    solves, in_green = [], []
 
-    def counted(self, src):
-        sources.append(len(np.atleast_2d(src)))
-        return solve(self, src)
+    def counted_interior(self, src):
+        if not in_green:
+            solves.append(np.atleast_2d(src).tolist())
+        return interior(self, src)
 
-    monkeypatch.setattr(EffectiveSolver, "interior_solution", counted)
+    def counted_green(self, targets, sources, *args, **kwargs):
+        solves.append(np.atleast_2d(sources).tolist())
+        in_green.append(True)
+        try:
+            return green(self, targets, sources, *args, **kwargs)
+        finally:
+            in_green.pop()
+
+    monkeypatch.setattr(EffectiveSolver, "interior_solution", counted_interior)
+    monkeypatch.setattr(EffectiveSolver, "green", counted_green)
     assert run_subcommand("verify-equivalence", CONFIGS / "reference.yaml", tmp_path) == 0
-    assert len(sources) == 6
-    assert sources.count(2) == 3  # one two-source solve per level of the three
+    cfg = yaml.safe_load((CONFIGS / "reference.yaml").read_text())["verify_equivalence"]
+    assert solves == [[cfg["a"], cfg["b"]]] * 3  # one per level of the three
 
 
 @pytest.mark.parametrize("name", SUBCOMMANDS)

@@ -175,6 +175,13 @@ def lattice_scene(*primitives):
         dict(p, material=material) for p in primitives]})
 
 
+def two_voxel_pair():
+    """The two Drude-Lorentz voxels of configs/casimir.yaml."""
+    material = {"type": "drude_lorentz", "omega_p": 1.0, "omega_0": 1.0, "gamma": 0.1}
+    return build_scene({"box_side": 40.0, "voxel_pitch": LAM / 12, "voxels": [
+        {"position": [0.0, 0.0, z], "material": material} for z in (-0.6, 0.6)]})
+
+
 def sphere_scene(radius):
     """Drude-Lorentz sphere on the 0.2 lattice; |chi| = 1.95 at omega = 0.9."""
     return lattice_scene({"shape": "sphere", "radius": radius})
@@ -748,6 +755,51 @@ def test_blocked_evaluation_matches_any_block_size(monkeypatch, rng):
         assert np.linalg.norm(c - ref_c) <= 1e-13 * np.linalg.norm(ref_c)
 
 
+def test_one_pass_green_matches_the_streamed_rows(monkeypatch, rng):
+    # green() builds the rows of its targets and sources in one pass when
+    # they fit in one block, and streams them block by block otherwise
+    sc = two_voxel_pair()
+    x = sc.positions()[0]
+    targets = np.vstack([x + 0.01 * rng.standard_normal((12, 3)), [0.3, 0.2, 0.1]])
+    sources = np.vstack([x, [0.5, -0.2, 1.5]])  # one inside a voxel
+    solver = EffectiveSolver(sc, 1.3)
+    ref = solver.green(targets, sources, warn_near=False)
+    # every target in one block (the one-pass product's shape), or one per block
+    for per_block in (len(targets), 1):
+        monkeypatch.setattr(greens, "_BLOCK_BYTES", per_block * sc.n_voxels * 9 * 16)
+        assert len(solver._blocks(len(targets) + len(sources))) > 1
+        assert np.array_equal(solver.green(targets, sources, warn_near=False), ref)
+    monkeypatch.undo()
+    # a sphere: with the targets in one block the bits are the same; smaller
+    # target blocks change only the shape of the BLAS product
+    sc = sphere_scene(0.8)
+    targets = rng.uniform(-1.0, 1.0, (23, 3))
+    sources = np.array([[0.1, 0.2, 1.4], sc.positions()[5] + 0.03])
+    solver = factor_route(sc, 0.9)
+    ref = solver.green(targets, sources, scattered_only=True, warn_near=False)
+    assert len(solver._blocks(len(targets) + len(sources))) == 1
+    for per_block in (len(targets), 7, 1):
+        monkeypatch.setattr(greens, "_BLOCK_BYTES", per_block * sc.n_voxels * 9 * 16)
+        assert len(solver._blocks(len(targets) + len(sources))) > 1
+        got = solver.green(targets, sources, scattered_only=True, warn_near=False)
+        if per_block == len(targets):
+            assert np.array_equal(got, ref)
+        assert np.linalg.norm(got - ref) <= 1e-15 * np.linalg.norm(ref)
+
+
+def test_chunked_assembly_is_the_one_chunk_assembly_bitwise(monkeypatch):
+    # the small-scene assembly (one chunk, cached pairs) and the chunked one
+    # write the same bits, and S stays bitwise symmetric
+    for sc in (two_voxel_pair(), sphere_scene(0.8)):
+        n = sc.n_voxels
+        S = EffectiveSolver(sc, 0.9).system
+        assert np.array_equal(S, S.T)
+        for rows in (1, 16):
+            monkeypatch.setattr(greens, "_ASSEMBLY_BYTES", rows * n * 9 * 16)
+            assert np.array_equal(EffectiveSolver(sc, 0.9).system, S)
+        monkeypatch.undo()
+
+
 def test_factor_route_wide_solve_peak(rng):
     # a right-hand side as large as S, as green() and the mode fields can pass:
     # the solve holds only C^1/2 rhs, in the Fortran order zsytrs solves in
@@ -915,6 +967,20 @@ def test_identity_report_at_coincidence():
         limit = (getattr(near[0], term) + getattr(near[1], term)) / 2
         assert np.linalg.norm(got - limit) <= 1e-6 * np.linalg.norm(got)
     assert abs(rep.residual - near[0].residual) <= 1e-5 * rep.residual
+
+
+def test_identity_report_refuses_a_source_inside_a_voxel():
+    # the absorption integrand is not integrable at a source inside a
+    # scatterer voxel; such a source read residuals of 0.84 and 74 as if the
+    # identity failed.  A point on a face belongs to the voxel
+    sc = one_voxel_scene(pitch=0.4)
+    b = np.array([0.7, 0.3, -0.6])
+    assert greens_identity_report(sc, 1.0, np.array([0.0, 0.0, 1.0]), b).residual < 1e-2
+    for a in ([0.05, 0.03, 0.02], [0.1, 0.1, 0.1], [0.2, 0.0, 0.0]):
+        with pytest.raises(GreensError, match=r"source a = .* inside scatterer voxel 0 "):
+            greens_identity_report(sc, 1.0, np.array(a), b)
+        with pytest.raises(GreensError, match=r"source b = .* inside scatterer voxel 0 "):
+            greens_identity_report(sc, 1.0, b, np.array(a))
 
 
 def test_terms_take_the_callers_polarization(monkeypatch):

@@ -65,6 +65,36 @@ def test_omega_must_be_finite(omega):
             m.eval(omega)
 
 
+def _array_rule_accepts(omega):
+    """The frequency check in its array form, the one rule for every input."""
+    w = np.asarray(omega)
+    return not (not np.all(np.isreal(w)) or not np.all(np.isfinite(w)) or np.any(np.real(w) <= 0))
+
+
+FREQUENCY_INPUTS = [
+    1, 0, -2, True, False, 1.5, 0.0, -0.0, -1.0, 5e-324, np.nan, np.inf, -np.inf,
+    np.float32(1.5), np.float32(0.0), np.float32(-1.0), np.float32(np.nan), np.float32(np.inf),
+    np.float64(1.5), np.float64(0.0), np.float64(-1.0), np.float64(np.nan), np.float64(-np.inf),
+    np.array(1.5), np.array(0.0), np.array(-1.0), np.array(np.nan), np.array(np.inf),
+    1.5 + 0j, 1.5 + 1e-300j, 1.5 - 2j, -1.5 + 0j, 0j, complex(np.nan, 0.0), complex(np.inf, 0.0),
+    np.complex128(2.0 + 0j), np.complex128(2.0 + 1j), np.array(2.0 + 0j), np.array(2.0 - 1j),
+]
+
+
+@pytest.mark.parametrize("omega", FREQUENCY_INPUTS, ids=repr)
+def test_scalar_frequency_check_keeps_the_array_rule(omega):
+    # floats take a path without arrays; every input is accepted or refused
+    # as the array rule does, and an accepted one evaluates as its 0-d array
+    m = DrudeLorentzModel(1.2, 0.9, 0.4)
+    if _array_rule_accepts(omega):
+        assert m.eval(omega) == m.eval(np.asarray(omega))
+        assert VACUUM.eval(omega) == 1.0
+    else:
+        for mat in (m, VACUUM):
+            with pytest.raises(MaterialError, match="real, finite and > 0"):
+                mat.eval(omega)
+
+
 def test_solver_rejects_nan_frequency():
     scene = Scene(box_side=10.0, voxel_pitch=0.3,
                   scatterer_voxels=(((0.0, 0.0, 0.0), DrudeLorentzModel(1.2, 0.9, 0.4)),))

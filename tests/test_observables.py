@@ -1,6 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
 
+from fluctem import greens
 from fluctem.greens import EffectiveSolver
 from fluctem.material import DrudeLorentzModel
 from fluctem.observables import (
@@ -240,6 +244,30 @@ def test_casimir_evaluates_materials_only_in_the_solver(monkeypatch):
         casimir_thermal_force(_two_voxel_scene(), BodySpec((0,)), T=1.0,
                               omega_grid=grid, tail_tol=100.0)
     assert len(calls) == 2 * grid.size  # the solver's two materials, none for the body
+
+
+def test_casimir_sweep_work_counters(monkeypatch):
+    # the per-frequency work of the sweep on configs/casimir.yaml's scene:
+    # one solver, one LDL^T and one solve, and one green() call whose stencil
+    # and source rows come from one coupling-row build
+    config = Path(__file__).resolve().parents[1] / "configs" / "casimir.yaml"
+    scene = build_scene(yaml.safe_load(config.read_text())["scene"])
+    counts = []
+
+    def counted(owner, name, label):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, **k: counts.append(label) or real(*a, **k))
+
+    counted(EffectiveSolver, "__init__", "solver")
+    counted(greens.sla.lapack, "zsytrf", "zsytrf")
+    counted(greens.sla.lapack, "zsytrs", "zsytrs")
+    counted(EffectiveSolver, "_coupling_rows", "rows")
+    counted(EffectiveSolver, "green", "green")
+    grid = np.logspace(-1, 1, 8) * np.sqrt(2)
+    with pytest.warns(UserWarning, match="under-resolves"):
+        casimir_thermal_force(scene, BodySpec((0,)), T=1.0, omega_grid=grid, tail_tol=100.0)
+    per_frequency = ["solver", "green", "rows", "zsytrf", "zsytrs"]
+    assert counts == per_frequency * grid.size
 
 
 def test_casimir_body_validation():

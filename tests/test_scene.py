@@ -346,6 +346,20 @@ def test_voxel_owner_matches_the_scan_on_and_off_the_lattice(rng):
         assert np.any(owner >= 0) and np.any(owner < 0)
 
 
+def test_voxel_owner_on_few_pairs_matches_the_scan(rng):
+    # calls of at most 100 point-voxel pairs test every pair, larger ones
+    # only the pairs near a centre: both follow the scan, faces and corners too
+    for sc in owner_scenes(rng):
+        pts = cube_probe_points(sc, rng)[::7]
+        per_call = max(1, 100 // sc.n_voxels)
+        assert per_call * sc.n_voxels <= 100 < len(pts) * sc.n_voxels
+        owner = np.concatenate([voxel_owner(sc, pts[i:i + per_call])
+                                for i in range(0, len(pts), per_call)])
+        assert np.array_equal(owner, owner_by_scan(sc, pts))
+        assert np.array_equal(owner, voxel_owner(sc, pts))
+        assert np.any(owner >= 0) and np.any(owner < 0)
+
+
 def test_coupling_rows_hold_the_self_term_in_the_owner_column_only(rng):
     # the rows read the owner off their own separations: cself I exactly in
     # the scan's voxel, and nowhere else, at faces, edges and corners too
