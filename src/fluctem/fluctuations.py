@@ -14,13 +14,14 @@ levels; the downward trend is the verification target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .constants import DEFAULT, Constants
 from .greens import (
     EffectiveSolver,
+    check_vacuum_gap,
     noise_volume_integral_scatterer,
     noise_volume_integral_shell,
     volume_route,
@@ -80,12 +81,14 @@ def noise_correlator_density(scene: Scene, region, omega, a, b,
     solver.interior_solution([a, b]), made here unless given.  metadata
     records the volume_route of the scatterer term ('lattice-fft' or
     'dense-rows'; the shell nodes always take dense rows, so region 'shell'
-    reads 'dense-rows').
+    reads 'dense-rows').  For every region both sources must lie in the
+    vacuum gap (greens.check_vacuum_gap).
     """
     if region not in REGIONS:
         raise FluctuationError(f"region must be one of {REGIONS}")
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    check_vacuum_gap(scene, a, b)
     if solver is None:
         solver = EffectiveSolver(scene, omega, const=const)
     if chiX is None:
@@ -120,8 +123,11 @@ def commutator_density(scene: Scene, omega, a, b, const: Constants = DEFAULT,
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     meta = {"scene": scene.digest()}
-    for name, p in (("a", a), ("b", b)):
-        margin = scene.compliance_margin(p)
+    # the margin to the boundaries a point stays clear of: voxels and the shell
+    for name, p, r in zip("ab", (a, b), scene.placement([a, b])[1]):
+        margin = r - scene.voxel_pitch
+        if scene.shell is not None:
+            margin = min(margin, scene.shell.inner_radius - float(np.linalg.norm(p)))
         if margin < scene.voxel_pitch:
             meta[f"compliance_warning_{name}"] = (
                 f"point {name} within {margin:.3g} of a region boundary"
@@ -201,11 +207,11 @@ def equivalence_densities(scatterer_material, omega, a, b, box_side, shell_eps_i
         voxel_pitch=pitch,
         scatterer_voxels=(((0.0, 0.0, 0.0), scatterer_material),),
         shell=Shell(2.0, 2.0 + shell_lengths * ell, shell_mat),
-        shell_enabled=True,
     )
-    scene3 = scene.without_shell()
+    scene3 = replace(scene, shell=None)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    check_vacuum_gap(scene, a, b)  # before the mode sum solves anything
 
     basis = enumerate_modes(box_side, omega + delta_omega, const=const)
     smode = mode_sum_spectral_density(scene3, a, b, omega, delta_omega, basis,

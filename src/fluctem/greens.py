@@ -30,8 +30,8 @@ Draine & Flatau 1991).  A column stops when its true residual passes LAPACK
 zcgesv's test, ||b - S x||_inf <= sqrt(3N) u ||S||_inf ||x||_inf (u = 2^-53),
 the backward error the double factorization guarantees.  Such a solver has
 a work budget in column-matvecs, about the cost of assembling and factoring
-S, and starts on COCG only if that budget covers the expected iterations of
-a one-source (3-column) solve: the crossover follows from the budget.
+S, and admits a solve to COCG only if its columns times the expected
+iterations fit in what is left: the crossover follows from the budget.
 
 A solver runs down one ladder, lattice-cocg -> dense-ldlt, from the first
 route it qualifies for.  A solve that would overrun the budget (too many
@@ -56,8 +56,8 @@ the polarization the other terms radiate.  A sphere of finite radius R
 differs from this limit by O(1/(kR)^2), by O(1/(kR)) behind an absorbing
 shell.
 
-An absorbing far shell, when enabled, is not discretized into the matrix:
-its effect on propagation is the accumulated complex path factor
+A scene's absorbing far shell is not discretized into the matrix: its
+effect on propagation is the accumulated complex path factor
 exp(i (w/c) (sqrt(eps_shell) - 1) * path-length-in-shell), the leading
 behaviour of a weak quasi-homogeneous absorber.  Tiny shells can instead be
 voxelized explicitly (see tests) to bound the error of this treatment.  On
@@ -76,7 +76,8 @@ import scipy.fft as sfft
 import scipy.linalg as sla
 
 from .constants import DEFAULT, Constants
-from .scene import Scene, owner_of, shell_voxelization, sphere_quadrature, warn_if_thin_shell
+from .scene import (Scene, _lengths, owner_of, shell_voxelization, sphere_quadrature,
+                    warn_if_thin_shell)
 
 _EYE = np.eye(3)
 
@@ -107,11 +108,10 @@ _MEMORY_CAP = 2 * 1024**3
 # a lattice solver's work budget, in column-matvecs, is this constant times
 # (3N)^3 / (cells of the padded grid): about what assembly and LDL^T cost, in
 # matvecs.  That ratio measured 4.5e-4 to 5.2e-4 at N = 389 and 4.4e-4 to
-# 5.4e-4 at N = 739 (two runs, one thread, shared machine).  A solver starts
-# on COCG when the budget covers one 3-column solve at _COCG_ITERATIONS.  At
-# pitch 0.2 that splits the spheres of N = 257 (budget 29) and N = 389 (103),
-# where assembly, LDL^T and one 3-column solve against COCG read 34 against
-# 67 ms and 94 against 81 ms (best of nine, the same runs)
+# 5.4e-4 at N = 739 (two runs, one thread, shared machine).  At pitch 0.2
+# a 3-column solve at _COCG_ITERATIONS fits the budget of the N = 389 sphere
+# (103), not N = 257 (29), where assembly, LDL^T and that solve against COCG
+# read 94 against 81 ms and 34 against 67 ms (best of nine, the same runs)
 _COCG_BUDGET = 3.8e-4
 
 # the iterations a lattice solver expects of its first solve, until one has
@@ -161,11 +161,6 @@ def _dyadic(d, r, k, scale=1.0, out=None):
     return np.multiply(scale * g[..., None, None], out, out=out)
 
 
-def _lengths(d):
-    """|d| over the last axis: the bits of np.linalg.norm(d, axis=-1), without its wrapper."""
-    return np.sqrt(np.add.reduce(d * d, axis=-1))
-
-
 def vacuum_green_block(omega, targets, sources, c=1.0):
     """Vacuum dyadics for all target/source pairs, shape (T, S, 3, 3)."""
     T = np.atleast_2d(np.asarray(targets, dtype=float))
@@ -208,14 +203,14 @@ def _strict_lower(m):
 class EffectiveSolver:
     """Lippmann-Schwinger solve bound to one (scene, omega).
 
-    Lattice scenes whose budget covers a one-source solve start on COCG
-    with the FFT matvec and form S only if that route is left; on the
-    factor route the first solve assembles S and factors it.  Its state is
-    the route, which only moves down the ladder (see _leave), the factor
-    and the COCG budget.  It has one owner and holds no lock: threads that
-    run in parallel each build their own.  All spatial evaluations accept
-    arbitrary points, handling points inside voxels through the
-    cell-averaged (regularized) kernel.
+    Lattice scenes with a COCG budget start on COCG with the FFT matvec
+    and form S only if that route is left; on the factor route the first
+    solve assembles S and factors it.  Its state is the route, which only
+    moves down the ladder (see _leave), the factor and the COCG budget.  It
+    has one owner and holds no lock: threads that run in parallel each
+    build their own.  All spatial evaluations accept arbitrary points,
+    handling points inside voxels through the cell-averaged (regularized)
+    kernel.
     """
 
     def __init__(self, scene: Scene, omega, const: Constants = DEFAULT):
@@ -244,8 +239,8 @@ class EffectiveSolver:
         self._fact = None  # the LDL^T factor, made in place of S by the first solve on it
         self._matvec = None  # the lattice matvec, built by the first COCG solve
         self.grid = _fft_grid(scene)  # the padded grid of both FFT routes, or None
-        budget = 0 if self.grid is None else int(_COCG_BUDGET * (3 * n) ** 3 / np.prod(self.grid))
-        self._budget = budget if budget >= 3 * _COCG_ITERATIONS else 0
+        budget = 0 if self.grid is None else _COCG_BUDGET * (3 * n) ** 3 / np.prod(self.grid)
+        self._budget = int(budget)
         self._spent = 0  # column-matvecs so far
         self._iterations = _COCG_ITERATIONS  # the next solve's estimate
         self._route = "lattice-cocg"  # the top of the ladder, left at once without a budget
@@ -512,7 +507,10 @@ class EffectiveSolver:
         targets = np.atleast_2d(np.asarray(targets, dtype=float))
         sources = np.atleast_2d(np.asarray(sources, dtype=float))
         if warn_near:
-            self._near_field_guard(np.vstack([targets, sources]))
+            owner, distance = self.scene.placement(np.vstack([targets, sources]))
+            if np.all(owner < 0) and distance.min() < self.scene.voxel_pitch:
+                warnings.warn("evaluation point within one pitch of a scatterer voxel; "
+                              "near-field accuracy is reduced")
         t = len(targets)
         if len(self._blocks(t + len(sources))) == 1:
             # the rows of every target and source fit in one block: build them in one pass
@@ -589,20 +587,6 @@ class EffectiveSolver:
             rows = self._coupling_rows(pts[sl])
             yield sl, rows.transpose(0, 2, 1, 3).reshape(len(rows), 3, 3 * n)
 
-    def _near_field_guard(self, pts):
-        dmin = np.inf
-        for sl in self._blocks(len(pts)):
-            d = pts[sl, None, :] - self.pos[None, :, :]
-            r = _lengths(d)
-            if np.any(owner_of(d, r, self.scene.voxel_pitch) >= 0):
-                return
-            dmin = r.min(initial=dmin)
-        if dmin < self.scene.voxel_pitch:
-            warnings.warn(
-                "evaluation point within one pitch of a scatterer voxel; "
-                "near-field accuracy is reduced"
-            )
-
 
 @dataclass(frozen=True)
 class DyadicBlock:
@@ -658,10 +642,10 @@ def shell_path_factors(scene: Scene, omega, endpoint, pts, const: Constants = DE
     """Complex in-shell propagation factor between endpoint and each point.
 
     exp(i (w/c) (sqrt(eps_shell) - 1) * path-in-shell); identically one when
-    the shell is disabled or the path never crosses it.
+    the scene has no shell or the path never crosses it.
     """
     pts = np.atleast_2d(pts)
-    if not scene.shell_enabled or scene.shell is None:
+    if scene.shell is None:
         return np.ones(len(pts), complex)
     y = np.asarray(endpoint, dtype=float)
     eps1 = scene.shell.material.eval(omega)
@@ -697,12 +681,36 @@ def surface_functional(scene: Scene, omega, a, b, const: Constants = DEFAULT,
     phase = -1j * k * (r @ solver.pos.T)  # (P, N)
     np.exp(phase, out=phase)
     F += (k**2 * solver.dv) * (phase @ chiX.reshape(scene.n_voxels, 18)).reshape(F.shape)
-    if scene.shell_enabled and scene.shell is not None:
+    if scene.shell is not None:
         for i, s in enumerate(srcs):
             far = s + (np.linalg.norm(s) + 2 * scene.shell.outer_radius) * r  # beyond the shell
             F[:, i] *= shell_path_factors(scene, omega, s, far, const)[:, None, None]
     Fb = F[:, 1] - r[:, :, None] * np.einsum("pk,pkj->pj", r, F[:, 1])[:, None, :]  # (I - rr) F_b
     return (k / (16 * np.pi**2)) * np.einsum("p,pki,pkj->ij", dirs.weights, F[:, 0], np.conj(Fb))
+
+
+def check_vacuum_gap(scene: Scene, a, b):
+    """Raise GreensError unless the sources a and b lie in the vacuum gap.
+
+    The gap is outside every scatterer voxel (Scene.placement) and strictly
+    inside the shell's inner radius.  The absorption terms integrate
+    G(a, x) . conj(G(x, b)) over the absorbers, which is not defined with a
+    source inside one, and the Langevin and polariton pictures agree only
+    at points in the vacuum between them.
+    """
+    pts = np.array([a, b], dtype=float)
+    r2 = np.inf if scene.shell is None else scene.shell.inner_radius
+    for name, p, v in zip("ab", pts, scene.placement(pts)[0]):
+        r = float(np.linalg.norm(p))
+        if v >= 0:
+            where = (f"inside scatterer voxel {v} "
+                     f"(centre {tuple(map(float, scene.scatterer_voxels[v][0]))})")
+        elif r >= r2:
+            where = f"at |x| = {r:.6g}, in or beyond the shell (inner radius {r2:.6g})"
+        else:
+            continue
+        raise GreensError(f"source {name} = {tuple(map(float, p))} lies {where}; the "
+                          f"absorption terms need both sources in the vacuum gap")
 
 
 def _solved(scene, omega, a, b, const, solver, chiX):
@@ -919,7 +927,7 @@ def noise_volume_integral_shell(scene, omega, a, b, solver=None, const: Constant
     Shell propagation uses the in-shell path factor on top of the
     scatterer-only effective tensor.  chiX is as in surface_functional.
     """
-    if not scene.shell_enabled or scene.shell is None:
+    if scene.shell is None:
         return np.zeros((3, 3), complex)
     a, b, solver, chiX = _solved(scene, omega, a, b, const, solver, chiX)
     # a sixth of the attenuation length, at least 24 radial spacings
@@ -951,20 +959,10 @@ def greens_identity_report(scene: Scene, omega, a, b, nsub=2, const: Constants =
 
     One solve for the sources [a, b] serves every term: Imag G(a, b), the
     surface term and both volume terms radiate the same polarization.  At
-    a = b the vacuum part of Imag G is its finite coincidence limit.  A
-    source inside a scatterer voxel (scene.owner_of) raises GreensError: the
-    absorption integrand is not integrable there.
+    a = b the vacuum part of Imag G is its finite coincidence limit.  Both
+    sources must lie in the vacuum gap (check_vacuum_gap).
     """
-    pts = np.array([a, b], dtype=float)
-    pos = scene.positions()
-    d = pts[:, None, :] - pos[None, :, :]
-    for name, p, v in zip("ab", pts, owner_of(d, _lengths(d), scene.voxel_pitch)):
-        if v >= 0:
-            raise GreensError(
-                f"source {name} = {tuple(map(float, p))} lies inside scatterer voxel {v} "
-                f"(centre {tuple(map(float, pos[v]))}), where the absorption integrand "
-                f"of the identity is not integrable"
-            )
+    check_vacuum_gap(scene, a, b)
     warn_if_thin_shell(scene, omega, c=const.c)
     a, b, solver, chiX = _solved(scene, omega, a, b, const, solver, None)
     img = solver.imag_green(a, b, chiX=chiX)

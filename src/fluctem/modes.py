@@ -23,10 +23,12 @@ from .greens import EffectiveSolver
 
 # modes per block of plane-wave fields in the mode sum
 _CHUNK = 4096
-# nested Chebyshev-Lobatto node counts across a mode-sum bin, and the size of
-# the two trailing Chebyshev coefficients of W(omega), relative to the
-# largest, at which the nodes resolve W
-_NODE_COUNTS = (5, 9, 17)
+# the Chebyshev-Lobatto nodes across a mode-sum bin, and the size of the two
+# trailing Chebyshev coefficients of W(omega), relative to the largest, at
+# which they resolve W.  Every bin of the shipped configs, the benchmark and
+# the tests needs all 17 (5 or 9 nested ones never resolved W there); with
+# 17 the tails read 1.4e-16 to 5.0e-16
+_NODES = 17
 _TAIL_TOLERANCE = 1e-13
 
 
@@ -39,7 +41,6 @@ class ModeBasis:
     box_side: float
     n_index: np.ndarray  # (M, 3) integer triples
     k: np.ndarray  # (M, 3)
-    pol_index: np.ndarray  # (M,) 1 or 2
     pol: np.ndarray  # (M, 3) unit polarization vectors
     omega_alpha: np.ndarray  # (M,)
     amplitude: np.ndarray  # (M,) real, |A|^2 V = hbar w / 2
@@ -105,14 +106,10 @@ def enumerate_modes(L, omega_max, const: Constants = DEFAULT, max_modes=4_000_00
     pol = np.empty((2 * len(n3), 3))
     pol[0::2] = e1
     pol[1::2] = e2
-    jidx = np.empty(2 * len(n3), dtype=int)
-    jidx[0::2] = 1
-    jidx[1::2] = 2
     return ModeBasis(
         box_side=L,
         n_index=n_index,
         k=kk,
-        pol_index=jidx,
         pol=pol,
         omega_alpha=oo,
         amplitude=aa,
@@ -237,36 +234,30 @@ def _rows_by_group(scene, pts, freqs, const):
     """W = chi A^-1 rows(pts)^T at each group frequency freqs (ascending), (3N, 6) each.
 
     W(omega) is analytic across the groups, so when there are more groups
-    than the largest node count it is solved at nested Chebyshev-Lobatto
-    points of [freqs[0], freqs[-1]], 5, then 9, then 17, until its two
-    trailing Chebyshev coefficients (the DCT-I of the node values) fall below
-    _TAIL_TOLERANCE of the largest, and carried to the groups by barycentric
-    interpolation (Berrut & Trefethen, SIAM Rev. 46, 501 (2004)).  With
-    fewer groups, or when 17 nodes do not resolve W (a resonance among the
-    groups), each group is solved at its own frequency, one at a time.
-    Returns the record and an iterator over the groups' W.
+    than _NODES it is solved at the _NODES Chebyshev-Lobatto points of
+    [freqs[0], freqs[-1]], and when its two trailing Chebyshev coefficients
+    (the DCT-I of the node values) fall below _TAIL_TOLERANCE of the largest
+    it is carried to the groups by barycentric interpolation (Berrut &
+    Trefethen, SIAM Rev. 46, 501 (2004)).  With fewer groups, or when the
+    nodes do not resolve W (a resonance among the groups), each group is
+    solved at its own frequency, one at a time.  Returns the record and an
+    iterator over the groups' W.
     """
     record = {"solves": 0, "nodes": None, "tail": None}
-    if len(freqs) > _NODE_COUNTS[-1]:
+    if len(freqs) > _NODES:
         mid, half = (freqs[0] + freqs[-1]) / 2, (freqs[-1] - freqs[0]) / 2
-        top = _NODE_COUNTS[-1] - 1
-        cheb = np.sin(np.pi * (top - 2 * np.arange(top + 1)) / (2 * top))  # 1 .. -1
-        solved = {}
-        for count in _NODE_COUNTS:
-            idx = np.arange(0, top + 1, top // (count - 1))
-            for j in idx:
-                if j not in solved:
-                    solved[j] = _coupled_rows(scene, pts, mid + half * cheb[j], const)
-            values = np.stack([solved[j].ravel() for j in idx])
-            coef = np.abs(sfft.dct(values, type=1, axis=0)).max(axis=1)
-            coef[[0, -1]] /= 2
-            tail = float(coef[-2:].max() / coef.max()) if coef.max() else 0.0  # W = 0 at chi = 0
-            record.update(solves=len(solved), tail=tail)
-            if tail <= _TAIL_TOLERANCE:
-                record["nodes"] = len(idx)
-                shape = solved[0].shape
-                interp = _barycentric(cheb[idx], (freqs - mid) / half)
-                return record, ((row @ values).reshape(shape) for row in interp)
+        top = _NODES - 1
+        cheb = np.sin(np.pi * (top - 2 * np.arange(_NODES)) / (2 * top))  # 1 .. -1
+        solved = [_coupled_rows(scene, pts, mid + half * x, const) for x in cheb]
+        shape, values = solved[0].shape, np.stack([w.ravel() for w in solved])
+        coef = np.abs(sfft.dct(values, type=1, axis=0)).max(axis=1)
+        coef[[0, -1]] /= 2
+        tail = float(coef[-2:].max() / coef.max()) if coef.max() else 0.0  # W = 0 at chi = 0
+        record.update(solves=_NODES, tail=tail)
+        if tail <= _TAIL_TOLERANCE:
+            record["nodes"] = _NODES
+            interp = _barycentric(cheb, (freqs - mid) / half)
+            return record, ((row @ values).reshape(shape) for row in interp)
     record["solves"] += len(freqs)
     return record, (_coupled_rows(scene, pts, f, const) for f in freqs)
 

@@ -42,8 +42,7 @@ class Scene:
     box_side: float
     voxel_pitch: float
     scatterer_voxels: tuple  # ((x, y, z), material) sorted lexicographically
-    shell: Shell | None = None
-    shell_enabled: bool = False
+    shell: Shell | None = None  # the absorbing far shell, when the scene has one
 
     @property
     def n_voxels(self):
@@ -59,12 +58,19 @@ class Scene:
         return np.array([p for p, _ in self.scatterer_voxels], dtype=float)
 
     def chi_at(self, omega):
-        """eps - 1 per scatterer voxel at omega, each material evaluated once."""
-        chi = {}
+        """eps - 1 per scatterer voxel at omega, each material evaluated once per value.
+
+        Equal frozen dataclasses share one evaluation; unhashable materials key
+        by identity.  Each object is hashed once: a long table hashes slowly.
+        """
+        by_value, by_id = {}, {}
         for _, m in self.scatterer_voxels:
-            if id(m) not in chi:
-                chi[id(m)] = m.eval(omega) - 1.0
-        return np.array([chi[id(m)] for _, m in self.scatterer_voxels], dtype=complex)
+            if id(m) not in by_id:
+                key = m if m.__hash__ else id(m)
+                if key not in by_value:
+                    by_value[key] = m.eval(omega) - 1.0
+                by_id[id(m)] = by_value[key]
+        return np.array([by_id[id(m)] for _, m in self.scatterer_voxels], dtype=complex)
 
     @cached_property
     def lattice(self):
@@ -83,32 +89,34 @@ class Scene:
             "shell": None
             if self.shell is None
             else [self.shell.inner_radius, self.shell.outer_radius, _material_tag(self.shell.material)],
-            "shell_enabled": self.shell_enabled,
+            # kept so that recorded digests stay valid: a shell is always active
+            "shell_enabled": self.shell is not None,
         }
         return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
-    def without_shell(self):
-        return Scene(
-            box_side=self.box_side,
-            voxel_pitch=self.voxel_pitch,
-            scatterer_voxels=self.scatterer_voxels,
-            shell=self.shell,
-            shell_enabled=False,
-        )
+    def placement(self, pts):
+        """Where the points pts, (P, 3) or (3,), sit: (owner, distance), each (P,).
 
-    def compliance_margin(self, x):
-        """Distance from x to the nearest region boundary it must stay clear of.
-
-        Positive means x sits in the vacuum void between the scatterer and
-        the shell inner surface; used only to annotate correlator metadata.
+        owner is the voxel that holds each point (owner_of), -1 outside every
+        voxel; distance is the one to the nearest voxel centre, inf without
+        voxels.
         """
-        x = np.asarray(x, dtype=float)
-        margins = []
-        if self.shell_enabled and self.shell is not None:
-            margins.append(self.shell.inner_radius - float(np.linalg.norm(x)))
-        for p, _ in self.scatterer_voxels:
-            margins.append(float(np.linalg.norm(x - np.asarray(p))) - self.voxel_pitch)
-        return min(margins) if margins else np.inf
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        pos = self.positions()
+        owner = np.full(len(pts), -1)
+        distance = np.full(len(pts), np.inf)
+        step = max(1, 2**16 // max(len(pos), 1))  # 2^16 point-voxel pairs: 1.5 MiB of d
+        for i in range(0, len(pts), step):
+            d = pts[i:i + step, None, :] - pos[None, :, :]
+            r = _lengths(d)
+            owner[i:i + step] = owner_of(d, r, self.voxel_pitch)
+            distance[i:i + step] = r.min(axis=1, initial=np.inf)
+        return owner, distance
+
+
+def _lengths(d):
+    """|d| over the last axis: the bits of np.linalg.norm(d, axis=-1), without its wrapper."""
+    return np.sqrt(np.add.reduce(d * d, axis=-1))
 
 
 def owner_of(d, r, pitch):
@@ -245,8 +253,9 @@ def build_scene(config: dict, base_dir=".") -> Scene:
     Recognized keys: box_side, voxel_pitch, voxels (explicit list of
     {position, material}), primitives (list of sphere/box entries filling
     the pitch lattice), shell {inner_radius, outer_radius, material,
-    enabled}.  Materials are either material objects already or mappings
-    with a 'type' key; table paths are relative to base_dir.
+    enabled}; a shell with enabled false is validated, then dropped.
+    Materials are either material objects already or mappings with a
+    'type' key; table paths are relative to base_dir.
     """
     box_side = float(config.get("box_side", 0.0))
     pitch = float(config.get("voxel_pitch", 0.0))
@@ -270,7 +279,6 @@ def build_scene(config: dict, base_dir=".") -> Scene:
         raise SceneError("overlapping scatterer voxels (centers closer than one pitch)")
 
     shell = None
-    shell_enabled = False
     shell_cfg = config.get("shell")
     if shell_cfg:
         r2 = float(shell_cfg["inner_radius"])
@@ -279,22 +287,18 @@ def build_scene(config: dict, base_dir=".") -> Scene:
             raise SceneError(f"need inner_radius < outer_radius, got R2={r2}, R1={r1}")
         if r1 > box_side / 2:
             raise SceneError(f"outer_radius {r1} exceeds box_side/2 = {box_side/2}")
-        shell = Shell(r2, r1, _coerce_material(shell_cfg["material"], base_dir))
-        shell_enabled = bool(shell_cfg.get("enabled", True))
+        material = _coerce_material(shell_cfg["material"], base_dir)
         if voxels:
             rmax = float(np.max(np.linalg.norm(pos, axis=1)))
             if rmax >= r2:
                 raise SceneError(
                     f"scatterer voxel at radius {rmax:.4g} not strictly inside R2={r2}"
                 )
+        if shell_cfg.get("enabled", True):
+            shell = Shell(r2, r1, material)
 
-    return Scene(
-        box_side=box_side,
-        voxel_pitch=pitch,
-        scatterer_voxels=tuple(voxels),
-        shell=shell,
-        shell_enabled=shell_enabled,
-    )
+    return Scene(box_side=box_side, voxel_pitch=pitch, scatterer_voxels=tuple(voxels),
+                 shell=shell)
 
 
 def _coerce_material(m, base_dir="."):
@@ -425,11 +429,9 @@ def shell_voxelization(scene: Scene, shell_pitch, omega=None, n_theta=24, c=1.0)
     (attenuation length / 4), otherwise the call errors naming the
     frequency.
     """
-    if not scene.shell_enabled or scene.shell is None:
+    if scene.shell is None or scene.shell.outer_radius <= scene.shell.inner_radius:
         return ShellNodes(np.zeros((0, 3)), np.zeros(0))
     r2, r1 = scene.shell.inner_radius, scene.shell.outer_radius
-    if r1 <= r2:
-        return ShellNodes(np.zeros((0, 3)), np.zeros(0))
     if shell_pitch <= 0:
         raise SceneError("shell_pitch must be > 0")
     if omega is not None:
@@ -451,7 +453,7 @@ def shell_voxelization(scene: Scene, shell_pitch, omega=None, n_theta=24, c=1.0)
 
 def warn_if_thin_shell(scene: Scene, omega, c=1.0):
     """Warn when the shell is thinner than 3 attenuation lengths."""
-    if not scene.shell_enabled or scene.shell is None:
+    if scene.shell is None:
         return
     ell = scene.shell.attenuation_length(omega, c=c)
     thick = scene.shell.outer_radius - scene.shell.inner_radius

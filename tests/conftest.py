@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fluctem.scene import Scene, owner_of
+from fluctem.scene import Scene
 
 
 class FixedEps:
@@ -23,10 +23,8 @@ def one_voxel_scene(eps=2 + 0.5j, pitch=LAM / 20, box=60.0):
 
 
 def voxel_owner(sc, pts):
-    """scene.owner_of for the points pts, (3,) or (P, 3), against every voxel of sc."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    d = pts[:, None, :] - sc.positions()[None, :, :]
-    return owner_of(d, np.linalg.norm(d, axis=-1), sc.voxel_pitch)
+    """The owning voxel of the points pts, (3,) or (P, 3): Scene.placement's owner."""
+    return sc.placement(pts)[0]
 
 
 @pytest.fixture

@@ -70,7 +70,7 @@ def _absorber_scene(eta, lengths, r2=0.8 * LAM, r1=None):
     if r1 is None:
         r1 = r2 + lengths * ell
     return Scene(box_side=2.2 * r1, voxel_pitch=0.2, scatterer_voxels=(),
-                 shell=Shell(r2, r1, FixedEps(1 + 1j * eta)), shell_enabled=True)
+                 shell=Shell(r2, r1, FixedEps(1 + 1j * eta)))
 
 
 def test_criterion_3_vacuum_limit_split():
@@ -139,8 +139,7 @@ def test_criterion_5_reciprocity(rng):
                                           "omega_0": 0.9, "gamma": 0.2}}]}),
         "shelled": Scene(box_side=60.0, voxel_pitch=0.4,
                          scatterer_voxels=(((0.0, 0.0, 0.0), FixedEps(2 + 0.5j)),),
-                         shell=Shell(3.0, 12.0, FixedEps(1 + 0.05j)),
-                         shell_enabled=True),
+                         shell=Shell(3.0, 12.0, FixedEps(1 + 0.05j))),
     }
     worst = {}
     for name, sc in scenes.items():

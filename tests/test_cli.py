@@ -349,6 +349,20 @@ def test_verify_identity_source_inside_a_voxel_is_an_error_line(tmp_path, capsys
     assert not (out / "identity.json").exists()
 
 
+@pytest.mark.parametrize("a, where", [
+    ([0.1, 0.1, 0.1], "inside scatterer voxel 0 (centre (0.0, 0.0, 0.0))"),
+    ([0.0, 0.0, 2.5], "at |x| = 2.5, in or beyond the shell (inner radius 2)"),
+], ids=["voxel", "shell"])
+def test_verify_equivalence_source_outside_the_gap_is_an_error_line(tmp_path, capsys, a, where):
+    # the levels' scenes hold a voxel at the origin and a shell from radius 2;
+    # the run stops before the first mode sum
+    cfg = write_cfg(tmp_path, {"verify_equivalence": {"a": a, "b": [0.85, 0.4, -0.7]}})
+    out = tmp_path / "out"
+    assert main(["verify-equivalence", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: source a = {tuple(a)} lies {where}; ")
+    assert not (out / "equivalence.csv").exists()
+
+
 @pytest.mark.parametrize("name", ["ldos", "rate"])
 def test_zero_orientation_is_an_error_line(tmp_path, capsys, name):
     # it used to exit 0 and write "nan" (and bare NaN tokens in ldos.json)

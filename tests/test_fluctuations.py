@@ -68,7 +68,7 @@ def _compliant_scene(eta=0.05, lengths=4.0):
     r1 = 2.0 + lengths * ell
     return Scene(box_side=4 * r1, voxel_pitch=0.4,
                  scatterer_voxels=(((0.0, 0.0, 0.0), FixedEps(2 + 0.5j)),),
-                 shell=Shell(2.0, r1, FixedEps(1 + 1j * eta)), shell_enabled=True)
+                 shell=Shell(2.0, r1, FixedEps(1 + 1j * eta)))
 
 
 def test_region_additivity_bit_consistent():

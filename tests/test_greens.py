@@ -615,8 +615,8 @@ def test_factor_route_ldos_solves_one_column(monkeypatch):
     em = EmitterSpec(tuple(LDOS_X0), tuple(LDOS_N / np.linalg.norm(LDOS_N)), 1.0, 1.0)
     for omega in (0.6, 1.0, 1.4):
         solver = EffectiveSolver(sc, omega)
-        assert solver.diagnostics["route"] == "dense-ldlt"
         ldos(sc, omega, LDOS_X0, LDOS_N, solver=solver)
+        assert solver.diagnostics["route"] == "dense-ldlt"  # budget 21: no column fits
         spontaneous_rate(sc, em, solver=solver)
     assert cols == [1] * 6
 
@@ -648,25 +648,34 @@ def refuse_lattice_matvec(monkeypatch):
 
 
 @pytest.mark.parametrize("shape, n, budget, route", [
-    ({"shape": "sphere", "radius": 0.8}, 179, 0, "dense-ldlt"),  # budget 21
-    ({"shape": "sphere", "radius": 0.9}, 257, 0, "dense-ldlt"),  # budget 29
+    ({"shape": "sphere", "radius": 0.8}, 179, 21, "dense-ldlt"),
+    ({"shape": "sphere", "radius": 0.9}, 257, 29, "dense-ldlt"),
     ({"shape": "sphere", "radius": 1.0}, 389, 103, "lattice-cocg"),
     ({"shape": "sphere", "radius": 1.2}, 739, 447, "lattice-cocg"),
-    ({"shape": "box", "half_size": [0.5] * 3}, 125, 0, "dense-ldlt"),  # budget 27
+    ({"shape": "box", "half_size": [0.5] * 3}, 125, 27, "dense-ldlt"),
     ({"shape": "box", "half_size": [0.7] * 3}, 343, 150, "lattice-cocg"),
 ])
 def test_the_budget_picks_the_starting_route(monkeypatch, shape, n, budget, route):
-    # a lattice solver starts on COCG iff its budget covers one 3-column
-    # solve at the expected iterations, 3 * 32 = 96 column-matvecs; on these
-    # scenes that keeps the measured crossover between N = 257 and N = 389.
-    # Construction assembles nothing on either route
+    # every lattice solver with a budget starts on COCG, and construction
+    # assembles nothing.  A solve runs by COCG iff its columns at the expected
+    # iterations fit in the budget: a one-source (3-column) solve needs
+    # 3 * 32 = 96 column-matvecs, which keeps the measured crossover of such
+    # a solve between N = 257 and N = 389.  Below it the solve goes to the
+    # factor before any matvec
     counts = count_assembly(monkeypatch)
     solver = EffectiveSolver(lattice_scene(shape), 0.9)
     assert solver.scene.n_voxels == n
     assert solver.diagnostics["budget"] == budget
-    assert solver.diagnostics["route"] == route
-    assert solver.diagnostics["fallback"] is None
+    assert solver.diagnostics["route"] == "lattice-cocg"
     assert solver._fact is None and counts == []
+    solver.interior_solution([[0.3, -0.2, 2.5]])
+    assert solver.diagnostics["route"] == route
+    if route == "dense-ldlt":
+        assert solver.diagnostics["fallback"] == "budget"
+        assert solver.diagnostics["matvecs"] == 0 and counts == ["assemble"]
+    else:
+        assert solver.diagnostics["fallback"] is None
+        assert 0 < solver.diagnostics["matvecs"] <= budget and counts == []
 
 
 def test_thin_slab_starts_on_cocg_and_matches_the_factor_route():
@@ -685,18 +694,21 @@ def test_thin_slab_starts_on_cocg_and_matches_the_factor_route():
         assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
-def test_two_spheres_without_a_budget_start_on_the_factor(monkeypatch):
+def test_two_spheres_run_a_one_column_ldos_by_cocg(monkeypatch):
     # a 60 x 18 x 18 grid for N = 514: the budget, 71, covers no 3-column
-    # solve, so the solver starts on the LDL^T and builds no lattice matvec
+    # solve at the expected 32 iterations, but the LDOS solves one column, so
+    # it runs by COCG and assembles no S; it matches the factor route
     sc = lattice_scene({"shape": "sphere", "radius": 0.9, "center": [-2.0, 0.0, 0.0]},
                        {"shape": "sphere", "radius": 0.9, "center": [2.0, 0.0, 0.0]})
     assert sc.n_voxels == 514
-    refuse_lattice_matvec(monkeypatch)
+    ref = ldos(sc, 0.9, LDOS_X0, LDOS_N, solver=factor_route(sc, 0.9))
+    counts = count_assembly(monkeypatch)
     solver = EffectiveSolver(sc, 0.9)
-    ldos(sc, 0.9, LDOS_X0, LDOS_N, solver=solver)
-    assert solver.diagnostics["route"] == "dense-ldlt"
-    assert solver.diagnostics["fallback"] is None
-    assert solver.diagnostics["budget"] == solver.diagnostics["matvecs"] == 0
+    got = ldos(sc, 0.9, LDOS_X0, LDOS_N, solver=solver)
+    assert solver.diagnostics["route"] == "lattice-cocg"
+    assert solver.diagnostics["fallback"] is None and counts == []
+    assert 0 < solver.diagnostics["matvecs"] <= solver.diagnostics["budget"] == 71
+    assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
 def test_reading_system_builds_no_lattice_matvec(monkeypatch):
@@ -875,8 +887,7 @@ def thick_shell_scene(eta=0.1):
     ell = 1.0 / np.imag(np.sqrt(1 + 1j * eta))
     return Scene(box_side=4 * (2.0 + 5 * ell), voxel_pitch=0.2,
                  scatterer_voxels=(((0.0, 0.0, 0.0), FixedEps(2 + 0.5j)),),
-                 shell=Shell(2.0, 2.0 + 5 * ell, FixedEps(1 + 1j * eta)),
-                 shell_enabled=True)
+                 shell=Shell(2.0, 2.0 + 5 * ell, FixedEps(1 + 1j * eta)))
 
 
 def test_thick_shell_kills_surface_term():
@@ -983,6 +994,46 @@ def test_identity_report_refuses_a_source_inside_a_voxel():
             greens_identity_report(sc, 1.0, b, np.array(a))
 
 
+@pytest.mark.parametrize("term", ["identity", "scatterer", "shell", "all"])
+def test_absorption_terms_need_both_sources_in_the_vacuum_gap(monkeypatch, term):
+    # the identity report and the noise density of every region refuse a
+    # source inside a voxel (a face included) or at or beyond the shell's
+    # inner radius, before any solve.  Such sources read residuals of 0.15
+    # to 1.3 and densities off by orders of magnitude, with no error
+    from fluctem.fluctuations import noise_correlator_density
+
+    sc = thick_shell_scene()  # a pitch-0.2 voxel at the origin, the shell from R2 = 2
+
+    def evaluate(a, b):
+        if term == "identity":
+            return greens_identity_report(sc, 1.0, a, b).residual
+        return noise_correlator_density(sc, term, 1.0, a, b).value
+
+    gap = np.array([0.8, 0.3, -0.6])
+    assert np.all(np.isfinite(evaluate(np.array([0.0, 0.0, 1.0]), gap)))
+    solves = []
+    monkeypatch.setattr(EffectiveSolver, "_solve", lambda self, rhs: solves.append(rhs.shape))
+    for p, where in (([0.05, 0.03, 0.02], r"inside scatterer voxel 0 \(centre"),
+                     ([0.1, 0.0, 0.0], r"inside scatterer voxel 0 \(centre"),
+                     ([0.0, 0.0, 2.0], r"at \|x\| = 2, in or beyond the shell"),
+                     ([0.0, 150.0, 0.0], r"at \|x\| = 150, in or beyond the shell")):
+        with pytest.raises(GreensError, match=r"^source a = .* lies " + where):
+            evaluate(np.array(p), gap)
+        with pytest.raises(GreensError, match=r"^source b = .* lies " + where):
+            evaluate(gap, np.array(p))
+    assert solves == []
+
+
+def test_a_scene_given_a_shell_has_a_shell_term():
+    # a Scene given a Shell has it, with no flag besides: its shell noise
+    # density once read 0 without the flag
+    from fluctem.fluctuations import noise_correlator_density
+
+    sc = thick_shell_scene()
+    a, b = np.array([0.0, 0.0, 1.0]), np.array([0.8, 0.3, -0.6])
+    assert np.linalg.norm(noise_correlator_density(sc, "shell", 1.0, a, b).value) > 0.01
+
+
 def test_terms_take_the_callers_polarization(monkeypatch):
     # chiX only passes the solve a caller has made: each term returns the
     # same bits with it and without it, and makes no solve of its own
@@ -1001,7 +1052,7 @@ def test_terms_take_the_callers_polarization(monkeypatch):
             (lambda **kw: noise_volume_integral_scatterer(sc, 1.0, a, b, solver=solver,
                                                           **kw), 1),
             (lambda **kw: noise_volume_integral_shell(sc, 1.0, a, b, solver=solver, **kw),
-             int(sc.shell_enabled)),  # no shell: zero, before any solve
+             int(sc.shell is not None)),  # no shell: zero, before any solve
             (lambda **kw: noise_correlator_density(sc, "all", 1.0, a, b, solver=solver,
                                                    **kw).value, 1),
         )

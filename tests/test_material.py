@@ -210,7 +210,7 @@ def test_kk_warns_on_coarse_grid():
 def _shelled_scene():
     return Scene(box_side=20.0, voxel_pitch=0.2,
                  scatterer_voxels=(((0.0, 0.0, 0.0), FixedEps(3 + 1j)),),
-                 shell=Shell(2.0, 5.0, FixedEps(1 + 0.1j)), shell_enabled=True)
+                 shell=Shell(2.0, 5.0, FixedEps(1 + 0.1j)))
 
 
 def test_voxel_owner_inside_face_outside_empty():

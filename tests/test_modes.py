@@ -310,7 +310,7 @@ def test_mode_sum_resonance_in_the_bin_falls_back_to_one_solve_per_group(monkeyp
     sd = mode_sum_spectral_density(sc, a, b, 1.0, 0.1, basis)
     assert sd.metadata["nodes"] is None
     assert sd.metadata["tail"] > modes._TAIL_TOLERANCE
-    assert len(made) == sd.metadata["solves"] == modes._NODE_COUNTS[-1] + groups
+    assert len(made) == sd.metadata["solves"] == modes._NODES + groups
     assert np.linalg.norm(sd.value - ref) <= 1e-12 * np.linalg.norm(ref)
 
 

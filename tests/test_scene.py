@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -241,11 +243,52 @@ def test_sphere_quadrature_dipole_pattern():
     assert q.weights @ sin2 == pytest.approx(8 * np.pi / 3, rel=1e-12)
 
 
-def _shell_scene(r2=1.0, r1=2.0, eta=0.3, enabled=True):
+def _shell_scene(r2=1.0, r1=2.0, eta=0.3):
     from fluctem.scene import Scene, Shell
 
     return Scene(box_side=10.0, voxel_pitch=0.1, scatterer_voxels=(),
-                 shell=Shell(r2, r1, FixedEps(1 + 1j * eta)), shell_enabled=enabled)
+                 shell=Shell(r2, r1, FixedEps(1 + 1j * eta)))
+
+
+def test_digests_with_and_without_a_shell_are_pinned():
+    # the digest keeps its "shell_enabled" key, true exactly when the scene
+    # has a shell: configs/reference.yaml's scene, then with an active shell,
+    # read these digests when Scene carried the flag
+    cfg = {"box_side": 40.0, "voxel_pitch": 0.3141592653589793, "voxels": [
+        {"position": [0.0, 0.0, 0.0], "material": {
+            "type": "drude_lorentz", "omega_p": 1.2, "omega_0": 0.9, "gamma": 0.4}}]}
+    shell = {"inner_radius": 2.0, "outer_radius": 12.0, "material": {
+        "type": "drude_lorentz", "omega_p": 0.3, "omega_0": 0.0, "gamma": 0.2}}
+    assert build_scene(cfg).digest() == "464e342bcd5604dd"
+    assert build_scene(dict(cfg, shell=shell)).digest() == "1931c7b246308e9c"
+
+
+def test_chi_at_evaluates_each_material_value_once():
+    # equal frozen materials share one evaluation, and an unhashable custom
+    # material (a plain dataclass) is keyed by identity
+    from dataclasses import dataclass
+
+    @dataclass
+    class Unhashable:
+        value: complex
+
+        def eval(self, omega):
+            return self.value
+
+    calls = []
+    flat = DrudeLorentzModel.eval
+
+    class Counted(DrudeLorentzModel):
+        def eval(self, omega):
+            calls.append(self)
+            return flat(self, omega)
+
+    mats = (Counted(1.0, 1.0, 0.1), Counted(1.0, 1.0, 0.1), Unhashable(3.0), Unhashable(3.0))
+    sc = Scene(box_side=20.0, voxel_pitch=0.2, scatterer_voxels=tuple(
+        ((0.0, 0.0, 0.4 * i), m) for i, m in enumerate(mats)))
+    chi = sc.chi_at(1.0)
+    assert len(calls) == 1
+    assert chi[0] == chi[1] and chi[2] == chi[3] == 2.0
 
 
 def test_shell_volume_weights():
@@ -264,7 +307,12 @@ def test_shell_centroid_unbiased():
 
 
 def test_shell_disabled_or_degenerate_empty():
-    assert shell_voxelization(_shell_scene(enabled=False), 0.05).weights.size == 0
+    # a config's disabled shell is validated, then dropped: the scene has none
+    disabled = build_scene({"box_side": 10.0, "voxel_pitch": 0.1, "shell": {
+        "inner_radius": 1.0, "outer_radius": 2.0, "material": DL, "enabled": False}})
+    assert disabled.shell is None
+    assert disabled.digest() == replace(_shell_scene(), shell=None).digest()
+    assert shell_voxelization(disabled, 0.05).weights.size == 0
     assert shell_voxelization(_shell_scene(r2=2.0, r1=2.0), 0.05).weights.size == 0
 
 
