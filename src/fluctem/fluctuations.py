@@ -24,6 +24,7 @@ from .greens import (
     check_vacuum_gap,
     noise_volume_integral_scatterer,
     noise_volume_integral_shell,
+    vacuum_gap_placement,
     volume_route,
 )
 from .modes import enumerate_modes, mode_sum_spectral_density
@@ -123,15 +124,18 @@ def commutator_density(scene: Scene, omega, a, b, const: Constants = DEFAULT,
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     meta = {"scene": scene.digest()}
-    # the margin to the boundaries a point stays clear of: voxels and the shell
-    for name, p, r in zip("ab", (a, b), scene.placement([a, b])[1]):
-        margin = r - scene.voxel_pitch
-        if scene.shell is not None:
-            margin = min(margin, scene.shell.inner_radius - float(np.linalg.norm(p)))
-        if margin < scene.voxel_pitch:
-            meta[f"compliance_warning_{name}"] = (
-                f"point {name} within {margin:.3g} of a region boundary"
-            )
+    # where a point lies outside the vacuum gap, or within one pitch of a
+    # voxel's cell or of the shell, in check_vacuum_gap's words
+    pitch = scene.voxel_pitch
+    r2 = np.inf if scene.shell is None else scene.shell.inner_radius
+    for name, p, where, r in zip("ab", (a, b), *vacuum_gap_placement(scene, [a, b])):
+        x = float(np.linalg.norm(p))
+        if where is None and r < 2 * pitch:
+            where = f"{r:.6g} from the nearest voxel centre (pitch {pitch:.6g})"
+        elif where is None and x > r2 - pitch:
+            where = f"at |x| = {x:.6g}, within one pitch of the shell (inner radius {r2:.6g})"
+        if where:
+            meta[f"compliance_warning_{name}"] = f"point {name} lies {where}"
     if solver is None:
         solver = EffectiveSolver(scene, omega, const=const)
     img = solver.imag_green(a, b, chiX=chiX)

@@ -36,7 +36,11 @@ iterations fit in what is left: the crossover follows from the budget.
 A solver runs down one ladder, lattice-cocg -> dense-ldlt, from the first
 route it qualifies for.  A solve that would overrun the budget (too many
 columns, too many solves, slow convergence) or a COCG breakdown leaves COCG
-for good, and the factor route serves that solve and every later one.
+for good, and the factor route serves that solve and every later one.  The
+memory charge follows the route: a solver that starts on COCG is admitted
+against its grid's bytes, and S is charged only when it must be formed, so
+a scene whose S would not fit still runs while COCG serves it, and a solve
+that must leave COCG raises MemoryError before allocating S.
 
 The scatterer volume term of the dissipation identity needs the field at
 every Gauss sub-node of every voxel.  On a lattice scene (Scene.lattice) the
@@ -51,8 +55,9 @@ infinity, a discrete optical theorem (Draine & Flatau 1994).  Far from every
 source G(R r, s) -> e^{ikR}/(4 pi R) (I - r r) F_s(r) with the amplitude
 F_s(r) = e^{-ik r.s} I + k^2 dV sum_v e^{-ik r.x_v} (chi X)_v(s), so the term
 is (k / 16 pi^2) sum_i w_i F_a(r_i)^T (I - r_i r_i) conj(F_b(r_i)) over one
-fixed direction rule: one (directions, N) phase table and one product with
-the polarization the other terms radiate.  A sphere of finite radius R
+fixed direction rule: a (directions, N) phase table, built one block of
+directions at a time, and its product with the polarization the other
+terms radiate.  A sphere of finite radius R
 differs from this limit by O(1/(kR)^2), by O(1/(kR)) behind an absorbing
 shell.
 
@@ -101,9 +106,22 @@ _ASSEMBLY_BYTES = 2 * 2**20
 # as 64
 _LDLT_PANEL = 32
 
-# the largest estimated peak a solver admits, 2 x (3N)^2 x 16 bytes: S or its
-# factor, plus one more array as large as S (see EffectiveSolver.__init__)
+# the largest estimated peak a solver admits.  A lattice solver with a COCG
+# budget is charged its padded grid at _FFT_CELL_BYTES a cell; S is charged
+# 2 x (3N)^2 x 16 bytes, S or its factor plus one more array as large as S
+# (see EffectiveSolver._admit_matrix), when a solver forms it: at
+# construction off the lattice or without a budget, else when a solve
+# leaves COCG or system is read.  Either charge is checked before the
+# allocation it covers
 _MEMORY_CAP = 2 * 1024**3
+
+# bytes per cell of the padded grid a lattice solver is charged: 18 complex
+# numbers for the transformed polarization, 9 for one kernel table, 6 for its
+# transform and 12 for one field component and its transform.  At N = 739 (a
+# 21^3 grid) it charges 6.4 MiB, against a traced 5.8 MiB for the identity
+# report's 6-column COCG solve and 3.3 MiB for an LDOS; the whole report
+# traces 8.2 MiB, about 900 bytes a cell, its volume term's arrays included
+_FFT_CELL_BYTES = 45 * 16
 
 # a lattice solver's work budget, in column-matvecs, is this constant times
 # (3N)^3 / (cells of the padded grid): about what assembly and LDL^T cost, in
@@ -215,17 +233,6 @@ class EffectiveSolver:
 
     def __init__(self, scene: Scene, omega, const: Constants = DEFAULT):
         n = scene.n_voxels
-        # S or its LDL^T factor, which overwrites S, plus one more array as
-        # large as S: the lattice tables, the assembly chunk, a right-hand
-        # side as wide as S, or a read of system after the factor.  The
-        # lattice route forms S only if it falls back, so it is held to the
-        # same bound
-        peak = 2 * (3 * n) ** 2 * 16
-        if peak > _MEMORY_CAP:
-            raise MemoryError(
-                f"interaction matrix assembly and factorization would peak at "
-                f"{peak/1e9:.2f} GB (cap {_MEMORY_CAP/1e9:.2f} GB) for {n} voxels"
-            )
         self.scene = scene
         self.omega = float(omega)
         self.const = const
@@ -253,6 +260,38 @@ class EffectiveSolver:
         }
         if not self._budget:
             self._leave(None)
+            self._admit_matrix()
+        else:
+            # the lattice route holds the grid's arrays and forms S only if it
+            # is left; that charge is checked then (see _admit_matrix)
+            peak = np.prod(self.grid, dtype=float) * _FFT_CELL_BYTES
+            if peak > _MEMORY_CAP:
+                raise MemoryError(
+                    f"the lattice route would peak at {peak/1e9:.2f} GB (cap "
+                    f"{_MEMORY_CAP/1e9:.2f} GB) on its {'x'.join(map(str, self.grid))} "
+                    f"grid for {n} voxels")
+
+    def _admit_matrix(self):
+        """Raise MemoryError, before any allocation, unless S fits _MEMORY_CAP.
+
+        The charge is S or its LDL^T factor, which overwrites S, plus one more
+        array as large as S: the assembly chunk, a right-hand side as wide as
+        S, or a read of system after the factor.  A solver that has left COCG
+        names the reason, one on it names the read of system.
+        """
+        n = self.scene.n_voxels
+        peak = 2 * (3 * n) ** 2 * 16
+        if peak <= _MEMORY_CAP:
+            return
+        if self._route == "lattice-cocg":
+            why = "system was read on the COCG route: "
+        elif self.diagnostics["fallback"]:
+            why = f"a solve left COCG ({self.diagnostics['fallback']}): "
+        else:
+            why = ""
+        raise MemoryError(
+            f"{why}interaction matrix assembly and factorization would peak at "
+            f"{peak/1e9:.2f} GB (cap {_MEMORY_CAP/1e9:.2f} GB) for {n} voxels")
 
     @property
     def system(self):
@@ -263,8 +302,10 @@ class EffectiveSolver:
         matrix A = I - M C in the scaling C^1/2 A C^-1/2, bit-exact from
         (scene, omega).  Assembled afresh on every read, on either route and
         without the lattice matvec: the caller owns the array, and it is
-        never the one the factor overwrites.
+        never the one the factor overwrites.  Raises MemoryError first when S
+        is over the cap (see _admit_matrix).
         """
+        self._admit_matrix()
         n = self.scene.n_voxels
         sq = self._sqrt_chi3[::3, 0]
         S = np.empty((3 * n, 3 * n), dtype=complex)
@@ -676,11 +717,17 @@ def surface_functional(scene: Scene, omega, a, b, const: Constants = DEFAULT,
     dirs = sphere_quadrature(1.0, _FAR_ORDER)
     r = dirs.normals
     srcs = np.stack([a, b])
-    # the amplitudes F_s(r) of both sources, shape (P, 2, 3, 3)
+    # the amplitudes F_s(r) of both sources, shape (P, 2, 3, 3), whole; the
+    # (P, N) phase table is built one block of directions at a time, each
+    # row as in one piece, so the sum below keeps its bits
     F = np.exp(-1j * k * (r @ srcs.T))[:, :, None, None] * _EYE
-    phase = -1j * k * (r @ solver.pos.T)  # (P, N)
-    np.exp(phase, out=phase)
-    F += (k**2 * solver.dv) * (phase @ chiX.reshape(scene.n_voxels, 18)).reshape(F.shape)
+    X = chiX.reshape(scene.n_voxels, 18)
+    step = max(1, _ASSEMBLY_BYTES // (16 * max(scene.n_voxels, 1)))
+    for i in range(0, len(r), step):
+        phase = -1j * k * (r[i:i + step] @ solver.pos.T)
+        np.exp(phase, out=phase)
+        F[i:i + step] += (k**2 * solver.dv) * (phase @ X).reshape(F[i:i + step].shape)
+        del phase
     if scene.shell is not None:
         for i, s in enumerate(srcs):
             far = s + (np.linalg.norm(s) + 2 * scene.shell.outer_radius) * r  # beyond the shell
@@ -689,28 +736,43 @@ def surface_functional(scene: Scene, omega, a, b, const: Constants = DEFAULT,
     return (k / (16 * np.pi**2)) * np.einsum("p,pki,pkj->ij", dirs.weights, F[:, 0], np.conj(Fb))
 
 
+def vacuum_gap_placement(scene: Scene, pts):
+    """(where, distance) of each point: where names one outside the vacuum gap, else None.
+
+    where reads "inside scatterer voxel v (centre ...)" or "at |x| = ..., in
+    or beyond the shell (inner radius ...)"; distance is Scene.placement's,
+    to the nearest voxel centre.
+    """
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    owner, distance = scene.placement(pts)
+    r2 = np.inf if scene.shell is None else scene.shell.inner_radius
+    where = []
+    for p, v in zip(pts, owner):
+        r = float(np.linalg.norm(p))
+        if v >= 0:
+            where.append(f"inside scatterer voxel {v} "
+                         f"(centre {tuple(map(float, scene.scatterer_voxels[v][0]))})")
+        elif r >= r2:
+            where.append(f"at |x| = {r:.6g}, in or beyond the shell (inner radius {r2:.6g})")
+        else:
+            where.append(None)
+    return where, distance
+
+
 def check_vacuum_gap(scene: Scene, a, b):
     """Raise GreensError unless the sources a and b lie in the vacuum gap.
 
     The gap is outside every scatterer voxel (Scene.placement) and strictly
-    inside the shell's inner radius.  The absorption terms integrate
-    G(a, x) . conj(G(x, b)) over the absorbers, which is not defined with a
-    source inside one, and the Langevin and polariton pictures agree only
-    at points in the vacuum between them.
+    inside the shell's inner radius (vacuum_gap_placement).  The absorption
+    terms integrate G(a, x) . conj(G(x, b)) over the absorbers, which is not
+    defined with a source inside one, and the Langevin and polariton
+    pictures agree only at points in the vacuum between them.
     """
     pts = np.array([a, b], dtype=float)
-    r2 = np.inf if scene.shell is None else scene.shell.inner_radius
-    for name, p, v in zip("ab", pts, scene.placement(pts)[0]):
-        r = float(np.linalg.norm(p))
-        if v >= 0:
-            where = (f"inside scatterer voxel {v} "
-                     f"(centre {tuple(map(float, scene.scatterer_voxels[v][0]))})")
-        elif r >= r2:
-            where = f"at |x| = {r:.6g}, in or beyond the shell (inner radius {r2:.6g})"
-        else:
-            continue
-        raise GreensError(f"source {name} = {tuple(map(float, p))} lies {where}; the "
-                          f"absorption terms need both sources in the vacuum gap")
+    for name, p, where in zip("ab", pts, vacuum_gap_placement(scene, pts)[0]):
+        if where:
+            raise GreensError(f"source {name} = {tuple(map(float, p))} lies {where}; the "
+                              f"absorption terms need both sources in the vacuum gap")
 
 
 def _solved(scene, omega, a, b, const, solver, chiX):
@@ -770,12 +832,6 @@ def noise_volume_integral_scatterer(scene, omega, a, b, solver=None, nsub=2,
     return k2 * out
 
 
-# bytes per cell of the padded grid the lattice route holds at its peak: 18
-# complex numbers for the transformed polarization, 9 for one kernel table,
-# 6 for its transform and 12 for one field component and its transform
-_FFT_CELL_BYTES = 45 * 16
-
-
 def volume_route(solver):
     """'lattice-fft' when the scatterer volume term convolves on the lattice, else 'dense-rows'."""
     return "dense-rows" if solver.grid is None else "lattice-fft"
@@ -786,8 +842,10 @@ def _fft_grid(scene):
 
     Each axis of L cells pads to next_fast_len(2L - 1), so the circular
     convolution holds every displacement -(L-1)..L-1 once; the route is
-    taken when that grid needs no more bytes than S, which _MEMORY_CAP
-    already allows the solver, whether or not it forms S.
+    taken when that grid, at _FFT_CELL_BYTES a cell, needs no more bytes
+    than S.  A solver that starts on COCG is admitted against those bytes
+    and a factor-route solver against S's, so the grid never needs more
+    than either route's charge.
     """
     lat = scene.lattice
     if lat is None:

@@ -21,8 +21,10 @@ from .constants import DEFAULT, Constants
 from .greens import EffectiveSolver
 
 
-# modes per block of plane-wave fields in the mode sum
-_CHUNK = 4096
+# the largest block of the mode sum's (modes, N) phase table alive at once:
+# 732 modes at N = 179, more than any frequency group there (at most 672),
+# where 4,096 modes a block would be 1.2 GB at N = 18,853
+_BLOCK_BYTES = 2 * 2**20
 # the Chebyshev-Lobatto nodes across a mode-sum bin, and the size of the two
 # trailing Chebyshev coefficients of W(omega), relative to the largest, at
 # which they resolve W.  Every bin of the shipped configs, the benchmark and
@@ -182,11 +184,8 @@ def mode_sum_spectral_density(scene, a, b, omega_center, delta_omega, basis: Mod
     pts = np.vstack([a, b])
     record = {"solves": 0, "nodes": None, "tail": None}
     if not use_scene:
-        for start in range(0, sel.size, _CHUNK):
-            ss = sel[start : start + _CHUNK]
-            ww = wts[start : start + _CHUNK]
-            F = mode_field_vacuum(basis, ss, pts)  # (m, 2, 3)
-            acc += np.einsum("m,mi,mj->ij", ww, F[:, 0], np.conj(F[:, 1]))
+        F = mode_field_vacuum(basis, sel, pts)  # (m, 2, 3): O(modes), no N-sized table
+        acc += np.einsum("m,mi,mj->ij", wts, F[:, 0], np.conj(F[:, 1]))
     else:
         # group by identical mode frequency: one W serves a group
         omsel = basis.omega_alpha[sel]
@@ -200,14 +199,19 @@ def mode_sum_spectral_density(scene, a, b, omega_center, delta_omega, basis: Mod
         record, rows = _rows_by_group(scene, pts, omsel[[g[0] for g in groups]], const)
         tables = _axis_tables(basis, sel, scene.positions())
         amp_pol = basis.amplitude[sel, None] * basis.pol[sel]  # (M, 3)
+        step = max(1, _BLOCK_BYTES // (16 * n))  # modes per block of the phase table
         for W, g in zip(rows, groups):
             Wg = W.reshape(n, 18)  # rows (voxel), columns (j, point, i)
-            for start in range(0, g.size, _CHUNK):
-                gg = g[start : start + _CHUNK]
-                F = mode_field_vacuum(basis, sel[gg], pts)  # (m, 2, 3)
-                T = (_phases(tables, gg) @ Wg).reshape(gg.size, 3, 6)
-                F = F + np.einsum("mj,mjc->mc", amp_pol[gg], T).reshape(gg.size, 2, 3)
-                acc += np.einsum("m,mi,mj->ij", wts[gg], F[:, 0], np.conj(F[:, 1]))
+            # a group's fields are whole and summed at once, so the block
+            # size leaves the bits alone; only the phase table is blocked
+            T = np.empty((g.size, 18), dtype=complex)
+            for start in range(0, g.size, step):
+                gg = g[start : start + step]
+                T[start : start + step] = _phases(tables, gg) @ Wg
+            F = mode_field_vacuum(basis, sel[g], pts)  # (m, 2, 3)
+            F = F + np.einsum("mj,mjc->mc", amp_pol[g], T.reshape(g.size, 3, 6)).reshape(
+                g.size, 2, 3)
+            acc += np.einsum("m,mi,mj->ij", wts[g], F[:, 0], np.conj(F[:, 1]))
     return SpectralDensity(
         omega=float(omega_center),
         delta_omega=float(delta_omega),

@@ -319,6 +319,25 @@ def test_memory_error_is_an_error_line(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_memory_error_mid_run_is_an_error_line(tmp_path, monkeypatch, capsys):
+    # the N = 389 sphere's grid (4.2 MB) fits a 16 MiB cap and its S (2 x 22
+    # MB) does not: the solver is admitted, and its LDOS solve, which must
+    # leave COCG when no solve fits the budget, refuses S mid-run
+    from fluctem import greens
+
+    monkeypatch.setattr(greens, "_MEMORY_CAP", 16 * 2**20)
+    monkeypatch.setattr(greens, "_COCG_ITERATIONS", 10**6)
+    scene = {"box_side": 40.0, "voxel_pitch": 0.2, "primitives": [
+        {"shape": "sphere", "radius": 1.0, "material": BASE_SCENE["voxels"][0]["material"]}]}
+    cfg = write_cfg(tmp_path, {"scene": scene, "ldos": {
+        "omega0": 1.0, "position": [0, 0, 1.6], "orientation": [0, 0, 1]}})
+    assert main(["ldos", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("error: a solve left COCG (budget): interaction matrix assembly and "
+                          "factorization would peak at 0.04 GB (cap 0.02 GB) for 389 voxels")
+
+
 def test_oracle_error_is_an_error_line(tmp_path, capsys):
     # a box of side 10 holds no mode in the band of the LDOS count
     cfg = write_cfg(tmp_path, {"oracle_suite": {"box_side": 10}})

@@ -115,7 +115,25 @@ def test_commutator_metadata_flags_near_points():
     sc = one_voxel_scene(eps=3 + 1j, pitch=0.4)
     d = commutator_density(sc, 1.0, np.array([0.0, 0.0, 0.45]),
                            np.array([0.0, 0.0, 1.5]))
-    assert any(k.startswith("compliance_warning") for k in d.metadata)
+    assert d.metadata["compliance_warning_a"] == (
+        "point a lies 0.45 from the nearest voxel centre (pitch 0.4)")
+    assert "compliance_warning_b" not in d.metadata
+
+
+def test_commutator_metadata_names_where_a_point_lies():
+    # in check_vacuum_gap's words: inside a voxel, or in or beyond the shell
+    sc = one_voxel_scene(eps=3 + 1j, pitch=0.4)
+    d = commutator_density(sc, 1.0, np.array([0.05, 0.0, 0.1]), np.array([0.0, 0.0, 1.5]))
+    assert d.metadata["compliance_warning_a"] == (
+        "point a lies inside scatterer voxel 0 (centre (0.0, 0.0, 0.0))")
+    shell = Scene(box_side=40.0, voxel_pitch=0.2,
+                  scatterer_voxels=(((0.0, 0.0, 0.0), FixedEps(2 + 0.5j)),),
+                  shell=Shell(2.0, 12.0, FixedEps(1 + 0.1j)))
+    d = commutator_density(shell, 1.0, np.array([0.0, 0.0, 50.0]), np.array([0.0, 0.0, 1.85]))
+    assert d.metadata["compliance_warning_a"] == (
+        "point a lies at |x| = 50, in or beyond the shell (inner radius 2)")
+    assert d.metadata["compliance_warning_b"] == (
+        "point b lies at |x| = 1.85, within one pitch of the shell (inner radius 2)")
 
 
 def test_thermal_zero_temperature_minus_plus_vanishes():

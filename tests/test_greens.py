@@ -371,6 +371,9 @@ def two_material_sphere():
 # the benchmark's LDOS point and orientation on the N = 739 sphere
 LDOS_X0 = np.array([0.42, -0.27, 1.61])
 LDOS_N = np.array([0.62, 0.35, 0.70])
+# and the sources of its identity report there
+IDENTITY_A = np.array([0.31, -0.47, 1.83])
+IDENTITY_B = np.array([-1.52, 0.66, -1.07])
 
 
 def metallic_sphere():
@@ -832,24 +835,123 @@ def test_factor_route_wide_solve_peak(rng):
     assert peak <= 1.11 * rhs.nbytes
 
 
+def traced_peak(fn):
+    """(fn(), the peak bytes tracemalloc traces above the start while it runs)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 def test_identity_report_peak_near_twice_the_matrix(monkeypatch):
-    # on the COCG route the report forms no S: measured 0.283x, most of it the
-    # surface term's (1,152, N) phase table and its real exponent.  On the
-    # factor route (no budget) S, factored in place, plus that table: 1.270x
+    # on the COCG route the report forms no S and streams the surface term's
+    # (1,152, N) phase table in 2 MiB blocks: measured 0.109x, most of it the
+    # volume term's grid.  On the factor route (no budget) S, factored in
+    # place, plus those: 1.097x
     sc = sphere_scene(1.2)
     assert sc.n_voxels == 739
     matrix_bytes = (3 * sc.n_voxels) ** 2 * 16
-    a, b = np.array([0.31, -0.47, 1.83]), np.array([-1.52, 0.66, -1.07])
-    for budget, bound in ((greens._COCG_BUDGET, 0.35), (0.0, 1.35)):
+    for budget, bound in ((greens._COCG_BUDGET, 0.13), (0.0, 1.15)):
         monkeypatch.setattr(greens, "_COCG_BUDGET", budget)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            greens_identity_report(sc, 1.0, a, b)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: greens_identity_report(sc, 1.0, IDENTITY_A, IDENTITY_B))[1]
         assert peak <= bound * matrix_bytes
+
+
+def test_a_lattice_solver_is_charged_its_grid_and_refuses_s_before_allocating(monkeypatch):
+    # the cap at the N = 739 sphere's grid charge (6.4 MiB), far below S's
+    # 2 x 79 MB: the solver is admitted and an LDOS is served by COCG under
+    # that charge (traced 3.3 MiB), with the bits of an uncapped solver.  A
+    # solve too wide for what is left of the budget must leave COCG: it
+    # raises, naming the reason and S's estimate, before S is allocated, and
+    # so does a read of system
+    sc = sphere_scene(1.2)
+    charge = np.prod(greens._fft_grid(sc)) * greens._FFT_CELL_BYTES
+    matrix_bytes = (3 * sc.n_voxels) ** 2 * 16
+    ref = ldos(sc, 1.0, LDOS_X0, LDOS_N)
+    monkeypatch.setattr(greens, "_MEMORY_CAP", charge)
+    with pytest.raises(MemoryError, match=r"system was read on the COCG route: .* GB"):
+        EffectiveSolver(sc, 1.0).system
+    solver = EffectiveSolver(sc, 1.0)
+    got, peak = traced_peak(lambda: ldos(sc, 1.0, LDOS_X0, LDOS_N, solver=solver))
+    assert solver.diagnostics["route"] == "lattice-cocg"
+    assert peak <= charge
+    assert got == ref
+    d = solver.diagnostics
+    spent = d["matvecs"]
+    rhs = np.ones((3 * sc.n_voxels, d["budget"] // d["iterations"] + 1), dtype=complex)
+
+    def leave():
+        with pytest.raises(MemoryError, match=r"left COCG \(budget\): .* 0\.16 GB .* 739 voxels"):
+            solver._solve(rhs)
+
+    peak = traced_peak(leave)[1]
+    assert solver._fact is None and d["matvecs"] == spent
+    assert peak <= 0.05 * matrix_bytes
+
+
+def test_identity_report_at_n739_is_one_cocg_solve_and_forms_no_matrix(monkeypatch):
+    # the identity-sphere workload's work: one interior_solution for [a, b],
+    # the lattice matvec built once, no S assembled and no LDL^T
+    sc = sphere_scene(1.2)
+    counts = count_operators(monkeypatch)
+    sources = []
+    interior = EffectiveSolver.interior_solution
+    monkeypatch.setattr(EffectiveSolver, "interior_solution",
+                        lambda self, s: sources.append(len(s)) or interior(self, s))
+    solver = EffectiveSolver(sc, 1.0)
+    greens_identity_report(sc, 1.0, IDENTITY_A, IDENTITY_B, solver=solver)
+    assert sources == [2]
+    assert counts == ["lattice"]
+    assert solver.diagnostics["route"] == "lattice-cocg"
+    assert solver.diagnostics["fallback"] is None
+
+
+def test_ldos_spectrum_at_n739_solves_one_column_per_frequency(monkeypatch):
+    # the ldos-spectrum workload's timed work: at each of its 8 frequencies a
+    # fresh solver makes one one-column COCG solve and forms no S
+    sc = sphere_scene(1.2)
+    counts = count_operators(monkeypatch)
+    cols = []
+    solve = EffectiveSolver._solve
+    monkeypatch.setattr(EffectiveSolver, "_solve",
+                        lambda self, rhs: cols.append(rhs.shape[1]) or solve(self, rhs))
+    for omega in np.linspace(0.6, 1.4, 8):
+        solver = EffectiveSolver(sc, omega)
+        ldos(sc, omega, LDOS_X0, LDOS_N, solver=solver)
+        assert solver.diagnostics["route"] == "lattice-cocg"
+    assert cols == [1] * 8
+    assert counts == ["lattice"] * 8
+
+
+def test_streamed_surface_term_and_mode_sum_keep_their_bits(monkeypatch):
+    # the surface term's phase table in blocks of 5 directions and the mode
+    # sum's in blocks of 3 modes give the one-block bits, with a shell and
+    # without one
+    from fluctem import modes
+    from fluctem.modes import mode_sum_spectral_density
+
+    a, b = np.array([0.3, 0.2, 1.5]), np.array([-0.9, 0.4, -1.1])
+    basis = enumerate_modes(8 * np.pi, 1.2)
+    in_bin = basis.omega_alpha[np.abs(basis.omega_alpha - 1.0) <= 0.15]
+    assert np.unique(np.round(in_bin, 9), return_counts=True)[1].max() > 3
+    for sc in (sphere_scene(0.8), thick_shell_scene()):
+        n = sc.n_voxels
+        solver = EffectiveSolver(sc, 1.0)
+        chiX = solver.interior_solution([a, b])
+        monkeypatch.setattr(greens, "_ASSEMBLY_BYTES", 1152 * 16 * n)
+        ref_f = surface_functional(sc, 1.0, a, b, solver=solver, chiX=chiX)
+        monkeypatch.setattr(greens, "_ASSEMBLY_BYTES", 5 * 16 * n)
+        assert np.array_equal(surface_functional(sc, 1.0, a, b, solver=solver, chiX=chiX), ref_f)
+        monkeypatch.undo()
+        monkeypatch.setattr(modes, "_BLOCK_BYTES", basis.k.shape[0] * 16 * n)
+        ref_m = mode_sum_spectral_density(sc, a, b, 1.0, 0.3, basis)
+        monkeypatch.setattr(modes, "_BLOCK_BYTES", 3 * 16 * n)
+        got = mode_sum_spectral_density(sc, a, b, 1.0, 0.3, basis)
+        monkeypatch.undo()
+        assert np.array_equal(got.value, ref_m.value)
 
 
 def test_system_reassembly_bit_exact():

@@ -175,8 +175,8 @@ def test_mode_sum_matches_forward_route(monkeypatch):
     # reference: each mode's interior field solved forward and radiated by
     # the coupling rows (scattered_mode_field); blocks of 7
     # modes put block boundaries inside the frequency groups
-    monkeypatch.setattr(modes, "_CHUNK", 7)
     sc = two_material_cube()
+    monkeypatch.setattr(modes, "_BLOCK_BYTES", 7 * 16 * sc.n_voxels)
     a, b = np.array([0.3, 0.2, 1.5]), np.array([-0.9, 0.4, 0.1])
     basis = enumerate_modes(8 * np.pi, 1.2)
     omega, delta = 1.0, 0.3
