@@ -719,14 +719,15 @@ def surface_functional(scene: Scene, omega, a, b, const: Constants = DEFAULT,
     srcs = np.stack([a, b])
     # the amplitudes F_s(r) of both sources, shape (P, 2, 3, 3), whole; the
     # (P, N) phase table is built one block of directions at a time, each
-    # row as in one piece, so the sum below keeps its bits
+    # row its own product (_row_products), so the block bound leaves the
+    # bits alone
     F = np.exp(-1j * k * (r @ srcs.T))[:, :, None, None] * _EYE
-    X = chiX.reshape(scene.n_voxels, 18)
+    XT = np.ascontiguousarray(chiX.reshape(scene.n_voxels, 18).T)
     step = max(1, _ASSEMBLY_BYTES // (16 * max(scene.n_voxels, 1)))
     for i in range(0, len(r), step):
-        phase = -1j * k * (r[i:i + step] @ solver.pos.T)
+        phase = -1j * k * _row_products(r[i:i + step], solver.pos)
         np.exp(phase, out=phase)
-        F[i:i + step] += (k**2 * solver.dv) * (phase @ X).reshape(F[i:i + step].shape)
+        F[i:i + step] += (k**2 * solver.dv) * _row_products(phase, XT).reshape(F[i:i + step].shape)
         del phase
     if scene.shell is not None:
         for i, s in enumerate(srcs):
@@ -773,6 +774,15 @@ def check_vacuum_gap(scene: Scene, a, b):
         if where:
             raise GreensError(f"source {name} = {tuple(map(float, p))} lies {where}; the "
                               f"absorption terms need both sources in the vacuum gap")
+
+
+def _row_products(table, WT):
+    """table @ WT.T as one matrix-vector product a row, shape (rows, len(WT)).
+
+    A row's bits then do not depend on the block it sits in: BLAS rounds a
+    one-row, a small single-threaded and a large threaded product differently.
+    """
+    return np.matmul(WT, table[:, :, None])[:, :, 0]
 
 
 def _solved(scene, omega, a, b, const, solver, chiX):

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.fft as sfft
 
 from .constants import DEFAULT, Constants
-from .greens import EffectiveSolver
+from .greens import EffectiveSolver, _row_products
 
 
 # the largest block of the mode sum's (modes, N) phase table alive at once:
@@ -201,13 +201,14 @@ def mode_sum_spectral_density(scene, a, b, omega_center, delta_omega, basis: Mod
         amp_pol = basis.amplitude[sel, None] * basis.pol[sel]  # (M, 3)
         step = max(1, _BLOCK_BYTES // (16 * n))  # modes per block of the phase table
         for W, g in zip(rows, groups):
-            Wg = W.reshape(n, 18)  # rows (voxel), columns (j, point, i)
-            # a group's fields are whole and summed at once, so the block
-            # size leaves the bits alone; only the phase table is blocked
+            WT = np.ascontiguousarray(W.reshape(n, 18).T)  # rows (j, point, i), columns (voxel)
+            # a group's fields are whole and summed at once, and each mode's
+            # row is its own product, so the block size leaves the bits
+            # alone; only the phase table is blocked
             T = np.empty((g.size, 18), dtype=complex)
             for start in range(0, g.size, step):
                 gg = g[start : start + step]
-                T[start : start + step] = _phases(tables, gg) @ Wg
+                T[start : start + step] = _row_products(_phases(tables, gg), WT)
             F = mode_field_vacuum(basis, sel[g], pts)  # (m, 2, 3)
             F = F + np.einsum("mj,mjc->mc", amp_pol[g], T.reshape(g.size, 3, 6)).reshape(
                 g.size, 2, 3)

@@ -927,9 +927,9 @@ def test_ldos_spectrum_at_n739_solves_one_column_per_frequency(monkeypatch):
 
 
 def test_streamed_surface_term_and_mode_sum_keep_their_bits(monkeypatch):
-    # the surface term's phase table in blocks of 5 directions and the mode
-    # sum's in blocks of 3 modes give the one-block bits, with a shell and
-    # without one
+    # the surface term's phase table in blocks of 5 directions or of one and
+    # the mode sum's in blocks of 3 modes or of one give the one-block bits,
+    # with a shell and without one, whatever the BLAS thread count
     from fluctem import modes
     from fluctem.modes import mode_sum_spectral_density
 
@@ -943,15 +943,18 @@ def test_streamed_surface_term_and_mode_sum_keep_their_bits(monkeypatch):
         chiX = solver.interior_solution([a, b])
         monkeypatch.setattr(greens, "_ASSEMBLY_BYTES", 1152 * 16 * n)
         ref_f = surface_functional(sc, 1.0, a, b, solver=solver, chiX=chiX)
-        monkeypatch.setattr(greens, "_ASSEMBLY_BYTES", 5 * 16 * n)
-        assert np.array_equal(surface_functional(sc, 1.0, a, b, solver=solver, chiX=chiX), ref_f)
+        for rows in (5, 1):
+            monkeypatch.setattr(greens, "_ASSEMBLY_BYTES", rows * 16 * n)
+            assert np.array_equal(surface_functional(sc, 1.0, a, b, solver=solver, chiX=chiX),
+                                  ref_f)
         monkeypatch.undo()
         monkeypatch.setattr(modes, "_BLOCK_BYTES", basis.k.shape[0] * 16 * n)
         ref_m = mode_sum_spectral_density(sc, a, b, 1.0, 0.3, basis)
-        monkeypatch.setattr(modes, "_BLOCK_BYTES", 3 * 16 * n)
-        got = mode_sum_spectral_density(sc, a, b, 1.0, 0.3, basis)
+        for rows in (3, 1):
+            monkeypatch.setattr(modes, "_BLOCK_BYTES", rows * 16 * n)
+            got = mode_sum_spectral_density(sc, a, b, 1.0, 0.3, basis)
+            assert np.array_equal(got.value, ref_m.value)
         monkeypatch.undo()
-        assert np.array_equal(got.value, ref_m.value)
 
 
 def test_system_reassembly_bit_exact():
