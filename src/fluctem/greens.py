@@ -97,7 +97,9 @@ _BLOCK_BYTES = 8 * 2**20
 
 # the same bound for the chunks of voxel rows the assembly evaluates; with
 # 8 MiB chunks the allocator keeps their temporaries resident, and the
-# N = 739 LDOS loop peaks at 246 MB RSS, against 242 MB at 2 MiB (as fast)
+# N = 739 LDOS loop peaks at 246 MB RSS, against 242 MB at 2 MiB (as fast).
+# It also bounds the blocks of the (rows, N) phase tables of the surface
+# term (directions) and the mode sum (modes)
 _ASSEMBLY_BYTES = 2 * 2**20
 
 # column width of the LDL^T panels (LAPACK's default is 64); the workspace is
@@ -718,16 +720,17 @@ def surface_functional(scene: Scene, omega, a, b, const: Constants = DEFAULT,
     r = dirs.normals
     srcs = np.stack([a, b])
     # the amplitudes F_s(r) of both sources, shape (P, 2, 3, 3), whole; the
-    # (P, N) phase table is built one block of directions at a time, each
-    # row its own product (_row_products), so the block bound leaves the
-    # bits alone
+    # (P, N) phase table is built one block of directions at a time.  At one
+    # BLAS thread a block of two or more rows rounds each row as the whole
+    # table would; a threaded product, or a one-row block (gemv), may differ
+    # in the last bit
     F = np.exp(-1j * k * (r @ srcs.T))[:, :, None, None] * _EYE
-    XT = np.ascontiguousarray(chiX.reshape(scene.n_voxels, 18).T)
+    X = chiX.reshape(scene.n_voxels, 18)
     step = max(1, _ASSEMBLY_BYTES // (16 * max(scene.n_voxels, 1)))
     for i in range(0, len(r), step):
-        phase = -1j * k * _row_products(r[i:i + step], solver.pos)
+        phase = -1j * k * (r[i:i + step] @ solver.pos.T)
         np.exp(phase, out=phase)
-        F[i:i + step] += (k**2 * solver.dv) * _row_products(phase, XT).reshape(F[i:i + step].shape)
+        F[i:i + step] += (k**2 * solver.dv) * (phase @ X).reshape(F[i:i + step].shape)
         del phase
     if scene.shell is not None:
         for i, s in enumerate(srcs):
@@ -774,15 +777,6 @@ def check_vacuum_gap(scene: Scene, a, b):
         if where:
             raise GreensError(f"source {name} = {tuple(map(float, p))} lies {where}; the "
                               f"absorption terms need both sources in the vacuum gap")
-
-
-def _row_products(table, WT):
-    """table @ WT.T as one matrix-vector product a row, shape (rows, len(WT)).
-
-    A row's bits then do not depend on the block it sits in: BLAS rounds a
-    one-row, a small single-threaded and a large threaded product differently.
-    """
-    return np.matmul(WT, table[:, :, None])[:, :, 0]
 
 
 def _solved(scene, omega, a, b, const, solver, chiX):

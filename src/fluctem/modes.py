@@ -18,13 +18,10 @@ import numpy as np
 import scipy.fft as sfft
 
 from .constants import DEFAULT, Constants
-from .greens import EffectiveSolver, _row_products
+from . import greens
+from .greens import EffectiveSolver
 
 
-# the largest block of the mode sum's (modes, N) phase table alive at once:
-# 732 modes at N = 179, more than any frequency group there (at most 672),
-# where 4,096 modes a block would be 1.2 GB at N = 18,853
-_BLOCK_BYTES = 2 * 2**20
 # the Chebyshev-Lobatto nodes across a mode-sum bin, and the size of the two
 # trailing Chebyshev coefficients of W(omega), relative to the largest, at
 # which they resolve W.  Every bin of the shipped configs, the benchmark and
@@ -199,16 +196,17 @@ def mode_sum_spectral_density(scene, a, b, omega_center, delta_omega, basis: Mod
         record, rows = _rows_by_group(scene, pts, omsel[[g[0] for g in groups]], const)
         tables = _axis_tables(basis, sel, scene.positions())
         amp_pol = basis.amplitude[sel, None] * basis.pol[sel]  # (M, 3)
-        step = max(1, _BLOCK_BYTES // (16 * n))  # modes per block of the phase table
+        # modes per block of the (modes, N) phase table, under the surface
+        # term's bound: 732 at N = 179, more than any group there (672), so
+        # each group is one product, as with 4,096-mode chunks (1.2 GB of
+        # table at N = 18,853); a group's fields are summed at once
+        step = max(1, greens._ASSEMBLY_BYTES // (16 * n))
         for W, g in zip(rows, groups):
-            WT = np.ascontiguousarray(W.reshape(n, 18).T)  # rows (j, point, i), columns (voxel)
-            # a group's fields are whole and summed at once, and each mode's
-            # row is its own product, so the block size leaves the bits
-            # alone; only the phase table is blocked
+            Wg = W.reshape(n, 18)  # rows (voxel), columns (j, point, i)
             T = np.empty((g.size, 18), dtype=complex)
             for start in range(0, g.size, step):
                 gg = g[start : start + step]
-                T[start : start + step] = _row_products(_phases(tables, gg), WT)
+                T[start : start + step] = _phases(tables, gg) @ Wg
             F = mode_field_vacuum(basis, sel[g], pts)  # (m, 2, 3)
             F = F + np.einsum("mj,mjc->mc", amp_pol[g], T.reshape(g.size, 3, 6)).reshape(
                 g.size, 2, 3)

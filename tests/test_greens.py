@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -926,35 +930,45 @@ def test_ldos_spectrum_at_n739_solves_one_column_per_frequency(monkeypatch):
     assert counts == ["lattice"] * 8
 
 
-def test_streamed_surface_term_and_mode_sum_keep_their_bits(monkeypatch):
-    # the surface term's phase table in blocks of 5 directions or of one and
-    # the mode sum's in blocks of 3 modes or of one give the one-block bits,
-    # with a shell and without one, whatever the BLAS thread count
-    from fluctem import modes
-    from fluctem.modes import mode_sum_spectral_density
+STREAMED_BITS = """
+import numpy as np
+from fluctem import greens
+from fluctem.greens import EffectiveSolver, surface_functional
+from fluctem.modes import enumerate_modes, mode_sum_spectral_density
+from test_greens import sphere_scene, thick_shell_scene
 
-    a, b = np.array([0.3, 0.2, 1.5]), np.array([-0.9, 0.4, -1.1])
-    basis = enumerate_modes(8 * np.pi, 1.2)
-    in_bin = basis.omega_alpha[np.abs(basis.omega_alpha - 1.0) <= 0.15]
-    assert np.unique(np.round(in_bin, 9), return_counts=True)[1].max() > 3
-    for sc in (sphere_scene(0.8), thick_shell_scene()):
-        n = sc.n_voxels
-        solver = EffectiveSolver(sc, 1.0)
-        chiX = solver.interior_solution([a, b])
-        monkeypatch.setattr(greens, "_ASSEMBLY_BYTES", 1152 * 16 * n)
-        ref_f = surface_functional(sc, 1.0, a, b, solver=solver, chiX=chiX)
-        for rows in (5, 1):
-            monkeypatch.setattr(greens, "_ASSEMBLY_BYTES", rows * 16 * n)
-            assert np.array_equal(surface_functional(sc, 1.0, a, b, solver=solver, chiX=chiX),
-                                  ref_f)
-        monkeypatch.undo()
-        monkeypatch.setattr(modes, "_BLOCK_BYTES", basis.k.shape[0] * 16 * n)
-        ref_m = mode_sum_spectral_density(sc, a, b, 1.0, 0.3, basis)
-        for rows in (3, 1):
-            monkeypatch.setattr(modes, "_BLOCK_BYTES", rows * 16 * n)
-            got = mode_sum_spectral_density(sc, a, b, 1.0, 0.3, basis)
-            assert np.array_equal(got.value, ref_m.value)
-        monkeypatch.undo()
+a, b = np.array([0.3, 0.2, 1.5]), np.array([-0.9, 0.4, -1.1])
+basis = enumerate_modes(8 * np.pi, 1.2)
+in_bin = basis.omega_alpha[np.abs(basis.omega_alpha - 1.0) <= 0.15]
+assert np.unique(np.round(in_bin, 9), return_counts=True)[1].max() > 3
+for sc in (sphere_scene(0.8), thick_shell_scene()):
+    n = sc.n_voxels
+    solver = EffectiveSolver(sc, 1.0)
+    chiX = solver.interior_solution([a, b])
+    greens._ASSEMBLY_BYTES = basis.k.shape[0] * 16 * n  # one block of each table
+    ref_f = surface_functional(sc, 1.0, a, b, solver=solver, chiX=chiX)
+    ref_m = mode_sum_spectral_density(sc, a, b, 1.0, 0.3, basis).value
+    for rows in (5, 3):
+        greens._ASSEMBLY_BYTES = rows * 16 * n
+        assert np.array_equal(surface_functional(sc, 1.0, a, b, solver=solver, chiX=chiX), ref_f)
+        assert np.array_equal(mode_sum_spectral_density(sc, a, b, 1.0, 0.3, basis).value, ref_m)
+print("ok")
+"""
+
+
+def test_streamed_surface_term_and_mode_sum_keep_their_bits():
+    # the surface term's phase table in blocks of 5 or 3 directions and the
+    # mode sum's in blocks of 5 or 3 modes give the one-block bits, with a
+    # shell and without one.  Pinned at one BLAS thread, as the benchmark and
+    # CI run: OpenBLAS rounds a threaded product differently from a small
+    # unthreaded one
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=f"{tests.parent / 'src'}{os.pathsep}{tests}",
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", STREAMED_BITS], env=env, capture_output=True,
+                         text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["ok"]
 
 
 def test_system_reassembly_bit_exact():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fluctem import modes
+from fluctem import greens, modes
 from fluctem.fluctuations import commutator_density
 from fluctem.greens import EffectiveSolver, vacuum_green, vacuum_imag_coincidence
 from fluctem.material import DrudeLorentzModel
@@ -176,7 +176,7 @@ def test_mode_sum_matches_forward_route(monkeypatch):
     # the coupling rows (scattered_mode_field); blocks of 7
     # modes put block boundaries inside the frequency groups
     sc = two_material_cube()
-    monkeypatch.setattr(modes, "_BLOCK_BYTES", 7 * 16 * sc.n_voxels)
+    monkeypatch.setattr(greens, "_ASSEMBLY_BYTES", 7 * 16 * sc.n_voxels)
     a, b = np.array([0.3, 0.2, 1.5]), np.array([-0.9, 0.4, 0.1])
     basis = enumerate_modes(8 * np.pi, 1.2)
     omega, delta = 1.0, 0.3
