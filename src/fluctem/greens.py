@@ -11,16 +11,18 @@ With M = dV (w/c)^2 Gv between voxel centers (the self term on its diagonal)
 and C = diag(chi), chi = eps - 1, the collocation matrix A = I - M C is not
 symmetric, but M is (reciprocity, Gv(v, u) = Gv(u, v)^T).  The solver
 therefore works with the complex-symmetric S = I - C^1/2 M C^1/2 =
-C^1/2 A C^-1/2: the kernel is evaluated on half the voxel pairs, and S is
-factored once per frequency by the Bunch-Kaufman LDL^T (stable for symmetric
-indefinite matrices, about half the flops of LU).  Every caller radiates the
-polarization chi A^-1 rhs = C^1/2 S^-1 C^1/2 rhs, so no step divides by chi
-and voxels with chi = 0 stay exact.
+C^1/2 A C^-1/2, factored once per frequency by the Bunch-Kaufman LDL^T
+(stable for symmetric indefinite matrices, about half the flops of LU).
+Every caller radiates the polarization chi A^-1 rhs = C^1/2 S^-1 C^1/2 rhs,
+so no step divides by chi and voxels with chi = 0 stay exact.
 
-The first solve on the factor route assembles S and factors it in place, so
-the solver never holds S beside its factor: the factor takes the place of
-S.  A solver has one owner and holds no lock; callers that run in parallel
-each build their own.
+The first solve on the factor route assembles the one triangle of S that
+LDL^T reads and factors it in place, so the solver never holds S beside its
+factor: the factor takes the place of S.  On a lattice scene with an FFT
+grid the blocks are gathered from one kernel table over the box's (2L-1)^3
+displacements; elsewhere the kernel is evaluated on the N(N-1)/2 pairs.  A
+solver has one owner and holds no lock; callers that run in parallel each
+build their own.
 
 Lattice scenes (Scene.lattice, the padded FFT grid no larger than S) can
 take a second route that never forms S: COCG (van der Vorst & Melissen 1990)
@@ -95,11 +97,12 @@ _FAR_ORDER = 24
 # doubles the traced peak of the N = 179 noise density (82 MB against 39 MB)
 _BLOCK_BYTES = 8 * 2**20
 
-# the same bound for the chunks of voxel rows the assembly evaluates; with
-# 8 MiB chunks the allocator keeps their temporaries resident, and the
-# N = 739 LDOS loop peaks at 246 MB RSS, against 242 MB at 2 MiB (as fast).
-# It also bounds the blocks of the (rows, N) phase tables of the surface
-# term (directions) and the mode sum (modes)
+# the same bound for the chunks of voxel rows the assembly writes, each a
+# slab of blocks right of its diagonal square; with 8 MiB chunks the
+# allocator keeps their temporaries resident, and the N = 739 LDOS loop
+# peaked at 246 MB RSS, against 242 MB at 2 MiB (as fast).  It also bounds
+# the blocks of the (rows, N) phase tables of the surface term (directions)
+# and the mode sum (wave vectors)
 _ASSEMBLY_BYTES = 2 * 2**20
 
 # column width of the LDL^T panels (LAPACK's default is 64); the workspace is
@@ -127,11 +130,12 @@ _FFT_CELL_BYTES = 45 * 16
 
 # a lattice solver's work budget, in column-matvecs, is this constant times
 # (3N)^3 / (cells of the padded grid): about what assembly and LDL^T cost, in
-# matvecs.  That ratio measured 4.5e-4 to 5.2e-4 at N = 389 and 4.4e-4 to
-# 5.4e-4 at N = 739 (two runs, one thread, shared machine).  At pitch 0.2
-# a 3-column solve at _COCG_ITERATIONS fits the budget of the N = 389 sphere
-# (103), not N = 257 (29), where assembly, LDL^T and that solve against COCG
-# read 94 against 81 ms and 34 against 67 ms (best of nine, the same runs)
+# matvecs.  That ratio measured 4.6e-4 to 5.2e-4 at N = 389 and 4.5e-4 to
+# 5.7e-4 at N = 739, with the triangle gathered from the kernel table (three
+# runs, best of nine, one thread, shared machine).  At pitch 0.2 a 3-column
+# solve at _COCG_ITERATIONS fits the budget of the N = 389 sphere (103), not
+# N = 257 (29), where assembly, LDL^T and that solve against COCG read
+# 68-72 against 56-83 ms and 24-38 against 52-60 ms (the same runs)
 _COCG_BUDGET = 3.8e-4
 
 # the iterations a lattice solver expects of its first solve, until one has
@@ -303,47 +307,79 @@ class EffectiveSolver:
         term on its diagonal, and C = diag(eps - 1); S is the collocation
         matrix A = I - M C in the scaling C^1/2 A C^-1/2, bit-exact from
         (scene, omega).  Assembled afresh on every read, on either route and
-        without the lattice matvec: the caller owns the array, and it is
-        never the one the factor overwrites.  Raises MemoryError first when S
-        is over the cap (see _admit_matrix).
+        without the lattice matvec: the triangle the factor reads (see
+        _assemble) and its mirror.  The caller owns the array, and it is
+        never the one the factor overwrites.  Raises MemoryError first when
+        S is over the cap (see _admit_matrix).
+        """
+        S = self._assemble()
+        for sl in self._blocks(len(S), _ASSEMBLY_BYTES):
+            # each slab of rows below the upper triangle takes its transpose
+            lower = S[sl, :sl.stop]
+            np.copyto(lower, S[:sl.stop, sl].T, where=np.tri(*lower.shape, sl.start - 1, bool))
+        return S
+
+    def _assemble(self):
+        """S's C-order upper triangle, (3N, 3N): the lower triangle of S.T, all zsytrf reads.
+
+        Each chunk of voxel rows u writes the blocks (u, v > u) right of its
+        diagonal square as one row-contiguous slab, then the square's strict
+        upper triangle; block (u, v) is -dV k^2 Gv(x_v - x_u) sqrt(chi_v)
+        sqrt(chi_u), from _pair_blocks.  The rest of the lower triangle is
+        never written.  Raises MemoryError first when S is over the cap (see
+        _admit_matrix).
         """
         self._admit_matrix()
         n = self.scene.n_voxels
         sq = self._sqrt_chi3[::3, 0]
+        blocks = self._pair_blocks()
         S = np.empty((3 * n, 3 * n), dtype=complex)
         S4 = S.reshape(n, 3, n, 3)
         for sl in self._blocks(n, _ASSEMBLY_BYTES):
-            # pairs v > u only: the rectangle left of the chunk's diagonal
-            # square, then the square's strict lower triangle; each value is
-            # also written as its block transpose, so S is bitwise symmetric
-            v0, v1 = sl.start, min(sl.stop, n)
-            if v0:  # the first chunk has nothing to its left
-                B = self._kernel(self.pos[v0:v1, None] - self.pos[None, :v0])
-                B *= (sq[v0:v1, None] * sq[None, :v0])[..., None, None]
-                S4[v0:v1, :, :v0] = B.transpose(0, 2, 1, 3)
-                S4[:v0, :, v0:v1] = B.transpose(1, 3, 0, 2)
-            iv, iu = _strict_lower(v1 - v0)
-            if v0:
-                iv, iu = iv + v0, iu + v0
-            B = self._kernel(self.pos[iv] - self.pos[iu])
-            B *= (sq[iv] * sq[iu])[:, None, None]
-            S4[iv, :, iu] = B
-            S4[iu, :, iv] = B.transpose(0, 2, 1)
+            u0, u1 = sl.start, min(sl.stop, n)
+            if u1 < n:  # the last chunk has nothing to its right
+                B = blocks(np.arange(u0, u1)[:, None], np.arange(u1, n))
+                B *= (sq[None, u1:] * sq[u0:u1, None])[..., None, None]
+                S4[u0:u1, :, u1:] = B.transpose(0, 2, 1, 3)
+            v, u = _strict_lower(u1 - u0)
+            u, v = u + u0, v + u0
+            B = blocks(u, v)
+            B *= (sq[v] * sq[u])[:, None, None]
+            S4[u, :, v] = B
         # each voxel centre lies in its own cell: the self term, no owner lookup;
         # written through a view of the diagonal blocks
         np.multiply((1.0 - self.cself * self.chi)[:, None, None], _EYE,
                     out=np.einsum("vivj->vij", S4))
         return S
 
+    def _pair_blocks(self):
+        """The blocks -dV k^2 Gv(x_v - x_u), (..., 3, 3), of voxel indices u != v.
+
+        u and v broadcast together.  On a lattice solver (grid set) each
+        block is gathered from one table of the kernel over the box's
+        displacements (_lattice_kernel): m_v - m_u sits at F(m_v) - F(m_u) +
+        c, F the table's linear index of a cell and c that of the own cell.
+        Elsewhere the kernel is evaluated on the pairs.
+        """
+        scale = -self.dv * self.k**2
+        if self.grid is None:
+            def blocks(u, v):
+                d = self.pos[v] - self.pos[u]
+                return _dyadic(d, _lengths(d), self.k, scale)
+            return blocks
+        lat = self.scene.lattice
+        K = _lattice_kernel(self, [np.arange(1 - L, L) for L in lat.shape], np.zeros(3), scale)
+        side = 2 * np.array(lat.shape) - 1
+        stride = np.array([side[1] * side[2], side[2], 1])
+        F, c = lat.cells @ stride, (np.array(lat.shape) - 1) @ stride
+        K = K.reshape(-1, 3, 3)
+        return lambda u, v: K[F[v] - F[u] + c]
+
     def _leave(self, reason):
         """Leave COCG for the factor route, for good, reporting reason; drop the lattice matvec."""
         self._route = "dense-ldlt"
         self._matvec = None
         self.diagnostics.update(route=self._route, fallback=reason, backward_error=None)
-
-    def _kernel(self, d):
-        """-dV k^2 Gv for separations d (..., 3) of distinct voxels, shape (..., 3, 3)."""
-        return _dyadic(d, _lengths(d), self.k, -self.dv * self.k**2)
 
     # -- linear algebra -------------------------------------------------
 
@@ -367,10 +403,10 @@ class EffectiveSolver:
         return np.multiply(s, x, out=x)  # s on the left: the bits of s * x
 
     def _factor(self):
-        """LDL^T of S, made in the array of an S assembled for it."""
-        S = self.system
-        # S is symmetric, so S.T is S in the Fortran order LAPACK takes, and
-        # zsytrf overwrites it without a copy
+        """LDL^T of S, made in the array _assemble writes S's upper triangle in."""
+        S = self._assemble()
+        # S.T is S in the Fortran order LAPACK takes, whose lower triangle is
+        # the one assembled: zsytrf reads only that and overwrites it in place
         ldu, ipiv, info = sla.lapack.zsytrf(S.T, lower=1, lwork=_LDLT_PANEL * len(S),
                                             overwrite_a=1)
         if info > 0:
@@ -866,6 +902,19 @@ _SYM_INDEX = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
 _AXES = (-3, -2, -1)
 
 
+def _lattice_kernel(solver, disp, s, scale):
+    """scale Gv(pitch m + s) over the lattice displacements m, (len(disp[0]), ..., 3, 3).
+
+    disp holds the displacements along each axis.  The own cell m = 0, where
+    a node at s = 0 has r = 0, is evaluated at r = 1: the caller overwrites
+    it or never reads it.
+    """
+    d = solver.scene.lattice.pitch * np.stack(np.meshgrid(*disp, indexing="ij"), axis=-1) + s
+    r = np.linalg.norm(d, axis=-1)
+    r[tuple(np.flatnonzero(a == 0)[0] for a in disp)] = 1.0
+    return _dyadic(d, r, solver.k, scale)
+
+
 def _kernel_hat(solver, grid, s):
     """The kernel table K(m) = dV k^2 Gv(pitch m + s), (grid..., 3, 3), and its transform.
 
@@ -874,15 +923,10 @@ def _kernel_hat(solver, grid, s):
     own voxel.  The transform is that of the six distinct components, shape
     (6,) + grid.
     """
-    lat = solver.scene.lattice
     # circular displacements: 0..L-1 then negative ones from the top of each axis
-    disp = np.stack(np.meshgrid(*[np.where(np.arange(g) < L, np.arange(g), np.arange(g) - g)
-                                  for g, L in zip(grid, lat.shape)], indexing="ij"), axis=-1)
-    d = lat.pitch * disp + s
-    r = np.linalg.norm(d, axis=-1)
-    r[0, 0, 0] = 1.0  # a centred node has r = 0 there, overwritten below
-    K = _dyadic(d, r, solver.k, solver.dv * solver.k**2)
-    del d, r
+    disp = [np.where(np.arange(g) < L, np.arange(g), np.arange(g) - g)
+            for g, L in zip(grid, solver.scene.lattice.shape)]
+    K = _lattice_kernel(solver, disp, s, solver.dv * solver.k**2)
     K[0, 0, 0] = solver.cself * _EYE
     return K, sfft.fftn(np.stack([K[..., i, k] for i, k in _SYM]), axes=_AXES, overwrite_x=True)
 

@@ -196,17 +196,23 @@ def mode_sum_spectral_density(scene, a, b, omega_center, delta_omega, basis: Mod
         record, rows = _rows_by_group(scene, pts, omsel[[g[0] for g in groups]], const)
         tables = _axis_tables(basis, sel, scene.positions())
         amp_pol = basis.amplitude[sel, None] * basis.pol[sel]  # (M, 3)
-        # modes per block of the (modes, N) phase table, under the surface
-        # term's bound: 732 at N = 179, more than any group there (672), so
-        # each group is one product, as with 4,096-mode chunks (1.2 GB of
-        # table at N = 18,853); a group's fields are summed at once
+        # wave vectors per block of the (wave vectors, N) phase table, under
+        # the surface term's bound: 732 at N = 179, more than any group there
+        # (336), so each group is one product; a group's fields are summed at
+        # once.  The two polarizations of a wave vector sit next to each other
+        # in every group and share its phase row
         step = max(1, greens._ASSEMBLY_BYTES // (16 * n))
         for W, g in zip(rows, groups):
             Wg = W.reshape(n, 18)  # rows (voxel), columns (j, point, i)
-            T = np.empty((g.size, 18), dtype=complex)
-            for start in range(0, g.size, step):
-                gg = g[start : start + step]
-                T[start : start + step] = _phases(tables, gg) @ Wg
+            kv = g[::2]
+            T = np.empty((kv.size, 18), dtype=complex)
+            for start in range(0, kv.size, step):
+                kb = kv[start : start + step]
+                # a one-row product goes through gemv, which may round
+                # differently from a block's gemm: a lone wave vector takes two
+                ph = _phases(tables, kb if kb.size > 1 else kb.repeat(2))
+                T[start : start + step] = (ph @ Wg)[: kb.size]
+            T = np.repeat(T, 2, axis=0)
             F = mode_field_vacuum(basis, sel[g], pts)  # (m, 2, 3)
             F = F + np.einsum("mj,mjc->mc", amp_pol[g], T.reshape(g.size, 3, 6)).reshape(
                 g.size, 2, 3)

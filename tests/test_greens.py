@@ -1,8 +1,4 @@
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +25,7 @@ from fluctem.observables import ldos
 from fluctem.oracle import _vacuum_green_block_offdiag
 from fluctem.scene import Scene, Shell, build_scene, sphere_quadrature
 
-from conftest import LAM, FixedEps, one_voxel_scene
+from conftest import LAM, FixedEps, one_voxel_scene, run_at_one_blas_thread
 
 
 def vacuum_scene(box=400.0):
@@ -334,11 +330,11 @@ def test_diagnostics_are_a_report_only(monkeypatch):
 
 
 def count_assembly(monkeypatch):
-    """A list that gets "assemble" for each assembly of S, through reads of system."""
+    """A list that gets "assemble" for each assembly of S, the factor's or a read of system."""
     counts = []
-    real = EffectiveSolver.system.fget
-    monkeypatch.setattr(EffectiveSolver, "system",
-                        property(lambda s: counts.append("assemble") or real(s)))
+    real = EffectiveSolver._assemble
+    monkeypatch.setattr(EffectiveSolver, "_assemble",
+                        lambda s: counts.append("assemble") or real(s))
     return counts
 
 
@@ -555,10 +551,10 @@ def test_lattice_ldos_at_n739_factors_nothing_and_reads_no_matrix(monkeypatch):
     n3, cells = 3 * sc.n_voxels, np.prod(greens._fft_grid(sc))
     assert sc.n_voxels == 739
     assert int(greens._COCG_BUDGET * n3**3 / cells) >= 3 * greens._COCG_ITERATIONS
-    factored, reads = [], []
+    factored = []
     real = sla.lapack.zsytrf
     monkeypatch.setattr(sla.lapack, "zsytrf", lambda *a, **k: factored.append(1) or real(*a, **k))
-    monkeypatch.setattr(EffectiveSolver, "system", property(lambda s: reads.append("system")))
+    assembled = count_assembly(monkeypatch)
     for omega in (0.6, 1.0, 1.4):
         solver = EffectiveSolver(sc, omega)
         ldos(sc, omega, LDOS_X0, LDOS_N, solver=solver)
@@ -567,7 +563,7 @@ def test_lattice_ldos_at_n739_factors_nothing_and_reads_no_matrix(monkeypatch):
         assert solver.diagnostics["matvecs"] <= 40
         assert solver.diagnostics["backward_error"] <= backward_tol(solver)
     assert factored == []
-    assert reads == []
+    assert assembled == []
 
 
 @pytest.mark.parametrize("radius, route", [(0.8, "dense-ldlt"), (1.2, "lattice-cocg")])
@@ -737,9 +733,9 @@ def test_materials_evaluated_once_per_solver(monkeypatch):
 
 
 def test_assembly_and_first_solve_peak_within_twice_the_matrix():
-    # construction assembles nothing; the first solve assembles S, one chunk
-    # of kernel rows at a time, then factors it in place, adding the LDL^T
-    # workspace and no second matrix (measured 1.50x, the assembly's peak)
+    # construction assembles nothing; the first solve assembles S's triangle,
+    # one chunk of voxel rows at a time, then factors it in place, adding the
+    # LDL^T workspace and no second matrix (measured 1.47x, the assembly's peak)
     sc = sphere_scene(0.8)
     assert sc.n_voxels == 179
     matrix_bytes = (3 * sc.n_voxels) ** 2 * 16
@@ -753,6 +749,19 @@ def test_assembly_and_first_solve_peak_within_twice_the_matrix():
         tracemalloc.stop()
     assert solver.diagnostics["route"] == "dense-ldlt"
     assert peak <= 1.6 * matrix_bytes
+
+
+def test_lattice_first_factor_solve_peak_at_n739():
+    # the N = 739 sphere on the factor route: S gathered from a 21^3 kernel
+    # table (1.3 MB) and factored in place, well inside the 2 x S charge
+    # (measured 1.05x S's bytes)
+    sc = sphere_scene(1.2)
+    solver = factor_route(sc, 1.0)
+    assert solver.grid is not None
+    matrix_bytes = (3 * sc.n_voxels) ** 2 * 16
+    peak = traced_peak(lambda: solver._solve(np.ones((3 * sc.n_voxels, 1), dtype=complex)))[1]
+    assert solver.diagnostics["route"] == "dense-ldlt"
+    assert peak <= 1.1 * matrix_bytes
 
 
 def test_blocked_evaluation_matches_any_block_size(monkeypatch, rng):
@@ -817,6 +826,106 @@ def test_chunked_assembly_is_the_one_chunk_assembly_bitwise(monkeypatch):
             monkeypatch.setattr(greens, "_ASSEMBLY_BYTES", rows * n * 9 * 16)
             assert np.array_equal(EffectiveSolver(sc, 0.9).system, S)
         monkeypatch.undo()
+
+
+def pair_assembled_system(sc, omega):
+    """S with the kernel on every voxel pair v > u in one batch, each block written twice."""
+    solver = EffectiveSolver(sc, omega)
+    n, sq = sc.n_voxels, solver._sqrt_chi3[::3, 0]
+    iv, iu = np.nonzero(np.tri(n, k=-1, dtype=bool))
+    d = solver.pos[iv] - solver.pos[iu]
+    B = greens._dyadic(d, np.linalg.norm(d, axis=-1), solver.k, -solver.dv * solver.k**2)
+    B *= (sq[iv] * sq[iu])[:, None, None]
+    S4 = np.empty((n, 3, n, 3), dtype=complex)
+    S4[iv, :, iu] = B
+    S4[iu, :, iv] = B.transpose(0, 2, 1)
+    S4[np.arange(n), :, np.arange(n)] = (1.0 - solver.cself * solver.chi)[:, None, None] * np.eye(3)
+    return S4.reshape(3 * n, 3 * n)
+
+
+def sparse_scene():
+    """Nine voxels 1.2 to 1.6 apart on the 0.2 lattice, two materials: a grid larger than S."""
+    mats = (FixedEps(2 + 0.5j), FixedEps(4 + 0.1j))
+    return Scene(box_side=40.0, voxel_pitch=0.2, scatterer_voxels=tuple(
+        ((1.6 * i, 1.2 * j, 0.0), mats[(i + j) % 2]) for i in range(3) for j in range(3)))
+
+
+def jittered_sphere():
+    """The N = 179 sphere with every centre moved by about 0.01: off the lattice."""
+    sc = sphere_scene(0.8)
+    shift = np.random.default_rng(7).uniform(-0.01, 0.01, (sc.n_voxels, 3))
+    return Scene(sc.box_side, sc.voxel_pitch, tuple(
+        (tuple(np.array(p) + s), m) for (p, m), s in zip(sc.scatterer_voxels, shift)))
+
+
+def test_off_lattice_factor_solves_are_the_pair_assembled_solves_bitwise(monkeypatch, rng):
+    # off the kernel table the triangle is evaluated pair by pair with the
+    # operands of the full assembly, in chunks of any size: system is the
+    # pair-assembled S, and a solve is zsytrs on that S's factor, bit for bit
+    for sc, omega in ((two_voxel_pair(), 0.9), (sparse_scene(), 1.3), (jittered_sphere(), 0.9)):
+        n = sc.n_voxels
+        assert greens._fft_grid(sc) is None
+        ref = pair_assembled_system(sc, omega)
+        ldu, ipiv, info = sla.lapack.zsytrf(ref.T, lower=1, lwork=greens._LDLT_PANEL * len(ref))
+        rhs = rng.standard_normal((3 * n, 3)) + 1j * rng.standard_normal((3 * n, 3))
+        for rows in (1, 2, None):
+            if rows:
+                monkeypatch.setattr(greens, "_ASSEMBLY_BYTES", rows * n * 9 * 16)
+            solver = EffectiveSolver(sc, omega)
+            assert np.array_equal(solver.system, ref)
+            sq = solver._sqrt_chi3
+            x, _ = sla.lapack.zsytrs(ldu, ipiv, sq * rhs, lower=1)
+            assert np.array_equal(solver._solve(rhs), sq * x)
+            monkeypatch.undo()
+
+
+def test_lattice_factor_route_gathers_s_from_the_kernel_table(rng):
+    # on the lattice S is gathered from one kernel table, whose separations
+    # pitch m round apart from the centres' differences: within 4e-16 of
+    # the largest entry of the pair-assembled S (2.6e-16 measured), and the
+    # factor-route solve agrees with general LU of A to 1e-14 (1.2e-15)
+    sc = sphere_scene(0.8)
+    solver = factor_route(sc, 0.9)
+    assert solver.grid is not None
+    ref = pair_assembled_system(sc, 0.9)
+    assert np.abs(solver.system - ref).max() <= 4e-16 * np.abs(ref).max()
+    rhs = rng.standard_normal((3 * sc.n_voxels, 4)) + 1j * rng.standard_normal((3 * sc.n_voxels, 4))
+    got = solver._solve(rhs)
+    lu = dense_lu_reference(sc, 0.9, rhs)
+    assert solver.diagnostics["route"] == "dense-ldlt"
+    assert np.linalg.norm(got - lu) <= 1e-14 * np.linalg.norm(lu)
+
+
+def test_the_factor_reads_the_triangle_of_system(monkeypatch):
+    # zsytrf reads the lower triangle of S.T, the upper one of S: bitwise
+    # that of system, which mirrors it and so is bitwise symmetric
+    read = []
+    real = sla.lapack.zsytrf
+    monkeypatch.setattr(sla.lapack, "zsytrf", lambda a, **k: read.append(np.tril(a)) or real(a, **k))
+    for sc in (two_voxel_pair(), sparse_scene(), sphere_scene(0.8)):
+        solver = factor_route(sc, 0.9)
+        S = solver.system
+        assert np.array_equal(S, S.T)
+        solver._solve(np.ones((len(S), 1), dtype=complex))
+        assert np.array_equal(read[-1], np.tril(S.T))
+
+
+def test_a_lattice_assembly_evaluates_the_kernel_once_per_displacement(monkeypatch):
+    # the N = 179 sphere fills a 7^3 box: one table of its 13^3 = 2,197
+    # displacements, not its N(N - 1)/2 = 15,931 pairs; off the lattice
+    # every pair once
+    evaluated = []
+    dyadic = greens._dyadic
+    monkeypatch.setattr(greens, "_dyadic",
+                        lambda d, r, k, scale=1.0: evaluated.append(r.size) or dyadic(d, r, k, scale))
+    sc = sphere_scene(0.8)
+    assert sc.lattice.shape == (7, 7, 7)
+    factor_route(sc, 0.9)._assemble()
+    assert evaluated == [13**3]
+    evaluated.clear()
+    sc = jittered_sphere()
+    EffectiveSolver(sc, 0.9)._assemble()
+    assert sum(evaluated) == sc.n_voxels * (sc.n_voxels - 1) // 2
 
 
 def test_factor_route_wide_solve_peak(rng):
@@ -958,17 +1067,11 @@ print("ok")
 
 def test_streamed_surface_term_and_mode_sum_keep_their_bits():
     # the surface term's phase table in blocks of 5 or 3 directions and the
-    # mode sum's in blocks of 5 or 3 modes give the one-block bits, with a
-    # shell and without one.  Pinned at one BLAS thread, as the benchmark and
-    # CI run: OpenBLAS rounds a threaded product differently from a small
-    # unthreaded one
-    tests = Path(__file__).resolve().parent
-    env = dict(os.environ, PYTHONPATH=f"{tests.parent / 'src'}{os.pathsep}{tests}",
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    out = subprocess.run([sys.executable, "-c", STREAMED_BITS], env=env, capture_output=True,
-                         text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["ok"]
+    # mode sum's in blocks of 5 or 3 wave vectors give the one-block bits,
+    # with a shell and without one.  Pinned at one BLAS thread, as the
+    # benchmark and CI run: OpenBLAS rounds a threaded product differently
+    # from a small unthreaded one
+    run_at_one_blas_thread(STREAMED_BITS)
 
 
 def test_system_reassembly_bit_exact():

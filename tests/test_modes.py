@@ -14,7 +14,7 @@ from fluctem.modes import (
 )
 from fluctem.scene import Scene, build_scene
 
-from conftest import LAM, one_voxel_scene
+from conftest import LAM, one_voxel_scene, run_at_one_blas_thread
 
 
 def test_lattice_counting_first_shell_only():
@@ -327,6 +327,56 @@ def test_mode_sum_on_the_n179_sphere_makes_17_solves(monkeypatch):
                                    basis, window="hann")
     assert len(made) == 17
     assert (sd.metadata["solves"], sd.metadata["nodes"]) == (17, 17)
+
+
+PER_WAVE_VECTOR_BITS = """
+import numpy as np
+from fluctem import greens, modes
+from fluctem.constants import DEFAULT
+from fluctem.modes import enumerate_modes, mode_field_vacuum, mode_sum_spectral_density
+from test_greens import sphere_scene
+
+
+def per_mode_sum(sc, a, b, omega, dw, basis):
+    # the Hann mode sum with a phase row of its own for each mode, each
+    # frequency group's (modes, N) table one product
+    pts = np.vstack([a, b])
+    om = basis.omega_alpha
+    sel = np.nonzero((om >= omega - dw / 2) & (om <= omega + dw / 2))[0]
+    order = np.argsort(om[sel], kind="stable")
+    sel = sel[order]
+    wts = np.cos(np.pi * ((om[sel] - omega) / (dw / 2)) / 2) ** 2
+    groups = np.split(np.arange(sel.size), np.nonzero(np.diff(om[sel]) > 1e-12 * omega)[0] + 1)
+    _, rows = modes._rows_by_group(sc, pts, om[sel][[g[0] for g in groups]], DEFAULT)
+    tables = modes._axis_tables(basis, sel, sc.positions())
+    amp_pol = basis.amplitude[sel, None] * basis.pol[sel]
+    acc = np.zeros((3, 3), complex)
+    for W, g in zip(rows, groups):
+        T = modes._phases(tables, g) @ W.reshape(sc.n_voxels, 18)
+        F = mode_field_vacuum(basis, sel[g], pts)
+        F = F + np.einsum("mj,mjc->mc", amp_pol[g], T.reshape(g.size, 3, 6)).reshape(g.size, 2, 3)
+        acc += np.einsum("m,mi,mj->ij", wts[g], F[:, 0], np.conj(F[:, 1]))
+    return acc / (dw / 2)
+
+
+sc = sphere_scene(0.8)
+a, b = np.array([0.3, 0.2, 1.5]), np.array([-0.9, 0.4, -1.1])
+basis = enumerate_modes(8 * np.pi, 1.2)
+ref = per_mode_sum(sc, a, b, 1.0, 0.3, basis)
+for wave_vectors in (1, 2, 3, 5):
+    greens._ASSEMBLY_BYTES = wave_vectors * 16 * sc.n_voxels
+    got = mode_sum_spectral_density(sc, a, b, 1.0, 0.3, basis, window="hann").value
+    assert np.array_equal(got, ref), wave_vectors
+print("ok")
+"""
+
+
+def test_one_phase_row_per_wave_vector_keeps_the_per_mode_bits():
+    # the two polarizations of a wave vector share its phase row, in blocks
+    # of 1, 2, 3 or 5 wave vectors (a lone one taken as two rows, never a
+    # one-row product): bitwise the sum with a phase row per mode.  At one
+    # BLAS thread, as the benchmark and CI run
+    run_at_one_blas_thread(PER_WAVE_VECTOR_BITS)
 
 
 def test_per_axis_phase_tables_match_the_exponential(rng):
