@@ -579,9 +579,12 @@ class EffectiveSolver:
     def green(self, targets, sources, scattered_only=False, warn_near=True):
         """Effective dyadics (T, S, 3, 3); vacuum part skipped if scattered_only.
 
-        Targets or sources inside voxels use the regularized kernel, so the
-        scattered part stays finite there; the vacuum part still requires
-        non-coincident pairs.
+        One solve of 3 min(T, S) columns: with fewer targets than sources
+        the targets are solved for and radiated to the sources, and the
+        block is transposed back, since reciprocity G(x, x') = G(x', x)^T
+        holds exactly for the symmetric S.  Targets or sources inside voxels
+        use the regularized kernel, so the scattered part stays finite
+        there; the vacuum part still requires non-coincident pairs.
         """
         targets = np.atleast_2d(np.asarray(targets, dtype=float))
         sources = np.atleast_2d(np.asarray(sources, dtype=float))
@@ -590,14 +593,18 @@ class EffectiveSolver:
             if np.all(owner < 0) and distance.min() < self.scene.voxel_pitch:
                 warnings.warn("evaluation point within one pitch of a scatterer voxel; "
                               "near-field accuracy is reduced")
-        t = len(targets)
-        if len(self._blocks(t + len(sources))) == 1:
+        swap = len(targets) < len(sources)
+        # solve for b, the smaller side, and radiate to a
+        a, b = (sources, targets) if swap else (targets, sources)
+        if len(self._blocks(len(a) + len(b))) == 1:
             # the rows of every target and source fit in one block: build them in one pass
-            R = next(self._row_blocks(np.concatenate([targets, sources])))[1]
-            tgt, src = [(slice(None), R[:t])], [(slice(None), R[t:])]
+            R = next(self._row_blocks(np.concatenate([a, b])))[1]
+            rows_a, rows_b = [(slice(None), R[:len(a)])], [(slice(None), R[len(a):])]
         else:
-            tgt, src = self._row_blocks(targets), self._row_blocks(sources)
-        scat = self._radiate(targets, self._interior(len(sources), src), tgt)
+            rows_a, rows_b = self._row_blocks(a), self._row_blocks(b)
+        scat = self._radiate(a, self._interior(len(b), rows_b), rows_a)
+        if swap:
+            scat = scat.transpose(1, 0, 3, 2)
         if scattered_only:
             return scat
         return vacuum_green_block(self.omega, targets, sources, c=self.const.c) + scat

@@ -138,7 +138,10 @@ def green_trace_gradient(scene: Scene, omega, x, side="both", h=None,
     Central differences at h and h/2 with Richardson extrapolation; the
     error bar is the level difference.  Reciprocity makes the left and
     right gradients equal, which the 'both' mode reports and averages.
-    Each side evaluates its 12-point stencil in one green() call.
+    Each side makes one solve of its own: the left one for x (3 columns),
+    radiated to the 12-point stencil, the right one for the stencil (36
+    columns), radiated to x.  green(x, stencil) would itself solve for x
+    by reciprocity, so the right side would be the left one transposed.
     """
     if side not in ("left", "right", "both"):
         raise ObservableError("side must be left, right or both")
@@ -163,7 +166,7 @@ def green_trace_gradient(scene: Scene, omega, x, side="both", h=None,
         left, e1 = grad(solver.green(stencil, x, scattered_only=True, warn_near=False)[:, 0])
         err = max(err, e1)
     if side in ("right", "both"):
-        right, e2 = grad(solver.green(x, stencil, scattered_only=True, warn_near=False)[0])
+        right, e2 = grad(solver._radiate(x[None, :], solver.interior_solution(stencil))[0])
         err = max(err, e2)
     g = left if right is None else right if left is None else (left + right) / 2
     if h < 1e-6 and np.linalg.norm(g) > 0 and err > 0.5 * np.linalg.norm(g):

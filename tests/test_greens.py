@@ -433,13 +433,13 @@ def test_cocg_route_solves_are_bitwise_reproducible(monkeypatch, rng):
 
 def test_wide_solve_goes_to_the_factor_before_any_matvec(monkeypatch):
     # sources at every voxel centre: one column per voxel component
+    # (interior_solution, since green() would solve for a single target)
     sc = sphere_scene(0.8)
     cocg_budget(monkeypatch, sc, 1000)  # ten narrow solves, far from 3N = 537 columns
     om = enumerate_modes(12.0, 1.3).omega_alpha[7]
-    x = np.array([0.2, -0.4, 1.9])
     solver = EffectiveSolver(sc, om)
-    got = solver.green(x, sc.positions(), warn_near=False)
-    ref = factor_route(sc, om).green(x, sc.positions(), warn_near=False)
+    got = solver.interior_solution(sc.positions())
+    ref = factor_route(sc, om).interior_solution(sc.positions())
     assert np.array_equal(got, ref)
     assert solver.diagnostics["route"] == "dense-ldlt"
     assert solver.diagnostics["fallback"] == "budget"
@@ -815,6 +815,37 @@ def test_one_pass_green_matches_the_streamed_rows(monkeypatch, rng):
         assert np.linalg.norm(got - ref) <= 1e-15 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("lattice", [True, False])
+def test_green_solves_for_the_smaller_side(monkeypatch, lattice):
+    # with fewer targets than sources green() solves for the targets and
+    # radiates to the sources: the reciprocal call's block transposed, bit
+    # for bit, vacuum part included, from 3 min(T, S) columns.  The lattice
+    # sphere solves by COCG, the jittered one on the factor route
+    sc = sphere_scene(0.8) if lattice else jittered_sphere()
+    if lattice:
+        cocg_budget(monkeypatch, sc, 10**6)
+    targets = np.array([[0.3, -0.2, 1.5], [-1.1, 0.4, 0.9]])
+    sources = np.array([[0.1, 0.2, 1.4], [1.3, 0.1, -0.6], [-0.4, -1.2, 0.5],
+                        [0.2, 0.9, -1.3], [0.0, 0.0, -1.8]])
+    cols = []
+    solve = EffectiveSolver._solve
+    monkeypatch.setattr(EffectiveSolver, "_solve",
+                        lambda self, rhs: cols.append(rhs.shape[1]) or solve(self, rhs))
+    solver = EffectiveSolver(sc, 0.9)
+    got = solver.green(targets, sources, warn_near=False)
+    back = EffectiveSolver(sc, 0.9).green(sources, targets, warn_near=False)
+    assert cols == [6, 6]
+    assert np.array_equal(got, back.transpose(1, 0, 3, 2))
+    assert solver.diagnostics["route"] == ("lattice-cocg" if lattice else "dense-ldlt")
+    ref = factor_route(sc, 0.9)
+    assert np.linalg.norm(got - ref.green(targets, sources, warn_near=False)) <= (
+        1e-12 * np.linalg.norm(got))
+    # rows streamed one block of sources, then one of targets: the same bits
+    monkeypatch.setattr(greens, "_BLOCK_BYTES", len(sources) * sc.n_voxels * 9 * 16)
+    assert len(solver._blocks(len(targets) + len(sources))) > 1
+    assert np.array_equal(EffectiveSolver(sc, 0.9).green(targets, sources, warn_near=False), got)
+
+
 def test_chunked_assembly_is_the_one_chunk_assembly_bitwise(monkeypatch):
     # the small-scene assembly (one chunk, cached pairs) and the chunked one
     # write the same bits, and S stays bitwise symmetric
@@ -1037,6 +1068,33 @@ def test_ldos_spectrum_at_n739_solves_one_column_per_frequency(monkeypatch):
         assert solver.diagnostics["route"] == "lattice-cocg"
     assert cols == [1] * 8
     assert counts == ["lattice"] * 8
+
+
+def test_ldos_spectrum_checks_at_n739_stay_on_cocg(monkeypatch):
+    # one frequency of the ldos-spectrum workload with its checks: the LDOS,
+    # the 2 x 2 reciprocity block and the 1 x 4 coincidence-limit row, which
+    # solves for its one target (3 columns, not 12).  The sequence fits the
+    # budget, forms no S and traces about 6 MiB against S's 75 MiB
+    sc = sphere_scene(1.2)
+    matrix_bytes = (3 * sc.n_voxels) ** 2 * 16
+    counts = count_assembly(monkeypatch)
+    y = np.array([-1.35, 0.88, 0.73])
+    m = np.array([0.48, -0.81, 0.34])
+    d = 0.02 * m / np.linalg.norm(m)
+    pts = np.array([LDOS_X0, y])
+    for omega in (0.6, 1.4):
+        def sequence():
+            solver = EffectiveSolver(sc, omega)
+            ldos(sc, omega, LDOS_X0, LDOS_N, solver=solver)
+            solver.green(pts, pts, scattered_only=True, warn_near=False)
+            solver.green(LDOS_X0, LDOS_X0 + np.array([d, -d, 2 * d, -2 * d]), warn_near=False)
+            return solver
+
+        solver, peak = traced_peak(sequence)
+        assert counts == []
+        assert solver.diagnostics["route"] == "lattice-cocg"
+        assert solver.diagnostics["matvecs"] <= solver.diagnostics["budget"]
+        assert peak <= 0.1 * matrix_bytes
 
 
 STREAMED_BITS = """
@@ -1314,9 +1372,11 @@ def test_dyadic_block_export(tmp_path):
 
 
 def test_one_solve_per_call_site(monkeypatch):
-    # every call site hands all its sources to one solve, counted at
-    # EffectiveSolver._solve; the identity report's terms, the shell's
-    # included, all radiate the one solve for [a, b]
+    # every call site hands all its sources to one solve, whose right-hand
+    # side widths are recorded at EffectiveSolver._solve; the identity
+    # report's terms, the shell's included, all radiate the one solve for
+    # [a, b].  The gradient's right side solves for its 12-point stencil
+    # itself, not for x as green() would by reciprocity
     from fluctem.fluctuations import noise_correlator_density
     from fluctem.observables import green_trace_gradient
 
@@ -1333,16 +1393,17 @@ def test_one_solve_per_call_site(monkeypatch):
     b = np.array([0.8, 0.3, -0.6])
     x = np.array([0.0, 0.0, 1.2])
     cases = [
-        (lambda: green_trace_gradient(sc, 1.0, x, side="left"), 1),
-        (lambda: green_trace_gradient(sc, 1.0, x, side="both"), 2),
-        (lambda: greens_identity_report(sc, 1.0, a, b), 1),
-        (lambda: greens_identity_report(thick_shell_scene(), 1.0, a, b), 1),
-        (lambda: noise_correlator_density(sc, "scatterer", 1.0, a, b), 1),
+        (lambda: green_trace_gradient(sc, 1.0, x, side="left"), [3]),
+        (lambda: green_trace_gradient(sc, 1.0, x, side="right"), [36]),
+        (lambda: green_trace_gradient(sc, 1.0, x, side="both"), [3, 36]),
+        (lambda: greens_identity_report(sc, 1.0, a, b), [6]),
+        (lambda: greens_identity_report(thick_shell_scene(), 1.0, a, b), [6]),
+        (lambda: noise_correlator_density(sc, "scatterer", 1.0, a, b), [6]),
     ]
     for run, expected in cases:
         solves.clear()
         run()
-        assert len(solves) == expected
+        assert solves == expected
 
 
 # -- the lattice route of the scatterer volume term ---------------------------
