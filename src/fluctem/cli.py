@@ -300,6 +300,7 @@ def _run_casimir(cfg, scene, outdir, const, run):
     grid = _omega_grid(cc["grid"]) if "grid" in cc else None
     force = casimir_thermal_force(scene, body, T, omega_grid=grid, const=const,
                                   tail_tol=float(cc.get("tail_tolerance", 0.01)))
+    run["solve"] = force.metadata["solve"]
     arts = [write_force_json(outdir / "force.json", force)]
     if cc.get("per_voxel"):
         arts.append(write_per_voxel_force_csv(outdir / "force_per_voxel.csv",

@@ -44,6 +44,11 @@ against its grid's bytes, and S is charged only when it must be formed, so
 a scene whose S would not fit still runs while COCG serves it, and a solve
 that must leave COCG raises MemoryError before allocating S.
 
+A frequency sweep on a small scene, the Casimir force, can instead stack
+its systems (SolverStack): S at F frequencies as one (F, 3N, 3N) array,
+its kernel evaluated once over a frequency axis and all F systems solved by
+one batched LU, since there every call costs more than its flops.
+
 The scatterer volume term of the dissipation identity needs the field at
 every Gauss sub-node of every voxel.  On a lattice scene (Scene.lattice) the
 field at sub-node j is a zero-padded 3-D FFT convolution of the polarization
@@ -79,7 +84,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft as sfft
 import scipy.linalg as sla
 
 from .constants import DEFAULT, Constants
@@ -162,27 +166,29 @@ def vacuum_green(omega, x, xp, c=1.0):
 
 
 def _dyadic(d, r, k, scale=1.0, out=None):
-    """scale * Gv for separations d (..., 3) of lengths r > 0, shape (..., 3, 3).
+    """scale * Gv for separations d (..., 3) of lengths r > 0, shape of k r + (3, 3).
 
     The one closed form of the outgoing dyadic,
     g [(1 + i/u - 1/u^2) I + (-1 - 3i/u + 3/u^2) rr], u = k r,
     g = exp(i u) / (4 pi r); the result is built in place in one array, out
     if given: any strided complex view of that shape, such as a transposed
-    view of the layout a later product needs, so that costs no copy.
+    view of the layout a later product needs, so that costs no copy.  k and
+    scale broadcast with r, so k of shape (F, 1, ...) adds a leading axis
+    of F frequencies; scale must broadcast to the shape of k r.
     """
+    u = k * r
     if out is None:
-        out = np.empty(r.shape + (3, 3), dtype=complex)
+        out = np.empty(u.shape + (3, 3), dtype=complex)
     rh = d / r[..., None]
     np.multiply(rh[..., :, None], rh[..., None, :], out=out)
     del rh
-    u = k * r
     u2 = u**2
     out *= (-1 - 3j / u + 3 / u2)[..., None, None]
     diag = np.einsum("...ii->...i", out)  # a writeable view of the diagonal
     diag += (1 + 1j / u - 1 / u2)[..., None]
     g = np.exp(1j * u) / (4 * np.pi * r)
     # g on the left: numpy's complex product is not bitwise commutative
-    return np.multiply(scale * g[..., None, None], out, out=out)
+    return np.multiply((scale * g)[..., None, None], out, out=out)
 
 
 def vacuum_green_block(omega, targets, sources, c=1.0):
@@ -674,6 +680,91 @@ class EffectiveSolver:
             yield sl, rows.transpose(0, 2, 1, 3).reshape(len(rows), 3, 3 * n)
 
 
+class SolverStack:
+    """The systems S of one scene at F frequencies, (F, 3N, 3N), solved in one batch.
+
+    A small scene pays per call, not per flop: at two voxels S is 6 x 6,
+    and building an EffectiveSolver, assembling S and factoring it cost
+    NumPy calls on tiny arrays at every frequency.  The stack evaluates
+    each material once on the frequency array, the kernel once over a
+    leading frequency axis (_dyadic) and solves all F systems by one
+    batched LU (numpy.linalg.solve); the same S and the same coupling rows
+    as EffectiveSolver's off-lattice route, to rounding.  The stack keeps
+    S, so every solve also measures its backward error.
+    """
+
+    def __init__(self, scene: Scene, omegas, const: Constants = DEFAULT):
+        w = np.asarray(omegas, dtype=float)
+        self.scene = scene
+        self.k = w / const.c
+        self.pos = scene.positions()
+        self.dv = scene.voxel_volume
+        self.chi = scene.chi_at(w)  # (F, N)
+        self.cself = self_term_coupling(w, self.dv, c=const.c)  # (F,)
+        self.sq = np.sqrt(self.chi)  # (F, N), the branch EffectiveSolver takes
+        self.system = self._assemble()
+        # the worst ||b - S x||_inf / (||S||_inf ||x||_inf) over the columns solved so far
+        self.backward_error = 0.0
+
+    def _assemble(self):
+        """S at every frequency: blocks -dV k^2 Gv(x_v - x_u) sq_v sq_u, self terms on the diagonal."""
+        n = len(self.pos)
+        k = self.k[:, None]
+        u, v = np.triu_indices(n, 1)
+        d = self.pos[v] - self.pos[u]
+        B = _dyadic(d, _lengths(d), k, -self.dv * k**2)  # (F, pairs, 3, 3)
+        B *= (self.sq[:, v] * self.sq[:, u])[..., None, None]
+        S = np.zeros((len(k), n, 3, n, 3), dtype=complex)
+        # the pair axis comes first in an assignment through two index arrays
+        S[:, u, :, v] = B.transpose(1, 0, 2, 3)
+        S[:, v, :, u] = B.transpose(1, 0, 3, 2)
+        np.multiply((1.0 - self.cself[:, None] * self.chi)[..., None, None], _EYE,
+                    out=np.einsum("fvivj->fvij", S))
+        return S.reshape(len(k), 3 * n, 3 * n)
+
+    def coupling_rows(self, pts):
+        """(F, P, 3, 3N) couplings dV k^2 Gv(p, u), cell-averaged for p in u.
+
+        EffectiveSolver._coupling_rows at every frequency, in the layout of
+        its _row_blocks; the separations and the owner lookup are taken once.
+        """
+        d = pts[:, None, :] - self.pos[None, :, :]
+        r = _lengths(d)
+        owner = owner_of(d, r, self.scene.voxel_pitch)
+        inside = (owner >= 0).nonzero()[0]
+        cells = inside, owner[inside]
+        r[cells] = 1.0  # r = 0 only inside the owner voxel, whose block is overwritten below
+        f, p, n = len(self.k), len(pts), len(self.pos)
+        k = self.k[:, None, None]
+        rows = np.empty((f, p, 3, n, 3), dtype=complex)
+        view = rows.transpose(0, 1, 3, 2, 4)
+        _dyadic(d, r, k, self.dv * k**2, out=view)
+        view[:, cells[0], cells[1]] = self.cself[:, None, None, None] * _EYE
+        return rows.reshape(f, p, 3, 3 * n)
+
+    def solve(self, rhs):
+        """chi A^-1 rhs = C^1/2 S^-1 C^1/2 rhs for rhs of shape (F, 3N, m), one batched solve."""
+        sq = self.sq.repeat(3, axis=1)[..., None]
+        b = sq * rhs
+        x = np.linalg.solve(self.system, b)
+        norm = np.abs(self.system).sum(axis=-1).max(axis=-1)  # ||S||_inf per frequency
+        resid = np.abs(b - self.system @ x).max(axis=1)
+        xmax = np.abs(x).max(axis=1)
+        live = xmax > 0  # a column with b = 0 has x = 0, solved exactly
+        bwd = resid[live] / (norm[:, None] * xmax)[live]
+        self.backward_error = max(self.backward_error, float(np.max(bwd, initial=0.0)))
+        return np.multiply(sq, x, out=x)  # sq on the left, as EffectiveSolver._solve
+
+
+def stack_bytes(n, points):
+    """Bytes per frequency of a SolverStack on n voxels with rows at this many points.
+
+    S and the copy the batched LU factors, 2 (3N)^2 complex numbers, and the
+    coupling rows, 9 N a point.
+    """
+    return 16 * (2 * (3 * n) ** 2 + 9 * n * points)
+
+
 @dataclass(frozen=True)
 class DyadicBlock:
     """Dense 3x3 dyadics over (target, source) pairs at one frequency."""
@@ -860,11 +951,22 @@ def noise_volume_integral_scatterer(scene, omega, a, b, solver=None, nsub=2,
     (volume_route "lattice-fft"); other scenes build coupling rows at every
     node ("dense-rows").  Both give the same sum to rounding.  chiX is as
     in surface_functional.
+
+    At nsub = 1 the one node is the voxel centre, where the field is the
+    interior solution X = chi X / chi itself, so the term is k^2 dV sum_v
+    (Im chi_v / |chi_v|^2) (chi X)(v, a)^T conj((chi X)(v, b)), voxels with
+    chi = 0 left out: no rows and no FFT, on either route.
     """
     if scene.n_voxels == 0:
         return np.zeros((3, 3), complex)
     a, b, solver, chiX = _solved(scene, omega, a, b, const, solver, chiX)
     k2 = (omega / const.c) ** 2
+    if nsub == 1:
+        live = solver.chi != 0
+        chi = solver.chi[live]
+        P = chiX[live]
+        return (k2 * solver.dv) * np.einsum("n,nki,nkj->ij", chi.imag / np.abs(chi) ** 2,
+                                            P[:, 0], np.conj(P[:, 1]))
     sub, wsub = _gauss_subnodes(scene.voxel_pitch, nsub)
     epsim = solver.chi.imag  # Im(eps - 1) = Im eps
     if solver.grid is None:
@@ -897,6 +999,8 @@ def _fft_grid(scene):
     lat = scene.lattice
     if lat is None:
         return None
+    import scipy.fft as sfft  # loaded by the first lattice scene, not by import
+
     grid = tuple(sfft.next_fast_len(2 * L - 1) for L in lat.shape)
     if np.prod(grid, dtype=float) * _FFT_CELL_BYTES > (3 * scene.n_voxels) ** 2 * 16:
         return None
@@ -930,6 +1034,8 @@ def _kernel_hat(solver, grid, s):
     own voxel.  The transform is that of the six distinct components, shape
     (6,) + grid.
     """
+    import scipy.fft as sfft
+
     # circular displacements: 0..L-1 then negative ones from the top of each axis
     disp = [np.where(np.arange(g) < L, np.arange(g), np.arange(g) - g)
             for g, L in zip(grid, solver.scene.lattice.shape)]
@@ -945,6 +1051,8 @@ def _convolve(Kh, Ph, lat):
     (3, m) + grid: three products and one inverse transform per component,
     an axis at a time, keeping only the lattice box's rows of each axis.
     """
+    import scipy.fft as sfft
+
     cells = tuple(lat.cells.T)
     E = np.empty((3, Ph.shape[1], len(lat.cells)), dtype=complex)
     for i in range(3):
@@ -965,6 +1073,8 @@ def _scatter(X, grid, lat):
     An axis at a time, each padded as it is transformed, so the all-zero
     lines of the padding are never transformed.  Shape (3, m) + grid.
     """
+    import scipy.fft as sfft
+
     P = np.zeros(X.shape[:2] + lat.shape, dtype=complex)
     P[:, :, lat.cells[:, 0], lat.cells[:, 1], lat.cells[:, 2]] = X
     for ax in _AXES[::-1]:
@@ -1003,6 +1113,8 @@ class _LatticeMatvec:
     """
 
     def __init__(self, solver, grid):
+        import scipy.fft as sfft
+
         self.grid = grid
         self.lat = solver.scene.lattice
         self.sq = solver._sqrt_chi3

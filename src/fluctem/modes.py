@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft as sfft
 
 from .constants import DEFAULT, Constants
 from . import greens
@@ -259,6 +258,8 @@ def _rows_by_group(scene, pts, freqs, const):
         cheb = np.sin(np.pi * (top - 2 * np.arange(_NODES)) / (2 * top))  # 1 .. -1
         solved = [_coupled_rows(scene, pts, mid + half * x, const) for x in cheb]
         shape, values = solved[0].shape, np.stack([w.ravel() for w in solved])
+        import scipy.fft as sfft  # as the lattice routes, loaded on first use
+
         coef = np.abs(sfft.dct(values, type=1, axis=0)).max(axis=1)
         coef[[0, -1]] /= 2
         tail = float(coef[-2:].max() / coef.max()) if coef.max() else 0.0  # W = 0 at chi = 0

@@ -16,7 +16,7 @@ import numpy as np
 
 from .constants import DEFAULT, Constants
 from .fluctuations import planck_factor
-from .greens import EffectiveSolver, GreensError
+from .greens import EffectiveSolver, GreensError, SolverStack, stack_bytes
 from .material import DrudeLorentzModel, resonance_params
 from .scene import Scene
 
@@ -121,6 +121,34 @@ def spontaneous_rate(scene: Scene, emitter: EmitterSpec, const: Constants = DEFA
 _STENCIL = np.concatenate([np.eye(3), np.eye(3) / 2, -np.eye(3), -np.eye(3) / 2])
 
 
+# the stencil and its centre: the points whose coupling rows one gradient needs
+_POINTS = np.concatenate([_STENCIL, np.zeros((1, 3))])
+
+
+def _richardson(tr, h):
+    """Gradient and error bar from the trace at the 12 stencil points, (..., 12).
+
+    Central differences at h and h/2 with Richardson extrapolation, shape
+    (..., 3); the error bar, shape (...), is the largest level difference.
+    """
+    tr = tr.reshape(tr.shape[:-1] + (4, 3))
+    d_h = (tr[..., 0, :] - tr[..., 2, :]) / (2 * h)
+    d_h2 = (tr[..., 1, :] - tr[..., 3, :]) / h
+    # array methods, not the np.max wrapper: this runs once per frequency of a force sweep
+    return (4 * d_h2 - d_h) / 3, np.abs(d_h2 - d_h).max(axis=-1)
+
+
+def _check_step(h, g, err):
+    """GreensError when a step h below 1e-6 leaves a gradient g (..., 3) in its error bar err."""
+    if h < 1e-6:
+        norm = np.linalg.norm(g, axis=-1)
+        if np.any((norm > 0) & (err > 0.5 * norm)):
+            raise GreensError(
+                f"finite-difference step h={h:.2e} is in the solver noise floor; "
+                "increase h"
+            )
+
+
 @dataclass(frozen=True)
 class GradientResult:
     gradient: np.ndarray  # Richardson-refined, complex (3,)
@@ -152,28 +180,18 @@ def green_trace_gradient(scene: Scene, omega, x, side="both", h=None,
         h = 0.02 * scene.voxel_pitch if scene.n_voxels else 0.02 / (omega / const.c)
     stencil = x + h * _STENCIL
 
-    def grad(g):
-        # array methods, not the np.trace and np.max wrappers: this runs once per
-        # frequency of a force sweep
-        tr = g.trace(axis1=-2, axis2=-1).reshape(4, 3)
-        d_h = (tr[0] - tr[2]) / (2 * h)
-        d_h2 = (tr[1] - tr[3]) / h
-        return (4 * d_h2 - d_h) / 3, float(np.abs(d_h2 - d_h).max())
-
     left = right = None
     err = 0.0
     if side in ("left", "both"):
-        left, e1 = grad(solver.green(stencil, x, scattered_only=True, warn_near=False)[:, 0])
-        err = max(err, e1)
+        g = solver.green(stencil, x, scattered_only=True, warn_near=False)[:, 0]
+        left, e1 = _richardson(g.trace(axis1=-2, axis2=-1), h)
+        err = max(err, float(e1))
     if side in ("right", "both"):
-        right, e2 = grad(solver._radiate(x[None, :], solver.interior_solution(stencil))[0])
-        err = max(err, e2)
+        g = solver._radiate(x[None, :], solver.interior_solution(stencil))[0]
+        right, e2 = _richardson(g.trace(axis1=-2, axis2=-1), h)
+        err = max(err, float(e2))
     g = left if right is None else right if left is None else (left + right) / 2
-    if h < 1e-6 and np.linalg.norm(g) > 0 and err > 0.5 * np.linalg.norm(g):
-        raise GreensError(
-            f"finite-difference step h={h:.2e} is in the solver noise floor; "
-            "increase h"
-        )
+    _check_step(h, g, err)
     return GradientResult(gradient=g, error_bar=float(err),
                           left=left if left is not None else g,
                           right=right if right is not None else g, step=float(h))
@@ -206,6 +224,38 @@ def _diameter(pts):
                for i in range(0, len(pts), step))
 
 
+# the largest stack of frequencies a force sweep solves at once, in bytes of
+# greens.stack_bytes (4.9 kB a frequency on casimir.yaml's pair, 9.6 MB on
+# the N = 179 sphere); a scene where two frequencies do not fit sweeps one
+# solver per frequency.  At 2^18 the pair stacks 53 frequencies, and the
+# casimir.yaml CLI run took 22-32 ms at a peak RSS of 65.8-66.0 MB, level
+# with the per-frequency loop's 66.1 MB; at 2^20 (214 a stack) 17-28 ms and
+# 1.2 MB more, all 801 at once 5.6 MB more (medians of 9 runs in one
+# process, one BLAS thread, 2-core shared machine)
+_STACK_BYTES = 2**18
+
+
+def _stacked_gradients(stack: SolverStack, x, h):
+    """green_trace_gradient(side="left")'s gradient at each point x (B, 3) and frequency, (F, B, 3).
+
+    One batched solve of 3B columns a frequency: as in green(), each point's
+    own rows, transposed (reciprocity), are its right-hand side, and the
+    solution is radiated to its 12-point stencil.
+    """
+    f, n3 = stack.system.shape[:2]
+    b = len(x)
+    rows = stack.coupling_rows((x[:, None, :] + h * _POINTS).reshape(-1, 3))
+    rows = rows.reshape(f, b, len(_POINTS), 3, n3)
+    scale = (stack.dv * stack.k**2)[:, None, None]
+    rhs = rows[:, :, -1].reshape(f, 3 * b, n3).transpose(0, 2, 1) / scale
+    Y = stack.solve(rhs).reshape(f, n3, b, 3).transpose(0, 2, 1, 3)
+    g = rows[:, :, :-1].reshape(f, b, 3 * len(_STENCIL), n3) @ Y
+    g = g.reshape(f, b, len(_STENCIL), 3, 3)
+    grad, err = _richardson(g.trace(axis1=-2, axis2=-1), h)
+    _check_step(h, grad, err)
+    return grad
+
+
 def casimir_thermal_force(scene: Scene, body: BodySpec, T, omega_grid=None,
                           const: Constants = DEFAULT, tail_tol=0.01) -> ForceResult:
     """Thermal-Casimir force on a voxel subset by frequency quadrature.
@@ -214,6 +264,15 @@ def casimir_thermal_force(scene: Scene, body: BodySpec, T, omega_grid=None,
     Imag[(eps - 1) grad_1 Tr G_scat(x, x)] dV, trapezoid in log w.  The two
     orderings weighted 1/(1 - e^-x) and 1/(e^x - 1) are reported separately
     and sum to the coth total by construction on the same grid.
+
+    The gradient is green_trace_gradient's left one.  When at least two
+    frequencies' worth of a SolverStack fit in _STACK_BYTES, the sweep
+    solves stacks of frequencies (route "stacked"): one SolverStack and one
+    batched solve of 3 columns per body voxel a chunk.  Larger scenes build
+    one EffectiveSolver per frequency and make one solve per body voxel
+    ("per-frequency").  metadata["solve"] names the route, the number of
+    batched solves and the worst backward error of the stacked solves
+    (None per frequency).
     """
     idx = tuple(body.voxel_indices)
     if any(i < 0 or i >= scene.n_voxels for i in idx):
@@ -233,23 +292,38 @@ def casimir_thermal_force(scene: Scene, body: BodySpec, T, omega_grid=None,
             )
 
     pos = scene.positions()[list(idx)]
+    # Imag[chi grad_1 Tr G_s(x, x)] per frequency and body voxel, 0 where chi = 0
+    core = np.zeros((w.size, len(idx), 3))
+    chunk = _STACK_BYTES // stack_bytes(scene.n_voxels, len(_POINTS) * len(idx))
+    if chunk >= 2:
+        h = 0.02 * scene.voxel_pitch
+        starts = range(0, w.size, chunk)
+        worst = 0.0
+        for i in starts:
+            stack = SolverStack(scene, w[i:i + chunk], const=const)
+            chi = stack.chi[:, list(idx), None]
+            core[i:i + chunk] = np.where(chi != 0, (chi * _stacked_gradients(stack, pos, h)).imag,
+                                         0.0)
+            worst = max(worst, stack.backward_error)
+        solve = {"route": "stacked", "batched_solves": len(starts), "backward_error": worst}
+    else:
+        for iw, om in enumerate(w):
+            solver = EffectiveSolver(scene, om, const=const)
+            for jv, i in enumerate(idx):
+                chi = solver.chi[i]
+                if chi.imag == 0 and chi.real == 0:
+                    continue
+                gr = green_trace_gradient(scene, om, pos[jv], side="left", const=const,
+                                          solver=solver)
+                core[iw, jv] = (chi * gr.gradient).imag
+        solve = {"route": "per-frequency", "batched_solves": 0, "backward_error": None}
+    # the weights one frequency at a time, as scalars: above the stack bound the
+    # integrands keep the bits of the per-frequency products
     dv = scene.voxel_volume
-    integrand_sym = np.zeros((w.size, len(idx), 3))
-    integrand_anti = np.zeros_like(integrand_sym)
-    integrand_bose = np.zeros_like(integrand_sym)
-    for iw, om in enumerate(w):
-        solver = EffectiveSolver(scene, om, const=const)
-        pref = (const.hbar / np.pi) * (om / const.c) ** 2 * dv
-        for jv, i in enumerate(idx):
-            chi = solver.chi[i]
-            if chi.imag == 0 and chi.real == 0:
-                continue
-            gr = green_trace_gradient(scene, om, pos[jv], side="left", const=const,
-                                      solver=solver)
-            core = (chi * gr.gradient).imag
-            integrand_sym[iw, jv] = pref * planck_factor(om, T, "symmetrized", const) * core
-            integrand_anti[iw, jv] = pref * planck_factor(om, T, "plus-minus", const) * core
-            integrand_bose[iw, jv] = pref * planck_factor(om, T, "minus-plus", const) * core
+    pref = [(const.hbar / np.pi) * (om / const.c) ** 2 * dv for om in w]
+    integrand_sym, integrand_anti, integrand_bose = (
+        np.array([p * planck_factor(om, T, kind, const) for p, om in zip(pref, w)])[:, None, None]
+        * core for kind in ("symmetrized", "plus-minus", "minus-plus"))
 
     lnw = np.log(w)
     navg = max(w.size // 4, 4)  # averaged truncation over the top grid segment
@@ -293,5 +367,7 @@ def casimir_thermal_force(scene: Scene, body: BodySpec, T, omega_grid=None,
             "T": float(T),
             "scene": scene.digest(),
             "quasi_static_caveat": "dipole force formula; quasi-static limit only",
+            # how the sweep solved, a run diagnostic that force.json leaves out
+            "solve": solve,
         },
     )

@@ -104,7 +104,8 @@ def write_force_json(path, force):
             "points": int(force.omega_grid.size),
         },
         "tail_fraction": _f(force.tail_fraction),
-        "metadata": force.metadata,
+        # the solve record is a run diagnostic: the manifest's run block holds it
+        "metadata": {k: v for k, v in force.metadata.items() if k != "solve"},
     }
     path.write_text(json.dumps(payload, sort_keys=True, indent=1))
     return path

@@ -60,8 +60,10 @@ class Scene:
     def chi_at(self, omega):
         """eps - 1 per scatterer voxel at omega, each material evaluated once per value.
 
-        Equal frozen dataclasses share one evaluation; unhashable materials key
-        by identity.  Each object is hashed once: a long table hashes slowly.
+        Shape (N,) at one frequency; at a 1-D array of F frequencies, (F, N),
+        each material evaluated once on the whole array.  Equal frozen
+        dataclasses share one evaluation; unhashable materials key by
+        identity.  Each object is hashed once: a long table hashes slowly.
         """
         by_value, by_id = {}, {}
         for _, m in self.scatterer_voxels:
@@ -70,7 +72,13 @@ class Scene:
                 if key not in by_value:
                     by_value[key] = m.eval(omega) - 1.0
                 by_id[id(m)] = by_value[key]
-        return np.array([by_id[id(m)] for _, m in self.scatterer_voxels], dtype=complex)
+        if np.ndim(omega) == 0:
+            return np.array([by_id[id(m)] for _, m in self.scatterer_voxels], dtype=complex)
+        # a material may return one value for every frequency, as Vacuum does
+        shape = np.shape(omega)
+        chi = np.array([np.broadcast_to(by_id[id(m)], shape) for _, m in self.scatterer_voxels],
+                       dtype=complex)
+        return np.moveaxis(chi.reshape((self.n_voxels,) + shape), 0, -1)
 
     @cached_property
     def lattice(self):

@@ -5,8 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from fluctem.scene import Scene
+from fluctem.material import DrudeLorentzModel, TabulatedPermittivity
+from fluctem.scene import Scene, build_scene
 
 
 class FixedEps:
@@ -25,6 +27,40 @@ LAM = 2 * np.pi  # wavelength at omega = 1 with c = 1
 def one_voxel_scene(eps=2 + 0.5j, pitch=LAM / 20, box=60.0):
     return Scene(box_side=box, voxel_pitch=pitch,
                  scatterer_voxels=(((0.0, 0.0, 0.0), FixedEps(eps)),))
+
+
+# the frequencies of the stacked-sweep checks: 8 log-spaced points around omega_L
+STACK_GRID = np.logspace(-1, 1, 8) * np.sqrt(2)
+STACK_SCENES = ("pair", "jittered", "vacuum-voxel", "table")
+
+
+def stack_scene(name):
+    """(scene, body) of a stacked-sweep check.
+
+    pair: configs/casimir.yaml's two voxels, body [0]; jittered: 20 voxels
+    off any lattice, body all; vacuum-voxel: a chi = 0 voxel between two
+    Drude-Lorentz ones, body all; table: the pair with its material
+    tabulated over STACK_GRID's range.
+    """
+    config = Path(__file__).resolve().parents[1] / "configs" / "casimir.yaml"
+    pair = build_scene(yaml.safe_load(config.read_text())["scene"])
+    pitch, dl = pair.voxel_pitch, pair.scatterer_voxels[0][1]
+    if name == "pair":
+        return pair, (0,)
+    if name == "jittered":
+        cells = np.indices((3, 3, 3)).reshape(3, -1).T[:20]
+        pos = 1.3 * pitch * cells + np.random.default_rng(3).uniform(-0.1, 0.1, (20, 3)) * pitch
+        voxels = sorted(((tuple(p), dl) for p in pos), key=lambda pm: pm[0])
+        return Scene(40.0, pitch, tuple(voxels)), tuple(range(20))
+    if name == "vacuum-voxel":
+        voxels = ((-0.6, dl), (0.0, FixedEps(1.0)), (0.7, dl))
+        return Scene(40.0, pitch, tuple(((0.0, 0.0, z), m) for z, m in voxels)), (0, 1, 2)
+    if name == "table":
+        assert isinstance(dl, DrudeLorentzModel)
+        ws = np.logspace(-1.2, 1.2, 60) * np.sqrt(2)
+        tab = TabulatedPermittivity(tuple(ws), tuple(dl.eval(w) for w in ws))
+        return Scene(40.0, pitch, tuple((p, tab) for p, _ in pair.scatterer_voxels)), (0,)
+    raise ValueError(name)
 
 
 def voxel_owner(sc, pts):

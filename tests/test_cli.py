@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 import yaml
 
+from fluctem import observables
 from fluctem.cli import SUBCOMMANDS, UsageError, main, run_subcommand
+from fluctem.greens import stack_bytes
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -255,6 +257,26 @@ def test_casimir_subcommand(tmp_path):
     force = json.loads((out / "force.json").read_text())
     assert abs(float(force["total"][2])) > 0
     assert (out / "force_per_voxel.csv").exists()
+
+
+def test_casimir_manifest_records_the_solve(tmp_path, monkeypatch):
+    # the sweep's route, its batched solves and their worst backward error go
+    # to the manifest's run block, outside every digest; force.json leaves
+    # them out, so its bytes do not depend on them
+    cfg = CONFIGS / "casimir.yaml"
+    assert run_subcommand("casimir", cfg, tmp_path / "stacked") == 0
+    solve = json.loads((tmp_path / "stacked" / "manifest.json").read_text())["run"]["solve"]
+    assert solve["route"] == "stacked"
+    chunk = observables._STACK_BYTES // stack_bytes(2, 13)
+    assert solve["batched_solves"] == -(-801 // chunk)
+    assert 0 < solve["backward_error"] < 1e-14
+    force = json.loads((tmp_path / "stacked" / "force.json").read_text())
+    assert sorted(force["metadata"]) == ["T", "quasi_static_caveat", "scene"]
+    monkeypatch.setattr(observables, "_STACK_BYTES", 0)
+    assert run_subcommand("casimir", cfg, tmp_path / "per-frequency") == 0
+    manifest = json.loads((tmp_path / "per-frequency" / "manifest.json").read_text())
+    assert manifest["run"]["solve"] == {"route": "per-frequency", "batched_solves": 0,
+                                        "backward_error": None}
 
 
 def test_casimir_warning_recorded_in_manifest(tmp_path):

@@ -9,6 +9,7 @@ from fluctem import scene as scene_module
 from fluctem.greens import (
     EffectiveSolver,
     GreensError,
+    SolverStack,
     greens_identity_report,
     noise_volume_integral_scatterer,
     noise_volume_integral_shell,
@@ -25,7 +26,15 @@ from fluctem.observables import ldos
 from fluctem.oracle import _vacuum_green_block_offdiag
 from fluctem.scene import Scene, Shell, build_scene, sphere_quadrature
 
-from conftest import LAM, FixedEps, one_voxel_scene, run_at_one_blas_thread
+from conftest import (
+    LAM,
+    STACK_GRID,
+    STACK_SCENES,
+    FixedEps,
+    one_voxel_scene,
+    run_at_one_blas_thread,
+    stack_scene,
+)
 
 
 def vacuum_scene(box=400.0):
@@ -1488,3 +1497,62 @@ def test_noise_density_records_the_volume_route():
                                  (thick_shell_scene(), "all"),
                                  (thick_shell_scene(), "shell"))]
     assert routes == ["lattice-fft", "dense-rows", "dense-rows", "dense-rows"]
+
+
+# -- the stacked systems of a frequency sweep ---------------------------------
+
+
+def test_dyadic_over_a_frequency_axis_has_the_bits_of_each_frequency(rng):
+    d = rng.uniform(-1, 1, (5, 7, 3))
+    r = np.linalg.norm(d, axis=-1)
+    k = STACK_GRID[:, None, None]
+    scale = -0.3 * k**2
+    stacked = greens._dyadic(d, r, k, scale)
+    assert stacked.shape == (len(STACK_GRID), 5, 7, 3, 3)
+    for f, kf in enumerate(STACK_GRID):
+        assert np.array_equal(stacked[f], greens._dyadic(d, r, kf, scale[f, 0, 0]))
+
+
+@pytest.mark.parametrize("name", STACK_SCENES)
+def test_solver_stack_matches_the_solver_and_dense_lu(name, rng):
+    scene, body = stack_scene(name)
+    n3 = 3 * scene.n_voxels
+    stack = SolverStack(scene, STACK_GRID)
+    rhs = rng.standard_normal((len(STACK_GRID), n3, 4)) + 1j * rng.standard_normal(
+        (len(STACK_GRID), n3, 4))
+    got = stack.solve(rhs)
+    # points inside the body's voxels (the own-cell self term) and one outside
+    pts = np.vstack([scene.positions()[list(body)] + 0.01, [[0.3, -0.2, 2.5]]])
+    rows = stack.coupling_rows(pts)
+    for f, omega in enumerate(STACK_GRID):
+        solver = EffectiveSolver(scene, omega)
+        S = solver.system
+        assert np.linalg.norm(stack.system[f] - S) <= 1e-14 * np.linalg.norm(S)
+        R = solver._coupling_rows(pts).transpose(0, 2, 1, 3).reshape(len(pts), 3, n3)
+        assert np.linalg.norm(rows[f] - R) <= 1e-14 * np.linalg.norm(R)
+        ref = dense_lu_reference(scene, omega, rhs[f])
+        assert np.linalg.norm(got[f] - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert 0 < stack.backward_error < 1e-14
+
+
+def test_centre_rule_volume_term_matches_the_field_routes():
+    # at nsub = 1 the term reads the field at the voxel centres from the
+    # interior solution; the field routes it replaced radiate the same
+    # polarization there: the lattice FFT on the N = 739 sphere, the dense
+    # rows on an off-lattice scene with a vacuum voxel
+    sphere = sphere_scene(1.2)
+    assert sphere.n_voxels == 739
+    for sc, omega, a, b in ((sphere, 1.0, IDENTITY_A, IDENTITY_B),
+                            (stack_scene("vacuum-voxel")[0], 0.9, np.array([0.4, 0.1, 1.6]),
+                             np.array([-0.5, 0.3, -1.5]))):
+        solver = EffectiveSolver(sc, omega)
+        chiX = solver.interior_solution(np.stack([a, b]))
+        got = noise_volume_integral_scatterer(sc, omega, a, b, solver, nsub=1, chiX=chiX)
+        pos = sc.positions()
+        if solver.grid is None:
+            B = greens._field(solver, pos, a, b, chiX)
+        else:
+            B = next(greens._lattice_fields(solver, solver.grid, np.zeros((1, 3)), a, b, chiX))
+        w = omega**2 * sc.voxel_volume * solver.chi.imag
+        ref = np.einsum("n,nki,nkj->ij", w, B[:, 0], np.conj(B[:, 1]))
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)

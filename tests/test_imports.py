@@ -1,9 +1,10 @@
 """Which SciPy modules a run loads: only those it uses.
 
-`import fluctem` and a scene build need scipy.linalg (the LDL^T) and
-scipy.fft (the lattice routes).  The spline of tabulated materials and the
-window quadrature of the polariton norm import theirs on first use.  The
-check is on sys.modules in a fresh interpreter, not on a timing.
+`import fluctem` and a scene build need scipy.linalg (the LDL^T).  The
+lattice routes and the mode sum's Chebyshev test import scipy.fft on first
+use, as the spline of tabulated materials and the window quadrature of the
+polariton norm import theirs.  The check is on sys.modules in a fresh
+interpreter, not on a timing.
 """
 
 import os
@@ -24,7 +25,8 @@ scene = build_scene({"box_side": 40.0, "voxel_pitch": 0.2, "primitives": [
     {"shape": "sphere", "radius": 1.2,
      "material": {"type": "drude_lorentz", "omega_p": 1.2, "omega_0": 0.9, "gamma": 0.4}}]})
 assert scene.n_voxels == 739, scene.n_voxels
-unused = ("scipy.integrate", "scipy.interpolate", "scipy.spatial", "scipy.optimize", "scipy.sparse")
+unused = ("scipy.fft", "scipy.integrate", "scipy.interpolate", "scipy.spatial", "scipy.optimize",
+          "scipy.sparse")
 print(sorted(m for m in unused if m in sys.modules))
 
 # the function-level imports still serve their one caller each

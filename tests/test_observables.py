@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import yaml
 
-from fluctem import greens
-from fluctem.greens import EffectiveSolver
+from fluctem import greens, observables
+from fluctem.greens import EffectiveSolver, SolverStack, stack_bytes
 from fluctem.material import DrudeLorentzModel
 from fluctem.observables import (
     BodySpec,
@@ -19,7 +19,7 @@ from fluctem.observables import (
 )
 from fluctem.scene import Scene, build_scene
 
-from conftest import LAM, one_voxel_scene
+from conftest import LAM, STACK_GRID, STACK_SCENES, one_voxel_scene, stack_scene
 
 DLMAT = {"type": "drude_lorentz", "omega_p": 1.0, "omega_0": 1.0, "gamma": 0.1}
 
@@ -239,20 +239,24 @@ def test_casimir_evaluates_materials_only_in_the_solver(monkeypatch):
     flat = DrudeLorentzModel.eval
     monkeypatch.setattr(DrudeLorentzModel, "eval",
                         lambda m, omega: calls.append(omega) or flat(m, omega))
-    grid = np.logspace(-1, 1, 8) * np.sqrt(2)
-    with pytest.warns(UserWarning, match="under-resolves"):
-        casimir_thermal_force(_two_voxel_scene(), BodySpec((0,)), T=1.0,
-                              omega_grid=grid, tail_tol=100.0)
-    # the two voxels' equal materials share one evaluation, and the body takes none
-    assert len(calls) == grid.size
+    casimir_thermal_force(_two_voxel_scene(), BodySpec((0,)), T=1.0, omega_grid=FORCE_GRID,
+                          tail_tol=100.0)
+    # each frequency is evaluated exactly once, on its chunk's array: the two
+    # voxels' equal materials share one evaluation, and the body reads chi
+    # from the stack
+    chunk = observables._STACK_BYTES // stack_bytes(2, 13)
+    assert len(calls) == -(-FORCE_GRID.size // chunk)
+    assert np.array_equal(np.concatenate(calls), FORCE_GRID)
 
 
-def test_casimir_sweep_work_counters(monkeypatch):
-    # the per-frequency work of the sweep on configs/casimir.yaml's scene:
-    # one solver, one LDL^T and one solve, and one green() call whose stencil
-    # and source rows come from one coupling-row build
+def _casimir_config_scene():
     config = Path(__file__).resolve().parents[1] / "configs" / "casimir.yaml"
-    scene = build_scene(yaml.safe_load(config.read_text())["scene"])
+    cfg = yaml.safe_load(config.read_text())
+    return build_scene(cfg["scene"]), cfg["casimir"]["grid"]["points"]
+
+
+def _count_sweep_work(monkeypatch):
+    """The labels of the sweep's solver, solve and row calls, in call order."""
     counts = []
 
     def counted(owner, name, label):
@@ -260,15 +264,93 @@ def test_casimir_sweep_work_counters(monkeypatch):
         monkeypatch.setattr(owner, name, lambda *a, **k: counts.append(label) or real(*a, **k))
 
     counted(EffectiveSolver, "__init__", "solver")
+    counted(SolverStack, "__init__", "stack")
     counted(greens.sla.lapack, "zsytrf", "zsytrf")
     counted(greens.sla.lapack, "zsytrs", "zsytrs")
+    counted(np.linalg, "solve", "batched solve")
     counted(EffectiveSolver, "_coupling_rows", "rows")
     counted(EffectiveSolver, "green", "green")
+    return counts
+
+
+def test_casimir_sweep_work_counters(monkeypatch):
+    # configs/casimir.yaml's sweep is stacked: no EffectiveSolver and no
+    # LDL^T, one SolverStack and one batched solve per chunk of frequencies
+    scene, points = _casimir_config_scene()
+    counts = _count_sweep_work(monkeypatch)
+    grid = np.logspace(-2, 1, points) * np.sqrt(2)
+    force = casimir_thermal_force(scene, BodySpec((0,)), T=1.0, omega_grid=grid, tail_tol=100.0)
+    chunk = observables._STACK_BYTES // stack_bytes(2, 13)
+    assert chunk >= 2
+    solves = -(-points // chunk)
+    assert counts == ["stack", "batched solve"] * solves
+    assert force.metadata["solve"]["route"] == "stacked"
+    assert force.metadata["solve"]["batched_solves"] == solves
+    assert 0 < force.metadata["solve"]["backward_error"] < 1e-14
+
+
+def test_casimir_sweep_above_the_stack_bound_solves_per_frequency(monkeypatch):
+    # a scene whose two frequencies' worth exceed the bound keeps one solver,
+    # one LDL^T and one solve per frequency, and one green() call whose
+    # stencil and source rows come from one coupling-row build; at the bound
+    # itself the sweep stacks two frequencies a solve
+    scene, _ = _casimir_config_scene()
     grid = np.logspace(-1, 1, 8) * np.sqrt(2)
+    counts = _count_sweep_work(monkeypatch)
+    monkeypatch.setattr(observables, "_STACK_BYTES", 2 * stack_bytes(2, 13) - 1)
     with pytest.warns(UserWarning, match="under-resolves"):
-        casimir_thermal_force(scene, BodySpec((0,)), T=1.0, omega_grid=grid, tail_tol=100.0)
+        force = casimir_thermal_force(scene, BodySpec((0,)), T=1.0, omega_grid=grid,
+                                      tail_tol=100.0)
     per_frequency = ["solver", "green", "rows", "zsytrf", "zsytrs"]
     assert counts == per_frequency * grid.size
+    assert force.metadata["solve"] == {"route": "per-frequency", "batched_solves": 0,
+                                       "backward_error": None}
+    counts.clear()
+    monkeypatch.setattr(observables, "_STACK_BYTES", 2 * stack_bytes(2, 13))
+    with pytest.warns(UserWarning, match="under-resolves"):
+        casimir_thermal_force(scene, BodySpec((0,)), T=1.0, omega_grid=grid, tail_tol=100.0)
+    assert counts == ["stack", "batched solve"] * (grid.size // 2)
+
+
+def test_spheres_are_above_the_stack_bound():
+    # the N = 179 sphere does not stack even for a one-voxel body
+    assert observables._STACK_BYTES < 2 * stack_bytes(179, 13)
+
+
+@pytest.mark.filterwarnings("ignore:omega grid under-resolves")
+@pytest.mark.parametrize("name", STACK_SCENES)
+def test_stacked_sweep_matches_the_per_frequency_route(monkeypatch, name):
+    scene, body = stack_scene(name)
+    pos = scene.positions()[list(body)]
+    # stack every scene, the 20-voxel one included, whatever the bound
+    monkeypatch.setattr(observables, "_STACK_BYTES", 2**40)
+    stack = SolverStack(scene, STACK_GRID)
+    got = observables._stacked_gradients(stack, pos, 0.02 * scene.voxel_pitch)
+    for f, omega in enumerate(STACK_GRID):
+        solver = EffectiveSolver(scene, omega)
+        for j, x in enumerate(pos):
+            ref = green_trace_gradient(scene, omega, x, side="left", solver=solver).gradient
+            assert np.linalg.norm(got[f, j] - ref) <= 1e-9 * np.linalg.norm(ref)
+    stacked = casimir_thermal_force(scene, BodySpec(body), T=1.0, omega_grid=STACK_GRID,
+                                    tail_tol=np.inf)
+    monkeypatch.setattr(observables, "_STACK_BYTES", 0)
+    ref = casimir_thermal_force(scene, BodySpec(body), T=1.0, omega_grid=STACK_GRID,
+                                tail_tol=np.inf)
+    assert stacked.metadata["solve"]["route"] == "stacked"
+    assert ref.metadata["solve"]["route"] == "per-frequency"
+    for a, b in zip(stacked.per_voxel, ref.per_voxel):
+        assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
+    # a whole body's total cancels to rounding (action and reaction): the
+    # totals are held to the scale of the voxel forces they sum
+    scale = np.linalg.norm(ref.per_voxel)
+    assert scale > 0
+    for a, b in ((stacked.total, ref.total), (stacked.ordering_anti, ref.ordering_anti),
+                 (stacked.ordering_bose, ref.ordering_bose)):
+        assert np.linalg.norm(a - b) <= 1e-10 * scale
+    for j, i in enumerate(body):
+        if scene.chi_at(1.0)[i] == 0:
+            # a vacuum voxel's integrand stays exactly 0 on both routes
+            assert np.all(stacked.per_voxel[j] == 0) and np.all(ref.per_voxel[j] == 0)
 
 
 def test_casimir_body_validation():
