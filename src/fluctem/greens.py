@@ -217,6 +217,27 @@ def self_term_coupling(omega, voxel_volume, c=1.0):
     return -1.0 / 3.0 + 1j * k**3 * voxel_volume / (6 * np.pi)
 
 
+def _couplings(pts, pos, pitch, k, scale, cself):
+    """(..., P, N, 3, 3) couplings scale Gv(p - x_u) of points pts, (P, 3), to voxels at pos.
+
+    A point inside voxel u (owner_of) couples to it by the cell-averaged
+    self term cself I.  The result is a view of a C-ordered (..., P, 3, N, 3)
+    array, so each point's rows reshape to the (3, 3N) operand of a product
+    without a copy.  k and scale broadcast as in _dyadic and cself over the
+    leading axes, such as a frequency axis: k of shape (F, 1, 1), cself (F,).
+    """
+    d = pts[:, None, :] - pos[None, :, :]
+    r = _lengths(d)
+    owner = owner_of(d, r, pitch)
+    inside = (owner >= 0).nonzero()[0]
+    cells = inside, owner[inside]
+    r[cells] = 1.0  # r = 0 only inside the owner voxel, whose block is overwritten below
+    rows = np.empty(np.shape(cself) + (len(pts), 3, len(pos), 3), dtype=complex).swapaxes(-2, -3)
+    _dyadic(d, r, k, scale, out=rows)
+    rows[..., cells[0], cells[1], :, :] = np.multiply.outer(cself, _EYE)[..., None, :, :]
+    return rows
+
+
 @functools.lru_cache(maxsize=4)
 def _strict_lower(m):
     """(rows, cols) of the strict lower triangle of an m x m block, read-only.
@@ -522,22 +543,9 @@ class EffectiveSolver:
     # -- rhs / kernel helpers -------------------------------------------
 
     def _coupling_rows(self, pts):
-        """(P, N, 3, 3) couplings dV k^2 Gv(p, u), cell-averaged for p in u.
-
-        A view of a C-ordered (P, 3, N, 3) array: rows.transpose(0, 2, 1, 3)
-        reshapes to the (3P, 3N) operand of a product without a copy.
-        """
-        pts = np.atleast_2d(pts)
-        d = pts[:, None, :] - self.pos[None, :, :]
-        r = _lengths(d)
-        owner = owner_of(d, r, self.scene.voxel_pitch)
-        inside = (owner >= 0).nonzero()[0]
-        cells = inside, owner[inside]
-        r[cells] = 1.0  # r = 0 only inside the owner voxel, whose block is overwritten below
-        rows = np.empty((len(pts), 3, len(self.pos), 3), dtype=complex).transpose(0, 2, 1, 3)
-        _dyadic(d, r, self.k, self.dv * self.k**2, out=rows)
-        rows[cells] = self.cself * _EYE
-        return rows
+        """(P, N, 3, 3) couplings dV k^2 Gv(p, u), cell-averaged for p in u (see _couplings)."""
+        return _couplings(np.atleast_2d(pts), self.pos, self.scene.voxel_pitch, self.k,
+                          self.dv * self.k**2, self.cself)
 
     def _blocks(self, n_pts, nbytes=None):
         """Slices of n_pts points, each at most nbytes (_BLOCK_BYTES) of coupling rows."""
@@ -728,19 +736,10 @@ class SolverStack:
         EffectiveSolver._coupling_rows at every frequency, in the layout of
         its _row_blocks; the separations and the owner lookup are taken once.
         """
-        d = pts[:, None, :] - self.pos[None, :, :]
-        r = _lengths(d)
-        owner = owner_of(d, r, self.scene.voxel_pitch)
-        inside = (owner >= 0).nonzero()[0]
-        cells = inside, owner[inside]
-        r[cells] = 1.0  # r = 0 only inside the owner voxel, whose block is overwritten below
-        f, p, n = len(self.k), len(pts), len(self.pos)
         k = self.k[:, None, None]
-        rows = np.empty((f, p, 3, n, 3), dtype=complex)
-        view = rows.transpose(0, 1, 3, 2, 4)
-        _dyadic(d, r, k, self.dv * k**2, out=view)
-        view[:, cells[0], cells[1]] = self.cself[:, None, None, None] * _EYE
-        return rows.reshape(f, p, 3, 3 * n)
+        rows = _couplings(pts, self.pos, self.scene.voxel_pitch, k, self.dv * k**2, self.cself)
+        f, p, n = rows.shape[:3]
+        return rows.swapaxes(-2, -3).reshape(f, p, 3, 3 * n)
 
     def solve(self, rhs):
         """chi A^-1 rhs = C^1/2 S^-1 C^1/2 rhs for rhs of shape (F, 3N, m), one batched solve."""
