@@ -107,9 +107,12 @@ class TabulatedPermittivity:
         _check_omega(omega)
         w = np.asarray(omega, dtype=float)
         lo, hi = self.omegas[0], self.omegas[-1]
-        if np.any(w < lo) or np.any(w > hi):
+        outside = (w < lo) | (w > hi)
+        if np.any(outside):
+            # the first frequency outside, not the whole array a frequency sweep passes
             raise MaterialError(
-                f"frequency {omega} outside tabulated range [{lo}, {hi}]; extrapolation is forbidden"
+                f"frequency {w[outside].flat[0]} outside tabulated range [{lo}, {hi}]; "
+                "extrapolation is forbidden"
             )
         wa = np.asarray(self.omegas)
         va = np.asarray(self.values)

@@ -167,6 +167,9 @@ def test_table_extrapolation_forbidden():
         tab.eval(0.01)
     with pytest.raises(MaterialError):
         tab.eval(100.0)
+    # an array, as a stacked Casimir sweep passes, names its first frequency outside
+    with pytest.raises(MaterialError, match=r"^frequency 100\.0 outside"):
+        tab.eval(np.array([1.0, 100.0, 200.0]))
 
 
 def test_table_rejects_gain_and_disorder():
