@@ -191,6 +191,26 @@ def _dyadic(d, r, k, scale=1.0, out=None):
     return np.multiply((scale * g)[..., None, None], out, out=out)
 
 
+def _dyadic_gradient(d, r, k, scale, out):
+    """scale * d_j Gv for separations d (..., 3) of lengths r > 0, in out, shape of k r + (3, 3, 3).
+
+    Axis -3 is j.  With _dyadic's Gv = f I + h rr, d_j Gv_ik = f' r_j delta_ik
+    + (h/r) (delta_ij r_k + delta_jk r_i) + (h' - 2h/r) r_i r_j r_k, where
+    f' = g/r (iu - 2 - 3i/u + 3/u^2) and h' = g/r (-iu + 4 + 9i/u - 9/u^2).
+    k, scale and out (any strided complex view) as in _dyadic.
+    """
+    u = k * r
+    rh = d / r[..., None]
+    g_r = (scale / (4 * np.pi)) * np.exp(1j * u) / r**2  # scale g / r
+    np.multiply(rh[..., :, None, None] * rh[..., None, :, None], rh[..., None, None, :], out=out)
+    out *= (g_r * (-1j * u + 6 + 15j / u - 15 / u**2))[..., None, None, None]
+    fr = (g_r * (1j * u - 2 - 3j / u + 3 / u**2))[..., None, None] * rh[..., :, None]  # f' r_j
+    hr = (g_r * (-1 - 3j / u + 3 / u**2))[..., None, None] * rh[..., None, :]  # (h/r) r
+    for diagonal, term in (("...jii->...ji", fr), ("...jjk->...jk", hr), ("...jij->...ji", hr)):
+        np.einsum(diagonal, out)[...] += term  # a writeable view, as in _dyadic
+    return out
+
+
 def vacuum_green_block(omega, targets, sources, c=1.0):
     """Vacuum dyadics for all target/source pairs, shape (T, S, 3, 3)."""
     T = np.atleast_2d(np.asarray(targets, dtype=float))
@@ -217,6 +237,16 @@ def self_term_coupling(omega, voxel_volume, c=1.0):
     return -1.0 / 3.0 + 1j * k**3 * voxel_volume / (6 * np.pi)
 
 
+def _separations(pts, pos, pitch):
+    """(d, r, cells): p - x_u (P, N, 3), its lengths and the (point, voxel) owner cells, r = 1 there."""
+    d = pts[:, None, :] - pos[None, :, :]
+    r = _lengths(d)
+    owner = owner_of(d, r, pitch)
+    cells = np.flatnonzero(owner >= 0), owner[owner >= 0]
+    r[cells] = 1.0  # r = 0 only inside the owner voxel, whose block the caller overwrites
+    return d, r, cells
+
+
 def _couplings(pts, pos, pitch, k, scale, cself):
     """(..., P, N, 3, 3) couplings scale Gv(p - x_u) of points pts, (P, 3), to voxels at pos.
 
@@ -226,16 +256,25 @@ def _couplings(pts, pos, pitch, k, scale, cself):
     without a copy.  k and scale broadcast as in _dyadic and cself over the
     leading axes, such as a frequency axis: k of shape (F, 1, 1), cself (F,).
     """
-    d = pts[:, None, :] - pos[None, :, :]
-    r = _lengths(d)
-    owner = owner_of(d, r, pitch)
-    inside = (owner >= 0).nonzero()[0]
-    cells = inside, owner[inside]
-    r[cells] = 1.0  # r = 0 only inside the owner voxel, whose block is overwritten below
+    d, r, cells = _separations(pts, pos, pitch)
     rows = np.empty(np.shape(cself) + (len(pts), 3, len(pos), 3), dtype=complex).swapaxes(-2, -3)
     _dyadic(d, r, k, scale, out=rows)
     rows[..., cells[0], cells[1], :, :] = np.multiply.outer(cself, _EYE)[..., None, :, :]
     return rows
+
+
+def _coupling_gradients(pts, pos, pitch, k, scale):
+    """(..., P, 3, 3, 3N) gradients d/dp_j of _couplings' rows, [p, j, i, (u, k)], C-ordered.
+
+    _dyadic_gradient, and 0 in the owner cell, where the coupling is cself I.
+    """
+    d, r, cells = _separations(pts, pos, pitch)
+    lead = np.shape(k)[:-2]  # the frequency axis of a k of shape (F, 1, 1)
+    grads = np.empty(lead + (len(pts), 3, 3, len(pos), 3), dtype=complex)
+    view = np.moveaxis(grads, -2, -4)  # (..., P, N, 3, 3, 3)
+    _dyadic_gradient(d, r, k, scale, out=view)
+    view[..., cells[0], cells[1], :, :, :] = 0
+    return grads.reshape(lead + (len(pts), 3, 3, 3 * len(pos)))
 
 
 @functools.lru_cache(maxsize=4)
@@ -547,6 +586,12 @@ class EffectiveSolver:
         return _couplings(np.atleast_2d(pts), self.pos, self.scene.voxel_pitch, self.k,
                           self.dv * self.k**2, self.cself)
 
+    def _gradient_blocks(self, pts):
+        """(slice, d/dp_j rows) per block of pts, (t, 3, 3, 3N), at most _BLOCK_BYTES each."""
+        for sl in self._blocks(len(pts), _BLOCK_BYTES // 3):
+            yield sl, _coupling_gradients(pts[sl], self.pos, self.scene.voxel_pitch, self.k,
+                                          self.dv * self.k**2)
+
     def _blocks(self, n_pts, nbytes=None):
         """Slices of n_pts points, each at most nbytes (_BLOCK_BYTES) of coupling rows."""
         step = max(1, (nbytes or _BLOCK_BYTES) // (9 * 16 * max(self.scene.n_voxels, 1)))
@@ -741,6 +786,11 @@ class SolverStack:
         f, p, n = rows.shape[:3]
         return rows.swapaxes(-2, -3).reshape(f, p, 3, 3 * n)
 
+    def coupling_gradients(self, pts):
+        """(F, P, 3, 3, 3N) gradients d/dp_j of coupling_rows (_coupling_gradients)."""
+        k = self.k[:, None, None]
+        return _coupling_gradients(pts, self.pos, self.scene.voxel_pitch, k, self.dv * k**2)
+
     def solve(self, rhs):
         """chi A^-1 rhs = C^1/2 S^-1 C^1/2 rhs for rhs of shape (F, 3N, m), one batched solve."""
         sq = self.sq.repeat(3, axis=1)[..., None]
@@ -756,10 +806,9 @@ class SolverStack:
 
 
 def stack_bytes(n, points):
-    """Bytes per frequency of a SolverStack on n voxels with rows at this many points.
+    """Bytes a frequency of a SolverStack on n voxels: S, its LU copy and rows at this many points.
 
-    S and the copy the batched LU factors, 2 (3N)^2 complex numbers, and the
-    coupling rows, 9 N a point.
+    A point's coupling rows are 9 N complex numbers, its gradient rows three points' worth.
     """
     return 16 * (2 * (3 * n) ** 2 + 9 * n * points)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .constants import DEFAULT, Constants
 from .fluctuations import planck_factor
-from .greens import EffectiveSolver, GreensError, SolverStack, stack_bytes
+from .greens import EffectiveSolver, SolverStack, stack_bytes
 from .material import DrudeLorentzModel, resonance_params
 from .scene import Scene
 
@@ -117,84 +117,53 @@ def spontaneous_rate(scene: Scene, emitter: EmitterSpec, const: Constants = DEFA
                       purcell=float(g / gv) if gv > 0 else float("nan"), ldos=float(rho))
 
 
-# the unit steps of the gradient's stencil: +h, +h/2, -h, -h/2 along each axis
-_STENCIL = np.concatenate([np.eye(3), np.eye(3) / 2, -np.eye(3), -np.eye(3) / 2])
-
-
-# the stencil and its centre: the points whose coupling rows one gradient needs
-_POINTS = np.concatenate([_STENCIL, np.zeros((1, 3))])
-
-
-def _richardson(tr, h):
-    """Gradient and error bar from the trace at the 12 stencil points, (..., 12).
-
-    Central differences at h and h/2 with Richardson extrapolation, shape
-    (..., 3); the error bar, shape (...), is the largest level difference.
-    """
-    tr = tr.reshape(tr.shape[:-1] + (4, 3))
-    d_h = (tr[..., 0, :] - tr[..., 2, :]) / (2 * h)
-    d_h2 = (tr[..., 1, :] - tr[..., 3, :]) / h
-    # array methods, not the np.max wrapper: this runs once per frequency of a force sweep
-    return (4 * d_h2 - d_h) / 3, np.abs(d_h2 - d_h).max(axis=-1)
-
-
-def _check_step(h, g, err):
-    """GreensError when a step h below 1e-6 leaves a gradient g (..., 3) in its error bar err."""
-    if h < 1e-6:
-        norm = np.linalg.norm(g, axis=-1)
-        if np.any((norm > 0) & (err > 0.5 * norm)):
-            raise GreensError(
-                f"finite-difference step h={h:.2e} is in the solver noise floor; "
-                "increase h"
-            )
-
-
 @dataclass(frozen=True)
 class GradientResult:
-    gradient: np.ndarray  # Richardson-refined, complex (3,)
-    error_bar: float
+    gradient: np.ndarray  # complex (3,)
+    error_bar: float  # 0.0: the closed form has no truncation error
     left: np.ndarray
     right: np.ndarray
-    step: float
 
 
-def green_trace_gradient(scene: Scene, omega, x, side="both", h=None,
-                         const: Constants = DEFAULT,
+def _trace_gradients(grads, Y):
+    """Tr[d_j rows(x) . Y(x)]: gradient rows (..., B, 3, 3, 3N) by polarizations (..., B, 3N, 3)."""
+    return np.einsum("...jim,...mi->...j", grads, Y)
+
+
+def _left_gradients(solver: EffectiveSolver, pts):
+    """grad_1 Tr G_s(x, x) at each point of pts (B, 3), (B, 3): one solve of 3B columns."""
+    Y = solver.interior_solution(pts).transpose(1, 0, 2, 3).reshape(len(pts), -1, 3)
+    return np.concatenate([_trace_gradients(grads, Y[sl])
+                           for sl, grads in solver._gradient_blocks(pts)])
+
+
+def green_trace_gradient(scene: Scene, omega, x, side="both", const: Constants = DEFAULT,
                          solver: EffectiveSolver = None) -> GradientResult:
     """Gradient of Tr G_scattered(x, x) acting on one argument at a time.
 
-    Central differences at h and h/2 with Richardson extrapolation; the
-    error bar is the level difference.  Reciprocity makes the left and
-    right gradients equal, which the 'both' mode reports and averages.
-    Each side makes one solve of its own: the left one for x (3 columns),
-    radiated to the 12-point stencil, the right one for the stencil (36
-    columns), radiated to x.  green(x, stencil) would itself solve for x
-    by reciprocity, so the right side would be the left one transposed.
+    Exact: G_s(x, x') = rows(x) chi A^-1 rows(x')^T / (dV k^2), and the
+    rows' gradient is closed-form (greens._coupling_gradients).  Each side
+    makes one solve of its own: the left one for x (3 columns), contracted
+    with d rows(x), the right one for d rows(x)^T (9 columns), contracted
+    with rows(x).  chi A^-1 is symmetric, so the two are equal, which the
+    'both' mode reports and averages.
     """
     if side not in ("left", "right", "both"):
         raise ObservableError("side must be left, right or both")
-    x = np.asarray(x, dtype=float)
+    x = np.atleast_2d(np.asarray(x, dtype=float))
     if solver is None:
         solver = EffectiveSolver(scene, omega, const=const)
-    if h is None:
-        h = 0.02 * scene.voxel_pitch if scene.n_voxels else 0.02 / (omega / const.c)
-    stencil = x + h * _STENCIL
-
     left = right = None
-    err = 0.0
     if side in ("left", "both"):
-        g = solver.green(stencil, x, scattered_only=True, warn_near=False)[:, 0]
-        left, e1 = _richardson(g.trace(axis1=-2, axis2=-1), h)
-        err = max(err, float(e1))
+        left = _left_gradients(solver, x)[0]
     if side in ("right", "both"):
-        g = solver._radiate(x[None, :], solver.interior_solution(stencil))[0]
-        right, e2 = _richardson(g.trace(axis1=-2, axis2=-1), h)
-        err = max(err, float(e2))
-    g = left if right is None else right if left is None else (left + right) / 2
-    _check_step(h, g, err)
-    return GradientResult(gradient=g, error_bar=float(err),
-                          left=left if left is not None else g,
-                          right=right if right is not None else g, step=float(h))
+        (_, grads), = solver._gradient_blocks(x)
+        (_, rows), = solver._row_blocks(x)
+        W = solver._solve(grads.reshape(9, -1).T / (solver.dv * solver.k**2))
+        right = np.einsum("im,mji->j", rows[0], W.reshape(-1, 3, 3))
+    left = right if left is None else left
+    right = left if right is None else right
+    return GradientResult(gradient=(left + right) / 2, error_bar=0.0, left=left, right=right)
 
 
 @dataclass(frozen=True)
@@ -225,35 +194,23 @@ def _diameter(pts):
 
 
 # the largest stack of frequencies a force sweep solves at once, in bytes of
-# greens.stack_bytes (4.9 kB a frequency on casimir.yaml's pair, 9.6 MB on
+# greens.stack_bytes (2.3 kB a frequency on casimir.yaml's pair, 9.3 MB on
 # the N = 179 sphere); a scene where two frequencies do not fit sweeps one
-# solver per frequency.  At 2^18 the pair stacks 53 frequencies, and the
-# casimir.yaml CLI run took 22-32 ms at a peak RSS of 65.8-66.0 MB, level
-# with the per-frequency loop's 66.1 MB; at 2^20 (214 a stack) 17-28 ms and
-# 1.2 MB more, all 801 at once 5.6 MB more (medians of 9 runs in one
-# process, one BLAS thread, 2-core shared machine)
+# solver per frequency.  At 2^18 the pair stacks 113 frequencies, and the
+# casimir.yaml CLI run took 11-12 ms at a peak RSS of 61.3 MB, level with
+# the per-frequency loop's 61.1 MB; at 2^20 (455 a stack) 9.6-9.8 ms and
+# 1.1 MB more, all 801 at once 8.6 ms and 2.2 MB more (medians of 9 runs in
+# one process, two processes each, one BLAS thread, 2-core shared machine)
 _STACK_BYTES = 2**18
 
 
-def _stacked_gradients(stack: SolverStack, x, h):
-    """green_trace_gradient(side="left")'s gradient at each point x (B, 3) and frequency, (F, B, 3).
-
-    One batched solve of 3B columns a frequency: as in green(), each point's
-    own rows, transposed (reciprocity), are its right-hand side, and the
-    solution is radiated to its 12-point stencil.
-    """
+def _stacked_gradients(stack: SolverStack, pts):
+    """_left_gradients at every frequency of a stack, (F, B, 3): one batched solve of 3B columns."""
     f, n3 = stack.system.shape[:2]
-    b = len(x)
-    rows = stack.coupling_rows((x[:, None, :] + h * _POINTS).reshape(-1, 3))
-    rows = rows.reshape(f, b, len(_POINTS), 3, n3)
-    scale = (stack.dv * stack.k**2)[:, None, None]
-    rhs = rows[:, :, -1].reshape(f, 3 * b, n3).transpose(0, 2, 1) / scale
-    Y = stack.solve(rhs).reshape(f, n3, b, 3).transpose(0, 2, 1, 3)
-    g = rows[:, :, :-1].reshape(f, b, 3 * len(_STENCIL), n3) @ Y
-    g = g.reshape(f, b, len(_STENCIL), 3, 3)
-    grad, err = _richardson(g.trace(axis1=-2, axis2=-1), h)
-    _check_step(h, grad, err)
-    return grad
+    rows = stack.coupling_rows(pts).reshape(f, 3 * len(pts), n3)
+    Y = stack.solve(rows.transpose(0, 2, 1) / (stack.dv * stack.k**2)[:, None, None])
+    return _trace_gradients(stack.coupling_gradients(pts),
+                            Y.reshape(f, n3, len(pts), 3).transpose(0, 2, 1, 3))
 
 
 def casimir_thermal_force(scene: Scene, body: BodySpec, T, omega_grid=None,
@@ -265,14 +222,13 @@ def casimir_thermal_force(scene: Scene, body: BodySpec, T, omega_grid=None,
     orderings weighted 1/(1 - e^-x) and 1/(e^x - 1) are reported separately
     and sum to the coth total by construction on the same grid.
 
-    The gradient is green_trace_gradient's left one.  When at least two
-    frequencies' worth of a SolverStack fit in _STACK_BYTES, the sweep
-    solves stacks of frequencies (route "stacked"): one SolverStack and one
-    batched solve of 3 columns per body voxel a chunk.  Larger scenes build
-    one EffectiveSolver per frequency and make one solve per body voxel
-    ("per-frequency").  metadata["solve"] names the route, the number of
-    batched solves and the worst backward error of the stacked solves
-    (None per frequency).
+    The gradient is green_trace_gradient's left one, exact, for the whole
+    body from one solve of 3 columns per body voxel.  When two frequencies'
+    worth of a SolverStack fit in _STACK_BYTES, the sweep solves stacks of
+    frequencies (route "stacked"), one batched solve a stack; larger scenes
+    make one EffectiveSolver and one solve per frequency ("per-frequency").
+    metadata["solve"] names the route, the number of batched solves and
+    their worst backward error (None per frequency).
     """
     idx = tuple(body.voxel_indices)
     if any(i < 0 or i >= scene.n_voxels for i in idx):
@@ -294,28 +250,22 @@ def casimir_thermal_force(scene: Scene, body: BodySpec, T, omega_grid=None,
     pos = scene.positions()[list(idx)]
     # Imag[chi grad_1 Tr G_s(x, x)] per frequency and body voxel, 0 where chi = 0
     core = np.zeros((w.size, len(idx), 3))
-    chunk = _STACK_BYTES // stack_bytes(scene.n_voxels, len(_POINTS) * len(idx))
+    # each body voxel's rows and its gradient rows: four points' worth of rows
+    chunk = _STACK_BYTES // stack_bytes(scene.n_voxels, 4 * len(idx))
     if chunk >= 2:
-        h = 0.02 * scene.voxel_pitch
         starts = range(0, w.size, chunk)
         worst = 0.0
         for i in starts:
             stack = SolverStack(scene, w[i:i + chunk], const=const)
             chi = stack.chi[:, list(idx), None]
-            core[i:i + chunk] = np.where(chi != 0, (chi * _stacked_gradients(stack, pos, h)).imag,
-                                         0.0)
+            core[i:i + chunk] = np.where(chi != 0, (chi * _stacked_gradients(stack, pos)).imag, 0.0)
             worst = max(worst, stack.backward_error)
         solve = {"route": "stacked", "batched_solves": len(starts), "backward_error": worst}
     else:
         for iw, om in enumerate(w):
             solver = EffectiveSolver(scene, om, const=const)
-            for jv, i in enumerate(idx):
-                chi = solver.chi[i]
-                if chi.imag == 0 and chi.real == 0:
-                    continue
-                gr = green_trace_gradient(scene, om, pos[jv], side="left", const=const,
-                                          solver=solver)
-                core[iw, jv] = (chi * gr.gradient).imag
+            chi = solver.chi[list(idx), None]
+            core[iw] = np.where(chi != 0, (chi * _left_gradients(solver, pos)).imag, 0.0)
         solve = {"route": "per-frequency", "batched_solves": 0, "backward_error": None}
     # the weights one frequency at a time, as scalars: above the stack bound the
     # integrands keep the bits of the per-frequency products

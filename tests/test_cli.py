@@ -267,7 +267,7 @@ def test_casimir_manifest_records_the_solve(tmp_path, monkeypatch):
     assert run_subcommand("casimir", cfg, tmp_path / "stacked") == 0
     solve = json.loads((tmp_path / "stacked" / "manifest.json").read_text())["run"]["solve"]
     assert solve["route"] == "stacked"
-    chunk = observables._STACK_BYTES // stack_bytes(2, 13)
+    chunk = observables._STACK_BYTES // stack_bytes(2, 4)
     assert solve["batched_solves"] == -(-801 // chunk)
     assert 0 < solve["backward_error"] < 1e-14
     force = json.loads((tmp_path / "stacked" / "force.json").read_text())

@@ -23,7 +23,7 @@ from fluctem.greens import (
 )
 from fluctem.modes import enumerate_modes
 from fluctem.observables import ldos
-from fluctem.oracle import _vacuum_green_block_offdiag
+from fluctem.oracle import _vacuum_green_block_offdiag, richardson_gradient
 from fluctem.scene import Scene, Shell, build_scene, sphere_quadrature
 
 from conftest import (
@@ -1384,8 +1384,8 @@ def test_one_solve_per_call_site(monkeypatch):
     # every call site hands all its sources to one solve, whose right-hand
     # side widths are recorded at EffectiveSolver._solve; the identity
     # report's terms, the shell's included, all radiate the one solve for
-    # [a, b].  The gradient's right side solves for its 12-point stencil
-    # itself, not for x as green() would by reciprocity
+    # [a, b].  The gradient's right side solves for its 9 gradient-row
+    # columns itself, not for x as its left side does
     from fluctem.fluctuations import noise_correlator_density
     from fluctem.observables import green_trace_gradient
 
@@ -1403,8 +1403,8 @@ def test_one_solve_per_call_site(monkeypatch):
     x = np.array([0.0, 0.0, 1.2])
     cases = [
         (lambda: green_trace_gradient(sc, 1.0, x, side="left"), [3]),
-        (lambda: green_trace_gradient(sc, 1.0, x, side="right"), [36]),
-        (lambda: green_trace_gradient(sc, 1.0, x, side="both"), [3, 36]),
+        (lambda: green_trace_gradient(sc, 1.0, x, side="right"), [9]),
+        (lambda: green_trace_gradient(sc, 1.0, x, side="both"), [3, 9]),
         (lambda: greens_identity_report(sc, 1.0, a, b), [6]),
         (lambda: greens_identity_report(thick_shell_scene(), 1.0, a, b), [6]),
         (lambda: noise_correlator_density(sc, "scatterer", 1.0, a, b), [6]),
@@ -1513,6 +1513,57 @@ def test_dyadic_over_a_frequency_axis_has_the_bits_of_each_frequency(rng):
         assert np.array_equal(stacked[f], greens._dyadic(d, r, kf, scale[f, 0, 0]))
 
 
+@pytest.mark.parametrize("d", [
+    [0.37, -0.52, 0.81],  # off every axis, about a wavelength at k = 5
+    [0.053, 0.021, -0.017],  # just outside the owner cell of a 0.1 voxel
+])
+@pytest.mark.parametrize("k", [0.02, 1.0, 5.0])
+def test_dyadic_gradient_matches_richardson_of_the_dyadic(d, k):
+    # the closed form against the oracle's central differences of _dyadic
+    # itself, each real and imaginary component on its own; a step of 1e-3
+    # |d| keeps the near-boundary stencil outside the cell
+    d = np.array(d)
+    got = greens._dyadic_gradient(d, np.linalg.norm(d), k, 1.0, np.empty((3, 3, 3), complex))
+
+    def component(i, m, part):
+        return lambda p: float(part(greens._dyadic(p[None], greens._lengths(p[None]), k)[0, i, m]))
+
+    h0 = 1e-3 * np.linalg.norm(d)
+    scale = np.abs(got).max()
+    for i in range(3):
+        for m in range(3):
+            for part, value in ((np.real, got[:, i, m].real), (np.imag, got[:, i, m].imag)):
+                ref, err, _ = richardson_gradient(component(i, m, part), d, h0)
+                assert np.abs(value - ref).max() <= max(4 * err, 1e-8 * scale)
+
+
+def test_coupling_gradients_vanish_in_the_owner_cell_and_follow_the_dyadic(rng):
+    # rows(p) hold cself I in the cell that owns p, so their gradient is 0
+    # there; every other block is dV k^2 d_j Gv(p - x_u), over a frequency
+    # axis too
+    pitch = 0.1
+    pos = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.0, 0.3, 0.1]])
+    pts = np.array([[0.049, 0.02, -0.03], [0.051, 0.02, -0.03], [0.4, -0.2, 0.3]])
+    owners = [0, 1, -1]
+    k = STACK_GRID[:, None, None]
+    got = greens._coupling_gradients(pts, pos, pitch, k, 0.001 * k**2)
+    assert got.shape == (len(STACK_GRID), 3, 3, 3, 9)
+    blocks = got.reshape(len(STACK_GRID), 3, 3, 3, 3, 3)  # (f, p, j, i, u, k)
+    for f, kf in enumerate(STACK_GRID):
+        one = greens._coupling_gradients(pts, pos, pitch, kf, 0.001 * kf**2)
+        assert np.abs(got[f] - one).max() <= 1e-14 * np.abs(one).max()
+        for p, owner in enumerate(owners):
+            for u in range(3):
+                block = blocks[f, p, :, :, u]
+                if u == owner:
+                    assert np.all(block == 0)
+                else:
+                    d = pts[p] - pos[u]
+                    ref = greens._dyadic_gradient(d, np.linalg.norm(d), kf, 0.001 * kf**2,
+                                                  np.empty((3, 3, 3), complex))
+                    assert np.abs(block - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 @pytest.mark.parametrize("name", STACK_SCENES)
 def test_solver_stack_matches_the_solver_and_dense_lu(name, rng):
     scene, body = stack_scene(name)
@@ -1524,12 +1575,15 @@ def test_solver_stack_matches_the_solver_and_dense_lu(name, rng):
     # points inside the body's voxels (the own-cell self term) and one outside
     pts = np.vstack([scene.positions()[list(body)] + 0.01, [[0.3, -0.2, 2.5]]])
     rows = stack.coupling_rows(pts)
+    grads = stack.coupling_gradients(pts)
     for f, omega in enumerate(STACK_GRID):
         solver = EffectiveSolver(scene, omega)
         S = solver.system
         assert np.linalg.norm(stack.system[f] - S) <= 1e-14 * np.linalg.norm(S)
         R = solver._coupling_rows(pts).transpose(0, 2, 1, 3).reshape(len(pts), 3, n3)
         assert np.linalg.norm(rows[f] - R) <= 1e-14 * np.linalg.norm(R)
+        (_, D), = solver._gradient_blocks(pts)
+        assert np.linalg.norm(grads[f] - D) <= 1e-14 * np.linalg.norm(D)
         ref = dense_lu_reference(scene, omega, rhs[f])
         assert np.linalg.norm(got[f] - ref) <= 1e-12 * np.linalg.norm(ref)
     assert 0 < stack.backward_error < 1e-14

@@ -17,6 +17,7 @@ from fluctem.observables import (
     ldos,
     spontaneous_rate,
 )
+from fluctem.oracle import richardson_gradient
 from fluctem.scene import Scene, build_scene
 
 from conftest import LAM, STACK_GRID, STACK_SCENES, one_voxel_scene, stack_scene
@@ -147,6 +148,62 @@ def test_gradient_left_right_agree():
                                                        1e-10 * np.linalg.norm(res.left))
 
 
+def _richardson_trace_gradient(solver, x, h0):
+    """The oracle's Richardson gradient of Tr G_s(p, x) in p at p = x, complex (3,)."""
+    def part(take):
+        return lambda p: float(take(np.trace(
+            solver.green(p[None], x[None], scattered_only=True, warn_near=False)[0, 0])))
+
+    return (richardson_gradient(part(np.real), x, h0)[0]
+            + 1j * richardson_gradient(part(np.imag), x, h0)[0])
+
+
+@pytest.mark.parametrize("name, omegas", [
+    ("pair", (0.02, 0.1, 1.4, 10.0)),
+    ("sphere", (0.6, 1.4)),
+])
+def test_exact_gradient_matches_the_richardson_gradient(name, omegas):
+    # the closed form against central differences at 0.02 and 0.01 pitch
+    # with one Richardson sweep, the estimate the force used before: at a
+    # body voxel of configs/casimir.yaml's pair and at an off-axis surface
+    # voxel of the N = 179 sphere, where the stencil's own truncation error
+    # is about 2.4e-7
+    if name == "pair":
+        scene = stack_scene("pair")[0]
+    else:
+        scene = build_scene({"box_side": 40.0, "voxel_pitch": 0.2, "primitives": [
+            {"shape": "sphere", "radius": 0.8, "material": {
+                "type": "drude_lorentz", "omega_p": 1.2, "omega_0": 0.9, "gamma": 0.4}}]})
+        assert scene.n_voxels == 179
+    x = scene.positions()[0]
+    for omega in omegas:
+        solver = EffectiveSolver(scene, omega)
+        got = green_trace_gradient(scene, omega, x, side="left", solver=solver).gradient
+        ref = _richardson_trace_gradient(solver, x, 0.02 * scene.voxel_pitch)
+        assert np.linalg.norm(got - ref) <= 1e-6 * np.linalg.norm(ref)
+
+
+def test_gradient_sides_agree_across_routes_on_the_n389_sphere():
+    # criterion 8's check where the two sides take different routes: the
+    # 3-column left solve stays on COCG within the N = 389 sphere's budget,
+    # and the 9-column right solve leaves it for LDL^T
+    scene = build_scene({"box_side": 40.0, "voxel_pitch": 0.2, "primitives": [
+        {"shape": "sphere", "radius": 1.0, "material": {
+            "type": "drude_lorentz", "omega_p": 1.2, "omega_0": 0.9, "gamma": 0.4}}]})
+    assert scene.n_voxels == 389
+    x = scene.positions()[0]
+    solver = EffectiveSolver(scene, 0.9)
+    left = green_trace_gradient(scene, 0.9, x, side="left", solver=solver).left
+    assert solver.diagnostics["route"] == "lattice-cocg"
+    solver = EffectiveSolver(scene, 0.9)
+    res = green_trace_gradient(scene, 0.9, x, side="both", solver=solver)
+    assert solver.diagnostics["route"] == "dense-ldlt"
+    assert solver.diagnostics["fallback"] == "budget"
+    assert np.array_equal(res.left, left)
+    assert res.error_bar == 0.0
+    assert np.linalg.norm(res.left - res.right) <= 1e-10 * np.linalg.norm(res.left)
+
+
 def test_gradient_identity_with_boundary_term():
     # the trace-gradient of Imag G equals the gradient of the boundary term
     # plus the gradient of the absorption volume integral; at desk scale the
@@ -244,7 +301,7 @@ def test_casimir_evaluates_materials_only_in_the_solver(monkeypatch):
     # each frequency is evaluated exactly once, on its chunk's array: the two
     # voxels' equal materials share one evaluation, and the body reads chi
     # from the stack
-    chunk = observables._STACK_BYTES // stack_bytes(2, 13)
+    chunk = observables._STACK_BYTES // stack_bytes(2, 4)
     assert len(calls) == -(-FORCE_GRID.size // chunk)
     assert np.array_equal(np.concatenate(calls), FORCE_GRID)
 
@@ -280,7 +337,7 @@ def test_casimir_sweep_work_counters(monkeypatch):
     counts = _count_sweep_work(monkeypatch)
     grid = np.logspace(-2, 1, points) * np.sqrt(2)
     force = casimir_thermal_force(scene, BodySpec((0,)), T=1.0, omega_grid=grid, tail_tol=100.0)
-    chunk = observables._STACK_BYTES // stack_bytes(2, 13)
+    chunk = observables._STACK_BYTES // stack_bytes(2, 4)
     assert chunk >= 2
     solves = -(-points // chunk)
     assert counts == ["stack", "batched solve"] * solves
@@ -291,30 +348,49 @@ def test_casimir_sweep_work_counters(monkeypatch):
 
 def test_casimir_sweep_above_the_stack_bound_solves_per_frequency(monkeypatch):
     # a scene whose two frequencies' worth exceed the bound keeps one solver,
-    # one LDL^T and one solve per frequency, and one green() call whose
-    # stencil and source rows come from one coupling-row build; at the bound
-    # itself the sweep stacks two frequencies a solve
+    # one LDL^T and one solve per frequency, whose right-hand side comes from
+    # one coupling-row build, and no green() call; at the bound itself the
+    # sweep stacks two frequencies a solve
     scene, _ = _casimir_config_scene()
     grid = np.logspace(-1, 1, 8) * np.sqrt(2)
     counts = _count_sweep_work(monkeypatch)
-    monkeypatch.setattr(observables, "_STACK_BYTES", 2 * stack_bytes(2, 13) - 1)
+    monkeypatch.setattr(observables, "_STACK_BYTES", 2 * stack_bytes(2, 4) - 1)
     with pytest.warns(UserWarning, match="under-resolves"):
         force = casimir_thermal_force(scene, BodySpec((0,)), T=1.0, omega_grid=grid,
                                       tail_tol=100.0)
-    per_frequency = ["solver", "green", "rows", "zsytrf", "zsytrs"]
+    per_frequency = ["solver", "rows", "zsytrf", "zsytrs"]
     assert counts == per_frequency * grid.size
     assert force.metadata["solve"] == {"route": "per-frequency", "batched_solves": 0,
                                        "backward_error": None}
     counts.clear()
-    monkeypatch.setattr(observables, "_STACK_BYTES", 2 * stack_bytes(2, 13))
+    monkeypatch.setattr(observables, "_STACK_BYTES", 2 * stack_bytes(2, 4))
     with pytest.warns(UserWarning, match="under-resolves"):
         casimir_thermal_force(scene, BodySpec((0,)), T=1.0, omega_grid=grid, tail_tol=100.0)
     assert counts == ["stack", "batched solve"] * (grid.size // 2)
 
 
+@pytest.mark.filterwarnings("ignore:omega grid under-resolves")
+def test_per_frequency_route_solves_a_whole_body_once_a_frequency(monkeypatch):
+    # the 20 jittered voxels, all in the body, are above the stack bound:
+    # each frequency builds one solver and makes one LDL^T and one solve of
+    # 3 columns per body voxel, and never calls green()
+    scene, body = stack_scene("jittered")
+    assert observables._STACK_BYTES // stack_bytes(scene.n_voxels, 4 * len(body)) < 2
+    counts = _count_sweep_work(monkeypatch)
+    widths = []
+    zsytrs = greens.sla.lapack.zsytrs
+    monkeypatch.setattr(greens.sla.lapack, "zsytrs",
+                        lambda *a, **k: widths.append(a[2].shape[1]) or zsytrs(*a, **k))
+    force = casimir_thermal_force(scene, BodySpec(body), T=1.0, omega_grid=STACK_GRID,
+                                  tail_tol=np.inf)
+    assert counts == ["solver", "rows", "zsytrf", "zsytrs"] * STACK_GRID.size
+    assert widths == [3 * len(body)] * STACK_GRID.size
+    assert force.metadata["solve"]["route"] == "per-frequency"
+
+
 def test_spheres_are_above_the_stack_bound():
     # the N = 179 sphere does not stack even for a one-voxel body
-    assert observables._STACK_BYTES < 2 * stack_bytes(179, 13)
+    assert observables._STACK_BYTES < 2 * stack_bytes(179, 4)
 
 
 @pytest.mark.filterwarnings("ignore:omega grid under-resolves")
@@ -325,7 +401,7 @@ def test_stacked_sweep_matches_the_per_frequency_route(monkeypatch, name):
     # stack every scene, the 20-voxel one included, whatever the bound
     monkeypatch.setattr(observables, "_STACK_BYTES", 2**40)
     stack = SolverStack(scene, STACK_GRID)
-    got = observables._stacked_gradients(stack, pos, 0.02 * scene.voxel_pitch)
+    got = observables._stacked_gradients(stack, pos)
     for f, omega in enumerate(STACK_GRID):
         solver = EffectiveSolver(scene, omega)
         for j, x in enumerate(pos):
