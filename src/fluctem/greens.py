@@ -247,7 +247,7 @@ def _separations(pts, pos, pitch):
     return d, r, cells
 
 
-def _couplings(pts, pos, pitch, k, scale, cself):
+def _couplings(pts, pos, pitch, k, scale, cself, gradients=False):
     """(..., P, N, 3, 3) couplings scale Gv(p - x_u) of points pts, (P, 3), to voxels at pos.
 
     A point inside voxel u (owner_of) couples to it by the cell-averaged
@@ -255,26 +255,21 @@ def _couplings(pts, pos, pitch, k, scale, cself):
     array, so each point's rows reshape to the (3, 3N) operand of a product
     without a copy.  k and scale broadcast as in _dyadic and cself over the
     leading axes, such as a frequency axis: k of shape (F, 1, 1), cself (F,).
+    With gradients, also the rows' gradients d/dp_j, (..., P, 3, 3, 3N)
+    C-ordered as [p, j, i, (u, k)], from the same separations:
+    _dyadic_gradient, and 0 in the owner cell, where the coupling is cself I.
     """
     d, r, cells = _separations(pts, pos, pitch)
     rows = np.empty(np.shape(cself) + (len(pts), 3, len(pos), 3), dtype=complex).swapaxes(-2, -3)
     _dyadic(d, r, k, scale, out=rows)
     rows[..., cells[0], cells[1], :, :] = np.multiply.outer(cself, _EYE)[..., None, :, :]
-    return rows
-
-
-def _coupling_gradients(pts, pos, pitch, k, scale):
-    """(..., P, 3, 3, 3N) gradients d/dp_j of _couplings' rows, [p, j, i, (u, k)], C-ordered.
-
-    _dyadic_gradient, and 0 in the owner cell, where the coupling is cself I.
-    """
-    d, r, cells = _separations(pts, pos, pitch)
-    lead = np.shape(k)[:-2]  # the frequency axis of a k of shape (F, 1, 1)
-    grads = np.empty(lead + (len(pts), 3, 3, len(pos), 3), dtype=complex)
+    if not gradients:
+        return rows
+    grads = np.empty(rows.shape[:-3] + (3, 3, len(pos), 3), dtype=complex)
     view = np.moveaxis(grads, -2, -4)  # (..., P, N, 3, 3, 3)
     _dyadic_gradient(d, r, k, scale, out=view)
     view[..., cells[0], cells[1], :, :, :] = 0
-    return grads.reshape(lead + (len(pts), 3, 3, 3 * len(pos)))
+    return rows, grads.reshape(rows.shape[:-3] + (3, 3, 3 * len(pos)))
 
 
 @functools.lru_cache(maxsize=4)
@@ -581,16 +576,10 @@ class EffectiveSolver:
 
     # -- rhs / kernel helpers -------------------------------------------
 
-    def _coupling_rows(self, pts):
-        """(P, N, 3, 3) couplings dV k^2 Gv(p, u), cell-averaged for p in u (see _couplings)."""
+    def _coupling_rows(self, pts, gradients=False):
+        """(P, N, 3, 3) couplings dV k^2 Gv(p, u), with gradients also theirs (see _couplings)."""
         return _couplings(np.atleast_2d(pts), self.pos, self.scene.voxel_pitch, self.k,
-                          self.dv * self.k**2, self.cself)
-
-    def _gradient_blocks(self, pts):
-        """(slice, d/dp_j rows) per block of pts, (t, 3, 3, 3N), at most _BLOCK_BYTES each."""
-        for sl in self._blocks(len(pts), _BLOCK_BYTES // 3):
-            yield sl, _coupling_gradients(pts[sl], self.pos, self.scene.voxel_pitch, self.k,
-                                          self.dv * self.k**2)
+                          self.dv * self.k**2, self.cself, gradients)
 
     def _blocks(self, n_pts, nbytes=None):
         """Slices of n_pts points, each at most nbytes (_BLOCK_BYTES) of coupling rows."""
@@ -725,12 +714,21 @@ class EffectiveSolver:
             np.matmul(R.reshape(3 * t, 3 * n), Ym, out=out[sl].reshape(3 * t, 3 * s))
         return out.transpose(0, 2, 1, 3)
 
-    def _row_blocks(self, pts):
-        """(slice, rows) per block of pts, rows[t, i, (n, k)] of shape (t, 3, 3N)."""
+    def _row_blocks(self, pts, gradients=False):
+        """(slice, rows) per block of pts, rows[t, i, (n, k)] of shape (t, 3, 3N).
+
+        With gradients, (slice, rows, d/dp_j rows), the gradients (t, 3, 3,
+        3N) built with the rows from one set of separations; both together
+        hold at most _BLOCK_BYTES, a quarter of that in rows.
+        """
         n = self.scene.n_voxels
-        for sl in self._blocks(len(pts)):
-            rows = self._coupling_rows(pts[sl])
-            yield sl, rows.transpose(0, 2, 1, 3).reshape(len(rows), 3, 3 * n)
+        for sl in self._blocks(len(pts), _BLOCK_BYTES // 4 if gradients else None):
+            if gradients:
+                rows, grads = self._coupling_rows(pts[sl], gradients=True)
+            else:
+                rows = self._coupling_rows(pts[sl])
+            rows = rows.transpose(0, 2, 1, 3).reshape(len(rows), 3, 3 * n)
+            yield (sl, rows, grads) if gradients else (sl, rows)
 
 
 class SolverStack:
@@ -775,21 +773,20 @@ class SolverStack:
                     out=np.einsum("fvivj->fvij", S))
         return S.reshape(len(k), 3 * n, 3 * n)
 
-    def coupling_rows(self, pts):
+    def coupling_rows(self, pts, gradients=False):
         """(F, P, 3, 3N) couplings dV k^2 Gv(p, u), cell-averaged for p in u.
 
         EffectiveSolver._coupling_rows at every frequency, in the layout of
         its _row_blocks; the separations and the owner lookup are taken once.
+        With gradients, also their gradients (F, P, 3, 3, 3N) (see _couplings).
         """
         k = self.k[:, None, None]
-        rows = _couplings(pts, self.pos, self.scene.voxel_pitch, k, self.dv * k**2, self.cself)
+        out = _couplings(pts, self.pos, self.scene.voxel_pitch, k, self.dv * k**2, self.cself,
+                         gradients)
+        rows = out[0] if gradients else out
         f, p, n = rows.shape[:3]
-        return rows.swapaxes(-2, -3).reshape(f, p, 3, 3 * n)
-
-    def coupling_gradients(self, pts):
-        """(F, P, 3, 3, 3N) gradients d/dp_j of coupling_rows (_coupling_gradients)."""
-        k = self.k[:, None, None]
-        return _coupling_gradients(pts, self.pos, self.scene.voxel_pitch, k, self.dv * k**2)
+        rows = rows.swapaxes(-2, -3).reshape(f, p, 3, 3 * n)
+        return (rows, out[1]) if gradients else rows
 
     def solve(self, rhs):
         """chi A^-1 rhs = C^1/2 S^-1 C^1/2 rhs for rhs of shape (F, 3N, m), one batched solve."""

@@ -130,11 +130,10 @@ def _trace_gradients(grads, Y):
     return np.einsum("...jim,...mi->...j", grads, Y)
 
 
-def _left_gradients(solver: EffectiveSolver, pts):
-    """grad_1 Tr G_s(x, x) at each point of pts (B, 3), (B, 3): one solve of 3B columns."""
-    Y = solver.interior_solution(pts).transpose(1, 0, 2, 3).reshape(len(pts), -1, 3)
-    return np.concatenate([_trace_gradients(grads, Y[sl])
-                           for sl, grads in solver._gradient_blocks(pts)])
+def _left_gradients(solver: EffectiveSolver, rows, grads):
+    """grad_1 Tr G_s(x, x) at points given their rows (B, 3, 3N) and gradients: one solve of 3B columns."""
+    Y = solver._interior(len(rows), [(slice(None), rows)]).transpose(1, 0, 2, 3)
+    return _trace_gradients(grads, Y.reshape(len(rows), -1, 3))
 
 
 def green_trace_gradient(scene: Scene, omega, x, side="both", const: Constants = DEFAULT,
@@ -142,23 +141,22 @@ def green_trace_gradient(scene: Scene, omega, x, side="both", const: Constants =
     """Gradient of Tr G_scattered(x, x) acting on one argument at a time.
 
     Exact: G_s(x, x') = rows(x) chi A^-1 rows(x')^T / (dV k^2), and the
-    rows' gradient is closed-form (greens._coupling_gradients).  Each side
-    makes one solve of its own: the left one for x (3 columns), contracted
-    with d rows(x), the right one for d rows(x)^T (9 columns), contracted
-    with rows(x).  chi A^-1 is symmetric, so the two are equal, which the
-    'both' mode reports and averages.
+    rows' gradient is closed-form (greens._couplings), built with them.
+    Each side makes one solve of its own: the left one for x (3 columns),
+    contracted with d rows(x), the right one for d rows(x)^T (9 columns),
+    contracted with rows(x).  chi A^-1 is symmetric, so the two are equal,
+    which the 'both' mode reports and averages.
     """
     if side not in ("left", "right", "both"):
         raise ObservableError("side must be left, right or both")
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if solver is None:
         solver = EffectiveSolver(scene, omega, const=const)
+    (_, rows, grads), = solver._row_blocks(x, gradients=True)
     left = right = None
     if side in ("left", "both"):
-        left = _left_gradients(solver, x)[0]
+        left = _left_gradients(solver, rows, grads)[0]
     if side in ("right", "both"):
-        (_, grads), = solver._gradient_blocks(x)
-        (_, rows), = solver._row_blocks(x)
         W = solver._solve(grads.reshape(9, -1).T / (solver.dv * solver.k**2))
         right = np.einsum("im,mji->j", rows[0], W.reshape(-1, 3, 3))
     left = right if left is None else left
@@ -207,10 +205,10 @@ _STACK_BYTES = 2**18
 def _stacked_gradients(stack: SolverStack, pts):
     """_left_gradients at every frequency of a stack, (F, B, 3): one batched solve of 3B columns."""
     f, n3 = stack.system.shape[:2]
-    rows = stack.coupling_rows(pts).reshape(f, 3 * len(pts), n3)
-    Y = stack.solve(rows.transpose(0, 2, 1) / (stack.dv * stack.k**2)[:, None, None])
-    return _trace_gradients(stack.coupling_gradients(pts),
-                            Y.reshape(f, n3, len(pts), 3).transpose(0, 2, 1, 3))
+    rows, grads = stack.coupling_rows(pts, gradients=True)
+    Y = stack.solve(rows.reshape(f, 3 * len(pts), n3).transpose(0, 2, 1)
+                    / (stack.dv * stack.k**2)[:, None, None])
+    return _trace_gradients(grads, Y.reshape(f, n3, len(pts), 3).transpose(0, 2, 1, 3))
 
 
 def casimir_thermal_force(scene: Scene, body: BodySpec, T, omega_grid=None,
@@ -222,11 +220,11 @@ def casimir_thermal_force(scene: Scene, body: BodySpec, T, omega_grid=None,
     orderings weighted 1/(1 - e^-x) and 1/(e^x - 1) are reported separately
     and sum to the coth total by construction on the same grid.
 
-    The gradient is green_trace_gradient's left one, exact, for the whole
-    body from one solve of 3 columns per body voxel.  When two frequencies'
-    worth of a SolverStack fit in _STACK_BYTES, the sweep solves stacks of
-    frequencies (route "stacked"), one batched solve a stack; larger scenes
-    make one EffectiveSolver and one solve per frequency ("per-frequency").
+    The gradient is green_trace_gradient's left one, exact.  When two
+    frequencies' worth of a SolverStack fit in _STACK_BYTES, the sweep
+    solves stacks of frequencies (route "stacked"), one batched solve a
+    stack; larger scenes make one EffectiveSolver per frequency and one
+    solve per block of body voxels (_row_blocks), route "per-frequency".
     metadata["solve"] names the route, the number of batched solves and
     their worst backward error (None per frequency).
     """
@@ -265,7 +263,10 @@ def casimir_thermal_force(scene: Scene, body: BodySpec, T, omega_grid=None,
         for iw, om in enumerate(w):
             solver = EffectiveSolver(scene, om, const=const)
             chi = solver.chi[list(idx), None]
-            core[iw] = np.where(chi != 0, (chi * _left_gradients(solver, pos)).imag, 0.0)
+            # a solve's right-hand side stays within its block's rows
+            grad = np.concatenate([_left_gradients(solver, rows, grads)
+                                   for _, rows, grads in solver._row_blocks(pos, gradients=True)])
+            core[iw] = np.where(chi != 0, (chi * grad).imag, 0.0)
         solve = {"route": "per-frequency", "batched_solves": 0, "backward_error": None}
     # the weights one frequency at a time, as scalars: above the stack bound the
     # integrands keep the bits of the per-frequency products

@@ -1546,11 +1546,14 @@ def test_coupling_gradients_vanish_in_the_owner_cell_and_follow_the_dyadic(rng):
     pts = np.array([[0.049, 0.02, -0.03], [0.051, 0.02, -0.03], [0.4, -0.2, 0.3]])
     owners = [0, 1, -1]
     k = STACK_GRID[:, None, None]
-    got = greens._coupling_gradients(pts, pos, pitch, k, 0.001 * k**2)
+    cself = 0.5 - 0.1j * STACK_GRID
+    rows, got = greens._couplings(pts, pos, pitch, k, 0.001 * k**2, cself, gradients=True)
+    # the rows built with the gradients are the rows built alone
+    assert np.array_equal(rows, greens._couplings(pts, pos, pitch, k, 0.001 * k**2, cself))
     assert got.shape == (len(STACK_GRID), 3, 3, 3, 9)
     blocks = got.reshape(len(STACK_GRID), 3, 3, 3, 3, 3)  # (f, p, j, i, u, k)
     for f, kf in enumerate(STACK_GRID):
-        one = greens._coupling_gradients(pts, pos, pitch, kf, 0.001 * kf**2)
+        _, one = greens._couplings(pts, pos, pitch, kf, 0.001 * kf**2, cself[f], gradients=True)
         assert np.abs(got[f] - one).max() <= 1e-14 * np.abs(one).max()
         for p, owner in enumerate(owners):
             for u in range(3):
@@ -1575,14 +1578,16 @@ def test_solver_stack_matches_the_solver_and_dense_lu(name, rng):
     # points inside the body's voxels (the own-cell self term) and one outside
     pts = np.vstack([scene.positions()[list(body)] + 0.01, [[0.3, -0.2, 2.5]]])
     rows = stack.coupling_rows(pts)
-    grads = stack.coupling_gradients(pts)
+    with_grads, grads = stack.coupling_rows(pts, gradients=True)
+    assert np.array_equal(with_grads, rows)
     for f, omega in enumerate(STACK_GRID):
         solver = EffectiveSolver(scene, omega)
         S = solver.system
         assert np.linalg.norm(stack.system[f] - S) <= 1e-14 * np.linalg.norm(S)
         R = solver._coupling_rows(pts).transpose(0, 2, 1, 3).reshape(len(pts), 3, n3)
         assert np.linalg.norm(rows[f] - R) <= 1e-14 * np.linalg.norm(R)
-        (_, D), = solver._gradient_blocks(pts)
+        (_, R_grads, D), = solver._row_blocks(pts, gradients=True)
+        assert np.array_equal(R_grads, R)
         assert np.linalg.norm(grads[f] - D) <= 1e-14 * np.linalg.norm(D)
         ref = dense_lu_reference(scene, omega, rhs[f])
         assert np.linalg.norm(got[f] - ref) <= 1e-12 * np.linalg.norm(ref)

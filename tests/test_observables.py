@@ -388,6 +388,35 @@ def test_per_frequency_route_solves_a_whole_body_once_a_frequency(monkeypatch):
     assert force.metadata["solve"]["route"] == "per-frequency"
 
 
+@pytest.mark.filterwarnings("ignore:omega grid under-resolves")
+def test_per_frequency_route_splits_a_wide_body_into_row_blocks(monkeypatch):
+    # with a block bound of 7 points' rows and gradient rows, the 20-voxel
+    # body is solved in blocks of 7, 7 and 6 voxels after one LDL^T a
+    # frequency; each right-hand side stays within the block's rows, and
+    # the forces are those of the single whole-body solve
+    scene, body = stack_scene("jittered")
+    ref = casimir_thermal_force(scene, BodySpec(body), T=1.0, omega_grid=STACK_GRID,
+                                tail_tol=np.inf)
+    n3 = 3 * scene.n_voxels
+    bound = 4 * 7 * 3 * n3 * 16
+    monkeypatch.setattr(greens, "_BLOCK_BYTES", bound)
+    counts = _count_sweep_work(monkeypatch)
+    widths = []
+    zsytrs = greens.sla.lapack.zsytrs
+    monkeypatch.setattr(greens.sla.lapack, "zsytrs",
+                        lambda *a, **k: widths.append(a[2].shape[1]) or zsytrs(*a, **k))
+    force = casimir_thermal_force(scene, BodySpec(body), T=1.0, omega_grid=STACK_GRID,
+                                  tail_tol=np.inf)
+    assert len(body) == 20
+    per_frequency = ["solver", "rows", "zsytrf", "zsytrs", "rows", "zsytrs", "rows", "zsytrs"]
+    assert counts == per_frequency * STACK_GRID.size
+    assert widths == [21, 21, 18] * STACK_GRID.size
+    assert all(n3 * w * 16 <= bound // 4 for w in widths)
+    assert force.metadata["solve"]["route"] == "per-frequency"
+    for a, b in zip(force.per_voxel, ref.per_voxel):
+        assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+
 def test_spheres_are_above_the_stack_bound():
     # the N = 179 sphere does not stack even for a one-voxel body
     assert observables._STACK_BYTES < 2 * stack_bytes(179, 4)
