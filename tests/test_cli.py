@@ -117,7 +117,7 @@ def test_mode_sum_solves_recorded_in_manifest(tmp_path):
     assert run_subcommand("commutator", cfg, out) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     record = manifest["run"]["mode_sum"]
-    assert set(record) == {"solves", "nodes", "tail"}
+    assert set(record) == {"solves", "nodes", "tail", "tolerance"}
     assert record["solves"] >= 1 and record["nodes"] is None
     assert "mode_sum" not in json.dumps(manifest["artifacts"])
 
@@ -326,6 +326,24 @@ def test_usage_errors_exit_one(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("scene: [unclosed")
     assert main(["ldos", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize("libyaml", [True, False])
+def test_config_loader_matches_safe_load(tmp_path, monkeypatch, libyaml):
+    # libyaml's safe loader where PyYAML has it, the pure-Python one where
+    # not: the shipped configs parse to the same dicts as yaml.safe_load,
+    # and a malformed file is a usage error either way
+    from fluctem.cli import _load_config
+
+    if not libyaml:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    for name in ("casimir.yaml", "reference.yaml"):
+        cfg, text = _load_config(CONFIGS / name)
+        assert cfg == yaml.safe_load(text) and text == (CONFIGS / name).read_text()
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("scene: [unclosed")
+    with pytest.raises(UsageError, match="unparseable"):
+        _load_config(bad)
 
 
 def test_memory_error_is_an_error_line(tmp_path, monkeypatch, capsys):

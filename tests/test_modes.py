@@ -310,13 +310,35 @@ def test_mode_sum_resonance_in_the_bin_falls_back_to_one_solve_per_group(monkeyp
     sd = mode_sum_spectral_density(sc, a, b, 1.0, 0.1, basis)
     assert sd.metadata["nodes"] is None
     assert sd.metadata["tail"] > modes._TAIL_TOLERANCE
-    assert len(made) == sd.metadata["solves"] == modes._NODES + groups
+    assert len(made) == sd.metadata["solves"] == modes._NODES[-1] + groups
     assert np.linalg.norm(sd.value - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def test_mode_sum_on_the_n179_sphere_makes_17_solves(monkeypatch):
+def test_mode_sum_goes_up_to_17_nodes_reusing_the_9(monkeypatch):
+    # a Lorentzian of width 0.05 at 1.1, beyond the bin: 9 nodes leave a
+    # tail decades above the tolerance, so the 8 points between them are
+    # added and each of the 17 points is solved once
+    res = DrudeLorentzModel(omega_p=0.3, omega_0=1.1, gamma=0.05)
+    sc = Scene(box_side=20.0, voxel_pitch=0.3, scatterer_voxels=tuple(
+        ((0.3 * i, 0.0, 0.3 * j), res) for i in range(2) for j in range(2)))
+    a, b = np.array([0.3, 0.2, 1.5]), np.array([-0.9, 0.4, 0.1])
+    basis = enumerate_modes(40 * np.pi, 1.06)
+    ref, groups = per_group_mode_sum(sc, a, b, 1.0, 0.1, basis)
+    made = count_solvers(monkeypatch)
+    sd = mode_sum_spectral_density(sc, a, b, 1.0, 0.1, basis)
+    assert groups > 17
+    assert len(made) == len(set(made)) == sd.metadata["solves"] == 17
+    assert sd.metadata["nodes"] == 17 and sd.metadata["tail"] <= modes._TAIL_TOLERANCE
+    assert np.linalg.norm(sd.value - ref) <= 1e-12 * np.linalg.norm(ref)
+    monkeypatch.setattr(modes, "_NODES", (5, 9))
+    assert mode_sum_spectral_density(sc, a, b, 1.0, 0.1, basis).metadata["tail"] > (
+        100 * modes._TAIL_TOLERANCE)
+
+
+def test_mode_sum_on_the_n179_sphere_makes_9_solves(monkeypatch):
     # the sphere, box and Hann bin of the modesum-sphere benchmark workload:
-    # 68 frequency groups, one solver each before the Chebyshev nodes
+    # 68 frequency groups, one solver each before the Chebyshev nodes; 5
+    # nodes do not resolve W, and the 4 between them make 9 that do
     sc = build_scene({"box_side": 40.0, "voxel_pitch": 0.2, "primitives": [
         {"shape": "sphere", "radius": 0.8, "material": {
             "type": "drude_lorentz", "omega_p": 1.2, "omega_0": 0.9, "gamma": 0.4}}]})
@@ -325,8 +347,9 @@ def test_mode_sum_on_the_n179_sphere_makes_17_solves(monkeypatch):
     made = count_solvers(monkeypatch)
     sd = mode_sum_spectral_density(sc, [0.23, -0.36, 1.21], [0.84, 0.47, -0.93], 1.0, 0.1,
                                    basis, window="hann")
-    assert len(made) == 17
-    assert (sd.metadata["solves"], sd.metadata["nodes"]) == (17, 17)
+    assert len(made) == len(set(made)) == 9
+    assert (sd.metadata["solves"], sd.metadata["nodes"]) == (9, 9)
+    assert sd.metadata["tolerance"] == modes._TAIL_TOLERANCE
 
 
 PER_WAVE_VECTOR_BITS = """
