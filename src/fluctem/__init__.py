@@ -44,6 +44,7 @@ from .fluctuations import (
     equivalence_fan,
     noise_correlator_density,
     planck_factor,
+    planck_weights,
     thermal_correlator_density,
 )
 from .observables import (

@@ -16,7 +16,6 @@ import os
 import sys
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +117,8 @@ def _omega_grid(gcfg):
 def _pmap(fn, items, threads):
     if threads <= 1:
         return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor  # only a threaded run loads it
+
     with ThreadPoolExecutor(max_workers=threads) as ex:
         return list(ex.map(fn, items))
 

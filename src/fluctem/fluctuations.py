@@ -48,26 +48,41 @@ class CorrelatorDensity:
     metadata: dict = field(default_factory=dict, compare=False)
 
 
-def planck_factor(omega, T, kind="minus-plus", const: Constants = DEFAULT):
-    """Thermal occupation weights, stable from x ~ 1e-300 up to overflow.
+def planck_weights(omega, T, kind="minus-plus", const: Constants = DEFAULT):
+    """Thermal occupation weights over an array of frequencies, stable from x ~ 1e-300 to overflow.
 
     minus-plus: 1/(e^x - 1); plus-minus: 1/(1 - e^-x); symmetrized:
     coth(x/2); with x = hbar w / k_B T.  At T = 0 these limit to 0, 1, 1.
+    Each branch runs only on the frequencies it serves (e^-x above x = 50,
+    expm1 below), so no branch overflows.
     """
-    if omega <= 0:
+    w = np.asarray(omega, dtype=float)
+    if np.any(w <= 0):
         raise FluctuationError("omega must be > 0")
     if T < 0:
         raise FluctuationError("temperature must be >= 0")
+    if kind not in ORDERINGS:
+        raise FluctuationError(f"unknown kind {kind!r}; choose from {ORDERINGS}")
     if T == 0:
-        return {"minus-plus": 0.0, "plus-minus": 1.0, "symmetrized": 1.0}[kind]
-    x = const.hbar * omega / (const.k_B * T)
-    if kind == "minus-plus":
-        return float(np.exp(-x) / (1.0 - np.exp(-x))) if x > 50 else float(1.0 / np.expm1(x))
-    if kind == "plus-minus":
-        return float(1.0 / (1.0 - np.exp(-x))) if x > 50 else float(-1.0 / np.expm1(-x))
+        return np.full(w.shape, {"minus-plus": 0.0, "plus-minus": 1.0, "symmetrized": 1.0}[kind])
+    x = const.hbar * w / (const.k_B * T)
     if kind == "symmetrized":
-        return float(1.0 / np.tanh(x / 2))
-    raise FluctuationError(f"unknown kind {kind!r}; choose from {ORDERINGS}")
+        return 1.0 / np.tanh(x / 2)
+    out = np.empty_like(x)
+    big = x > 50
+    e = np.exp(-x[big])
+    if kind == "minus-plus":
+        out[big] = e / (1.0 - e)
+        out[~big] = 1.0 / np.expm1(x[~big])
+    else:
+        out[big] = 1.0 / (1.0 - e)
+        out[~big] = -1.0 / np.expm1(-x[~big])
+    return out
+
+
+def planck_factor(omega, T, kind="minus-plus", const: Constants = DEFAULT):
+    """planck_weights at one frequency, as a float."""
+    return float(planck_weights(omega, T, kind, const))
 
 
 def noise_correlator_density(scene: Scene, region, omega, a, b,

@@ -80,17 +80,37 @@ source along r, which crosses the annulus exactly.
 from __future__ import annotations
 
 import functools
+import importlib
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .constants import DEFAULT, Constants
 from .scene import (Scene, _lengths, owner_of, shell_voxelization, sphere_quadrature,
                     warn_if_thin_shell)
 
 _EYE = np.eye(3)
+
+
+class _LazyModule:
+    """A module imported by the first attribute read through this stand-in."""
+
+    def __init__(self, name):
+        self._name = name
+
+    def __getattr__(self, attr):
+        return getattr(importlib.import_module(self._name), attr)
+
+
+# scipy.linalg, imported by the first LDL^T (the factor route's zsytrf/zsytrs)
+# and not by `import fluctem`: that import costs about 24 MB of RSS and
+# 0.2 s (SciPy 1.17), which routes that never factor (the stacked Casimir
+# sweep, COCG) need not pay.  It is an object bound to a module attribute,
+# not a PEP 562 module __getattr__, because the benchmark tracer
+# (perfbench/tracing.py) reads greens.sla and rebinds it through
+# vars(greens)["sla"]
+sla = _LazyModule("scipy.linalg")
 
 # polar order of the direction rule of the far-field surface term: 24
 # Gauss-Legendre polar nodes times 48 azimuths, 1,152 directions.  On the
@@ -465,11 +485,12 @@ class EffectiveSolver:
 
     def _factor(self):
         """LDL^T of S, made in the array _assemble writes S's upper triangle in."""
+        lapack = sla.lapack  # the first factorization imports LAPACK before S is allocated
         S = self._assemble()
         # S.T is S in the Fortran order LAPACK takes, whose lower triangle is
         # the one assembled: zsytrf reads only that and overwrites it in place
-        ldu, ipiv, info = sla.lapack.zsytrf(S.T, lower=1, lwork=_LDLT_PANEL * len(S),
-                                            overwrite_a=1)
+        ldu, ipiv, info = lapack.zsytrf(S.T, lower=1, lwork=_LDLT_PANEL * len(S),
+                                        overwrite_a=1)
         if info > 0:
             raise GreensError(f"LS matrix is singular: LDL^T pivot D[{info - 1}] "
                               f"is exactly zero")
@@ -1031,10 +1052,26 @@ def volume_route(solver):
     return "dense-rows" if solver.grid is None else "lattice-fft"
 
 
+def _next_fast_len(n):
+    """Smallest 11-smooth integer >= n, the complex-FFT length scipy.fft.next_fast_len picks.
+
+    Computed here so that choosing a grid, which may then be rejected,
+    imports no FFT code; scipy.fft is loaded by the first transform.
+    """
+    while True:
+        m = n
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 def _fft_grid(scene):
     """Padded grid shape of the lattice routes, or None where the dense rows serve.
 
-    Each axis of L cells pads to next_fast_len(2L - 1), so the circular
+    Each axis of L cells pads to _next_fast_len(2L - 1), so the circular
     convolution holds every displacement -(L-1)..L-1 once; the route is
     taken when that grid, at _FFT_CELL_BYTES a cell, needs no more bytes
     than S.  A solver that starts on COCG is admitted against those bytes
@@ -1044,9 +1081,7 @@ def _fft_grid(scene):
     lat = scene.lattice
     if lat is None:
         return None
-    import scipy.fft as sfft  # loaded by the first lattice scene, not by import
-
-    grid = tuple(sfft.next_fast_len(2 * L - 1) for L in lat.shape)
+    grid = tuple(_next_fast_len(2 * L - 1) for L in lat.shape)
     if np.prod(grid, dtype=float) * _FFT_CELL_BYTES > (3 * scene.n_voxels) ** 2 * 16:
         return None
     return grid

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import DEFAULT, Constants
-from .fluctuations import planck_factor
+from .fluctuations import planck_weights
 from .greens import EffectiveSolver, SolverStack, stack_bytes
 from .material import DrudeLorentzModel, resonance_params
 from .scene import Scene
@@ -268,13 +268,10 @@ def casimir_thermal_force(scene: Scene, body: BodySpec, T, omega_grid=None,
                                    for _, rows, grads in solver._row_blocks(pos, gradients=True)])
             core[iw] = np.where(chi != 0, (chi * grad).imag, 0.0)
         solve = {"route": "per-frequency", "batched_solves": 0, "backward_error": None}
-    # the weights one frequency at a time, as scalars: above the stack bound the
-    # integrands keep the bits of the per-frequency products
-    dv = scene.voxel_volume
-    pref = [(const.hbar / np.pi) * (om / const.c) ** 2 * dv for om in w]
+    pref = (const.hbar / np.pi) * (w / const.c) ** 2 * scene.voxel_volume
     integrand_sym, integrand_anti, integrand_bose = (
-        np.array([p * planck_factor(om, T, kind, const) for p, om in zip(pref, w)])[:, None, None]
-        * core for kind in ("symmetrized", "plus-minus", "minus-plus"))
+        (pref * planck_weights(w, T, kind, const))[:, None, None] * core
+        for kind in ("symmetrized", "plus-minus", "minus-plus"))
 
     lnw = np.log(w)
     navg = max(w.size // 4, 4)  # averaged truncation over the top grid segment

@@ -1,12 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from fluctem.fluctuations import (
+    ORDERINGS,
     FluctuationError,
     commutator_density,
     equivalence_densities,
     noise_correlator_density,
     planck_factor,
+    planck_weights,
     thermal_correlator_density,
     time_domain_correlator,
 )
@@ -53,6 +57,36 @@ def test_planck_guards():
         planck_factor(0.0, 1.0)
     with pytest.raises(FluctuationError):
         planck_factor(1.0, 1.0, "sideways")
+
+
+def _scalar_planck(x, kind):
+    """The weight at one x, as numpy scalars: the branch formulas of planck_weights."""
+    x = np.float64(x)
+    if kind == "symmetrized":
+        return float(1.0 / np.tanh(x / 2))
+    if kind == "minus-plus":
+        return float(np.exp(-x) / (1.0 - np.exp(-x))) if x > 50 else float(1.0 / np.expm1(x))
+    return float(1.0 / (1.0 - np.exp(-x))) if x > 50 else float(-1.0 / np.expm1(-x))
+
+
+def test_planck_weights_equal_the_scalar_weights_bitwise():
+    # x from 1e-300 to past the overflow of e^x (x > 709), both sides of the x = 50 switch
+    xs = np.concatenate([np.logspace(-300, 308, 3001), np.linspace(0.01, 100.0, 1001),
+                         [50.0, np.nextafter(50.0, 0.0), np.nextafter(50.0, 100.0)]])
+    for kind in ORDERINGS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no branch may overflow
+            weights = planck_weights(xs, 1.0, kind)
+        scalar = np.array([planck_factor(x, 1.0, kind) for x in xs])
+        reference = np.array([_scalar_planck(x, kind) for x in xs])
+        assert weights.tobytes() == scalar.tobytes() == reference.tobytes(), kind
+        zero_t = planck_weights(xs, 0.0, kind)
+        assert zero_t.tobytes() == np.array([planck_factor(x, 0.0, kind) for x in xs]).tobytes()
+        assert set(zero_t) == {0.0 if kind == "minus-plus" else 1.0}
+    with pytest.raises(FluctuationError):
+        planck_weights(np.array([1.0, 0.0]), 1.0)
+    with pytest.raises(FluctuationError):
+        planck_weights(np.array([1.0]), 0.0, "sideways")
 
 
 def test_noise_density_vacuum_is_zero():
