@@ -70,10 +70,6 @@ class UsageError(Exception):
     pass
 
 
-class VerificationFailure(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits 2; keep 2 for physics
         raise UsageError(message)

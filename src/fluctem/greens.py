@@ -117,7 +117,7 @@ sla = _LazyModule("scipy.linalg")
 # N = 739 sphere the term moves by 4e-15 relative from order 12 to 32
 _FAR_ORDER = 24
 
-# largest (targets, N, 3, 3) block of coupling rows alive at once; 32 MiB
+# largest (targets, 3, 3N) block of coupling rows alive at once; 32 MiB
 # doubles the traced peak of the N = 179 noise density (82 MB against 39 MB)
 _BLOCK_BYTES = 8 * 2**20
 
@@ -140,8 +140,7 @@ _LDLT_PANEL = 32
 # 2 x (3N)^2 x 16 bytes, S or its factor plus one more array as large as S
 # (see EffectiveSolver._admit_matrix), when a solver forms it: at
 # construction off the lattice or without a budget, else when a solve
-# leaves COCG or system is read.  Either charge is checked before the
-# allocation it covers
+# leaves COCG.  Either charge is checked before the allocation it covers
 _MEMORY_CAP = 2 * 1024**3
 
 # bytes per cell of the padded grid a lattice solver is charged: 18 complex
@@ -268,28 +267,30 @@ def _separations(pts, pos, pitch):
 
 
 def _couplings(pts, pos, pitch, k, scale, cself, gradients=False):
-    """(..., P, N, 3, 3) couplings scale Gv(p - x_u) of points pts, (P, 3), to voxels at pos.
+    """(..., P, 3, 3N) couplings scale Gv(p - x_u) of points pts, (P, 3), to voxels at pos.
 
-    A point inside voxel u (owner_of) couples to it by the cell-averaged
-    self term cself I.  The result is a view of a C-ordered (..., P, 3, N, 3)
-    array, so each point's rows reshape to the (3, 3N) operand of a product
-    without a copy.  k and scale broadcast as in _dyadic and cself over the
-    leading axes, such as a frequency axis: k of shape (F, 1, 1), cself (F,).
-    With gradients, also the rows' gradients d/dp_j, (..., P, 3, 3, 3N)
-    C-ordered as [p, j, i, (u, k)], from the same separations:
-    _dyadic_gradient, and 0 in the owner cell, where the coupling is cself I.
+    C-ordered as [p, i, (u, k)], so each point's rows are the (3, 3N)
+    operand of a product.  A point inside voxel u (owner_of) couples to it
+    by the cell-averaged self term cself I.  k and scale broadcast as in
+    _dyadic and cself over the leading axes, such as a frequency axis: k of
+    shape (F, 1, 1), cself (F,).  With gradients, also the rows' gradients
+    d/dp_j, (..., P, 3, 3, 3N) C-ordered as [p, j, i, (u, k)], from the same
+    separations: _dyadic_gradient, and 0 in the owner cell, where the
+    coupling is cself I.
     """
     d, r, cells = _separations(pts, pos, pitch)
-    rows = np.empty(np.shape(cself) + (len(pts), 3, len(pos), 3), dtype=complex).swapaxes(-2, -3)
-    _dyadic(d, r, k, scale, out=rows)
-    rows[..., cells[0], cells[1], :, :] = np.multiply.outer(cself, _EYE)[..., None, :, :]
+    lead, n = np.shape(cself) + (len(pts),), len(pos)
+    rows = np.empty(lead + (3, n, 3), dtype=complex)
+    view = rows.swapaxes(-2, -3)  # (..., P, N, 3, 3), the blocks _dyadic writes
+    _dyadic(d, r, k, scale, out=view)
+    view[..., cells[0], cells[1], :, :] = np.multiply.outer(cself, _EYE)[..., None, :, :]
     if not gradients:
-        return rows
-    grads = np.empty(rows.shape[:-3] + (3, 3, len(pos), 3), dtype=complex)
+        return rows.reshape(lead + (3, 3 * n))
+    grads = np.empty(lead + (3, 3, n, 3), dtype=complex)
     view = np.moveaxis(grads, -2, -4)  # (..., P, N, 3, 3, 3)
     _dyadic_gradient(d, r, k, scale, out=view)
     view[..., cells[0], cells[1], :, :, :] = 0
-    return rows, grads.reshape(rows.shape[:-3] + (3, 3, 3 * len(pos)))
+    return rows.reshape(lead + (3, 3 * n)), grads.reshape(lead + (3, 3, 3 * n))
 
 
 @functools.lru_cache(maxsize=4)
@@ -362,43 +363,18 @@ class EffectiveSolver:
         """Raise MemoryError, before any allocation, unless S fits _MEMORY_CAP.
 
         The charge is S or its LDL^T factor, which overwrites S, plus one more
-        array as large as S: the assembly chunk, a right-hand side as wide as
-        S, or a read of system after the factor.  A solver that has left COCG
-        names the reason, one on it names the read of system.
+        array as large as S: the assembly chunk or a right-hand side as wide
+        as S.  A solver that has left COCG names the reason.
         """
         n = self.scene.n_voxels
         peak = 2 * (3 * n) ** 2 * 16
         if peak <= _MEMORY_CAP:
             return
-        if self._route == "lattice-cocg":
-            why = "system was read on the COCG route: "
-        elif self.diagnostics["fallback"]:
-            why = f"a solve left COCG ({self.diagnostics['fallback']}): "
-        else:
-            why = ""
+        fallback = self.diagnostics["fallback"]
+        why = f"a solve left COCG ({fallback}): " if fallback else ""
         raise MemoryError(
             f"{why}interaction matrix assembly and factorization would peak at "
             f"{peak/1e9:.2f} GB (cap {_MEMORY_CAP/1e9:.2f} GB) for {n} voxels")
-
-    @property
-    def system(self):
-        """S = I - C^1/2 M C^1/2, (3N, 3N) and bitwise symmetric.
-
-        M couples voxel v to voxel u through dV (w/c)^2 Gv(v, u), the self
-        term on its diagonal, and C = diag(eps - 1); S is the collocation
-        matrix A = I - M C in the scaling C^1/2 A C^-1/2, bit-exact from
-        (scene, omega).  Assembled afresh on every read, on either route and
-        without the lattice matvec: the triangle the factor reads (see
-        _assemble) and its mirror.  The caller owns the array, and it is
-        never the one the factor overwrites.  Raises MemoryError first when
-        S is over the cap (see _admit_matrix).
-        """
-        S = self._assemble()
-        for sl in self._blocks(len(S), _ASSEMBLY_BYTES):
-            # each slab of rows below the upper triangle takes its transpose
-            lower = S[sl, :sl.stop]
-            np.copyto(lower, S[:sl.stop, sl].T, where=np.tri(*lower.shape, sl.start - 1, bool))
-        return S
 
     def _assemble(self):
         """S's C-order upper triangle, (3N, 3N): the lower triangle of S.T, all zsytrf reads.
@@ -598,7 +574,7 @@ class EffectiveSolver:
     # -- rhs / kernel helpers -------------------------------------------
 
     def _coupling_rows(self, pts, gradients=False):
-        """(P, N, 3, 3) couplings dV k^2 Gv(p, u), with gradients also theirs (see _couplings)."""
+        """(P, 3, 3N) coupling rows dV k^2 Gv(p, u), with gradients also theirs (see _couplings)."""
         return _couplings(np.atleast_2d(pts), self.pos, self.scene.voxel_pitch, self.k,
                           self.dv * self.k**2, self.cself, gradients)
 
@@ -667,7 +643,7 @@ class EffectiveSolver:
         a, b = (sources, targets) if swap else (targets, sources)
         if len(self._blocks(len(a) + len(b))) == 1:
             # the rows of every target and source fit in one block: build them in one pass
-            R = next(self._row_blocks(np.concatenate([a, b])))[1]
+            R = self._coupling_rows(np.concatenate([a, b]))
             rows_a, rows_b = [(slice(None), R[:len(a)])], [(slice(None), R[len(a):])]
         else:
             rows_a, rows_b = self._row_blocks(a), self._row_blocks(b)
@@ -736,20 +712,14 @@ class EffectiveSolver:
         return out.transpose(0, 2, 1, 3)
 
     def _row_blocks(self, pts, gradients=False):
-        """(slice, rows) per block of pts, rows[t, i, (n, k)] of shape (t, 3, 3N).
+        """(slice, rows) per block of pts, the rows (t, 3, 3N) of _coupling_rows.
 
-        With gradients, (slice, rows, d/dp_j rows), the gradients (t, 3, 3,
-        3N) built with the rows from one set of separations; both together
-        hold at most _BLOCK_BYTES, a quarter of that in rows.
+        With gradients, (slice, rows, d/dp_j rows) (see _couplings); both
+        together hold at most _BLOCK_BYTES, a quarter of that in rows.
         """
-        n = self.scene.n_voxels
         for sl in self._blocks(len(pts), _BLOCK_BYTES // 4 if gradients else None):
-            if gradients:
-                rows, grads = self._coupling_rows(pts[sl], gradients=True)
-            else:
-                rows = self._coupling_rows(pts[sl])
-            rows = rows.transpose(0, 2, 1, 3).reshape(len(rows), 3, 3 * n)
-            yield (sl, rows, grads) if gradients else (sl, rows)
+            out = self._coupling_rows(pts[sl], gradients)
+            yield (sl, *out) if gradients else (sl, out)
 
 
 class SolverStack:
@@ -797,17 +767,12 @@ class SolverStack:
     def coupling_rows(self, pts, gradients=False):
         """(F, P, 3, 3N) couplings dV k^2 Gv(p, u), cell-averaged for p in u.
 
-        EffectiveSolver._coupling_rows at every frequency, in the layout of
-        its _row_blocks; the separations and the owner lookup are taken once.
-        With gradients, also their gradients (F, P, 3, 3, 3N) (see _couplings).
+        EffectiveSolver._coupling_rows at every frequency, the separations and
+        the owner lookup taken once; with gradients, also theirs (see _couplings).
         """
         k = self.k[:, None, None]
-        out = _couplings(pts, self.pos, self.scene.voxel_pitch, k, self.dv * k**2, self.cself,
-                         gradients)
-        rows = out[0] if gradients else out
-        f, p, n = rows.shape[:3]
-        rows = rows.swapaxes(-2, -3).reshape(f, p, 3, 3 * n)
-        return (rows, out[1]) if gradients else rows
+        return _couplings(pts, self.pos, self.scene.voxel_pitch, k, self.dv * k**2, self.cself,
+                          gradients)
 
     def solve(self, rhs):
         """chi A^-1 rhs = C^1/2 S^-1 C^1/2 rhs for rhs of shape (F, 3N, m), one batched solve."""

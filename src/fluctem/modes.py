@@ -238,8 +238,7 @@ def _coupled_rows(scene, pts, omega, const):
     is symmetric, so one solve for W serves every mode of the frequency.
     """
     solver = EffectiveSolver(scene, omega, const=const)
-    R = solver._coupling_rows(pts)
-    return solver._solve(R.transpose(0, 2, 1, 3).reshape(3 * len(pts), -1).T)
+    return solver._solve(solver._coupling_rows(pts).reshape(3 * len(pts), -1).T)
 
 
 def _rows_by_group(scene, pts, freqs, const):

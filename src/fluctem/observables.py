@@ -138,7 +138,7 @@ def _left_gradients(solver: EffectiveSolver, rows, grads):
 
 def green_trace_gradient(scene: Scene, omega, x, side="both", const: Constants = DEFAULT,
                          solver: EffectiveSolver = None) -> GradientResult:
-    """Gradient of Tr G_scattered(x, x) acting on one argument at a time.
+    """Gradient of Tr G_scattered(x, x) acting on one argument at a time, x one finite point.
 
     Exact: G_s(x, x') = rows(x) chi A^-1 rows(x')^T / (dV k^2), and the
     rows' gradient is closed-form (greens._couplings), built with them.
@@ -149,10 +149,10 @@ def green_trace_gradient(scene: Scene, omega, x, side="both", const: Constants =
     """
     if side not in ("left", "right", "both"):
         raise ObservableError("side must be left, right or both")
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = _finite_vector(x, "x")
     if solver is None:
         solver = EffectiveSolver(scene, omega, const=const)
-    (_, rows, grads), = solver._row_blocks(x, gradients=True)
+    rows, grads = solver._coupling_rows(x, gradients=True)
     left = right = None
     if side in ("left", "both"):
         left = _left_gradients(solver, rows, grads)[0]

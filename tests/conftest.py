@@ -63,6 +63,19 @@ def stack_scene(name):
     raise ValueError(name)
 
 
+def full_system(solver):
+    """S of an EffectiveSolver, (3N, 3N): _assemble's C-order upper triangle and its mirror.
+
+    _assemble writes only the triangle zsytrf reads and leaves the strict
+    lower one of S uninitialised; each of its entries is copied from the
+    upper one, so S is bitwise symmetric.
+    """
+    S = solver._assemble()
+    lower = np.tri(len(S), k=-1, dtype=bool)
+    S[lower] = S.T[lower]
+    return S
+
+
 def voxel_owner(sc, pts):
     """The owning voxel of the points pts, (3,) or (P, 3): Scene.placement's owner."""
     return sc.placement(pts)[0]

@@ -31,6 +31,7 @@ from conftest import (
     STACK_GRID,
     STACK_SCENES,
     FixedEps,
+    full_system,
     one_voxel_scene,
     run_at_one_blas_thread,
     stack_scene,
@@ -77,7 +78,7 @@ def test_all_vacuum_voxels_give_identity_matrix():
     sc = Scene(box_side=10.0, voxel_pitch=0.3,
                scatterer_voxels=(((0.0, 0.0, 0.0), FixedEps(1.0)),
                                  ((0.9, 0.0, 0.0), FixedEps(1.0))))
-    assert np.array_equal(EffectiveSolver(sc, 1.0).system, np.eye(6))
+    assert np.array_equal(full_system(EffectiveSolver(sc, 1.0)), np.eye(6))
 
 
 def test_single_voxel_matches_hand_solution():
@@ -99,8 +100,8 @@ def test_single_voxel_matches_hand_solution():
 
 def test_pitch_doubling_scales_couplings_by_eight():
     pos = (((0.0, 0.0, 0.0), FixedEps(1.5)), ((0.0, 0.0, 2.0), FixedEps(1.5)))
-    off1 = EffectiveSolver(Scene(20.0, 0.25, pos), 1.0).system[0:3, 3:6]
-    off2 = EffectiveSolver(Scene(20.0, 0.50, pos), 1.0).system[0:3, 3:6]
+    off1 = full_system(EffectiveSolver(Scene(20.0, 0.25, pos), 1.0))[0:3, 3:6]
+    off2 = full_system(EffectiveSolver(Scene(20.0, 0.50, pos), 1.0))[0:3, 3:6]
     assert np.allclose(off2, 8 * off1, rtol=1e-13)
 
 
@@ -166,7 +167,7 @@ def test_memory_cap_error_reports_estimate(monkeypatch):
     with pytest.raises(MemoryError, match="peak"):
         EffectiveSolver(sc, 1.0)
     monkeypatch.setattr(greens, "_MEMORY_CAP", 2 * matrix_bytes)
-    assert EffectiveSolver(sc, 1.0).system.nbytes == matrix_bytes
+    assert EffectiveSolver(sc, 1.0)._assemble().nbytes == matrix_bytes
 
 
 def two_material_scene():
@@ -209,7 +210,7 @@ def test_assembly_matches_pairwise_reference():
     sc, omega = two_material_scene(), 1.3
     s = np.repeat(np.sqrt(sc.chi_at(omega)), 3)
     ref = np.eye(3 * sc.n_voxels) - s[:, None] * pairwise_coupling(sc, omega) * s[None, :]
-    S = EffectiveSolver(sc, omega).system
+    S = full_system(EffectiveSolver(sc, omega))
     assert np.linalg.norm(S - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
@@ -225,8 +226,6 @@ def test_symmetric_solve_matches_dense_lu_of_the_collocation_matrix(rng):
         rhs = rng.standard_normal((len(chi), 4)) + 1j * rng.standard_normal((len(chi), 4))
         ref = chi[:, None] * sla.lu_solve(sla.lu_factor(A), rhs)
         solver = EffectiveSolver(sc, omega)
-        S = solver.system
-        assert np.array_equal(S, S.T)
         got = solver._solve(rhs)
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -268,7 +267,7 @@ def test_near_singular_system_solves_on_the_factor_route(rng):
     rhs = rng.standard_normal((3 * sc.n_voxels, 4)) + 1j * rng.standard_normal((3 * sc.n_voxels, 4))
     ref = dense_lu_reference(sc, omega, rhs)
     solver = EffectiveSolver(sc, omega)
-    cond = np.linalg.cond(solver.system)
+    cond = np.linalg.cond(full_system(solver))
     assert 1e6 < cond < 1e8
     got = solver._solve(rhs)
     assert solver.diagnostics["route"] == "dense-ldlt"
@@ -280,11 +279,11 @@ def test_near_singular_system_solves_on_the_factor_route(rng):
 
 def test_factor_route_solves_are_bitwise_reproducible(rng):
     # two solvers give the same bits, and the factor made in place of S gives
-    # the bits of zsytrf on an S read before the solve, which it leaves intact
+    # the bits of zsytrf on an S assembled before the solve
     sc = sphere_scene(0.8)
     rhs = rng.standard_normal((3 * sc.n_voxels, 6)) + 0j
     first, second = (EffectiveSolver(sc, 0.9) for _ in range(2))
-    S = first.system
+    S = full_system(first)
     got = first._solve(rhs)
     assert np.array_equal(got, second._solve(rhs))
     assert first.diagnostics == second.diagnostics
@@ -309,7 +308,7 @@ def test_assembly_work_counters(monkeypatch):
     sc = sphere_scene(0.8)
     n, rows = sc.n_voxels, 16
     monkeypatch.setattr(greens, "_ASSEMBLY_BYTES", rows * n * 9 * 16)
-    EffectiveSolver(sc, 1.0).system
+    EffectiveSolver(sc, 1.0)._assemble()
     assert 0 < sum(pairs) <= n * (n + 1) // 2 + rows * n  # the parent route: n^2
     assert owner_calls == []
 
@@ -318,7 +317,7 @@ def test_exactly_singular_system_raises():
     # static limit: the self term is exactly -1/3, so eps = -2 (the Froehlich
     # condition, chi = -3) makes the one-voxel S exactly zero
     solver = EffectiveSolver(one_voxel_scene(eps=-2.0, pitch=0.3), 0.0)
-    assert not solver.system.any()
+    assert not full_system(solver).any()
     with pytest.raises(GreensError, match="exactly zero"):
         solver.interior_field(np.ones((1, 3)))
 
@@ -339,7 +338,7 @@ def test_diagnostics_are_a_report_only(monkeypatch):
 
 
 def count_assembly(monkeypatch):
-    """A list that gets "assemble" for each assembly of S, the factor's or a read of system."""
+    """A list that gets "assemble" for each assembly of S, the factor's or a test's."""
     counts = []
     real = EffectiveSolver._assemble
     monkeypatch.setattr(EffectiveSolver, "_assemble",
@@ -415,17 +414,17 @@ def test_lattice_norm_is_the_dense_row_sum_maximum(monkeypatch):
     monkeypatch.setattr(greens, "_COCG_BUDGET", 1.0)
     for sc, omega in ((sphere_scene(0.8), 0.9), (two_material_sphere(), 1.4)):
         solver = EffectiveSolver(sc, omega)
-        dense = np.abs(solver.system).sum(axis=1).max()
+        dense = np.abs(full_system(solver)).sum(axis=1).max()
         op = greens._LatticeMatvec(solver, solver.grid)
         assert abs(op.norm - dense) <= 1e-13 * dense
-        assert solver.diagnostics["route"] == "lattice-cocg"  # reading S switches nothing
+        assert solver.diagnostics["route"] == "lattice-cocg"  # assembling S switches nothing
 
 
 def test_lattice_matvec_is_the_product_with_s(monkeypatch, rng):
     monkeypatch.setattr(greens, "_COCG_BUDGET", 1.0)
     solver = EffectiveSolver(two_material_sphere(), 1.1)
     x = rng.standard_normal((3 * solver.scene.n_voxels, 2)) + 0j
-    ref = solver.system @ x
+    ref = full_system(solver) @ x
     op = greens._LatticeMatvec(solver, solver.grid)
     assert np.linalg.norm(op(x) - ref) <= 1e-14 * np.linalg.norm(ref)
 
@@ -606,7 +605,7 @@ def test_coincident_scattered_builds_rows_once_and_solves_once(monkeypatch, n_ha
     rows, solves = [], []
     coupling_rows, solve = EffectiveSolver._coupling_rows, EffectiveSolver._solve
     monkeypatch.setattr(EffectiveSolver, "_coupling_rows",
-                        lambda self, p: rows.append(len(p)) or coupling_rows(self, p))
+                        lambda self, p, *a: rows.append(len(p)) or coupling_rows(self, p, *a))
     monkeypatch.setattr(EffectiveSolver, "_solve",
                         lambda self, rhs: solves.append(rhs.shape[1]) or solve(self, rhs))
     got = EffectiveSolver(sc, 1.0).green_coincident_scattered(pts, n_hat)
@@ -651,12 +650,6 @@ def test_lattice_route_agrees_with_the_factor_route_at_n739():
         x, y = getattr(got, term), getattr(ref, term)
         assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
     assert abs(got.residual - ref.residual) <= 1e-12 * ref.residual
-
-
-def refuse_lattice_matvec(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the lattice matvec was built")
-    monkeypatch.setattr(greens._LatticeMatvec, "__init__", refuse)
 
 
 @pytest.mark.parametrize("shape, n, budget, route", [
@@ -721,15 +714,6 @@ def test_two_spheres_run_a_one_column_ldos_by_cocg(monkeypatch):
     assert solver.diagnostics["fallback"] is None and counts == []
     assert 0 < solver.diagnostics["matvecs"] <= solver.diagnostics["budget"] == 71
     assert abs(got - ref) <= 1e-12 * abs(ref)
-
-
-def test_reading_system_builds_no_lattice_matvec(monkeypatch):
-    sc = sphere_scene(1.2)
-    solver = EffectiveSolver(sc, 1.0)
-    assert solver.diagnostics["route"] == "lattice-cocg"
-    ref = solver.system
-    refuse_lattice_matvec(monkeypatch)
-    assert np.array_equal(EffectiveSolver(sc, 1.0).system, ref)
 
 
 def test_materials_evaluated_once_per_solver(monkeypatch):
@@ -857,14 +841,13 @@ def test_green_solves_for_the_smaller_side(monkeypatch, lattice):
 
 def test_chunked_assembly_is_the_one_chunk_assembly_bitwise(monkeypatch):
     # the small-scene assembly (one chunk, cached pairs) and the chunked one
-    # write the same bits, and S stays bitwise symmetric
+    # write the same bits
     for sc in (two_voxel_pair(), sphere_scene(0.8)):
         n = sc.n_voxels
-        S = EffectiveSolver(sc, 0.9).system
-        assert np.array_equal(S, S.T)
+        S = full_system(EffectiveSolver(sc, 0.9))
         for rows in (1, 16):
             monkeypatch.setattr(greens, "_ASSEMBLY_BYTES", rows * n * 9 * 16)
-            assert np.array_equal(EffectiveSolver(sc, 0.9).system, S)
+            assert np.array_equal(full_system(EffectiveSolver(sc, 0.9)), S)
         monkeypatch.undo()
 
 
@@ -900,8 +883,9 @@ def jittered_sphere():
 
 def test_off_lattice_factor_solves_are_the_pair_assembled_solves_bitwise(monkeypatch, rng):
     # off the kernel table the triangle is evaluated pair by pair with the
-    # operands of the full assembly, in chunks of any size: system is the
-    # pair-assembled S, and a solve is zsytrs on that S's factor, bit for bit
+    # operands of the full assembly, in chunks of any size: the assembled
+    # triangle is the pair-assembled S's, and a solve is zsytrs on that S's
+    # factor, bit for bit
     for sc, omega in ((two_voxel_pair(), 0.9), (sparse_scene(), 1.3), (jittered_sphere(), 0.9)):
         n = sc.n_voxels
         assert greens._fft_grid(sc) is None
@@ -912,7 +896,7 @@ def test_off_lattice_factor_solves_are_the_pair_assembled_solves_bitwise(monkeyp
             if rows:
                 monkeypatch.setattr(greens, "_ASSEMBLY_BYTES", rows * n * 9 * 16)
             solver = EffectiveSolver(sc, omega)
-            assert np.array_equal(solver.system, ref)
+            assert np.array_equal(full_system(solver), ref)
             sq = solver._sqrt_chi3
             x, _ = sla.lapack.zsytrs(ldu, ipiv, sq * rhs, lower=1)
             assert np.array_equal(solver._solve(rhs), sq * x)
@@ -928,7 +912,7 @@ def test_lattice_factor_route_gathers_s_from_the_kernel_table(rng):
     solver = factor_route(sc, 0.9)
     assert solver.grid is not None
     ref = pair_assembled_system(sc, 0.9)
-    assert np.abs(solver.system - ref).max() <= 4e-16 * np.abs(ref).max()
+    assert np.abs(full_system(solver) - ref).max() <= 4e-16 * np.abs(ref).max()
     rhs = rng.standard_normal((3 * sc.n_voxels, 4)) + 1j * rng.standard_normal((3 * sc.n_voxels, 4))
     got = solver._solve(rhs)
     lu = dense_lu_reference(sc, 0.9, rhs)
@@ -938,14 +922,13 @@ def test_lattice_factor_route_gathers_s_from_the_kernel_table(rng):
 
 def test_the_factor_reads_the_triangle_of_system(monkeypatch):
     # zsytrf reads the lower triangle of S.T, the upper one of S: bitwise
-    # that of system, which mirrors it and so is bitwise symmetric
+    # the triangle _assemble writes
     read = []
     real = sla.lapack.zsytrf
     monkeypatch.setattr(sla.lapack, "zsytrf", lambda a, **k: read.append(np.tril(a)) or real(a, **k))
     for sc in (two_voxel_pair(), sparse_scene(), sphere_scene(0.8)):
         solver = factor_route(sc, 0.9)
-        S = solver.system
-        assert np.array_equal(S, S.T)
+        S = full_system(solver)
         solver._solve(np.ones((len(S), 1), dtype=complex))
         assert np.array_equal(read[-1], np.tril(S.T))
 
@@ -1018,15 +1001,12 @@ def test_a_lattice_solver_is_charged_its_grid_and_refuses_s_before_allocating(mo
     # 2 x 79 MB: the solver is admitted and an LDOS is served by COCG under
     # that charge (traced 3.3 MiB), with the bits of an uncapped solver.  A
     # solve too wide for what is left of the budget must leave COCG: it
-    # raises, naming the reason and S's estimate, before S is allocated, and
-    # so does a read of system
+    # raises, naming the reason and S's estimate, before S is allocated
     sc = sphere_scene(1.2)
     charge = np.prod(greens._fft_grid(sc)) * greens._FFT_CELL_BYTES
     matrix_bytes = (3 * sc.n_voxels) ** 2 * 16
     ref = ldos(sc, 1.0, LDOS_X0, LDOS_N)
     monkeypatch.setattr(greens, "_MEMORY_CAP", charge)
-    with pytest.raises(MemoryError, match=r"system was read on the COCG route: .* GB"):
-        EffectiveSolver(sc, 1.0).system
     solver = EffectiveSolver(sc, 1.0)
     got, peak = traced_peak(lambda: ldos(sc, 1.0, LDOS_X0, LDOS_N, solver=solver))
     assert solver.diagnostics["route"] == "lattice-cocg"
@@ -1142,22 +1122,10 @@ def test_streamed_surface_term_and_mode_sum_keep_their_bits():
 
 
 def test_system_reassembly_bit_exact():
-    sc = one_voxel_scene(pitch=0.3)
-    m1 = EffectiveSolver(sc, 1.0).system
-    m2 = EffectiveSolver(sc, 1.0).system
-    assert np.array_equal(m1, m2)
-    # the first solve factors an S of its own in place; a later read
-    # assembles a fresh S, never the array the factor overwrote
-    sc = sphere_scene(0.8)
-    solver = EffectiveSolver(sc, 0.9)
-    before = solver.system
-    solver.interior_field(np.ones((sc.n_voxels, 3)))
-    after = solver.system
-    assert solver._fact is not None
-    assert not np.shares_memory(before, solver._fact[0])
-    assert not np.shares_memory(after, solver._fact[0])
-    assert np.array_equal(before, after)
-    assert np.array_equal(after, EffectiveSolver(sc, 0.9).system)
+    for sc, omega in ((one_voxel_scene(pitch=0.3), 1.0), (sphere_scene(0.8), 0.9)):
+        m1 = full_system(EffectiveSolver(sc, omega))
+        m2 = full_system(EffectiveSolver(sc, omega))
+        assert np.array_equal(m1, m2)
 
 
 # -- surface functional and the dissipation identity ------------------------
@@ -1582,9 +1550,9 @@ def test_solver_stack_matches_the_solver_and_dense_lu(name, rng):
     assert np.array_equal(with_grads, rows)
     for f, omega in enumerate(STACK_GRID):
         solver = EffectiveSolver(scene, omega)
-        S = solver.system
+        S = full_system(solver)
         assert np.linalg.norm(stack.system[f] - S) <= 1e-14 * np.linalg.norm(S)
-        R = solver._coupling_rows(pts).transpose(0, 2, 1, 3).reshape(len(pts), 3, n3)
+        R = solver._coupling_rows(pts)
         assert np.linalg.norm(rows[f] - R) <= 1e-14 * np.linalg.norm(R)
         (_, R_grads, D), = solver._row_blocks(pts, gradients=True)
         assert np.array_equal(R_grads, R)

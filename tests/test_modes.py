@@ -136,7 +136,7 @@ def scattered_mode_field(scene, basis, mode_index, x, solver=None):
     if solver is None:
         solver = EffectiveSolver(scene, float(basis.omega_alpha[mode_index]))
     pol = solver.interior_field(mode_field_vacuum(basis, sel, scene.positions())[0])
-    out = ev_x + np.einsum("pnij,nj->pi", solver._coupling_rows(x), pol)
+    out = ev_x + np.einsum("pim,m->pi", solver._coupling_rows(x), pol.reshape(-1))
     return out[0] if len(x) == 1 else out
 
 
@@ -225,7 +225,7 @@ def per_group_mode_sum(sc, a, b, omega, delta, basis):
     for g in groups:
         solver = EffectiveSolver(sc, basis.omega_alpha[g[0]])
         R = solver._coupling_rows(pts)
-        W = solver._solve(R.transpose(0, 2, 1, 3).reshape(6, 3 * n).T)
+        W = solver._solve(R.reshape(6, 3 * n).T)
         ev = mode_field_vacuum(basis, g, sc.positions()).reshape(g.size, 3 * n)
         F = mode_field_vacuum(basis, g, pts) + (ev @ W).reshape(g.size, 2, 3)
         ref += np.einsum("mi,mj->ij", F[:, 0], np.conj(F[:, 1]))

@@ -148,6 +148,15 @@ def test_gradient_left_right_agree():
                                                        1e-10 * np.linalg.norm(res.left))
 
 
+def test_gradient_takes_one_finite_point():
+    # two points on either side, and a NaN point, are refused before any solve
+    sc = one_voxel_scene(eps=2 + 0.5j, pitch=0.4)
+    two = np.array([[0.0, 0.0, 1.1], [0.0, 0.0, -1.1]])
+    for x, side in ((two, "left"), (two, "both"), (np.array([0.0, np.nan, 1.1]), "both")):
+        with pytest.raises(ObservableError, match="x must be three finite numbers"):
+            green_trace_gradient(sc, 1.0, x, side=side)
+
+
 def _richardson_trace_gradient(solver, x, h0):
     """The oracle's Richardson gradient of Tr G_s(p, x) in p at p = x, complex (3,)."""
     def part(take):

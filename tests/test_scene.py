@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fluctem.greens import EffectiveSolver
+from fluctem.greens import EffectiveSolver, SolverStack
 from fluctem.material import DrudeLorentzModel, MaterialError, TabulatedPermittivity
 from fluctem.scene import (
     Scene,
@@ -408,19 +408,42 @@ def test_voxel_owner_on_few_pairs_matches_the_scan(rng):
         assert np.any(owner >= 0) and np.any(owner < 0)
 
 
-def test_coupling_rows_hold_the_self_term_in_the_owner_column_only(rng):
+def test_coupling_rows_hold_the_self_term_in_the_owner_column_only(rng, monkeypatch):
     # the rows read the owner off their own separations: cself I exactly in
-    # the scan's voxel, and nowhere else, at faces, edges and corners too
+    # the scan's voxel, and nowhere else, at faces, edges and corners too.
+    # They have one layout, C-ordered (P, 3, 3N): _row_blocks yields the
+    # arrays _coupling_rows built, not copies, and SolverStack's rows are
+    # those of each frequency
+    built = []
+    coupling_rows = EffectiveSolver._coupling_rows
+
+    def record(self, *args):
+        built.append(coupling_rows(self, *args))
+        return built[-1]
+
     for sc in owner_scenes(rng):
         pts = cube_probe_points(sc, rng)
         owner = owner_by_scan(sc, pts)
+        n = sc.n_voxels
         solver = EffectiveSolver(sc, 1.0)
-        held = np.all(solver._coupling_rows(pts) == solver.cself * np.eye(3), axis=(-2, -1))
+        R = solver._coupling_rows(pts)
+        assert R.shape == (len(pts), 3, 3 * n) and R.flags.c_contiguous
+        blocks = R.reshape(len(pts), 3, n, 3).swapaxes(1, 2)  # (P, N, 3, 3)
+        held = np.all(blocks == solver.cself * np.eye(3), axis=(-2, -1))
         want = np.zeros_like(held)
         inside = np.flatnonzero(owner >= 0)
         want[inside, owner[inside]] = True
         assert np.array_equal(held, want)
         assert inside.size and inside.size < len(pts)
+        monkeypatch.setattr(EffectiveSolver, "_coupling_rows", record)
+        built.clear()
+        for sl, rows in solver._row_blocks(pts):
+            assert np.shares_memory(rows, built[-1]) and rows.shape == R[sl].shape
+        monkeypatch.undo()
+        some = pts[::50]
+        stacked = SolverStack(sc, [0.8, 1.0]).coupling_rows(some)
+        assert stacked.shape == (2, len(some), 3, 3 * n) and stacked.flags.c_contiguous
+        assert np.abs(stacked[1] - R[::50]).max() <= 1e-15 * np.abs(R).max()
 
 
 def voxelize_by_loop(prim, pitch):
