@@ -34,6 +34,7 @@ from .modes import enumerate_modes, mode_sum_spectral_density
 from .observables import (
     BodySpec,
     EmitterSpec,
+    ObservableError,
     casimir_thermal_force,
     ldos,
     spontaneous_rate,
@@ -294,7 +295,9 @@ def _run_casimir(cfg, scene, outdir, const, run):
     cc = cfg.get("casimir") or {}
     T = float(cc.get("T", 1.0))
     sel = cc.get("body", "all")
-    idx = tuple(range(scene.n_voxels)) if sel == "all" else tuple(int(i) for i in sel)
+    if sel != "all" and not isinstance(sel, list):
+        raise ObservableError(f"body must be all or a list of voxel indices, not {sel!r}")
+    idx = tuple(range(scene.n_voxels)) if sel == "all" else tuple(sel)
     body = BodySpec(voxel_indices=idx)
     grid = _omega_grid(cc["grid"]) if "grid" in cc else None
     force = casimir_thermal_force(scene, body, T, omega_grid=grid, const=const,

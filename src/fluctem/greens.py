@@ -45,9 +45,9 @@ a scene whose S would not fit still runs while COCG serves it, and a solve
 that must leave COCG raises MemoryError before allocating S.
 
 A frequency sweep on a small scene, the Casimir force, can instead stack
-its systems (SolverStack): S at F frequencies as one (F, 3N, 3N) array,
-its kernel evaluated once over a frequency axis and all F systems solved by
-one batched LU, since there every call costs more than its flops.
+its systems (SolverStack): the same system (_System) over a leading axis of
+F frequencies, its kernel evaluated once and all F systems solved by one
+batched LU, since there every call costs more than its flops.
 
 The scatterer volume term of the dissipation identity needs the field at
 every Gauss sub-node of every voxel.  On a lattice scene (Scene.lattice) the
@@ -298,15 +298,137 @@ def _strict_lower(m):
     """(rows, cols) of the strict lower triangle of an m x m block, read-only.
 
     Cached: the assembly takes the same chunk size for every chunk of every
-    frequency, and a frequency sweep on a small scene assembles once per
-    frequency.
+    frequency, a frequency sweep on a small scene assembles once per
+    frequency, and a SolverStack mirrors its 3N x 3N triangle once a stack.
     """
     iv, iu = np.nonzero(np.tri(m, k=-1, dtype=bool))
     iv.flags.writeable = iu.flags.writeable = False
     return iv, iu
 
 
-class EffectiveSolver:
+class _System:
+    """The system of one scene at one frequency, or at an (F,) array of them.
+
+    What both solvers build from: chi, the self term, S's upper triangle,
+    the coupling rows and the polarization solve; at F frequencies every
+    array has a leading axis of F.  A solver supplies _solve, chi A^-1 rhs.
+    """
+
+    # the padded FFT grid of a lattice solver (EffectiveSolver, _fft_grid);
+    # None: the kernel is evaluated on the voxel pairs
+    grid = None
+
+    def __init__(self, scene: Scene, omega, const: Constants):
+        self.scene = scene
+        self.const = const
+        self.k = omega / const.c
+        self.pos = scene.positions()
+        self.chi = scene.chi_at(omega)
+        self.dv = scene.voxel_volume
+        self.cself = self_term_coupling(omega, self.dv, c=const.c)
+        # any D with D^2 = C gives the same D S^-1 D = chi A^-1: one branch suffices
+        self.sq = np.sqrt(self.chi)
+        self._sqrt_chi3 = np.repeat(self.sq, 3, axis=-1)[..., None]  # (..., 3N, 1), C^1/2
+
+    def _k(self, ndim):
+        """k with ndim unit axes after its frequency axis, to broadcast over ndim point axes."""
+        return np.reshape(self.k, np.shape(self.k) + (1,) * ndim)
+
+    def _assemble(self):
+        """S's C-order upper triangle, (..., 3N, 3N): the lower triangle of S.T, all zsytrf reads.
+
+        Each chunk of voxel rows u writes the blocks (u, v > u) right of its
+        diagonal square as one row-contiguous slab, then the square's strict
+        upper triangle; block (u, v) is -dV k^2 Gv(x_v - x_u) sqrt(chi_v)
+        sqrt(chi_u), from _pair_blocks.  The rest of the lower triangle is
+        never written.
+        """
+        n = len(self.pos)
+        sq = self.sq
+        blocks = self._pair_blocks()
+        S = np.empty(np.shape(self.k) + (3 * n, 3 * n), dtype=complex)
+        S4 = S.reshape(S.shape[:-2] + (n, 3, n, 3))
+        for sl in self._blocks(n, _ASSEMBLY_BYTES):
+            u0, u1 = sl.start, min(sl.stop, n)
+            if u1 < n:  # the last chunk has nothing to its right
+                B = blocks(np.arange(u0, u1)[:, None], np.arange(u1, n))
+                B *= (sq[..., None, u1:] * sq[..., u0:u1, None])[..., None, None]
+                S4[..., u0:u1, :, u1:, :] = B.swapaxes(-3, -2)
+            v, u = _strict_lower(u1 - u0)
+            u, v = u + u0, v + u0
+            B = blocks(u, v)
+            B *= (sq[..., v] * sq[..., u])[..., None, None]
+            # the pair axis comes first in an assignment through two index arrays
+            S4[..., u, :, v, :] = B.swapaxes(0, -3)
+        # each voxel centre lies in its own cell: the self term, no owner lookup;
+        # written through a view of the diagonal blocks
+        np.multiply((1.0 - np.asarray(self.cself)[..., None] * self.chi)[..., None, None], _EYE,
+                    out=np.einsum("...vivj->...vij", S4))
+        return S
+
+    def _pair_blocks(self):
+        """The blocks -dV k^2 Gv(x_v - x_u), (..., 3, 3), of voxel indices u != v.
+
+        u and v broadcast together.  On a lattice solver (grid set) each
+        block is gathered from one table of the kernel over the box's
+        displacements (_lattice_kernel): m_v - m_u sits at F(m_v) - F(m_u) +
+        c, F the table's linear index of a cell and c that of the own cell.
+        Elsewhere the kernel is evaluated on the pairs.
+        """
+        if self.grid is None:
+            def blocks(u, v):
+                d = self.pos[v] - self.pos[u]
+                r = _lengths(d)
+                k = self._k(r.ndim)
+                return _dyadic(d, r, k, -self.dv * k**2)
+            return blocks
+        lat = self.scene.lattice
+        K = _lattice_kernel(self, [np.arange(1 - L, L) for L in lat.shape], np.zeros(3),
+                            -self.dv * self.k**2)
+        side = 2 * np.array(lat.shape) - 1
+        stride = np.array([side[1] * side[2], side[2], 1])
+        F, c = lat.cells @ stride, (np.array(lat.shape) - 1) @ stride
+        K = K.reshape(-1, 3, 3)
+        return lambda u, v: K[F[v] - F[u] + c]
+
+    def _blocks(self, n_pts, nbytes=None):
+        """Slices of n_pts points, each at most nbytes (_BLOCK_BYTES) of coupling rows."""
+        step = max(1, (nbytes or _BLOCK_BYTES) // (9 * 16 * max(self.sq.size, 1)))
+        return [slice(i, i + step) for i in range(0, n_pts, step)]
+
+    def _coupling_rows(self, pts, gradients=False):
+        """(..., P, 3, 3N) coupling rows dV k^2 Gv(p, u); with gradients also theirs (_couplings)."""
+        k = self._k(2)
+        return _couplings(np.atleast_2d(pts), self.pos, self.scene.voxel_pitch, k, self.dv * k**2,
+                          self.cself, gradients)
+
+    def _row_blocks(self, pts, gradients=False):
+        """(slice, rows) per block of pts, the rows (..., t, 3, 3N) of _coupling_rows.
+
+        With gradients, (slice, rows, d/dp_j rows) (see _couplings); both
+        together hold at most _BLOCK_BYTES, a quarter of that in rows.
+        """
+        for sl in self._blocks(len(pts), _BLOCK_BYTES // 4 if gradients else None):
+            out = self._coupling_rows(pts[sl], gradients)
+            yield (sl, *out) if gradients else (sl, out)
+
+    def _polarize(self, s, blocks, c=3):
+        """chi A^-1 rows^T / (dV k^2), (..., 3N, c s) C-ordered, for s points given their blocks.
+
+        blocks yields (slice, rows), rows (..., t, c, 3N) of the points in the
+        slice: _row_blocks' (c = 3) or c combinations of them.  Column (p, i)
+        is the polarization that radiates row i of point p.  The one place
+        that divides by dV k^2.
+        """
+        k = self._k(3)
+        rhs = np.empty(np.shape(self.k) + (3 * len(self.pos), s, c), dtype=complex)
+        for sl, R in blocks:
+            np.divide(np.moveaxis(R, -1, -3), self.dv * k**2, out=rhs[..., sl, :])
+        # in C order for every reader: zsytrs leaves the factor route's solution in Fortran order
+        return np.ascontiguousarray(self._solve(rhs.reshape(rhs.shape[:-2] + (s * c,))))
+
+
+class EffectiveSolver(_System):
     """Lippmann-Schwinger solve bound to one (scene, omega).
 
     Lattice scenes with a COCG budget start on COCG with the FFT matvec
@@ -320,17 +442,9 @@ class EffectiveSolver:
     """
 
     def __init__(self, scene: Scene, omega, const: Constants = DEFAULT):
+        super().__init__(scene, omega, const)
         n = scene.n_voxels
-        self.scene = scene
         self.omega = float(omega)
-        self.const = const
-        self.k = omega / const.c
-        self.pos = scene.positions()
-        self.chi = scene.chi_at(omega)
-        self.dv = scene.voxel_volume
-        self.cself = self_term_coupling(omega, self.dv, c=const.c)
-        # any D with D^2 = C gives the same D S^-1 D = chi A^-1: one branch suffices
-        self._sqrt_chi3 = np.sqrt(self.chi).repeat(3)[:, None]
         self._fact = None  # the LDL^T factor, made in place of S by the first solve on it
         self._matvec = None  # the lattice matvec, built by the first COCG solve
         self.grid = _fft_grid(scene)  # the padded grid of both FFT routes, or None
@@ -376,62 +490,6 @@ class EffectiveSolver:
             f"{why}interaction matrix assembly and factorization would peak at "
             f"{peak/1e9:.2f} GB (cap {_MEMORY_CAP/1e9:.2f} GB) for {n} voxels")
 
-    def _assemble(self):
-        """S's C-order upper triangle, (3N, 3N): the lower triangle of S.T, all zsytrf reads.
-
-        Each chunk of voxel rows u writes the blocks (u, v > u) right of its
-        diagonal square as one row-contiguous slab, then the square's strict
-        upper triangle; block (u, v) is -dV k^2 Gv(x_v - x_u) sqrt(chi_v)
-        sqrt(chi_u), from _pair_blocks.  The rest of the lower triangle is
-        never written.  Raises MemoryError first when S is over the cap (see
-        _admit_matrix).
-        """
-        self._admit_matrix()
-        n = self.scene.n_voxels
-        sq = self._sqrt_chi3[::3, 0]
-        blocks = self._pair_blocks()
-        S = np.empty((3 * n, 3 * n), dtype=complex)
-        S4 = S.reshape(n, 3, n, 3)
-        for sl in self._blocks(n, _ASSEMBLY_BYTES):
-            u0, u1 = sl.start, min(sl.stop, n)
-            if u1 < n:  # the last chunk has nothing to its right
-                B = blocks(np.arange(u0, u1)[:, None], np.arange(u1, n))
-                B *= (sq[None, u1:] * sq[u0:u1, None])[..., None, None]
-                S4[u0:u1, :, u1:] = B.transpose(0, 2, 1, 3)
-            v, u = _strict_lower(u1 - u0)
-            u, v = u + u0, v + u0
-            B = blocks(u, v)
-            B *= (sq[v] * sq[u])[:, None, None]
-            S4[u, :, v] = B
-        # each voxel centre lies in its own cell: the self term, no owner lookup;
-        # written through a view of the diagonal blocks
-        np.multiply((1.0 - self.cself * self.chi)[:, None, None], _EYE,
-                    out=np.einsum("vivj->vij", S4))
-        return S
-
-    def _pair_blocks(self):
-        """The blocks -dV k^2 Gv(x_v - x_u), (..., 3, 3), of voxel indices u != v.
-
-        u and v broadcast together.  On a lattice solver (grid set) each
-        block is gathered from one table of the kernel over the box's
-        displacements (_lattice_kernel): m_v - m_u sits at F(m_v) - F(m_u) +
-        c, F the table's linear index of a cell and c that of the own cell.
-        Elsewhere the kernel is evaluated on the pairs.
-        """
-        scale = -self.dv * self.k**2
-        if self.grid is None:
-            def blocks(u, v):
-                d = self.pos[v] - self.pos[u]
-                return _dyadic(d, _lengths(d), self.k, scale)
-            return blocks
-        lat = self.scene.lattice
-        K = _lattice_kernel(self, [np.arange(1 - L, L) for L in lat.shape], np.zeros(3), scale)
-        side = 2 * np.array(lat.shape) - 1
-        stride = np.array([side[1] * side[2], side[2], 1])
-        F, c = lat.cells @ stride, (np.array(lat.shape) - 1) @ stride
-        K = K.reshape(-1, 3, 3)
-        return lambda u, v: K[F[v] - F[u] + c]
-
     def _leave(self, reason):
         """Leave COCG for the factor route, for good, reporting reason; drop the lattice matvec."""
         self._route = "dense-ldlt"
@@ -460,7 +518,8 @@ class EffectiveSolver:
         return np.multiply(s, x, out=x)  # s on the left: the bits of s * x
 
     def _factor(self):
-        """LDL^T of S, made in the array _assemble writes S's upper triangle in."""
+        """LDL^T of S, made in place of _assemble's triangle; MemoryError first (_admit_matrix)."""
+        self._admit_matrix()
         lapack = sla.lapack  # the first factorization imports LAPACK before S is allocated
         S = self._assemble()
         # S.T is S in the Fortran order LAPACK takes, whose lower triangle is
@@ -571,38 +630,17 @@ class EffectiveSolver:
             self._iterations = max(its, 1)
         return reason
 
-    # -- rhs / kernel helpers -------------------------------------------
-
-    def _coupling_rows(self, pts, gradients=False):
-        """(P, 3, 3N) coupling rows dV k^2 Gv(p, u), with gradients also theirs (see _couplings)."""
-        return _couplings(np.atleast_2d(pts), self.pos, self.scene.voxel_pitch, self.k,
-                          self.dv * self.k**2, self.cself, gradients)
-
-    def _blocks(self, n_pts, nbytes=None):
-        """Slices of n_pts points, each at most nbytes (_BLOCK_BYTES) of coupling rows."""
-        step = max(1, (nbytes or _BLOCK_BYTES) // (9 * 16 * max(self.scene.n_voxels, 1)))
-        return [slice(i, i + step) for i in range(0, n_pts, step)]
+    # -- field evaluation ------------------------------------------------
 
     def interior_solution(self, sources):
-        """chi(u) X(u, s) = [chi A^-1 rhs](u) with rhs the couplings from each source.
+        """The polarization chi X of point sources, (3N, 3S): _polarize of their coupling rows.
 
-        X is the effective tensor evaluated at the voxel centers, the
-        self-consistent interior response to a point source at s; chi X is
-        the polarization that radiates it.  Shape (N, S, 3, 3).
+        Column (s, i) at row (u, k) is chi(u) X(u, s)_ki, X the effective
+        tensor at the voxel centres, the self-consistent interior response
+        to a point source at s; chi X is the polarization that radiates it.
         """
         sources = np.atleast_2d(sources)
-        return self._interior(len(sources), self._row_blocks(sources))
-
-    def _interior(self, s, blocks):
-        """interior_solution for s sources given their (slice, rows) blocks (see _row_blocks)."""
-        n = self.scene.n_voxels
-        # rhs(w, s) = cell-consistent Gv(w, s): reuse symmetry Gv(w,s) = Gv(s,w)^T
-        rhs = np.empty((n, 3, s, 3), dtype=complex)
-        for sl, R in blocks:  # couplings FROM voxels
-            np.divide(R.reshape(len(R), 3, n, 3).transpose(2, 3, 0, 1), self.dv * self.k**2,
-                      out=rhs[:, :, sl])
-        chiX = self._solve(rhs.reshape(3 * n, 3 * s))
-        return chiX.reshape(n, 3, s, 3).transpose(0, 2, 1, 3)
+        return self._polarize(len(sources), self._row_blocks(sources))
 
     def interior_field(self, evals_at_voxels):
         """Polarization chi E, with A E = Ev, for incident fields at the voxel centers.
@@ -618,8 +656,6 @@ class EffectiveSolver:
         rhs = ev.transpose(0, 2, 1).reshape(3 * n, m)
         sol = self._solve(rhs).reshape(n, 3, m).transpose(0, 2, 1)
         return sol[:, 0, :] if single else sol
-
-    # -- field evaluation ------------------------------------------------
 
     def green(self, targets, sources, scattered_only=False, warn_near=True):
         """Effective dyadics (T, S, 3, 3); vacuum part skipped if scattered_only.
@@ -641,13 +677,7 @@ class EffectiveSolver:
         swap = len(targets) < len(sources)
         # solve for b, the smaller side, and radiate to a
         a, b = (sources, targets) if swap else (targets, sources)
-        if len(self._blocks(len(a) + len(b))) == 1:
-            # the rows of every target and source fit in one block: build them in one pass
-            R = self._coupling_rows(np.concatenate([a, b]))
-            rows_a, rows_b = [(slice(None), R[:len(a)])], [(slice(None), R[len(a):])]
-        else:
-            rows_a, rows_b = self._row_blocks(a), self._row_blocks(b)
-        scat = self._radiate(a, self._interior(len(b), rows_b), rows_a)
+        scat = self._radiate(a, self._polarize(len(b), self._row_blocks(b)))
         if swap:
             scat = scat.transpose(1, 0, 3, 2)
         if scattered_only:
@@ -659,7 +689,7 @@ class EffectiveSolver:
 
         chiX, when given, is interior_solution([a, b]), the polarization a
         caller has already solved, and the scattered part is radiated from
-        its column for b; otherwise the scattered part takes one solve of
+        its columns for b; otherwise the scattered part takes one solve of
         its own (green, or green_coincident_scattered at a = b).
         """
         a = np.asarray(a, dtype=float)
@@ -670,7 +700,7 @@ class EffectiveSolver:
         else:
             vac = np.imag(vacuum_green_block(self.omega, a, b, c=self.const.c)[0, 0])
         if chiX is not None:
-            scat = self._radiate(a[None, :], chiX[:, 1:])[0, 0]
+            scat = self._radiate(a[None, :], chiX[:, 3:])[0, 0]
         elif coincident:
             scat = self.green_coincident_scattered(a[None, :])[0]
         else:
@@ -680,103 +710,59 @@ class EffectiveSolver:
     def green_coincident_scattered(self, pts, n_hat=None):
         """Scattered part at coincidence, finite everywhere: (P, 3, 3), or (P,) with n_hat.
 
-        With orientations E (I, or the one row n_hat) the right-hand side of
-        point p is v = E rows(p)^T / (dV k^2), the same cell-averaged
-        couplings, and by reciprocity E rows(p) also reads the field back:
-        the result is v^T chi A^-1 v times dV k^2, from one solve of P
-        columns per orientation.  n_hat is taken as given, not normalized.
+        With orientations E (I, or the one row n_hat) the rows of point p
+        are v = E rows(p), the same cell-averaged couplings, and by
+        reciprocity they also read the field back: the result is
+        v chi A^-1 v^T / (dV k^2), from one solve (_polarize) of P columns
+        per orientation.  n_hat is taken as given, not normalized.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         E = _EYE if n_hat is None else np.asarray(n_hat, dtype=float)[None, :]
         v = np.empty((3 * self.scene.n_voxels, len(pts), len(E)), dtype=complex)
         for sl, R in self._row_blocks(pts):
             np.einsum("oi,tij->jto", E, R, out=v[:, sl])
-        rhs = v.reshape(len(v), len(pts) * len(E)) / (self.dv * self.k**2)
-        w = self._solve(rhs).reshape(v.shape)
-        out = np.einsum("jto,jtp->top", v, w)
+        w = self._polarize(len(pts), [(slice(None), v.transpose(1, 2, 0))], len(E))
+        out = np.einsum("jto,jtp->top", v, w.reshape(v.shape))
         return out if n_hat is None else out[:, 0, 0]
 
-    def _radiate(self, targets, Y, blocks=None):
-        """sum_n rows(t, n) . Y(n, s) for Y of shape (N, S, 3, 3), shape (T, S, 3, 3).
+    def _radiate(self, targets, P):
+        """sum_n rows(t, n) . P(n, s) for a polarization P of shape (3N, 3S), shape (T, S, 3, 3).
 
-        The rows are built one block of targets at a time, unless blocks
-        (see _row_blocks) holds them already, and each block is contracted
-        as one (3t, 3N) @ (3N, 3S) product.
+        The rows are built one block of targets at a time (_row_blocks), and
+        each block is contracted as one (3t, 3N) @ (3N, 3S) product.
         """
-        n, s = Y.shape[:2]
-        Ym = Y.transpose(0, 2, 1, 3).reshape(3 * n, 3 * s)
+        s = P.shape[1] // 3
         out = np.empty((len(targets), 3, s, 3), dtype=complex)
-        for sl, R in self._row_blocks(targets) if blocks is None else blocks:
+        for sl, R in self._row_blocks(targets):
             t = len(R)
-            np.matmul(R.reshape(3 * t, 3 * n), Ym, out=out[sl].reshape(3 * t, 3 * s))
+            np.matmul(R.reshape(3 * t, len(P)), P, out=out[sl].reshape(3 * t, 3 * s))
         return out.transpose(0, 2, 1, 3)
 
-    def _row_blocks(self, pts, gradients=False):
-        """(slice, rows) per block of pts, the rows (t, 3, 3N) of _coupling_rows.
 
-        With gradients, (slice, rows, d/dp_j rows) (see _couplings); both
-        together hold at most _BLOCK_BYTES, a quarter of that in rows.
-        """
-        for sl in self._blocks(len(pts), _BLOCK_BYTES // 4 if gradients else None):
-            out = self._coupling_rows(pts[sl], gradients)
-            yield (sl, *out) if gradients else (sl, out)
-
-
-class SolverStack:
+class SolverStack(_System):
     """The systems S of one scene at F frequencies, (F, 3N, 3N), solved in one batch.
 
     A small scene pays per call, not per flop: at two voxels S is 6 x 6,
     and building an EffectiveSolver, assembling S and factoring it cost
-    NumPy calls on tiny arrays at every frequency.  The stack evaluates
-    each material once on the frequency array, the kernel once over a
-    leading frequency axis (_dyadic) and solves all F systems by one
-    batched LU (numpy.linalg.solve); the same S and the same coupling rows
-    as EffectiveSolver's off-lattice route, to rounding.  The stack keeps
-    S, so every solve also measures its backward error.
+    NumPy calls on tiny arrays at every frequency.  The stack is _System
+    over the frequency array, S assembled on the pairs as off the lattice
+    and mirrored, and all F systems solved by one batched LU
+    (numpy.linalg.solve).  It keeps S, so every solve also measures its
+    backward error.
     """
 
     def __init__(self, scene: Scene, omegas, const: Constants = DEFAULT):
-        w = np.asarray(omegas, dtype=float)
-        self.scene = scene
-        self.k = w / const.c
-        self.pos = scene.positions()
-        self.dv = scene.voxel_volume
-        self.chi = scene.chi_at(w)  # (F, N)
-        self.cself = self_term_coupling(w, self.dv, c=const.c)  # (F,)
-        self.sq = np.sqrt(self.chi)  # (F, N), the branch EffectiveSolver takes
-        self.system = self._assemble()
+        super().__init__(scene, np.asarray(omegas, dtype=float), const)
+        S = self._assemble()
+        iv, iu = _strict_lower(S.shape[-1])
+        S[..., iv, iu] = S[..., iu, iv]
+        self.system = S
         # the worst ||b - S x||_inf / (||S||_inf ||x||_inf) over the columns solved so far
         self.backward_error = 0.0
 
-    def _assemble(self):
-        """S at every frequency: blocks -dV k^2 Gv(x_v - x_u) sq_v sq_u, self terms on the diagonal."""
-        n = len(self.pos)
-        k = self.k[:, None]
-        u, v = np.triu_indices(n, 1)
-        d = self.pos[v] - self.pos[u]
-        B = _dyadic(d, _lengths(d), k, -self.dv * k**2)  # (F, pairs, 3, 3)
-        B *= (self.sq[:, v] * self.sq[:, u])[..., None, None]
-        S = np.zeros((len(k), n, 3, n, 3), dtype=complex)
-        # the pair axis comes first in an assignment through two index arrays
-        S[:, u, :, v] = B.transpose(1, 0, 2, 3)
-        S[:, v, :, u] = B.transpose(1, 0, 3, 2)
-        np.multiply((1.0 - self.cself[:, None] * self.chi)[..., None, None], _EYE,
-                    out=np.einsum("fvivj->fvij", S))
-        return S.reshape(len(k), 3 * n, 3 * n)
-
-    def coupling_rows(self, pts, gradients=False):
-        """(F, P, 3, 3N) couplings dV k^2 Gv(p, u), cell-averaged for p in u.
-
-        EffectiveSolver._coupling_rows at every frequency, the separations and
-        the owner lookup taken once; with gradients, also theirs (see _couplings).
-        """
-        k = self.k[:, None, None]
-        return _couplings(pts, self.pos, self.scene.voxel_pitch, k, self.dv * k**2, self.cself,
-                          gradients)
-
-    def solve(self, rhs):
+    def _solve(self, rhs):
         """chi A^-1 rhs = C^1/2 S^-1 C^1/2 rhs for rhs of shape (F, 3N, m), one batched solve."""
-        sq = self.sq.repeat(3, axis=1)[..., None]
+        sq = self._sqrt_chi3
         b = sq * rhs
         x = np.linalg.solve(self.system, b)
         norm = np.abs(self.system).sum(axis=-1).max(axis=-1)  # ||S||_inf per frequency
@@ -890,12 +876,12 @@ def surface_functional(scene: Scene, omega, a, b, const: Constants = DEFAULT,
     # table would; a threaded product, or a one-row block (gemv), may differ
     # in the last bit
     F = np.exp(-1j * k * (r @ srcs.T))[:, :, None, None] * _EYE
-    X = chiX.reshape(scene.n_voxels, 18)
+    X = chiX.reshape(scene.n_voxels, 18)  # [u, (k, s, i)]
     step = max(1, _ASSEMBLY_BYTES // (16 * max(scene.n_voxels, 1)))
     for i in range(0, len(r), step):
         phase = -1j * k * (r[i:i + step] @ solver.pos.T)
         np.exp(phase, out=phase)
-        F[i:i + step] += (k**2 * solver.dv) * (phase @ X).reshape(F[i:i + step].shape)
+        F[i:i + step] += (k**2 * solver.dv) * (phase @ X).reshape(-1, 3, 2, 3).swapaxes(1, 2)
         del phase
     if scene.shell is not None:
         for i, s in enumerate(srcs):
@@ -995,9 +981,9 @@ def noise_volume_integral_scatterer(scene, omega, a, b, solver=None, nsub=2,
     if nsub == 1:
         live = solver.chi != 0
         chi = solver.chi[live]
-        P = chiX[live]
+        P = chiX.reshape(-1, 3, 2, 3)[live]  # [u, k, s, i]
         return (k2 * solver.dv) * np.einsum("n,nki,nkj->ij", chi.imag / np.abs(chi) ** 2,
-                                            P[:, 0], np.conj(P[:, 1]))
+                                            P[:, :, 0], np.conj(P[:, :, 1]))
     sub, wsub = _gauss_subnodes(scene.voxel_pitch, nsub)
     epsim = solver.chi.imag  # Im(eps - 1) = Im eps
     if solver.grid is None:
@@ -1138,7 +1124,7 @@ def _lattice_fields(solver, grid, sub, a, b, chiX):
     lat = solver.scene.lattice
     n = len(lat.cells)
     # P[k, (s, c)] on the grid: component k of column c of the source-s polarization
-    P = _scatter(chiX.transpose(2, 1, 3, 0).reshape(3, 6, n), grid, lat)
+    P = _scatter(chiX.reshape(n, 3, 6).transpose(1, 2, 0), grid, lat)
     pos = solver.scene.positions()
     for s in sub:
         _, Kh = _kernel_hat(solver, grid, s)
@@ -1171,7 +1157,7 @@ class _LatticeMatvec:
         R = np.moveaxis(np.abs(K).sum(axis=-1), -1, 0)
         del K
         R[:, 0, 0, 0] = 0.0  # the own block is D_v I, counted apart
-        asq = np.abs(self.sq[::3, 0])
+        asq = np.abs(solver.sq)
         A = np.zeros(grid)
         cells = tuple(self.lat.cells.T)
         A[cells] = asq

@@ -65,8 +65,14 @@ class BodySpec:
     voxel_indices: tuple
 
     def __post_init__(self):
-        if len(self.voxel_indices) == 0:
+        idx = self.voxel_indices
+        if len(idx) == 0:
             raise ObservableError("body must contain at least one voxel")
+        if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in idx):
+            raise ObservableError(f"body voxel indices must be integers, not {list(idx)!r}")
+        # every voxel adds its force once: a repeated index would add it twice
+        if len(set(idx)) < len(idx):
+            raise ObservableError(f"body voxel indices must be distinct, not {list(idx)!r}")
 
 
 def vacuum_ldos(omega0, const: Constants = DEFAULT):
@@ -125,15 +131,15 @@ class GradientResult:
     right: np.ndarray
 
 
-def _trace_gradients(grads, Y):
-    """Tr[d_j rows(x) . Y(x)]: gradient rows (..., B, 3, 3, 3N) by polarizations (..., B, 3N, 3)."""
-    return np.einsum("...jim,...mi->...j", grads, Y)
+def _left_gradients(solver, rows, grads):
+    """grad_1 Tr G_s(x, x), (..., B, 3), at points given their rows (..., B, 3, 3N) and gradients.
 
-
-def _left_gradients(solver: EffectiveSolver, rows, grads):
-    """grad_1 Tr G_s(x, x) at points given their rows (B, 3, 3N) and gradients: one solve of 3B columns."""
-    Y = solver._interior(len(rows), [(slice(None), rows)]).transpose(1, 0, 2, 3)
-    return _trace_gradients(grads, Y.reshape(len(rows), -1, 3))
+    Tr[d_j rows(x) . Y(x)] with Y the polarization of the points, one solve
+    of 3B columns (_polarize), on an EffectiveSolver or a SolverStack.
+    """
+    b = rows.shape[-3]
+    Y = solver._polarize(b, [(slice(None), rows)])
+    return np.einsum("...bjim,...mbi->...bj", grads, Y.reshape(Y.shape[:-1] + (b, 3)))
 
 
 def green_trace_gradient(scene: Scene, omega, x, side="both", const: Constants = DEFAULT,
@@ -157,7 +163,7 @@ def green_trace_gradient(scene: Scene, omega, x, side="both", const: Constants =
     if side in ("left", "both"):
         left = _left_gradients(solver, rows, grads)[0]
     if side in ("right", "both"):
-        W = solver._solve(grads.reshape(9, -1).T / (solver.dv * solver.k**2))
+        W = solver._polarize(1, [(slice(None), grads.reshape(1, 9, -1))], c=9)
         right = np.einsum("im,mji->j", rows[0], W.reshape(-1, 3, 3))
     left = right if left is None else left
     right = left if right is None else right
@@ -202,15 +208,6 @@ def _diameter(pts):
 _STACK_BYTES = 2**18
 
 
-def _stacked_gradients(stack: SolverStack, pts):
-    """_left_gradients at every frequency of a stack, (F, B, 3): one batched solve of 3B columns."""
-    f, n3 = stack.system.shape[:2]
-    rows, grads = stack.coupling_rows(pts, gradients=True)
-    Y = stack.solve(rows.reshape(f, 3 * len(pts), n3).transpose(0, 2, 1)
-                    / (stack.dv * stack.k**2)[:, None, None])
-    return _trace_gradients(grads, Y.reshape(f, n3, len(pts), 3).transpose(0, 2, 1, 3))
-
-
 def casimir_thermal_force(scene: Scene, body: BodySpec, T, omega_grid=None,
                           const: Constants = DEFAULT, tail_tol=0.01) -> ForceResult:
     """Thermal-Casimir force on a voxel subset by frequency quadrature.
@@ -250,23 +247,25 @@ def casimir_thermal_force(scene: Scene, body: BodySpec, T, omega_grid=None,
     core = np.zeros((w.size, len(idx), 3))
     # each body voxel's rows and its gradient rows: four points' worth of rows
     chunk = _STACK_BYTES // stack_bytes(scene.n_voxels, 4 * len(idx))
-    if chunk >= 2:
-        starts = range(0, w.size, chunk)
-        worst = 0.0
-        for i in starts:
-            stack = SolverStack(scene, w[i:i + chunk], const=const)
-            chi = stack.chi[:, list(idx), None]
-            core[i:i + chunk] = np.where(chi != 0, (chi * _stacked_gradients(stack, pos)).imag, 0.0)
-            worst = max(worst, stack.backward_error)
+    stacked = chunk >= 2
+    starts = range(0, w.size, chunk if stacked else 1)
+    worst = 0.0
+    for i in starts:
+        if stacked:
+            solver = SolverStack(scene, w[i:i + chunk], const=const)
+        else:
+            solver = EffectiveSolver(scene, w[i], const=const)
+        chi = solver.chi[..., list(idx), None]
+        # a solve's right-hand side stays within its block's rows
+        grad = np.concatenate([_left_gradients(solver, rows, grads)
+                               for _, rows, grads in solver._row_blocks(pos, gradients=True)],
+                              axis=-2)
+        core[i:i + np.size(solver.k)] = np.where(chi != 0, (chi * grad).imag, 0.0)
+        if stacked:
+            worst = max(worst, solver.backward_error)
+    if stacked:
         solve = {"route": "stacked", "batched_solves": len(starts), "backward_error": worst}
     else:
-        for iw, om in enumerate(w):
-            solver = EffectiveSolver(scene, om, const=const)
-            chi = solver.chi[list(idx), None]
-            # a solve's right-hand side stays within its block's rows
-            grad = np.concatenate([_left_gradients(solver, rows, grads)
-                                   for _, rows, grads in solver._row_blocks(pos, gradients=True)])
-            core[iw] = np.where(chi != 0, (chi * grad).imag, 0.0)
         solve = {"route": "per-frequency", "batched_solves": 0, "backward_error": None}
     pref = (const.hbar / np.pi) * (w / const.c) ** 2 * scene.voxel_volume
     integrand_sym, integrand_anti, integrand_bose = (

@@ -279,6 +279,23 @@ def test_casimir_manifest_records_the_solve(tmp_path, monkeypatch):
                                         "backward_error": None}
 
 
+def test_casimir_body_of_repeated_or_fractional_indices_is_an_error_line(tmp_path, capsys):
+    # body [0, 0] would add voxel 0's force twice, body [0.7] is no voxel
+    # and body 0 is no list: each exits 1 with an error line, the indices
+    # passed through unconverted
+    scene = dict(BASE_SCENE)
+    scene["voxels"] = [{"position": [0, 0, z], "material": {
+        "type": "drude_lorentz", "omega_p": 1.0, "omega_0": 1.0, "gamma": 0.1}}
+        for z in (-0.6, 0.6)]
+    for body, match in (([0, 0], "voxel indices must be distinct"),
+                        ([0.7], "voxel indices must be integers"), (0, "a list")):
+        cfg = write_cfg(tmp_path, {"scene": scene, "casimir": {
+            "T": 1.0, "body": body, "grid": {"min": 0.1, "max": 3.0, "points": 8}}})
+        assert main(["casimir", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: body") and match in err, err
+
+
 def test_casimir_warning_recorded_in_manifest(tmp_path):
     # eight log-spaced points cannot resolve the 2 k d oscillation at d = 1.2
     scene = dict(BASE_SCENE)

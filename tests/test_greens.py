@@ -1542,11 +1542,11 @@ def test_solver_stack_matches_the_solver_and_dense_lu(name, rng):
     stack = SolverStack(scene, STACK_GRID)
     rhs = rng.standard_normal((len(STACK_GRID), n3, 4)) + 1j * rng.standard_normal(
         (len(STACK_GRID), n3, 4))
-    got = stack.solve(rhs)
+    got = stack._solve(rhs)
     # points inside the body's voxels (the own-cell self term) and one outside
     pts = np.vstack([scene.positions()[list(body)] + 0.01, [[0.3, -0.2, 2.5]]])
-    rows = stack.coupling_rows(pts)
-    with_grads, grads = stack.coupling_rows(pts, gradients=True)
+    rows = stack._coupling_rows(pts)
+    with_grads, grads = stack._coupling_rows(pts, gradients=True)
     assert np.array_equal(with_grads, rows)
     for f, omega in enumerate(STACK_GRID):
         solver = EffectiveSolver(scene, omega)

@@ -439,7 +439,7 @@ def test_stacked_sweep_matches_the_per_frequency_route(monkeypatch, name):
     # stack every scene, the 20-voxel one included, whatever the bound
     monkeypatch.setattr(observables, "_STACK_BYTES", 2**40)
     stack = SolverStack(scene, STACK_GRID)
-    got = observables._stacked_gradients(stack, pos)
+    got = observables._left_gradients(stack, *stack._coupling_rows(pos, gradients=True))
     for f, omega in enumerate(STACK_GRID):
         solver = EffectiveSolver(scene, omega)
         for j, x in enumerate(pos):
@@ -465,12 +465,26 @@ def test_stacked_sweep_matches_the_per_frequency_route(monkeypatch, name):
         if scene.chi_at(1.0)[i] == 0:
             # a vacuum voxel's integrand stays exactly 0 on both routes
             assert np.all(stacked.per_voxel[j] == 0) and np.all(ref.per_voxel[j] == 0)
+    if len(body) == scene.n_voxels:
+        # an isolated body exerts no net force on itself: on each route its
+        # voxel forces cancel to rounding (1.2e-16 and 1.3e-16 of their sum
+        # on the 20 jittered voxels)
+        for force in (stacked, ref):
+            total_of_magnitudes = np.linalg.norm(force.per_voxel, axis=1).sum()
+            assert np.linalg.norm(force.total) <= 1e-12 * total_of_magnitudes
 
 
 def test_casimir_body_validation():
     sc = _two_voxel_scene()
     with pytest.raises(ObservableError):
         casimir_thermal_force(sc, BodySpec((5,)), T=1.0, omega_grid=FORCE_GRID)
+    # a repeated voxel would add its force twice; a fractional or boolean
+    # index is not a voxel.  NumPy integers are indices
+    for idx, match in (((0, 0), "distinct"), ((1, 0, 1), "distinct"), ((0.7,), "integers"),
+                       ((0.0,), "integers"), ((True,), "integers"), (("0",), "integers")):
+        with pytest.raises(ObservableError, match=match):
+            BodySpec(idx)
+    assert BodySpec((np.int64(1), 0)).voxel_indices == (1, 0)
 
 
 def test_scene_diameter_matches_brute_force(rng):

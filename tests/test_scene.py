@@ -413,7 +413,8 @@ def test_coupling_rows_hold_the_self_term_in_the_owner_column_only(rng, monkeypa
     # the scan's voxel, and nowhere else, at faces, edges and corners too.
     # They have one layout, C-ordered (P, 3, 3N): _row_blocks yields the
     # arrays _coupling_rows built, not copies, and SolverStack's rows are
-    # those of each frequency
+    # those of each frequency.  The polarization a solve makes of them has
+    # one layout too, C-ordered (3N, 3S), on either route
     built = []
     coupling_rows = EffectiveSolver._coupling_rows
 
@@ -441,7 +442,9 @@ def test_coupling_rows_hold_the_self_term_in_the_owner_column_only(rng, monkeypa
             assert np.shares_memory(rows, built[-1]) and rows.shape == R[sl].shape
         monkeypatch.undo()
         some = pts[::50]
-        stacked = SolverStack(sc, [0.8, 1.0]).coupling_rows(some)
+        chiX = solver.interior_solution(some)
+        assert chiX.shape == (3 * n, 3 * len(some)) and chiX.flags.c_contiguous
+        stacked = SolverStack(sc, [0.8, 1.0])._coupling_rows(some)
         assert stacked.shape == (2, len(some), 3, 3 * n) and stacked.flags.c_contiguous
         assert np.abs(stacked[1] - R[::50]).max() <= 1e-15 * np.abs(R).max()
 
