@@ -95,10 +95,11 @@ def noise_correlator_density(scene: Scene, region, omega, a, b,
     the additivity of disjoint regions is exact up to float summation; both
     regions radiate one solve for the sources [a, b], chiX =
     solver.interior_solution([a, b]), made here unless given.  metadata
-    records the volume_route of the scatterer term ('lattice-fft' or
-    'dense-rows'; the shell nodes always take dense rows, so region 'shell'
-    reads 'dense-rows').  For every region both sources must lie in the
-    vacuum gap (greens.check_vacuum_gap).
+    records volume_route(solver, nsub), the scatterer term's route
+    ('collocation', 'lattice-fft' or 'dense-rows'; the shell nodes always
+    take dense rows, so region 'shell' reads 'dense-rows').  For every
+    region both sources must lie in the vacuum gap
+    (greens.check_vacuum_gap).
     """
     if region not in REGIONS:
         raise FluctuationError(f"region must be one of {REGIONS}")
@@ -112,13 +113,12 @@ def noise_correlator_density(scene: Scene, region, omega, a, b,
     pref = (const.hbar / np.pi) * (omega / const.c) ** 2
     parts = {}
     if region in ("scatterer", "all"):
-        parts["scatterer"] = pref * noise_volume_integral_scatterer(
-            scene, omega, a, b, solver, nsub, const, chiX=chiX)
+        parts["scatterer"] = pref * noise_volume_integral_scatterer(scene, a, b, solver, chiX,
+                                                                    nsub)
     if region in ("shell", "all"):
-        parts["shell"] = pref * noise_volume_integral_shell(scene, omega, a, b, solver, const,
-                                                            chiX=chiX)
+        parts["shell"] = pref * noise_volume_integral_shell(scene, a, b, solver, chiX)
     total = sum(parts.values(), np.zeros((3, 3), complex))
-    route = volume_route(solver) if region != "shell" else "dense-rows"
+    route = volume_route(solver, nsub) if region != "shell" else "dense-rows"
     return CorrelatorDensity(
         a=a, b=b, omega=float(omega), value=total,
         provenance=f"noise-volume:{region}",
@@ -160,10 +160,9 @@ def commutator_density(scene: Scene, omega, a, b, const: Constants = DEFAULT,
 
 
 def thermal_correlator_density(scene: Scene, omega, a, b, T, ordering="symmetrized",
-                               const: Constants = DEFAULT,
-                               solver: EffectiveSolver = None) -> CorrelatorDensity:
+                               const: Constants = DEFAULT) -> CorrelatorDensity:
     """Commutator density dressed with the Planck weight of the ordering."""
-    base = commutator_density(scene, omega, a, b, const=const, solver=solver)
+    base = commutator_density(scene, omega, a, b, const=const)
     f = planck_factor(omega, T, kind=ordering, const=const)
     meta = dict(base.metadata)
     meta.update({"T": float(T), "ordering": ordering, "planck_factor": f})

@@ -853,8 +853,7 @@ def shell_path_factors(scene: Scene, omega, endpoint, pts, const: Constants = DE
 # -- surface functional and the dissipation identity -----------------------
 
 
-def surface_functional(scene: Scene, omega, a, b, const: Constants = DEFAULT,
-                       solver: EffectiveSolver = None, *, chiX=None):
+def surface_functional(scene: Scene, a, b, solver: EffectiveSolver, chiX):
     """Surface term of the dissipation identity on the sphere at infinity, a 3x3 dyadic.
 
     (k / 16 pi^2) sum_i w_i F_a(r_i)^T (I - r_i r_i) conj(F_b(r_i)) over the
@@ -862,11 +861,11 @@ def surface_functional(scene: Scene, omega, a, b, const: Constants = DEFAULT,
     R -> infinity of (k / R^2) times the outgoing-wave (Sommerfeld) boundary
     integral on a sphere of radius R (see the module docstring).
 
-    chiX, when given, is solver.interior_solution([a, b]), the polarization
-    a caller has already solved; otherwise the term solves it.
+    solver is the scatterer's at the frequency of the term, and chiX =
+    solver.interior_solution([a, b]), the polarization every term of the
+    identity radiates; scene may add a shell, which is not in the matrix.
     """
-    a, b, solver, chiX = _solved(scene, omega, a, b, const, solver, chiX)
-    k = omega / const.c
+    k = solver.k
     dirs = sphere_quadrature(1.0, _FAR_ORDER)
     r = dirs.normals
     srcs = np.stack([a, b])
@@ -886,7 +885,7 @@ def surface_functional(scene: Scene, omega, a, b, const: Constants = DEFAULT,
     if scene.shell is not None:
         for i, s in enumerate(srcs):
             far = s + (np.linalg.norm(s) + 2 * scene.shell.outer_radius) * r  # beyond the shell
-            F[:, i] *= shell_path_factors(scene, omega, s, far, const)[:, None, None]
+            F[:, i] *= shell_path_factors(scene, solver.omega, s, far, solver.const)[:, None, None]
     Fb = F[:, 1] - r[:, :, None] * np.einsum("pk,pkj->pj", r, F[:, 1])[:, None, :]  # (I - rr) F_b
     return (k / (16 * np.pi**2)) * np.einsum("p,pki,pkj->ij", dirs.weights, F[:, 0], np.conj(Fb))
 
@@ -930,17 +929,6 @@ def check_vacuum_gap(scene: Scene, a, b):
                               f"absorption terms need both sources in the vacuum gap")
 
 
-def _solved(scene, omega, a, b, const, solver, chiX):
-    """(a, b, solver, chiX) of a term: chiX = solver.interior_solution([a, b]) unless given."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if solver is None:
-        solver = EffectiveSolver(scene, omega, const=const)
-    if chiX is None:
-        chiX = solver.interior_solution(np.stack([a, b]))
-    return a, b, solver, chiX
-
-
 def _field(solver, pts, a, b, chiX):
     """G(x, a) and G(x, b) at the points, shape (P, 2, 3, 3), radiated from chiX."""
     srcs = np.stack([a, b])
@@ -954,31 +942,31 @@ def _gauss_subnodes(pitch, nsub):
     return pts, w
 
 
-def noise_volume_integral_scatterer(scene, omega, a, b, solver=None, nsub=2,
-                                    const: Constants = DEFAULT, *, chiX=None):
+def noise_volume_integral_scatterer(scene, a, b, solver: EffectiveSolver, chiX, nsub):
     """(w/c)^2 int_{scatterer} eps'' G(a, x) . conj(G(x, b)) dV, bare.
 
-    Per-voxel tensor-product Gauss quadrature of the continuous integrand;
-    the own-voxel kernel is the cell-averaged constant, so the rule degrades
-    gracefully at coarse pitch and converges under refinement.
+    Per-voxel tensor-product Gauss quadrature of nsub^3 sub-nodes of the
+    continuous integrand; the own-voxel kernel is the cell-averaged
+    constant, so the rule degrades gracefully at coarse pitch and converges
+    under refinement.  solver and chiX are as in surface_functional.
 
-    On a lattice scene (Scene.lattice) whose FFT arrays need no more bytes
-    than S, the field at each Gauss sub-node is one zero-padded 3-D FFT
-    convolution of the polarization with the kernel table of that sub-node
-    (volume_route "lattice-fft"); other scenes build coupling rows at every
-    node ("dense-rows").  Both give the same sum to rounding.  chiX is as
-    in surface_functional.
+    The route is volume_route(solver, nsub).  On a lattice scene
+    (Scene.lattice) whose FFT arrays need no more bytes than S, the field at
+    each Gauss sub-node is one zero-padded 3-D FFT convolution of the
+    polarization with the kernel table of that sub-node ("lattice-fft");
+    other scenes build coupling rows at every node ("dense-rows").  Both
+    give the same sum to rounding.
 
-    At nsub = 1 the one node is the voxel centre, where the field is the
-    interior solution X = chi X / chi itself, so the term is k^2 dV sum_v
-    (Im chi_v / |chi_v|^2) (chi X)(v, a)^T conj((chi X)(v, b)), voxels with
-    chi = 0 left out: no rows and no FFT, on either route.
+    At nsub = 1 ("collocation") the one node is the voxel centre, where the
+    field is the interior solution X = chi X / chi itself, so the term is
+    k^2 dV sum_v (Im chi_v / |chi_v|^2) (chi X)(v, a)^T conj((chi X)(v, b)),
+    voxels with chi = 0 left out: no rows and no FFT.
     """
     if scene.n_voxels == 0:
         return np.zeros((3, 3), complex)
-    a, b, solver, chiX = _solved(scene, omega, a, b, const, solver, chiX)
-    k2 = (omega / const.c) ** 2
-    if nsub == 1:
+    k2 = solver.k ** 2
+    route = volume_route(solver, nsub)
+    if route == "collocation":
         live = solver.chi != 0
         chi = solver.chi[live]
         P = chiX.reshape(-1, 3, 2, 3)[live]  # [u, k, s, i]
@@ -986,7 +974,7 @@ def noise_volume_integral_scatterer(scene, omega, a, b, solver=None, nsub=2,
                                             P[:, :, 0], np.conj(P[:, :, 1]))
     sub, wsub = _gauss_subnodes(scene.voxel_pitch, nsub)
     epsim = solver.chi.imag  # Im(eps - 1) = Im eps
-    if solver.grid is None:
+    if route == "dense-rows":
         pts = (scene.positions()[:, None, :] + sub[None, :, :]).reshape(-1, 3)
         B = _field(solver, pts, a, b, chiX)  # G(x_s, a), G(x_s, b)
         w = (epsim[:, None] * wsub[None, :]).reshape(-1)
@@ -998,8 +986,15 @@ def noise_volume_integral_scatterer(scene, omega, a, b, solver=None, nsub=2,
     return k2 * out
 
 
-def volume_route(solver):
-    """'lattice-fft' when the scatterer volume term convolves on the lattice, else 'dense-rows'."""
+def volume_route(solver, nsub):
+    """Route of the scatterer volume term at nsub: 'collocation', 'lattice-fft' or 'dense-rows'.
+
+    'collocation' at nsub = 1, where the field at the one node is the
+    interior solution; else 'lattice-fft' when the term convolves on the
+    solver's FFT grid, and 'dense-rows' without one.
+    """
+    if nsub == 1:
+        return "collocation"
     return "dense-rows" if solver.grid is None else "lattice-fft"
 
 
@@ -1176,26 +1171,25 @@ class _LatticeMatvec:
         return x - self.sq * E.transpose(2, 0, 1).reshape(n3, m)
 
 
-def noise_volume_integral_shell(scene, omega, a, b, solver=None, const: Constants = DEFAULT,
-                                *, chiX=None):
+def noise_volume_integral_shell(scene, a, b, solver: EffectiveSolver, chiX):
     """(w/c)^2 int_{shell} eps'' G(a, x) . conj(G(x, b)) dV, bare.
 
     Shell propagation uses the in-shell path factor on top of the
-    scatterer-only effective tensor.  chiX is as in surface_functional.
+    scatterer-only effective tensor: solver and chiX are the shell-free
+    scene's, as in surface_functional, and scene adds the shell.
     """
     if scene.shell is None:
         return np.zeros((3, 3), complex)
-    a, b, solver, chiX = _solved(scene, omega, a, b, const, solver, chiX)
+    omega, const = solver.omega, solver.const
     # a sixth of the attenuation length, at least 24 radial spacings
     shell_pitch = scene.shell.attenuation_length(omega, c=const.c) / 6.0
     shell_pitch = min(shell_pitch, (scene.shell.outer_radius - scene.shell.inner_radius) / 24.0)
     nodes = shell_voxelization(scene, shell_pitch, omega=omega, c=const.c)
     eps1 = scene.shell.material.eval(omega)
-    k2 = (omega / const.c) ** 2
     B = _field(solver, nodes.positions, a, b, chiX)
     Ba = B[:, 0] * shell_path_factors(scene, omega, a, nodes.positions, const)[:, None, None]
     Bb = B[:, 1] * shell_path_factors(scene, omega, b, nodes.positions, const)[:, None, None]
-    return k2 * eps1.imag * np.einsum("n,nki,nkj->ij", nodes.weights, Ba, np.conj(Bb))
+    return solver.k ** 2 * eps1.imag * np.einsum("n,nki,nkj->ij", nodes.weights, Ba, np.conj(Bb))
 
 
 @dataclass(frozen=True)
@@ -1213,18 +1207,24 @@ def greens_identity_report(scene: Scene, omega, a, b, nsub=2, const: Constants =
                            solver: EffectiveSolver = None) -> IdentityReport:
     """All terms of Imag G = surface + volume, with the relative residual.
 
-    One solve for the sources [a, b] serves every term: Imag G(a, b), the
-    surface term and both volume terms radiate the same polarization.  At
-    a = b the vacuum part of Imag G is its finite coincidence limit.  Both
-    sources must lie in the vacuum gap (check_vacuum_gap).
+    One solve for the sources [a, b], on solver (built here unless given),
+    serves every term: Imag G(a, b), the surface term and both volume terms
+    radiate the same polarization.  volume_route is volume_route(solver,
+    nsub), the scatterer volume term's.  At a = b the vacuum part of Imag G
+    is its finite coincidence limit.  Both sources must lie in the vacuum
+    gap (check_vacuum_gap).
     """
     check_vacuum_gap(scene, a, b)
     warn_if_thin_shell(scene, omega, c=const.c)
-    a, b, solver, chiX = _solved(scene, omega, a, b, const, solver, None)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if solver is None:
+        solver = EffectiveSolver(scene, omega, const=const)
+    chiX = solver.interior_solution(np.stack([a, b]))
     img = solver.imag_green(a, b, chiX=chiX)
-    F = surface_functional(scene, omega, a, b, const, solver, chiX=chiX)
-    nv = noise_volume_integral_scatterer(scene, omega, a, b, solver, nsub, const, chiX=chiX)
-    ns = noise_volume_integral_shell(scene, omega, a, b, solver, const, chiX=chiX)
+    F = surface_functional(scene, a, b, solver, chiX)
+    nv = noise_volume_integral_scatterer(scene, a, b, solver, chiX, nsub)
+    ns = noise_volume_integral_shell(scene, a, b, solver, chiX)
     vol = nv + ns
     resid = np.linalg.norm(img - F - vol) / np.linalg.norm(img)
     return IdentityReport(
@@ -1234,5 +1234,5 @@ def greens_identity_report(scene: Scene, omega, a, b, nsub=2, const: Constants =
         volume_term=vol,
         volume_scatterer=nv,
         volume_shell=ns,
-        volume_route=volume_route(solver),
+        volume_route=volume_route(solver, nsub),
     )

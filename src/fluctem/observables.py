@@ -126,7 +126,6 @@ def spontaneous_rate(scene: Scene, emitter: EmitterSpec, const: Constants = DEFA
 @dataclass(frozen=True)
 class GradientResult:
     gradient: np.ndarray  # complex (3,)
-    error_bar: float  # 0.0: the closed form has no truncation error
     left: np.ndarray
     right: np.ndarray
 
@@ -142,7 +141,7 @@ def _left_gradients(solver, rows, grads):
     return np.einsum("...bjim,...mbi->...bj", grads, Y.reshape(Y.shape[:-1] + (b, 3)))
 
 
-def green_trace_gradient(scene: Scene, omega, x, side="both", const: Constants = DEFAULT,
+def green_trace_gradient(scene: Scene, omega, x, const: Constants = DEFAULT,
                          solver: EffectiveSolver = None) -> GradientResult:
     """Gradient of Tr G_scattered(x, x) acting on one argument at a time, x one finite point.
 
@@ -150,24 +149,17 @@ def green_trace_gradient(scene: Scene, omega, x, side="both", const: Constants =
     rows' gradient is closed-form (greens._couplings), built with them.
     Each side makes one solve of its own: the left one for x (3 columns),
     contracted with d rows(x), the right one for d rows(x)^T (9 columns),
-    contracted with rows(x).  chi A^-1 is symmetric, so the two are equal,
-    which the 'both' mode reports and averages.
+    contracted with rows(x).  chi A^-1 is symmetric, so the two are equal;
+    the result reports both and their mean.
     """
-    if side not in ("left", "right", "both"):
-        raise ObservableError("side must be left, right or both")
     x = _finite_vector(x, "x")
     if solver is None:
         solver = EffectiveSolver(scene, omega, const=const)
     rows, grads = solver._coupling_rows(x, gradients=True)
-    left = right = None
-    if side in ("left", "both"):
-        left = _left_gradients(solver, rows, grads)[0]
-    if side in ("right", "both"):
-        W = solver._polarize(1, [(slice(None), grads.reshape(1, 9, -1))], c=9)
-        right = np.einsum("im,mji->j", rows[0], W.reshape(-1, 3, 3))
-    left = right if left is None else left
-    right = left if right is None else right
-    return GradientResult(gradient=(left + right) / 2, error_bar=0.0, left=left, right=right)
+    left = _left_gradients(solver, rows, grads)[0]
+    W = solver._polarize(1, [(slice(None), grads.reshape(1, 9, -1))], c=9)
+    right = np.einsum("im,mji->j", rows[0], W.reshape(-1, 3, 3))
+    return GradientResult(gradient=(left + right) / 2, left=left, right=right)
 
 
 @dataclass(frozen=True)

@@ -428,7 +428,11 @@ class ShellNodes:
     weights: np.ndarray  # (N,)
 
 
-def shell_voxelization(scene: Scene, shell_pitch, omega=None, n_theta=24, c=1.0) -> ShellNodes:
+# the polar order of the shell nodes' sphere product rule (sphere_quadrature)
+_SHELL_ORDER = 24
+
+
+def shell_voxelization(scene: Scene, shell_pitch, omega=None, c=1.0) -> ShellNodes:
     """Quadrature nodes with volume weights covering V1 - V2.
 
     Radial Gauss-Legendre nodes (mean spacing <= shell_pitch) times the
@@ -453,7 +457,7 @@ def shell_voxelization(scene: Scene, shell_pitch, omega=None, n_theta=24, c=1.0)
     xr, wr = np.polynomial.legendre.leggauss(n_r)
     rr = 0.5 * (xr + 1) * (r1 - r2) + r2
     wrr = 0.5 * (r1 - r2) * wr
-    ang = sphere_quadrature(1.0, n_theta)
+    ang = sphere_quadrature(1.0, _SHELL_ORDER)
     pts = (rr[:, None, None] * ang.nodes[None, :, :]).reshape(-1, 3)
     w = (wrr[:, None] * (rr**2)[:, None] * ang.weights[None, :]).reshape(-1)
     return ShellNodes(pts, w)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
+from fluctem.greens import EffectiveSolver
 from fluctem.material import DrudeLorentzModel, TabulatedPermittivity
 from fluctem.scene import Scene, build_scene
 
@@ -74,6 +75,12 @@ def full_system(solver):
     lower = np.tri(len(S), k=-1, dtype=bool)
     S[lower] = S.T[lower]
     return S
+
+
+def solved(sc, omega, a, b):
+    """(solver, chiX) for the identity terms: the scene's solver at omega and its solve for [a, b]."""
+    solver = EffectiveSolver(sc, omega)
+    return solver, solver.interior_solution(np.stack([a, b]))
 
 
 def voxel_owner(sc, pts):

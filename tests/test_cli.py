@@ -198,6 +198,13 @@ def test_verify_identity_reports_route_and_margin(tmp_path):
     assert report["volume_route"] == "lattice-fft"
     assert report["margin"] == float(report["residual"]) / 0.1
     assert 0 < report["margin"] < 1
+    # the centre rule at nsub = 1 is named as such
+    cfg = write_cfg(tmp_path, {"scene": sphere, "verify_identity": {
+        "omega": 1.0, "a": [0.23, -0.36, 1.21], "b": [0.84, 0.47, -0.93],
+        "tolerance": 0.1, "nsub": 1}}, name="centre.yaml")
+    assert run_subcommand("verify-identity", cfg, tmp_path / "centre") == 0
+    report = json.loads((tmp_path / "centre" / "identity.json").read_text())
+    assert report["volume_route"] == "collocation"
 
 
 def test_solver_diagnostics_recorded_in_manifest(tmp_path, monkeypatch):

@@ -34,6 +34,7 @@ from conftest import (
     full_system,
     one_voxel_scene,
     run_at_one_blas_thread,
+    solved,
     stack_scene,
 )
 
@@ -1102,11 +1103,11 @@ for sc in (sphere_scene(0.8), thick_shell_scene()):
     solver = EffectiveSolver(sc, 1.0)
     chiX = solver.interior_solution([a, b])
     greens._ASSEMBLY_BYTES = basis.k.shape[0] * 16 * n  # one block of each table
-    ref_f = surface_functional(sc, 1.0, a, b, solver=solver, chiX=chiX)
+    ref_f = surface_functional(sc, a, b, solver, chiX)
     ref_m = mode_sum_spectral_density(sc, a, b, 1.0, 0.3, basis).value
     for rows in (5, 3):
         greens._ASSEMBLY_BYTES = rows * 16 * n
-        assert np.array_equal(surface_functional(sc, 1.0, a, b, solver=solver, chiX=chiX), ref_f)
+        assert np.array_equal(surface_functional(sc, a, b, solver, chiX), ref_f)
         assert np.array_equal(mode_sum_spectral_density(sc, a, b, 1.0, 0.3, basis).value, ref_m)
 print("ok")
 """
@@ -1134,7 +1135,7 @@ def test_system_reassembly_bit_exact():
 def test_surface_functional_vacuum_coincidence():
     sc = vacuum_scene()
     a = np.array([0.0, 0.0, 0.2])
-    F = surface_functional(sc, 1.0, a, a)
+    F = surface_functional(sc, a, a, *solved(sc, 1.0, a, a))
     target = vacuum_imag_coincidence(1.0)
     assert np.linalg.norm(F - target) < 1e-12 * np.linalg.norm(target)
 
@@ -1152,8 +1153,8 @@ def test_thick_shell_kills_surface_term():
     sc = thick_shell_scene()
     a = np.array([0.0, 0.0, 1.0])
     b = np.array([0.8, 0.3, -0.6])
-    solver = EffectiveSolver(sc, 1.0)
-    F = surface_functional(sc, 1.0, a, b, solver=solver)
+    solver, chiX = solved(sc, 1.0, a, b)
+    F = surface_functional(sc, a, b, solver, chiX)
     img = np.imag(solver.green(a[None], b[None], warn_near=False)[0, 0])
     assert np.linalg.norm(F) < 1e-4 * np.linalg.norm(img)
 
@@ -1186,7 +1187,7 @@ def test_far_field_surface_term_is_the_large_sphere_limit(case, order):
     else:
         sc, omega = thick_shell_scene(), 1.0
         a, b = np.array([0.0, 0.0, 1.0]), np.array([0.8, 0.3, -0.6])
-    F = surface_functional(sc, omega, a, b)
+    F = surface_functional(sc, a, b, *solved(sc, omega, a, b))
     diff = [np.linalg.norm(finite_sphere_surface_term(sc, omega, a, b, R) - F)
             / np.linalg.norm(F) for R in (3000.0, 6000.0)]
     assert diff[0] < 1e-6
@@ -1292,8 +1293,9 @@ def test_a_scene_given_a_shell_has_a_shell_term():
 
 
 def test_terms_take_the_callers_polarization(monkeypatch):
-    # chiX only passes the solve a caller has made: each term returns the
-    # same bits with it and without it, and makes no solve of its own
+    # each term radiates the solver and the polarization chiX it is given:
+    # on their own they return the report's bits, and none makes a solve;
+    # the noise density makes none when it is given chiX either
     from fluctem.fluctuations import noise_correlator_density
 
     a, b = np.array([0.23, -0.36, 1.21]), np.array([0.84, 0.47, -0.93])
@@ -1302,23 +1304,17 @@ def test_terms_take_the_callers_polarization(monkeypatch):
     monkeypatch.setattr(EffectiveSolver, "_solve",
                         lambda self, rhs: solves.append(rhs.shape) or solve(self, rhs))
     for sc in (sphere_scene(0.8), one_voxel_scene(), thick_shell_scene()):
-        solver = EffectiveSolver(sc, 1.0)
-        chiX = solver.interior_solution([a, b])
-        terms = (  # each term and the solves it makes without chiX
-            (lambda **kw: surface_functional(sc, 1.0, a, b, solver=solver, **kw), 1),
-            (lambda **kw: noise_volume_integral_scatterer(sc, 1.0, a, b, solver=solver,
-                                                          **kw), 1),
-            (lambda **kw: noise_volume_integral_shell(sc, 1.0, a, b, solver=solver, **kw),
-             int(sc.shell is not None)),  # no shell: zero, before any solve
-            (lambda **kw: noise_correlator_density(sc, "all", 1.0, a, b, solver=solver,
-                                                   **kw).value, 1),
-        )
-        for term, own in terms:
-            solves.clear()
-            given = term(chiX=chiX)
-            assert solves == []
-            assert np.array_equal(given, term())
-            assert len(solves) == own
+        rep = greens_identity_report(sc, 0.9, a, b)
+        solver, chiX = solved(sc, 0.9, a, b)
+        solves.clear()
+        assert np.array_equal(surface_functional(sc, a, b, solver, chiX), rep.surface_term)
+        assert np.array_equal(noise_volume_integral_scatterer(sc, a, b, solver, chiX, 2),
+                              rep.volume_scatterer)
+        assert np.array_equal(noise_volume_integral_shell(sc, a, b, solver, chiX),
+                              rep.volume_shell)
+        given = noise_correlator_density(sc, "all", 0.9, a, b, solver=solver, chiX=chiX).value
+        assert solves == []
+        assert np.array_equal(given, noise_correlator_density(sc, "all", 0.9, a, b).value)
 
 
 def test_passivity_of_coincidence_imag(rng):
@@ -1370,9 +1366,7 @@ def test_one_solve_per_call_site(monkeypatch):
     b = np.array([0.8, 0.3, -0.6])
     x = np.array([0.0, 0.0, 1.2])
     cases = [
-        (lambda: green_trace_gradient(sc, 1.0, x, side="left"), [3]),
-        (lambda: green_trace_gradient(sc, 1.0, x, side="right"), [9]),
-        (lambda: green_trace_gradient(sc, 1.0, x, side="both"), [3, 9]),
+        (lambda: green_trace_gradient(sc, 1.0, x), [3, 9]),
         (lambda: greens_identity_report(sc, 1.0, a, b), [6]),
         (lambda: greens_identity_report(thick_shell_scene(), 1.0, a, b), [6]),
         (lambda: noise_correlator_density(sc, "scatterer", 1.0, a, b), [6]),
@@ -1388,11 +1382,11 @@ def test_one_solve_per_call_site(monkeypatch):
 
 def lattice_and_dense_volume(sc, omega, a, b, nsub=2):
     """The scatterer volume term by the lattice FFT and by dense rows, one solver."""
-    solver = EffectiveSolver(sc, omega)
-    assert greens.volume_route(solver) == "lattice-fft"
-    fft = noise_volume_integral_scatterer(sc, omega, a, b, solver=solver, nsub=nsub)
+    solver, chiX = solved(sc, omega, a, b)
+    assert greens.volume_route(solver, 2) == "lattice-fft"
+    fft = noise_volume_integral_scatterer(sc, a, b, solver, chiX, nsub)
     solver.grid = None
-    dense = noise_volume_integral_scatterer(sc, omega, a, b, solver=solver, nsub=nsub)
+    dense = noise_volume_integral_scatterer(sc, a, b, solver, chiX, nsub)
     return fft, dense
 
 
@@ -1435,20 +1429,20 @@ def test_sparse_single_and_off_lattice_scenes_take_dense_rows():
     pair = Scene(box_side=40.0, voxel_pitch=np.pi / 6, scatterer_voxels=(
         ((0.0, 0.0, -0.6), FixedEps(2 + 0.5j)), ((0.0, 0.0, 0.6), FixedEps(2 + 0.5j))))
     assert pair.lattice is None
-    assert greens.volume_route(EffectiveSolver(pair, 1.0)) == "dense-rows"
-    assert greens.volume_route(EffectiveSolver(one_voxel_scene(), 1.0)) == "dense-rows"
+    assert greens.volume_route(EffectiveSolver(pair, 1.0), 2) == "dense-rows"
+    assert greens.volume_route(EffectiveSolver(one_voxel_scene(), 1.0), 2) == "dense-rows"
     # voxels at the corners of a 60-pitch cube: a 121^3 grid against a 24 x 24 S
     corners = Scene(box_side=100.0, voxel_pitch=0.2, scatterer_voxels=tuple(
         ((12.0 * i, 12.0 * j, 12.0 * k), FixedEps(2 + 0.5j))
         for i in (0, 1) for j in (0, 1) for k in (0, 1)))
     assert corners.lattice.shape == (61, 61, 61)
-    solver = EffectiveSolver(corners, 1.0)
-    assert greens.volume_route(solver) == "dense-rows"
     a, b = np.array([6.0, 6.0, 6.3]), np.array([5.1, 6.2, 5.8])
+    solver, chiX = solved(corners, 1.0, a, b)
+    assert greens.volume_route(solver, 2) == "dense-rows"
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        noise_volume_integral_scatterer(corners, 1.0, a, b, solver=solver)
+        noise_volume_integral_scatterer(corners, a, b, solver, chiX, 2)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -1465,6 +1459,30 @@ def test_noise_density_records_the_volume_route():
                                  (thick_shell_scene(), "all"),
                                  (thick_shell_scene(), "shell"))]
     assert routes == ["lattice-fft", "dense-rows", "dense-rows", "dense-rows"]
+
+
+@pytest.mark.parametrize("nsub", [1, 2])
+def test_the_volume_route_label_follows_nsub(monkeypatch, nsub):
+    # at nsub = 1 the scatterer term takes the centre rule on every scene,
+    # radiating no field at any node, and the report and the noise density
+    # say "collocation"; at nsub = 2 they name the field route of the solver
+    from fluctem.fluctuations import noise_correlator_density
+
+    pair = Scene(box_side=40.0, voxel_pitch=np.pi / 6, scatterer_voxels=(
+        ((0.0, 0.0, -0.6), FixedEps(2 + 0.5j)), ((0.0, 0.0, 0.6), FixedEps(2 + 0.5j))))
+    assert pair.lattice is None
+    a, b = np.array([0.23, -0.36, 1.21]), np.array([0.84, 0.47, -0.93])
+    if nsub == 1:
+        for name in ("_field", "_lattice_fields"):
+            monkeypatch.setattr(greens, name, lambda *args: pytest.fail("a field was radiated"))
+    for sc, route in ((sphere_scene(0.8), "lattice-fft"), (pair, "dense-rows")):
+        expected = "collocation" if nsub == 1 else route
+        assert greens.volume_route(EffectiveSolver(sc, 1.0), nsub) == expected
+        rep = greens_identity_report(sc, 1.0, a, b, nsub=nsub)
+        assert rep.volume_route == expected
+        assert np.all(rep.volume_scatterer != 0)
+        density = noise_correlator_density(sc, "scatterer", 1.0, a, b, nsub=nsub)
+        assert density.metadata["volume_route"] == expected
 
 
 # -- the stacked systems of a frequency sweep ---------------------------------
@@ -1574,7 +1592,7 @@ def test_centre_rule_volume_term_matches_the_field_routes():
                              np.array([-0.5, 0.3, -1.5]))):
         solver = EffectiveSolver(sc, omega)
         chiX = solver.interior_solution(np.stack([a, b]))
-        got = noise_volume_integral_scatterer(sc, omega, a, b, solver, nsub=1, chiX=chiX)
+        got = noise_volume_integral_scatterer(sc, a, b, solver, chiX, 1)
         pos = sc.positions()
         if solver.grid is None:
             B = greens._field(solver, pos, a, b, chiX)

@@ -97,7 +97,7 @@ def test_richardson_cross_checks_green_gradient():
         return float(np.real(np.trace(g)))
 
     g_oracle, err, _ = richardson_gradient(sampler, x, 0.02)
-    g_lib = green_trace_gradient(sc, 1.0, x, side="left", solver=solver).gradient
+    g_lib = green_trace_gradient(sc, 1.0, x, solver=solver).left
     # the library differentiates one argument; the oracle moves both, which
     # doubles the gradient of the coincidence trace by the swap symmetry
     assert np.allclose(g_oracle, 2 * g_lib.real, atol=max(4 * err, 1e-9))
@@ -139,10 +139,11 @@ def test_surface_functional_order_refinement(monkeypatch):
     b = np.array([7.0, 3.0, -5.0])
     img = np.imag(vacuum_green(1.0, a, b))
     solver = EffectiveSolver(sc, 1.0)
+    chiX = solver.interior_solution(np.stack([a, b]))
     errs = []
     for order in (6, 12, 24):
         monkeypatch.setattr(greens, "_FAR_ORDER", order)
-        F = surface_functional(sc, 1.0, a, b, solver=solver)
+        F = surface_functional(sc, a, b, solver, chiX)
         errs.append(np.linalg.norm(img - F) / np.linalg.norm(img))
     rep = quadrature_convergence("surface-functional", "order", errs, min_order=4.0)
     assert rep.passed

@@ -34,7 +34,8 @@ def test_tracer_installs_and_uninstalls_on_the_package():
         tracer.enabled = True
         sc = fluctem.build_scene({"box_side": 40.0, "voxel_pitch": 0.2, "voxels": []})
         a = np.array([0.0, 0.0, 0.3])
-        greens.surface_functional(sc, 1.0, a, a)
+        solver = greens.EffectiveSolver(sc, 1.0)
+        greens.surface_functional(sc, a, a, solver, solver.interior_solution(np.stack([a, a])))
         assert tracer.calls["greens.surface_functional"] == 1
         assert tracer.calls["scene.build"] == 1
     finally:
