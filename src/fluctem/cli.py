@@ -121,11 +121,9 @@ def _pmap(fn, items, threads):
 
 
 def _solver(scene, omega, const, run):
-    """The solver an LDOS evaluation uses, its diagnostics reported in run; None without voxels."""
-    if not scene.n_voxels:
-        return None
+    """A solver of the run at omega, its diagnostics kept in run["solvers"] (see run_subcommand)."""
     solver = EffectiveSolver(scene, omega, const=const)
-    run["solver"] = solver.diagnostics
+    run["solvers"].append(solver.diagnostics)
     return solver
 
 
@@ -185,7 +183,8 @@ def _run_correlator(cfg, scene, outdir, const, run):
     grid = _omega_grid(cc.get("omega", {"min": 0.5, "max": 2.0, "points": 16}))
 
     def one(om):
-        return thermal_correlator_density(scene, om, a, b, T, ordering, const=const)
+        return thermal_correlator_density(scene, om, a, b, T, ordering, const,
+                                          _solver(scene, om, const, run))
 
     dens = _pmap(one, grid, run["threads"])
     rows = []
@@ -209,7 +208,7 @@ def _run_commutator(cfg, scene, outdir, const, run):
     a = np.asarray(cc["a"], float)
     b = np.asarray(cc["b"], float)
     omega = float(cc["omega"])
-    d = commutator_density(scene, omega, a, b, const=const)
+    d = commutator_density(scene, omega, a, b, const, _solver(scene, omega, const, run))
     rows = list(density_rows(d))
     arts = [write_density_csv(outdir / "commutator.csv", rows)]
     if cc.get("mode_sum"):
@@ -230,10 +229,8 @@ def _run_verify_identity(cfg, scene, outdir, const, run):
     a = np.asarray(vc.get("a", [0, 0, 0.3]), float)
     b = np.asarray(vc.get("b", [0.4, 0.1, -0.2]), float)
     tol = float(vc.get("tolerance", 1e-6 if scene.n_voxels == 0 else 1e-2))
-    solver = EffectiveSolver(scene, omega, const=const)
     rep = greens_identity_report(scene, omega, a, b, nsub=int(vc.get("nsub", 2)),
-                                 const=const, solver=solver)
-    run["solver"] = solver.diagnostics
+                                 const=const, solver=_solver(scene, omega, const, run))
     out = outdir / "identity.json"
     out.write_text(json.dumps({
         "omega": omega, "residual": repr(rep.residual), "tolerance": tol,
@@ -345,7 +342,8 @@ def _run_oracle_suite(cfg, scene, outdir, const, run):
         s = Scene(scene.box_side, pitch, (((0.0, 0.0, 0.0), _Eps()),))
         resid.append(greens_identity_report(
             s, omega, np.array([0, 0, 1.0]) * lam / (2 * np.pi),
-            np.array([0.7, 0.3, -0.6]) * lam / (2 * np.pi), const=const).residual)
+            np.array([0.7, 0.3, -0.6]) * lam / (2 * np.pi), const=const,
+            solver=_solver(s, omega, const, run)).residual)
     reports.append(quadrature_convergence("identity-residual", "pitch", resid, min_order=1.0))
 
     ok = True
@@ -380,8 +378,8 @@ def run_subcommand(name, config_path, outdir, threads=None):
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     # the manifest's run block, outside every digest: the runner adds its
-    # notes and, where it solves, the solver's diagnostics
-    run = {"subcommand": name, "threads": threads, "notes": []}
+    # notes and, where it solves, the solvers' diagnostics
+    run = {"subcommand": name, "threads": threads, "notes": [], "solvers": []}
     # physics warnings go to the manifest's notes, each distinct message once
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -392,6 +390,10 @@ def run_subcommand(name, config_path, outdir, threads=None):
         artifacts, status = _RUNNERS[name](cfg, scene, outdir, const, run)
         wall = time.time() - t0
     run["notes"].extend(dict.fromkeys(str(w.message) for w in caught))
+    # one solver's diagnostics, or of a sweep's those with the worst backward error
+    solvers = run.pop("solvers")
+    if solvers:
+        run["solver"] = max(solvers, key=lambda d: d["backward_error"] or 0.0)
     run["exit_status"] = status
     write_manifest(outdir, text, artifacts, extra=run, wall_time=wall)
     return status

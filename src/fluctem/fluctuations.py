@@ -24,6 +24,7 @@ from .greens import (
     check_vacuum_gap,
     noise_volume_integral_scatterer,
     noise_volume_integral_shell,
+    solver_at,
     vacuum_gap_placement,
     volume_route,
 )
@@ -106,8 +107,7 @@ def noise_correlator_density(scene: Scene, region, omega, a, b,
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     check_vacuum_gap(scene, a, b)
-    if solver is None:
-        solver = EffectiveSolver(scene, omega, const=const)
+    solver = solver_at(scene, omega, const, solver)
     if chiX is None:
         chiX = solver.interior_solution(np.stack([a, b]))
     pref = (const.hbar / np.pi) * (omega / const.c) ** 2
@@ -151,8 +151,7 @@ def commutator_density(scene: Scene, omega, a, b, const: Constants = DEFAULT,
             where = f"at |x| = {x:.6g}, within one pitch of the shell (inner radius {r2:.6g})"
         if where:
             meta[f"compliance_warning_{name}"] = f"point {name} lies {where}"
-    if solver is None:
-        solver = EffectiveSolver(scene, omega, const=const)
+    solver = solver_at(scene, omega, const, solver)
     img = solver.imag_green(a, b, chiX=chiX)
     val = (const.hbar / np.pi) * (omega / const.c) ** 2 * img
     return CorrelatorDensity(a=a, b=b, omega=float(omega), value=val,
@@ -160,9 +159,9 @@ def commutator_density(scene: Scene, omega, a, b, const: Constants = DEFAULT,
 
 
 def thermal_correlator_density(scene: Scene, omega, a, b, T, ordering="symmetrized",
-                               const: Constants = DEFAULT) -> CorrelatorDensity:
-    """Commutator density dressed with the Planck weight of the ordering."""
-    base = commutator_density(scene, omega, a, b, const=const)
+                               const: Constants = DEFAULT, solver=None) -> CorrelatorDensity:
+    """Commutator density dressed with the Planck weight of the ordering, on solver if given."""
+    base = commutator_density(scene, omega, a, b, const, solver)
     f = planck_factor(omega, T, kind=ordering, const=const)
     meta = dict(base.metadata)
     meta.update({"T": float(T), "ordering": ordering, "planck_factor": f})

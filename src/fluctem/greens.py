@@ -35,19 +35,18 @@ a work budget in column-matvecs, about the cost of assembling and factoring
 S, and admits a solve to COCG only if its columns times the expected
 iterations fit in what is left: the crossover follows from the budget.
 
-A solver runs down one ladder, lattice-cocg -> dense-ldlt, from the first
-route it qualifies for.  A solve that would overrun the budget (too many
-columns, too many solves, slow convergence) or a COCG breakdown leaves COCG
-for good, and the factor route serves that solve and every later one.  The
-memory charge follows the route: a solver that starts on COCG is admitted
-against its grid's bytes, and S is charged only when it must be formed, so
-a scene whose S would not fit still runs while COCG serves it, and a solve
-that must leave COCG raises MemoryError before allocating S.
-
-A frequency sweep on a small scene, the Casimir force, can instead stack
-its systems (SolverStack): the same system (_System) over a leading axis of
-F frequencies, its kernel evaluated once and all F systems solved by one
-batched LU, since there every call costs more than its flops.
+A solver runs down one ladder, stacked-lu -> lattice-cocg -> dense-ldlt,
+from the first route it qualifies for.  A system whose S fits _STACK_BYTES
+at every frequency, where each call costs more than its flops, keeps S and
+solves it by numpy's batched LU, measuring the backward error; only it may
+carry an (F,) frequency axis, as the Casimir sweep does.  A solve that
+would overrun the COCG budget (too many columns, too many solves, slow
+convergence) or a COCG breakdown leaves COCG for good, and the factor route
+serves that solve and every later one.  The memory charge follows the
+route: a solver that starts on COCG is admitted against its grid's bytes,
+and S is charged only when it must be formed, so a scene whose S would not
+fit still runs while COCG serves it, and a solve that must leave COCG
+raises MemoryError before allocating S.
 
 The scatterer volume term of the dissipation identity needs the field at
 every Gauss sub-node of every voxel.  On a lattice scene (Scene.lattice) the
@@ -105,8 +104,8 @@ class _LazyModule:
 
 # scipy.linalg, imported by the first LDL^T (the factor route's zsytrf/zsytrs)
 # and not by `import fluctem`: that import costs about 24 MB of RSS and
-# 0.2 s (SciPy 1.17), which routes that never factor (the stacked Casimir
-# sweep, COCG) need not pay.  It is an object bound to a module attribute,
+# 0.2 s (SciPy 1.17), which routes that never factor (stacked-lu, COCG)
+# need not pay.  It is an object bound to a module attribute,
 # not a PEP 562 module __getattr__, because the benchmark tracer
 # (perfbench/tracing.py) reads greens.sla and rebinds it through
 # vars(greens)["sla"]
@@ -164,6 +163,13 @@ _COCG_BUDGET = 3.8e-4
 # the iterations a lattice solver expects of its first solve, until one has
 # run: 27-33 on the Drude-Lorentz spheres of N = 179 to 1189, any frequency
 _COCG_ITERATIONS = 32
+
+# the bound of the stacked-lu route on F stack_bytes(N, 0), S and its LU copy
+# at F frequencies (N <= 30 at one); the Casimir sweep adds its rows.  At
+# 2^18 casimir.yaml's pair stacks 113 frequencies, and its CLI run took
+# 11-12 ms at 61.3 MB peak RSS, against 9.6-9.8 ms and 1.1 MB more at 2^20
+# (medians of 9 runs, one BLAS thread, 2-core shared machine)
+_STACK_BYTES = 2**18
 
 
 class GreensError(RuntimeError):
@@ -299,36 +305,77 @@ def _strict_lower(m):
 
     Cached: the assembly takes the same chunk size for every chunk of every
     frequency, a frequency sweep on a small scene assembles once per
-    frequency, and a SolverStack mirrors its 3N x 3N triangle once a stack.
+    frequency, and a stacked-lu solver mirrors its 3N x 3N triangle.
     """
     iv, iu = np.nonzero(np.tri(m, k=-1, dtype=bool))
     iv.flags.writeable = iu.flags.writeable = False
     return iv, iu
 
 
-class _System:
-    """The system of one scene at one frequency, or at an (F,) array of them.
+class EffectiveSolver:
+    """Lippmann-Schwinger solve bound to one scene at one omega, or at an (F,) array of them.
 
-    What both solvers build from: chi, the self term, S's upper triangle,
-    the coupling rows and the polarization solve; at F frequencies every
-    array has a leading axis of F.  A solver supplies _solve, chi A^-1 rhs.
+    Its route is the first rung of the ladder (module docstring) it
+    qualifies for, and only moves down (see _leave); its state is that, S
+    or its factor and the COCG budget.  At an (F,) omega, on stacked-lu
+    only, k, chi, the self term, S, the rows and the polarization have a
+    leading axis of F.  It has one owner and holds no lock: threads that
+    run in parallel each build their own.  Points inside voxels take the
+    cell-averaged (regularized) kernel.
     """
 
-    # the padded FFT grid of a lattice solver (EffectiveSolver, _fft_grid);
-    # None: the kernel is evaluated on the voxel pairs
-    grid = None
-
-    def __init__(self, scene: Scene, omega, const: Constants):
+    def __init__(self, scene: Scene, omega, const: Constants = DEFAULT):
         self.scene = scene
         self.const = const
-        self.k = omega / const.c
+        stacked = np.ndim(omega) > 0
+        self.omega = np.asarray(omega, dtype=float) if stacked else float(omega)
+        self.k = self.omega / const.c
         self.pos = scene.positions()
-        self.chi = scene.chi_at(omega)
+        self.chi = scene.chi_at(self.omega)
         self.dv = scene.voxel_volume
-        self.cself = self_term_coupling(omega, self.dv, c=const.c)
+        self.cself = self_term_coupling(self.omega, self.dv, c=const.c)
         # any D with D^2 = C gives the same D S^-1 D = chi A^-1: one branch suffices
         self.sq = np.sqrt(self.chi)
         self._sqrt_chi3 = np.repeat(self.sq, 3, axis=-1)[..., None]  # (..., 3N, 1), C^1/2
+        n = scene.n_voxels
+        self._system = None  # S, mirrored and kept on stacked-lu
+        self._fact = None  # the LDL^T factor, made in place of S by the first solve on it
+        self._matvec = None  # the lattice matvec, built by the first COCG solve
+        # the padded grid of both FFT routes, or None: the kernel is evaluated on the pairs
+        self.grid = None if stacked else _fft_grid(scene)
+        small = np.size(self.omega) * stack_bytes(n, 0) <= _STACK_BYTES
+        budget = 0 if self.grid is None else _COCG_BUDGET * (3 * n) ** 3 / np.prod(self.grid)
+        self._budget = 0 if small else int(budget)
+        self._spent = 0  # column-matvecs so far
+        self._iterations = _COCG_ITERATIONS  # the next solve's estimate
+        self._route = "stacked-lu" if small else "lattice-cocg"
+        # a report, never read back: the route, the reason COCG was left;
+        # iterations are those of the COCG solve that finished last, the
+        # backward error that solve's or, on stacked-lu, the worst of every
+        # solve so far, and the factor route reports no backward error
+        self.diagnostics = {
+            "route": self._route, "fallback": None, "iterations": 0,
+            "backward_error": None, "matvecs": 0, "budget": self._budget,
+        }
+        if small:
+            S = self._assemble()
+            iv, iu = _strict_lower(S.shape[-1])
+            S[..., iv, iu] = S[..., iu, iv]
+            self._system = S
+        elif stacked:
+            raise GreensError(f"{np.size(omega)} frequencies of {n} voxels exceed the stack bound")
+        elif not self._budget:
+            self._leave(None)
+            self._admit_matrix()
+        else:
+            # the lattice route holds the grid's arrays and forms S only if it
+            # is left; that charge is checked then (see _admit_matrix)
+            peak = np.prod(self.grid, dtype=float) * _FFT_CELL_BYTES
+            if peak > _MEMORY_CAP:
+                raise MemoryError(
+                    f"the lattice route would peak at {peak/1e9:.2f} GB (cap "
+                    f"{_MEMORY_CAP/1e9:.2f} GB) on its {'x'.join(map(str, self.grid))} "
+                    f"grid for {n} voxels")
 
     def _k(self, ndim):
         """k with ndim unit axes after its frequency axis, to broadcast over ndim point axes."""
@@ -428,51 +475,6 @@ class _System:
         return np.ascontiguousarray(self._solve(rhs.reshape(rhs.shape[:-2] + (s * c,))))
 
 
-class EffectiveSolver(_System):
-    """Lippmann-Schwinger solve bound to one (scene, omega).
-
-    Lattice scenes with a COCG budget start on COCG with the FFT matvec
-    and form S only if that route is left; on the factor route the first
-    solve assembles S and factors it.  Its state is the route, which only
-    moves down the ladder (see _leave), the factor and the COCG budget.  It
-    has one owner and holds no lock: threads that run in parallel each
-    build their own.  All spatial evaluations accept arbitrary points,
-    handling points inside voxels through the cell-averaged (regularized)
-    kernel.
-    """
-
-    def __init__(self, scene: Scene, omega, const: Constants = DEFAULT):
-        super().__init__(scene, omega, const)
-        n = scene.n_voxels
-        self.omega = float(omega)
-        self._fact = None  # the LDL^T factor, made in place of S by the first solve on it
-        self._matvec = None  # the lattice matvec, built by the first COCG solve
-        self.grid = _fft_grid(scene)  # the padded grid of both FFT routes, or None
-        budget = 0 if self.grid is None else _COCG_BUDGET * (3 * n) ** 3 / np.prod(self.grid)
-        self._budget = int(budget)
-        self._spent = 0  # column-matvecs so far
-        self._iterations = _COCG_ITERATIONS  # the next solve's estimate
-        self._route = "lattice-cocg"  # the top of the ladder, left at once without a budget
-        # a report, never read back: the route, the reason COCG was left;
-        # iterations and backward error are those of the COCG solve that
-        # finished last, and the factor route reports no backward error
-        self.diagnostics = {
-            "route": self._route, "fallback": None, "iterations": 0,
-            "backward_error": None, "matvecs": 0, "budget": self._budget,
-        }
-        if not self._budget:
-            self._leave(None)
-            self._admit_matrix()
-        else:
-            # the lattice route holds the grid's arrays and forms S only if it
-            # is left; that charge is checked then (see _admit_matrix)
-            peak = np.prod(self.grid, dtype=float) * _FFT_CELL_BYTES
-            if peak > _MEMORY_CAP:
-                raise MemoryError(
-                    f"the lattice route would peak at {peak/1e9:.2f} GB (cap "
-                    f"{_MEMORY_CAP/1e9:.2f} GB) on its {'x'.join(map(str, self.grid))} "
-                    f"grid for {n} voxels")
-
     def _admit_matrix(self):
         """Raise MemoryError, before any allocation, unless S fits _MEMORY_CAP.
 
@@ -499,23 +501,44 @@ class EffectiveSolver(_System):
     # -- linear algebra -------------------------------------------------
 
     def _solve(self, rhs):
-        """chi A^-1 rhs = C^1/2 S^-1 C^1/2 rhs for rhs of shape (3N, m).
+        """chi A^-1 rhs = C^1/2 S^-1 C^1/2 rhs for rhs of shape (..., 3N, m).
 
         The operator is symmetric, so it also serves transposed solves.  On
-        the lattice route COCG solves S x = C^1/2 rhs with the FFT matvec
-        while the work budget lasts; otherwise zsytrs solves it with the
-        LDL^T factor of S (Bunch-Kaufman, lower triangle), made on first use.
+        stacked-lu one batched LU solves S x = C^1/2 rhs (_lu_solve); on the
+        lattice route COCG solves it with the FFT matvec while the work
+        budget lasts; otherwise zsytrs solves it with the LDL^T factor of S
+        (Bunch-Kaufman, lower triangle), made on first use.
         """
         s = self._sqrt_chi3
-        if not len(s):
+        if not len(self.pos):
             return np.zeros(rhs.shape, dtype=complex)  # zsytrs rejects n = 0
-        x = self._cocg_solve(s * rhs) if self._route == "lattice-cocg" else None
+        if self._route == "stacked-lu":
+            x = self._lu_solve(s * rhs)
+        else:
+            x = self._cocg_solve(s * rhs) if self._route == "lattice-cocg" else None
         if x is None:
             fact = self._fact or self._factor()
             # in the Fortran order zsytrs takes, so it solves in b without a copy
             b = np.multiply(s, rhs, order="F")
             x, _ = sla.lapack.zsytrs(*fact, b, lower=1, overwrite_b=1)
         return np.multiply(s, x, out=x)  # s on the left: the bits of s * x
+
+    def _lu_solve(self, b):
+        """S^-1 b by batched LU on the kept S, reporting the worst backward error so far."""
+        S = self._system
+        try:
+            x = np.linalg.solve(S, b)
+        except np.linalg.LinAlgError:
+            raise GreensError("LS matrix is singular: an LU pivot is exactly zero") from None
+        norm = np.abs(S).sum(axis=-1).max(axis=-1)  # ||S||_inf per frequency
+        resid = np.abs(b - S @ x).max(axis=-2)
+        xmax = np.abs(x).max(axis=-2)
+        live = xmax > 0  # a column with b = 0 has x = 0, solved exactly
+        # ||b - S x||_inf / (||S||_inf ||x||_inf) per column
+        bwd = resid[live] / (np.asarray(norm)[..., None] * xmax)[live]
+        worst = max(self.diagnostics["backward_error"] or 0.0, float(np.max(bwd, initial=0.0)))
+        self.diagnostics["backward_error"] = worst
+        return x
 
     def _factor(self):
         """LDL^T of S, made in place of _assemble's triangle; MemoryError first (_admit_matrix)."""
@@ -739,47 +762,26 @@ class EffectiveSolver(_System):
         return out.transpose(0, 2, 1, 3)
 
 
-class SolverStack(_System):
-    """The systems S of one scene at F frequencies, (F, 3N, 3N), solved in one batch.
-
-    A small scene pays per call, not per flop: at two voxels S is 6 x 6,
-    and building an EffectiveSolver, assembling S and factoring it cost
-    NumPy calls on tiny arrays at every frequency.  The stack is _System
-    over the frequency array, S assembled on the pairs as off the lattice
-    and mirrored, and all F systems solved by one batched LU
-    (numpy.linalg.solve).  It keeps S, so every solve also measures its
-    backward error.
-    """
-
-    def __init__(self, scene: Scene, omegas, const: Constants = DEFAULT):
-        super().__init__(scene, np.asarray(omegas, dtype=float), const)
-        S = self._assemble()
-        iv, iu = _strict_lower(S.shape[-1])
-        S[..., iv, iu] = S[..., iu, iv]
-        self.system = S
-        # the worst ||b - S x||_inf / (||S||_inf ||x||_inf) over the columns solved so far
-        self.backward_error = 0.0
-
-    def _solve(self, rhs):
-        """chi A^-1 rhs = C^1/2 S^-1 C^1/2 rhs for rhs of shape (F, 3N, m), one batched solve."""
-        sq = self._sqrt_chi3
-        b = sq * rhs
-        x = np.linalg.solve(self.system, b)
-        norm = np.abs(self.system).sum(axis=-1).max(axis=-1)  # ||S||_inf per frequency
-        resid = np.abs(b - self.system @ x).max(axis=1)
-        xmax = np.abs(x).max(axis=1)
-        live = xmax > 0  # a column with b = 0 has x = 0, solved exactly
-        bwd = resid[live] / (norm[:, None] * xmax)[live]
-        self.backward_error = max(self.backward_error, float(np.max(bwd, initial=0.0)))
-        return np.multiply(sq, x, out=x)  # sq on the left, as EffectiveSolver._solve
-
-
 def stack_bytes(n, points):
-    """Bytes a frequency of a SolverStack on n voxels: S, its LU copy and rows at this many points.
+    """Bytes a frequency of a stacked-lu solver on n voxels: S, its LU copy and rows at this many points.
 
     A point's coupling rows are 9 N complex numbers, its gradient rows three points' worth.
     """
     return 16 * (2 * (3 * n) ** 2 + 9 * n * points)
+
+
+def solver_at(scene: Scene, omega, const: Constants, solver):
+    """solver, checked to be at omega and const, or a new EffectiveSolver of scene when None.
+
+    A solver at another frequency, at an array of them or with other
+    constants raises GreensError.  Its scene is not compared: a shelled
+    scene's terms take the shell-free scene's solver (equivalence_densities).
+    """
+    if solver is not None and (np.ndim(solver.omega) or solver.omega != omega
+                               or solver.const != const):
+        raise GreensError(f"the solver is at omega = {solver.omega} with {solver.const}, "
+                          f"not at omega = {omega} with {const}")
+    return EffectiveSolver(scene, omega, const) if solver is None else solver
 
 
 @dataclass(frozen=True)
@@ -796,8 +798,7 @@ class DyadicBlock:
 def solve_effective_green(scene: Scene, omega, sources, targets, const: Constants = DEFAULT,
                           solver: EffectiveSolver = None) -> DyadicBlock:
     """Effective Green block target <- source through the scatterer voxels."""
-    if solver is None:
-        solver = EffectiveSolver(scene, omega, const=const)
+    solver = solver_at(scene, omega, const, solver)
     sources = np.atleast_2d(np.asarray(sources, dtype=float))
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     vals = solver.green(targets, sources)
@@ -1218,8 +1219,7 @@ def greens_identity_report(scene: Scene, omega, a, b, nsub=2, const: Constants =
     warn_if_thin_shell(scene, omega, c=const.c)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if solver is None:
-        solver = EffectiveSolver(scene, omega, const=const)
+    solver = solver_at(scene, omega, const, solver)
     chiX = solver.interior_solution(np.stack([a, b]))
     img = solver.imag_green(a, b, chiX=chiX)
     F = surface_functional(scene, a, b, solver, chiX)

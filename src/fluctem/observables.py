@@ -16,7 +16,8 @@ import numpy as np
 
 from .constants import DEFAULT, Constants
 from .fluctuations import planck_weights
-from .greens import EffectiveSolver, SolverStack, stack_bytes
+from . import greens
+from .greens import EffectiveSolver, solver_at
 from .material import DrudeLorentzModel, resonance_params
 from .scene import Scene
 
@@ -96,8 +97,7 @@ def ldos(scene: Scene, omega0, x0, n_hat, const: Constants = DEFAULT,
     n = unit_orientation(n_hat)
     img_nn = omega0 / (6 * np.pi * const.c)
     if scene is not None and scene.n_voxels:
-        if solver is None:
-            solver = EffectiveSolver(scene, omega0, const=const)
+        solver = solver_at(scene, omega0, const, solver)
         gnn = solver.green_coincident_scattered(x0[None, :], n)[0]
         img_nn = img_nn + float(np.imag(gnn))
     return (6 * omega0 / (np.pi * const.c**2)) * img_nn
@@ -134,7 +134,7 @@ def _left_gradients(solver, rows, grads):
     """grad_1 Tr G_s(x, x), (..., B, 3), at points given their rows (..., B, 3, 3N) and gradients.
 
     Tr[d_j rows(x) . Y(x)] with Y the polarization of the points, one solve
-    of 3B columns (_polarize), on an EffectiveSolver or a SolverStack.
+    of 3B columns (_polarize), at one frequency or, on an (F,) solver, at each.
     """
     b = rows.shape[-3]
     Y = solver._polarize(b, [(slice(None), rows)])
@@ -153,8 +153,7 @@ def green_trace_gradient(scene: Scene, omega, x, const: Constants = DEFAULT,
     the result reports both and their mean.
     """
     x = _finite_vector(x, "x")
-    if solver is None:
-        solver = EffectiveSolver(scene, omega, const=const)
+    solver = solver_at(scene, omega, const, solver)
     rows, grads = solver._coupling_rows(x, gradients=True)
     left = _left_gradients(solver, rows, grads)[0]
     W = solver._polarize(1, [(slice(None), grads.reshape(1, 9, -1))], c=9)
@@ -189,17 +188,6 @@ def _diameter(pts):
                for i in range(0, len(pts), step))
 
 
-# the largest stack of frequencies a force sweep solves at once, in bytes of
-# greens.stack_bytes (2.3 kB a frequency on casimir.yaml's pair, 9.3 MB on
-# the N = 179 sphere); a scene where two frequencies do not fit sweeps one
-# solver per frequency.  At 2^18 the pair stacks 113 frequencies, and the
-# casimir.yaml CLI run took 11-12 ms at a peak RSS of 61.3 MB, level with
-# the per-frequency loop's 61.1 MB; at 2^20 (455 a stack) 9.6-9.8 ms and
-# 1.1 MB more, all 801 at once 8.6 ms and 2.2 MB more (medians of 9 runs in
-# one process, two processes each, one BLAS thread, 2-core shared machine)
-_STACK_BYTES = 2**18
-
-
 def casimir_thermal_force(scene: Scene, body: BodySpec, T, omega_grid=None,
                           const: Constants = DEFAULT, tail_tol=0.01) -> ForceResult:
     """Thermal-Casimir force on a voxel subset by frequency quadrature.
@@ -210,12 +198,12 @@ def casimir_thermal_force(scene: Scene, body: BodySpec, T, omega_grid=None,
     and sum to the coth total by construction on the same grid.
 
     The gradient is green_trace_gradient's left one, exact.  When two
-    frequencies' worth of a SolverStack fit in _STACK_BYTES, the sweep
-    solves stacks of frequencies (route "stacked"), one batched solve a
-    stack; larger scenes make one EffectiveSolver per frequency and one
-    solve per block of body voxels (_row_blocks), route "per-frequency".
-    metadata["solve"] names the route, the number of batched solves and
-    their worst backward error (None per frequency).
+    frequencies' worth of systems and rows fit in greens._STACK_BYTES, the
+    sweep builds one EffectiveSolver per stack of frequencies (route
+    "stacked"), one batched solve a stack; larger scenes build one per
+    frequency and make one solve per block of body voxels (_row_blocks),
+    route "per-frequency".  metadata["solve"] names the route, the number
+    of batched solves and their worst backward error (None per frequency).
     """
     idx = tuple(body.voxel_indices)
     if any(i < 0 or i >= scene.n_voxels for i in idx):
@@ -238,15 +226,12 @@ def casimir_thermal_force(scene: Scene, body: BodySpec, T, omega_grid=None,
     # Imag[chi grad_1 Tr G_s(x, x)] per frequency and body voxel, 0 where chi = 0
     core = np.zeros((w.size, len(idx), 3))
     # each body voxel's rows and its gradient rows: four points' worth of rows
-    chunk = _STACK_BYTES // stack_bytes(scene.n_voxels, 4 * len(idx))
+    chunk = greens._STACK_BYTES // greens.stack_bytes(scene.n_voxels, 4 * len(idx))
     stacked = chunk >= 2
     starts = range(0, w.size, chunk if stacked else 1)
     worst = 0.0
     for i in starts:
-        if stacked:
-            solver = SolverStack(scene, w[i:i + chunk], const=const)
-        else:
-            solver = EffectiveSolver(scene, w[i], const=const)
+        solver = EffectiveSolver(scene, w[i:i + chunk] if stacked else w[i], const=const)
         chi = solver.chi[..., list(idx), None]
         # a solve's right-hand side stays within its block's rows
         grad = np.concatenate([_left_gradients(solver, rows, grads)
@@ -254,11 +239,9 @@ def casimir_thermal_force(scene: Scene, body: BodySpec, T, omega_grid=None,
                               axis=-2)
         core[i:i + np.size(solver.k)] = np.where(chi != 0, (chi * grad).imag, 0.0)
         if stacked:
-            worst = max(worst, solver.backward_error)
-    if stacked:
-        solve = {"route": "stacked", "batched_solves": len(starts), "backward_error": worst}
-    else:
-        solve = {"route": "per-frequency", "batched_solves": 0, "backward_error": None}
+            worst = max(worst, solver.diagnostics["backward_error"])
+    solve = ({"route": "stacked", "batched_solves": len(starts), "backward_error": worst} if stacked
+             else {"route": "per-frequency", "batched_solves": 0, "backward_error": None})
     pref = (const.hbar / np.pi) * (w / const.c) ** 2 * scene.voxel_volume
     integrand_sym, integrand_anti, integrand_bose = (
         (pref * planck_weights(w, T, kind, const))[:, None, None] * core

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
-from fluctem import observables
+from fluctem import greens
 from fluctem.cli import SUBCOMMANDS, UsageError, main, run_subcommand
 from fluctem.greens import stack_bytes
 
@@ -221,9 +221,11 @@ def test_solver_diagnostics_recorded_in_manifest(tmp_path, monkeypatch):
         assert run_subcommand(name, cfg, out) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         solver = manifest["run"]["solver"]
-        assert solver["route"] == "dense-ldlt"
+        # one voxel: S stacks, and every solve measures its backward error
+        assert solver["route"] == "stacked-lu"
         assert solver["fallback"] is None
         assert solver["iterations"] == 0
+        assert 0 < solver["backward_error"] <= 1e-14
         assert set(solver) == {"route", "fallback", "iterations", "backward_error",
                                "matvecs", "budget"}
         assert "solver" not in json.dumps(manifest["artifacts"])
@@ -274,12 +276,12 @@ def test_casimir_manifest_records_the_solve(tmp_path, monkeypatch):
     assert run_subcommand("casimir", cfg, tmp_path / "stacked") == 0
     solve = json.loads((tmp_path / "stacked" / "manifest.json").read_text())["run"]["solve"]
     assert solve["route"] == "stacked"
-    chunk = observables._STACK_BYTES // stack_bytes(2, 4)
+    chunk = greens._STACK_BYTES // stack_bytes(2, 4)
     assert solve["batched_solves"] == -(-801 // chunk)
     assert 0 < solve["backward_error"] < 1e-14
     force = json.loads((tmp_path / "stacked" / "force.json").read_text())
     assert sorted(force["metadata"]) == ["T", "quasi_static_caveat", "scene"]
-    monkeypatch.setattr(observables, "_STACK_BYTES", 0)
+    monkeypatch.setattr(greens, "_STACK_BYTES", 0)
     assert run_subcommand("casimir", cfg, tmp_path / "per-frequency") == 0
     manifest = json.loads((tmp_path / "per-frequency" / "manifest.json").read_text())
     assert manifest["run"]["solve"] == {"route": "per-frequency", "batched_solves": 0,

@@ -1,15 +1,16 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import yaml
 
 from fluctem import greens
 from fluctem import scene as scene_module
 from fluctem.greens import (
     EffectiveSolver,
     GreensError,
-    SolverStack,
     greens_identity_report,
     noise_volume_integral_scatterer,
     noise_volume_integral_shell,
@@ -21,8 +22,9 @@ from fluctem.greens import (
     vacuum_green_block,
     vacuum_imag_coincidence,
 )
+from fluctem.fluctuations import commutator_density, noise_correlator_density
 from fluctem.modes import enumerate_modes
-from fluctem.observables import ldos
+from fluctem.observables import green_trace_gradient, ldos
 from fluctem.oracle import _vacuum_green_block_offdiag, richardson_gradient
 from fluctem.scene import Scene, Shell, build_scene, sphere_quadrature
 
@@ -261,13 +263,13 @@ def backward_tol(solver):
 
 
 def test_near_singular_system_solves_on_the_factor_route(rng):
-    # the one factor route on a system near a coupled-mode zero, against
+    # the factor route on a system near a coupled-mode zero, against
     # general LU of the collocation matrix
     omega = 1e-3
     sc = near_singular_cube(omega)
     rhs = rng.standard_normal((3 * sc.n_voxels, 4)) + 1j * rng.standard_normal((3 * sc.n_voxels, 4))
     ref = dense_lu_reference(sc, omega, rhs)
-    solver = EffectiveSolver(sc, omega)
+    solver = factor_route(sc, omega)
     cond = np.linalg.cond(full_system(solver))
     assert 1e6 < cond < 1e8
     got = solver._solve(rhs)
@@ -316,11 +318,15 @@ def test_assembly_work_counters(monkeypatch):
 
 def test_exactly_singular_system_raises():
     # static limit: the self term is exactly -1/3, so eps = -2 (the Froehlich
-    # condition, chi = -3) makes the one-voxel S exactly zero
-    solver = EffectiveSolver(one_voxel_scene(eps=-2.0, pitch=0.3), 0.0)
-    assert not full_system(solver).any()
-    with pytest.raises(GreensError, match="exactly zero"):
-        solver.interior_field(np.ones((1, 3)))
+    # condition, chi = -3) makes the one-voxel S exactly zero: a GreensError
+    # on stacked-lu and on the factor route alike
+    sc = one_voxel_scene(eps=-2.0, pitch=0.3)
+    for solver, route in ((EffectiveSolver(sc, 0.0), "stacked-lu"),
+                          (factor_route(sc, 0.0), "dense-ldlt")):
+        assert solver.diagnostics["route"] == route
+        assert not full_system(solver).any()
+        with pytest.raises(GreensError, match="exactly zero"):
+            solver.interior_field(np.ones((1, 3)))
 
 
 def test_diagnostics_are_a_report_only(monkeypatch):
@@ -362,8 +368,9 @@ def dense_lu_reference(sc, omega, rhs):
 
 
 def factor_route(sc, omega):
-    """A solver on the factor route, as below the crossover."""
+    """A solver on the factor route, as above the stack bound and below the COCG crossover."""
     with pytest.MonkeyPatch.context() as m:
+        m.setattr(greens, "_STACK_BYTES", 0)
         m.setattr(greens, "_COCG_BUDGET", 0.0)
         return EffectiveSolver(sc, omega)
 
@@ -624,8 +631,8 @@ def test_factor_route_ldos_solves_one_column(monkeypatch):
     real = sla.lapack.zsytrs
     monkeypatch.setattr(sla.lapack, "zsytrs", lambda *a, **k: cols.append(a[2].shape[1])
                         or real(*a, **k))
-    em = EmitterSpec(tuple(LDOS_X0), tuple(LDOS_N / np.linalg.norm(LDOS_N)), 1.0, 1.0)
     for omega in (0.6, 1.0, 1.4):
+        em = EmitterSpec(tuple(LDOS_X0), tuple(LDOS_N / np.linalg.norm(LDOS_N)), 1.0, omega)
         solver = EffectiveSolver(sc, omega)
         ldos(sc, omega, LDOS_X0, LDOS_N, solver=solver)
         assert solver.diagnostics["route"] == "dense-ldlt"  # budget 21: no column fits
@@ -896,6 +903,7 @@ def test_off_lattice_factor_solves_are_the_pair_assembled_solves_bitwise(monkeyp
         for rows in (1, 2, None):
             if rows:
                 monkeypatch.setattr(greens, "_ASSEMBLY_BYTES", rows * n * 9 * 16)
+            monkeypatch.setattr(greens, "_STACK_BYTES", 0)  # the pair and the nine would stack
             solver = EffectiveSolver(sc, omega)
             assert np.array_equal(full_system(solver), ref)
             sq = solver._sqrt_chi3
@@ -1554,10 +1562,13 @@ def test_coupling_gradients_vanish_in_the_owner_cell_and_follow_the_dyadic(rng):
 
 
 @pytest.mark.parametrize("name", STACK_SCENES)
-def test_solver_stack_matches_the_solver_and_dense_lu(name, rng):
+def test_solver_stack_matches_the_solver_and_dense_lu(name, rng, monkeypatch):
     scene, body = stack_scene(name)
     n3 = 3 * scene.n_voxels
-    stack = SolverStack(scene, STACK_GRID)
+    # stack every scene, the 20-voxel one included, whatever the bound
+    monkeypatch.setattr(greens, "_STACK_BYTES", 2**40)
+    stack = EffectiveSolver(scene, STACK_GRID)
+    assert stack.diagnostics["route"] == "stacked-lu" and stack.grid is None
     rhs = rng.standard_normal((len(STACK_GRID), n3, 4)) + 1j * rng.standard_normal(
         (len(STACK_GRID), n3, 4))
     got = stack._solve(rhs)
@@ -1569,7 +1580,7 @@ def test_solver_stack_matches_the_solver_and_dense_lu(name, rng):
     for f, omega in enumerate(STACK_GRID):
         solver = EffectiveSolver(scene, omega)
         S = full_system(solver)
-        assert np.linalg.norm(stack.system[f] - S) <= 1e-14 * np.linalg.norm(S)
+        assert np.linalg.norm(stack._system[f] - S) <= 1e-14 * np.linalg.norm(S)
         R = solver._coupling_rows(pts)
         assert np.linalg.norm(rows[f] - R) <= 1e-14 * np.linalg.norm(R)
         (_, R_grads, D), = solver._row_blocks(pts, gradients=True)
@@ -1577,7 +1588,7 @@ def test_solver_stack_matches_the_solver_and_dense_lu(name, rng):
         assert np.linalg.norm(grads[f] - D) <= 1e-14 * np.linalg.norm(D)
         ref = dense_lu_reference(scene, omega, rhs[f])
         assert np.linalg.norm(got[f] - ref) <= 1e-12 * np.linalg.norm(ref)
-    assert 0 < stack.backward_error < 1e-14
+    assert 0 < stack.diagnostics["backward_error"] < 1e-14
 
 
 def test_centre_rule_volume_term_matches_the_field_routes():
@@ -1601,3 +1612,72 @@ def test_centre_rule_volume_term_matches_the_field_routes():
         w = omega**2 * sc.voxel_volume * solver.chi.imag
         ref = np.einsum("n,nki,nkj->ij", w, B[:, 0], np.conj(B[:, 1]))
         assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def reference_scene():
+    """configs/reference.yaml's scene: one Drude-Lorentz voxel at the origin."""
+    config = Path(__file__).resolve().parents[1] / "configs" / "reference.yaml"
+    return build_scene(yaml.safe_load(config.read_text())["scene"])
+
+
+def ci_box():
+    """The 27-voxel lattice box of the CI Casimir check, at pitch 0.5."""
+    return build_scene({"box_side": 40.0, "voxel_pitch": 0.5, "primitives": [
+        {"shape": "box", "half_size": [0.75] * 3, "material": {
+            "type": "drude_lorentz", "omega_p": 1.0, "omega_0": 1.0, "gamma": 0.1}}]})
+
+
+@pytest.mark.parametrize("make", [reference_scene, ci_box], ids=["reference", "box"])
+def test_stacked_lu_matches_the_factor_route(make):
+    # below the stack bound a solver keeps S and solves it by batched LU; the
+    # LDOS, the identity report's terms and the commutator agree with the
+    # LDL^T route to 1e-13, and every stacked solve reports its backward error
+    sc, omega = make(), 1.0
+    a, b = np.array([0.2, -0.1, 1.6]), np.array([-1.3, 0.4, 0.5])
+    values, diagnostics = [], []
+    for solver in (EffectiveSolver(sc, omega), factor_route(sc, omega)):
+        rep = greens_identity_report(sc, omega, a, b, solver=solver)
+        values.append([ldos(sc, omega, LDOS_X0, LDOS_N, solver=solver), rep.imag_green,
+                       rep.surface_term, rep.volume_term,
+                       commutator_density(sc, omega, a, b, solver=solver).value])
+        diagnostics.append(solver.diagnostics)
+    stacked, factor = diagnostics
+    assert sc.n_voxels in (1, 27)
+    assert stacked["route"] == "stacked-lu" and 0 < stacked["backward_error"] <= 1e-14
+    assert factor["route"] == "dense-ldlt" and factor["backward_error"] is None
+    for got, ref in zip(*values):
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+# each function that takes omega and a solver: (call, the result's field compared, or None)
+AT_OMEGA_CALLS = {
+    "ldos": (lambda sc, s: ldos(sc, 1.0, LDOS_X0, LDOS_N, solver=s), None),
+    "green_trace_gradient": (lambda sc, s: green_trace_gradient(sc, 1.0, LDOS_X0, solver=s),
+                             "gradient"),
+    "noise_correlator_density": (lambda sc, s: noise_correlator_density(
+        sc, "scatterer", 1.0, IDENTITY_A, IDENTITY_B, solver=s), "value"),
+    "commutator_density": (lambda sc, s: commutator_density(
+        sc, 1.0, IDENTITY_A, IDENTITY_B, solver=s), "value"),
+    "greens_identity_report": (lambda sc, s: greens_identity_report(
+        sc, 1.0, IDENTITY_A, IDENTITY_B, solver=s), "imag_green"),
+    "solve_effective_green": (lambda sc, s: solve_effective_green(
+        sc, 1.0, IDENTITY_A, IDENTITY_B, solver=s), "values"),
+}
+
+
+@pytest.mark.parametrize("name", AT_OMEGA_CALLS)
+def test_a_solver_at_another_frequency_is_refused(name):
+    # a solver at another omega, at an array of them or with other constants
+    # raises; the solver at omega gives the bits of the one made inside
+    from fluctem.constants import Constants
+
+    call, field = AT_OMEGA_CALLS[name]
+    sc = one_voxel_scene()
+    for wrong in (EffectiveSolver(sc, 0.9), EffectiveSolver(sc, [1.0, 1.1]),
+                  EffectiveSolver(sc, 1.0, Constants(c=2.0))):
+        with pytest.raises(GreensError, match="the solver is at omega"):
+            call(sc, wrong)
+    got, ref = (call(sc, s) for s in (EffectiveSolver(sc, 1.0), None))
+    if field:
+        got, ref = getattr(got, field), getattr(ref, field)
+    assert np.array_equal(got, ref)

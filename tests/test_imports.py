@@ -1,13 +1,15 @@
 """Which SciPy modules a run loads: only those it uses.
 
 `import fluctem` (with `fluctem.cli`) and a scene build load no SciPy
-submodule.  The factor route imports scipy.linalg (the LDL^T) on its first
-factorization; the lattice routes and the mode sum's Chebyshev test import
-scipy.fft on their first transform, as the spline of tabulated materials and
-the window quadrature of the polariton norm import theirs.  Each check is on
+submodule.  A system below the stack bound solves with numpy alone; the
+factor route imports scipy.linalg (the LDL^T) on its first factorization;
+the lattice routes and the mode sum's Chebyshev test import scipy.fft on
+their first transform, as the spline of tabulated materials and the window
+quadrature of the polariton norm import theirs.  Each check is on
 sys.modules in a fresh interpreter, not on a timing.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -74,10 +76,29 @@ def test_casimir_run_loads_neither_lapack_nor_fft(tmp_path):
     assert out == ["0", "[]"]
 
 
-def test_one_voxel_ldos_loads_lapack_not_fft(tmp_path):
-    # reference.yaml's one voxel is off the FFT grid bound: it factors S and transforms nothing
+def test_one_voxel_ldos_loads_neither_lapack_nor_fft(tmp_path):
+    # reference.yaml's one voxel is below the stack bound: one batched LU
+    # (numpy.linalg.solve), no factorization and no transform
     out = _fresh(RUN, "ldos", str(ROOT / "configs" / "reference.yaml"), str(tmp_path))
+    assert out == ["0", "[]"]
+
+
+def test_factor_route_ldos_loads_lapack_not_fft(tmp_path):
+    # the N = 33 sphere (radius 0.5, pitch 0.2) is above the stack bound and
+    # off the FFT grid bound: it factors S and transforms nothing
+    cfg = tmp_path / "sphere.yaml"
+    cfg.write_text("""
+scene:
+  box_side: 40.0
+  voxel_pitch: 0.2
+  primitives: [{shape: sphere, radius: 0.5, material:
+                {type: drude_lorentz, omega_p: 1.2, omega_0: 0.9, gamma: 0.4}}]
+ldos: {omega0: 1.0, position: [0.0, 0.0, 1.2], orientation: [1.0, 0.0, 0.0]}
+""")
+    out = _fresh(RUN, "ldos", str(cfg), str(tmp_path / "out"))
     assert out == ["0", "['scipy.linalg']"]
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["run"]["solver"]["route"] == "dense-ldlt"
 
 
 def test_next_fast_len_matches_scipy():

@@ -5,7 +5,7 @@ import pytest
 import yaml
 
 from fluctem import greens, observables
-from fluctem.greens import EffectiveSolver, SolverStack, stack_bytes
+from fluctem.greens import EffectiveSolver, stack_bytes
 from fluctem.material import DrudeLorentzModel
 from fluctem.observables import (
     BodySpec,
@@ -309,7 +309,7 @@ def test_casimir_evaluates_materials_only_in_the_solver(monkeypatch):
     # each frequency is evaluated exactly once, on its chunk's array: the two
     # voxels' equal materials share one evaluation, and the body reads chi
     # from the stack
-    chunk = observables._STACK_BYTES // stack_bytes(2, 4)
+    chunk = greens._STACK_BYTES // stack_bytes(2, 4)
     assert len(calls) == -(-FORCE_GRID.size // chunk)
     assert np.array_equal(np.concatenate(calls), FORCE_GRID)
 
@@ -329,7 +329,6 @@ def _count_sweep_work(monkeypatch):
         monkeypatch.setattr(owner, name, lambda *a, **k: counts.append(label) or real(*a, **k))
 
     counted(EffectiveSolver, "__init__", "solver")
-    counted(SolverStack, "__init__", "stack")
     counted(greens.sla.lapack, "zsytrf", "zsytrf")
     counted(greens.sla.lapack, "zsytrs", "zsytrs")
     counted(np.linalg, "solve", "batched solve")
@@ -339,51 +338,56 @@ def _count_sweep_work(monkeypatch):
 
 
 def test_casimir_sweep_work_counters(monkeypatch):
-    # configs/casimir.yaml's sweep is stacked: no EffectiveSolver and no
-    # LDL^T, one SolverStack and one batched solve per chunk of frequencies
+    # configs/casimir.yaml's sweep is stacked: no LDL^T, and per chunk of
+    # frequencies one solver, one row build and one batched solve
     scene, points = _casimir_config_scene()
     counts = _count_sweep_work(monkeypatch)
     grid = np.logspace(-2, 1, points) * np.sqrt(2)
     force = casimir_thermal_force(scene, BodySpec((0,)), T=1.0, omega_grid=grid, tail_tol=100.0)
-    chunk = observables._STACK_BYTES // stack_bytes(2, 4)
+    chunk = greens._STACK_BYTES // stack_bytes(2, 4)
     assert chunk >= 2
     solves = -(-points // chunk)
-    assert counts == ["stack", "batched solve"] * solves
+    assert counts == ["solver", "rows", "batched solve"] * solves
     assert force.metadata["solve"]["route"] == "stacked"
     assert force.metadata["solve"]["batched_solves"] == solves
     assert 0 < force.metadata["solve"]["backward_error"] < 1e-14
 
 
 def test_casimir_sweep_above_the_stack_bound_solves_per_frequency(monkeypatch):
-    # a scene whose two frequencies' worth exceed the bound keeps one solver,
-    # one LDL^T and one solve per frequency, whose right-hand side comes from
-    # one coupling-row build, and no green() call; at the bound itself the
-    # sweep stacks two frequencies a solve
+    # a scene whose two frequencies' worth exceed the bound keeps one solver
+    # and one solve per frequency, whose right-hand side comes from one
+    # coupling-row build, and no green() call: one frequency's S still
+    # stacks, so that solve is a batched LU; at no bound at all, one LDL^T.
+    # At the bound itself the sweep stacks two frequencies a solve
     scene, _ = _casimir_config_scene()
     grid = np.logspace(-1, 1, 8) * np.sqrt(2)
     counts = _count_sweep_work(monkeypatch)
-    monkeypatch.setattr(observables, "_STACK_BYTES", 2 * stack_bytes(2, 4) - 1)
-    with pytest.warns(UserWarning, match="under-resolves"):
-        force = casimir_thermal_force(scene, BodySpec((0,)), T=1.0, omega_grid=grid,
-                                      tail_tol=100.0)
-    per_frequency = ["solver", "rows", "zsytrf", "zsytrs"]
-    assert counts == per_frequency * grid.size
-    assert force.metadata["solve"] == {"route": "per-frequency", "batched_solves": 0,
-                                       "backward_error": None}
+    for bound, per_frequency in ((2 * stack_bytes(2, 4) - 1, ["solver", "rows", "batched solve"]),
+                                 (0, ["solver", "rows", "zsytrf", "zsytrs"])):
+        monkeypatch.setattr(greens, "_STACK_BYTES", bound)
+        counts.clear()
+        with pytest.warns(UserWarning, match="under-resolves"):
+            force = casimir_thermal_force(scene, BodySpec((0,)), T=1.0, omega_grid=grid,
+                                          tail_tol=100.0)
+        assert counts == per_frequency * grid.size
+        assert force.metadata["solve"] == {"route": "per-frequency", "batched_solves": 0,
+                                           "backward_error": None}
     counts.clear()
-    monkeypatch.setattr(observables, "_STACK_BYTES", 2 * stack_bytes(2, 4))
+    monkeypatch.setattr(greens, "_STACK_BYTES", 2 * stack_bytes(2, 4))
     with pytest.warns(UserWarning, match="under-resolves"):
         casimir_thermal_force(scene, BodySpec((0,)), T=1.0, omega_grid=grid, tail_tol=100.0)
-    assert counts == ["stack", "batched solve"] * (grid.size // 2)
+    assert counts == ["solver", "rows", "batched solve"] * (grid.size // 2)
 
 
 @pytest.mark.filterwarnings("ignore:omega grid under-resolves")
 def test_per_frequency_route_solves_a_whole_body_once_a_frequency(monkeypatch):
     # the 20 jittered voxels, all in the body, are above the stack bound:
-    # each frequency builds one solver and makes one LDL^T and one solve of
+    # each frequency builds one solver and makes one LDL^T (with the bound
+    # at 0, where one frequency's S does not stack either) and one solve of
     # 3 columns per body voxel, and never calls green()
     scene, body = stack_scene("jittered")
-    assert observables._STACK_BYTES // stack_bytes(scene.n_voxels, 4 * len(body)) < 2
+    assert greens._STACK_BYTES // stack_bytes(scene.n_voxels, 4 * len(body)) < 2
+    monkeypatch.setattr(greens, "_STACK_BYTES", 0)
     counts = _count_sweep_work(monkeypatch)
     widths = []
     zsytrs = greens.sla.lapack.zsytrs
@@ -400,14 +404,17 @@ def test_per_frequency_route_solves_a_whole_body_once_a_frequency(monkeypatch):
 def test_per_frequency_route_splits_a_wide_body_into_row_blocks(monkeypatch):
     # with a block bound of 7 points' rows and gradient rows, the 20-voxel
     # body is solved in blocks of 7, 7 and 6 voxels after one LDL^T a
-    # frequency; each right-hand side stays within the block's rows, and
-    # the forces are those of the single whole-body solve
+    # frequency (the factor route, with the stack bound at 0); each
+    # right-hand side stays within the block's rows, and the forces are
+    # those of the single whole-body solve
     scene, body = stack_scene("jittered")
+    monkeypatch.setattr(greens, "_STACK_BYTES", 0)
     ref = casimir_thermal_force(scene, BodySpec(body), T=1.0, omega_grid=STACK_GRID,
                                 tail_tol=np.inf)
     n3 = 3 * scene.n_voxels
     bound = 4 * 7 * 3 * n3 * 16
     monkeypatch.setattr(greens, "_BLOCK_BYTES", bound)
+    monkeypatch.setattr(greens, "_STACK_BYTES", 0)
     counts = _count_sweep_work(monkeypatch)
     widths = []
     zsytrs = greens.sla.lapack.zsytrs
@@ -427,7 +434,7 @@ def test_per_frequency_route_splits_a_wide_body_into_row_blocks(monkeypatch):
 
 def test_spheres_are_above_the_stack_bound():
     # the N = 179 sphere does not stack even for a one-voxel body
-    assert observables._STACK_BYTES < 2 * stack_bytes(179, 4)
+    assert greens._STACK_BYTES < 2 * stack_bytes(179, 4)
 
 
 @pytest.mark.filterwarnings("ignore:omega grid under-resolves")
@@ -436,8 +443,8 @@ def test_stacked_sweep_matches_the_per_frequency_route(monkeypatch, name):
     scene, body = stack_scene(name)
     pos = scene.positions()[list(body)]
     # stack every scene, the 20-voxel one included, whatever the bound
-    monkeypatch.setattr(observables, "_STACK_BYTES", 2**40)
-    stack = SolverStack(scene, STACK_GRID)
+    monkeypatch.setattr(greens, "_STACK_BYTES", 2**40)
+    stack = EffectiveSolver(scene, STACK_GRID)
     got = observables._left_gradients(stack, *stack._coupling_rows(pos, gradients=True))
     for f, omega in enumerate(STACK_GRID):
         solver = EffectiveSolver(scene, omega)
@@ -446,7 +453,7 @@ def test_stacked_sweep_matches_the_per_frequency_route(monkeypatch, name):
             assert np.linalg.norm(got[f, j] - ref) <= 1e-9 * np.linalg.norm(ref)
     stacked = casimir_thermal_force(scene, BodySpec(body), T=1.0, omega_grid=STACK_GRID,
                                     tail_tol=np.inf)
-    monkeypatch.setattr(observables, "_STACK_BYTES", 0)
+    monkeypatch.setattr(greens, "_STACK_BYTES", 0)
     ref = casimir_thermal_force(scene, BodySpec(body), T=1.0, omega_grid=STACK_GRID,
                                 tail_tol=np.inf)
     assert stacked.metadata["solve"]["route"] == "stacked"

@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fluctem.greens import EffectiveSolver, SolverStack
+from fluctem import greens
+from fluctem.greens import EffectiveSolver
 from fluctem.material import DrudeLorentzModel, MaterialError, TabulatedPermittivity
 from fluctem.scene import (
     Scene,
@@ -412,8 +413,8 @@ def test_coupling_rows_hold_the_self_term_in_the_owner_column_only(rng, monkeypa
     # the rows read the owner off their own separations: cself I exactly in
     # the scan's voxel, and nowhere else, at faces, edges and corners too.
     # They have one layout, C-ordered (P, 3, 3N): _row_blocks yields the
-    # arrays _coupling_rows built, not copies, and SolverStack's rows are
-    # those of each frequency.  The polarization a solve makes of them has
+    # arrays _coupling_rows built, not copies, and a solver's rows at an
+    # array of frequencies are those of each frequency.  The polarization a solve makes of them has
     # one layout too, C-ordered (3N, 3S), on either route
     built = []
     coupling_rows = EffectiveSolver._coupling_rows
@@ -444,7 +445,9 @@ def test_coupling_rows_hold_the_self_term_in_the_owner_column_only(rng, monkeypa
         some = pts[::50]
         chiX = solver.interior_solution(some)
         assert chiX.shape == (3 * n, 3 * len(some)) and chiX.flags.c_contiguous
-        stacked = SolverStack(sc, [0.8, 1.0])._coupling_rows(some)
+        monkeypatch.setattr(greens, "_STACK_BYTES", 2**40)  # stack the lattice scenes too
+        stacked = EffectiveSolver(sc, [0.8, 1.0])._coupling_rows(some)
+        monkeypatch.undo()
         assert stacked.shape == (2, len(some), 3, 3 * n) and stacked.flags.c_contiguous
         assert np.abs(stacked[1] - R[::50]).max() <= 1e-15 * np.abs(R).max()
 
