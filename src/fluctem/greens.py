@@ -52,9 +52,13 @@ The scatterer volume term of the dissipation identity needs the field at
 every Gauss sub-node of every voxel.  On a lattice scene (Scene.lattice) the
 field at sub-node j is a zero-padded 3-D FFT convolution of the polarization
 with the kernel table K_j(m) = dV (w/c)^2 Gv(pitch m + sub_j), the own cell
-holding the self term (Goodman, Draine & Flatau 1991).  It is taken when the
-padded grid needs no more bytes than S; one-voxel, sparse and off-lattice
-scenes build dense coupling rows at the nodes instead.
+holding the self term (Goodman, Draine & Flatau 1991).  The sub-nodes
+sigma s, sigma in {+1, -1}^3, are mirror images of one another, and so are
+their tables, K_{sigma s}(m)_ik = sigma_i sigma_k K_s(sigma m)_ik: one table
+is built and transformed per mirror class (one at nsub = 2, eight at
+nsub = 3), and each node reads it at the mirrored frequencies.  It is taken
+when the padded grid needs no more bytes than S; one-voxel, sparse and
+off-lattice scenes build dense coupling rows at the nodes instead.
 
 The surface term of the dissipation identity is taken on the sphere at
 infinity, a discrete optical theorem (Draine & Flatau 1994).  Far from every
@@ -80,6 +84,7 @@ from __future__ import annotations
 
 import functools
 import importlib
+import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -142,13 +147,16 @@ _LDLT_PANEL = 32
 # leaves COCG.  Either charge is checked before the allocation it covers
 _MEMORY_CAP = 2 * 1024**3
 
-# bytes per cell of the padded grid a lattice solver is charged: 18 complex
-# numbers for the transformed polarization, 9 for one kernel table, 6 for its
-# transform and 12 for one field component and its transform.  At N = 739 (a
-# 21^3 grid) it charges 6.4 MiB, against a traced 5.8 MiB for the identity
-# report's 6-column COCG solve and 3.3 MiB for an LDOS; the whole report
-# traces 8.2 MiB, about 900 bytes a cell, its volume term's arrays included
-_FFT_CELL_BYTES = 45 * 16
+# bytes per cell of the padded grid a lattice solver is charged: what the
+# identity report, the widest user of the grid, holds in its volume term's
+# convolutions (_lattice_fields): 18 complex numbers for the transformed
+# polarization, 6 each for the kernel transforms of COCG (kept by the
+# solver) and of one mirror class of sub-nodes, 12 for the two product
+# buffers and 1 for a mirrored component, 43 in all, plus arrays as long as
+# the voxels.  At N = 739 (a 21^3 grid) it charges 7.9 MiB, against a traced
+# 7.3 MiB for the whole report (827 bytes a cell; 771 at N = 3,695, a 40^3
+# grid), 5.9 MiB for its 6-column COCG solve and 3.3 MiB for an LDOS
+_FFT_CELL_BYTES = 56 * 16
 
 # a lattice solver's work budget, in column-matvecs, is this constant times
 # (3N)^3 / (cells of the padded grid): about what assembly and LDL^T cost, in
@@ -954,7 +962,8 @@ def noise_volume_integral_scatterer(scene, a, b, solver: EffectiveSolver, chiX, 
     The route is volume_route(solver, nsub).  On a lattice scene
     (Scene.lattice) whose FFT arrays need no more bytes than S, the field at
     each Gauss sub-node is one zero-padded 3-D FFT convolution of the
-    polarization with the kernel table of that sub-node ("lattice-fft");
+    polarization with the kernel table of that sub-node, one table per
+    mirror class of sub-nodes (_lattice_fields, "lattice-fft");
     other scenes build coupling rows at every node ("dense-rows").  Both
     give the same sum to rounding.
 
@@ -982,8 +991,10 @@ def noise_volume_integral_scatterer(scene, a, b, solver: EffectiveSolver, chiX, 
         # G(a, x) = G(x, a)^T by reciprocity of the discrete model
         return k2 * np.einsum("n,nki,nkj->ij", w, B[:, 0], np.conj(B[:, 1]))
     out = np.zeros((3, 3), complex)
-    for s, B in zip(wsub, _lattice_fields(solver, solver.grid, sub, a, b, chiX)):
-        out += np.einsum("n,nki,nkj->ij", s * epsim, B[:, 0], np.conj(B[:, 1]))
+    # summed in _lattice_fields' order: at nsub = 2 one mirror class, the
+    # nodes' order; at nsub = 3 eight classes, a different order
+    for j, B in _lattice_fields(solver, solver.grid, sub, a, b, chiX):
+        out += np.einsum("n,nki,nkj->ij", wsub[j] * epsim, B[:, 0], np.conj(B[:, 1]))
     return k2 * out
 
 
@@ -1071,63 +1082,115 @@ def _kernel_hat(solver, grid, s):
     return K, sfft.fftn(np.stack([K[..., i, k] for i, k in _SYM]), axes=_AXES, overwrite_x=True)
 
 
-def _convolve(Kh, Ph, lat):
+def _box(lat, ax):
+    """Index of the lattice box's rows on the axes before ax and every row of ax and after it."""
+    return (Ellipsis,) + tuple(slice(L) for L in lat.shape[:ax]) + (slice(None),) * -ax
+
+
+def _transform_in(fft, view, ax):
+    """Transform view along ax in place: scipy's overwrite_x permits that, not promises it."""
+    out = fft(view, axis=ax, overwrite_x=True)
+    if not np.may_share_memory(out, view):
+        view[...] = out
+
+
+def _mirror(flip):
+    """(dst, src) index pairs of the grid axes: dst[f] = src[sigma f], sigma = flip.
+
+    On a flipped axis (sign -1) index f reads (-f) mod G: the first row
+    reads itself and the rest read the rows in reverse, two strided views
+    and no copy.  Unflipped axes are read as they are.
+    """
+    axes = [((slice(None), slice(None)),) if s > 0 else
+            ((slice(1), slice(1)), (slice(1, None), slice(None, 0, -1))) for s in flip]
+    return [((Ellipsis,) + tuple(d for d, _ in pairs), (Ellipsis,) + tuple(s for _, s in pairs))
+            for pairs in itertools.product(*axes)]
+
+
+def _convolve(Kh, Ph, lat, flip=(1, 1, 1)):
     """Component i of sum_k K_ik * P_k at the lattice cells, shape (3, m, N).
 
     Kh is a kernel table's transform (6,) + grid, Ph the transformed sources
-    (3, m) + grid: three products and one inverse transform per component,
-    an axis at a time, keeping only the lattice box's rows of each axis.
+    (3, m) + grid.  Signs flip = sigma on the axes convolve with the mirror
+    image of Kh's table instead, K(m)_ik = sigma_i sigma_k K_Kh(sigma m)_ik,
+    whose transform is Kh's at the mirrored frequencies (_mirror) with those
+    signs; each product first copies that component into one grid buffer.
+    Per component i: three products, written into two buffers every
+    component reuses, and one inverse transform in place in the first, an
+    axis at a time over the lattice box's rows of the axes done before.
     """
     import scipy.fft as sfft
 
     cells = tuple(lat.cells.T)
     E = np.empty((3, Ph.shape[1], len(lat.cells)), dtype=complex)
+    F, T = np.empty((2,) + Ph.shape[1:], dtype=complex)
+    blocks = _mirror(flip) if min(flip) < 0 else None
+    M = None if blocks is None else np.empty(Ph.shape[2:], dtype=complex)
     for i in range(3):
-        F = Kh[_SYM_INDEX[i, 0]] * Ph[0]
-        F += Kh[_SYM_INDEX[i, 1]] * Ph[1]
-        F += Kh[_SYM_INDEX[i, 2]] * Ph[2]
-        for ax, L in zip(_AXES, lat.shape):
-            F = sfft.ifft(F, axis=ax, overwrite_x=True)
-            F = F[(Ellipsis, slice(L)) + (slice(None),) * (-1 - ax)]  # the box's rows
+        for k, out in enumerate((F, T, T)):
+            Kik = Kh[_SYM_INDEX[i, k]]
+            if blocks:
+                # negation is exact: the bits of the product with the signed table
+                sign = np.positive if flip[i] * flip[k] > 0 else np.negative
+                for dst, src in blocks:
+                    sign(Kik[src], out=M[dst])
+                Kik = M
+            np.multiply(Kik, Ph[k], out=out)
+            if k:
+                F += T
+        for ax in _AXES:
+            _transform_in(sfft.ifft, F[_box(lat, ax)], ax)
         E[i] = F[:, cells[0], cells[1], cells[2]]
-        del F
     return E
 
 
 def _scatter(X, grid, lat):
     """(3, m, N) sources on the lattice box, transformed on the zero-padded grid.
 
-    An axis at a time, each padded as it is transformed, so the all-zero
-    lines of the padding are never transformed.  Shape (3, m) + grid.
+    Scattered into one zero-padded array and transformed in place, an axis
+    at a time over the box's rows of the axes not yet transformed, so the
+    all-zero lines of the padding are never transformed.  Shape (3, m) + grid.
     """
     import scipy.fft as sfft
 
-    P = np.zeros(X.shape[:2] + lat.shape, dtype=complex)
+    P = np.zeros(X.shape[:2] + tuple(grid), dtype=complex)
     P[:, :, lat.cells[:, 0], lat.cells[:, 1], lat.cells[:, 2]] = X
     for ax in _AXES[::-1]:
-        P = sfft.fft(P, n=grid[ax], axis=ax)
+        _transform_in(sfft.fft, P[_box(lat, ax)], ax)
     return P
 
 
 def _lattice_fields(solver, grid, sub, a, b, chiX):
-    """G(x, a) and G(x, b) at x = pos + sub[j] for each sub-node j, each (N, 2, 3, 3).
+    """(j, G(x, a) and G(x, b) at x = pos + sub[j], (N, 2, 3, 3)) for each sub-node j.
 
     Node (v, j) sees voxel u through pitch (m_v - m_u) + sub[j] only, so its
     scattered field is a convolution over the lattice: the polarization is
-    scattered onto the padded grid and transformed once, and each sub-node
-    multiplies it by the transformed kernel table K_j and transforms back.
+    scattered onto the padded grid and transformed once.  The sub-nodes come
+    by mirror class, the nodes sigma |s| of one |s| (sigma in {+1, -1}^3):
+    classes in order of first appearance, one alive at a time, and the
+    nodes of each in their order.  A class builds and transforms one kernel
+    table K_|s| (_kernel_hat), and each of its nodes reads that transform
+    mirrored (_convolve), since Gv(sigma d)_ik = sigma_i sigma_k Gv(d)_ik.
+    The mirror holds at every circular index; on a grid longer than 2L - 1
+    it differs from the directly built table only at displacements no pair
+    of box cells reaches, so the fields agree to rounding, not bit for bit.
     """
     lat = solver.scene.lattice
     n = len(lat.cells)
     # P[k, (s, c)] on the grid: component k of column c of the source-s polarization
     P = _scatter(chiX.reshape(n, 3, 6).transpose(1, 2, 0), grid, lat)
     pos = solver.scene.positions()
-    for s in sub:
-        _, Kh = _kernel_hat(solver, grid, s)
-        # E[i, (s, c), v] is component i of G(x_v, s)[:, c]
-        scat = _convolve(Kh, P, lat).reshape(3, 2, 3, n).transpose(3, 1, 0, 2)
-        del Kh
-        yield vacuum_green_block(solver.omega, pos + s, np.stack([a, b]), c=solver.const.c) + scat
+    bases = np.abs(sub)
+    _, first = np.unique(bases, axis=0, return_index=True)
+    for base in bases[np.sort(first)]:
+        Kh = _kernel_hat(solver, grid, base)[1]
+        for j in np.flatnonzero(np.all(bases == base, axis=1)):
+            flip = np.where(sub[j] < 0, -1, 1)
+            # E[i, (s, c), v] is component i of G(x_v, s)[:, c]
+            yield j, (vacuum_green_block(solver.omega, pos + sub[j], np.stack([a, b]),
+                                         c=solver.const.c)
+                      + _convolve(Kh, P, lat, flip).reshape(3, 2, 3, n).transpose(3, 1, 0, 2))
+        del Kh  # before the next class builds its own
 
 
 class _LatticeMatvec:

@@ -203,7 +203,9 @@ def casimir_thermal_force(scene: Scene, body: BodySpec, T, omega_grid=None,
     "stacked"), one batched solve a stack; larger scenes build one per
     frequency and make one solve per block of body voxels (_row_blocks),
     route "per-frequency".  metadata["solve"] names the route, the number
-    of batched solves and their worst backward error (None per frequency).
+    of batched solves (0 per frequency) and the worst backward error of
+    every solver on either route, None when one of them measured none (a
+    factor-route solver).
     """
     idx = tuple(body.voxel_indices)
     if any(i < 0 or i >= scene.n_voxels for i in idx):
@@ -229,7 +231,7 @@ def casimir_thermal_force(scene: Scene, body: BodySpec, T, omega_grid=None,
     chunk = greens._STACK_BYTES // greens.stack_bytes(scene.n_voxels, 4 * len(idx))
     stacked = chunk >= 2
     starts = range(0, w.size, chunk if stacked else 1)
-    worst = 0.0
+    worst = 0.0  # None once a solver has measured no backward error
     for i in starts:
         solver = EffectiveSolver(scene, w[i:i + chunk] if stacked else w[i], const=const)
         chi = solver.chi[..., list(idx), None]
@@ -238,10 +240,10 @@ def casimir_thermal_force(scene: Scene, body: BodySpec, T, omega_grid=None,
                                for _, rows, grads in solver._row_blocks(pos, gradients=True)],
                               axis=-2)
         core[i:i + np.size(solver.k)] = np.where(chi != 0, (chi * grad).imag, 0.0)
-        if stacked:
-            worst = max(worst, solver.diagnostics["backward_error"])
-    solve = ({"route": "stacked", "batched_solves": len(starts), "backward_error": worst} if stacked
-             else {"route": "per-frequency", "batched_solves": 0, "backward_error": None})
+        bwd = solver.diagnostics["backward_error"]
+        worst = None if worst is None or bwd is None else max(worst, bwd)
+    solve = {"route": "stacked" if stacked else "per-frequency",
+             "batched_solves": len(starts) if stacked else 0, "backward_error": worst}
     pref = (const.hbar / np.pi) * (w / const.c) ** 2 * scene.voxel_volume
     integrand_sym, integrand_anti, integrand_bose = (
         (pref * planck_weights(w, T, kind, const))[:, None, None] * core

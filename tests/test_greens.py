@@ -993,9 +993,9 @@ def traced_peak(fn):
 
 def test_identity_report_peak_near_twice_the_matrix(monkeypatch):
     # on the COCG route the report forms no S and streams the surface term's
-    # (1,152, N) phase table in 2 MiB blocks: measured 0.109x, most of it the
+    # (1,152, N) phase table in 2 MiB blocks: measured 0.097x, most of it the
     # volume term's grid.  On the factor route (no budget) S, factored in
-    # place, plus those: 1.097x
+    # place, plus those: 1.085x
     sc = sphere_scene(1.2)
     assert sc.n_voxels == 739
     matrix_bytes = (3 * sc.n_voxels) ** 2 * 16
@@ -1006,7 +1006,7 @@ def test_identity_report_peak_near_twice_the_matrix(monkeypatch):
 
 
 def test_a_lattice_solver_is_charged_its_grid_and_refuses_s_before_allocating(monkeypatch):
-    # the cap at the N = 739 sphere's grid charge (6.4 MiB), far below S's
+    # the cap at the N = 739 sphere's grid charge (7.9 MiB), far below S's
     # 2 x 79 MB: the solver is admitted and an LDOS is served by COCG under
     # that charge (traced 3.3 MiB), with the bits of an uncapped solver.  A
     # solve too wide for what is left of the budget must leave COCG: it
@@ -1432,6 +1432,145 @@ def test_lattice_volume_term_off_centre_box():
     assert np.linalg.norm(fft - dense) <= 1e-12 * np.linalg.norm(dense)
 
 
+def direct_lattice_fields(solver, sub, a, b, chiX):
+    """G(x, a) and G(x, b) at pos + sub[j] per sub-node, each from its own kernel table."""
+    lat = solver.scene.lattice
+    n = len(lat.cells)
+    P = greens._scatter(chiX.reshape(n, 3, 6).transpose(1, 2, 0), solver.grid, lat)
+    return [vacuum_green_block(solver.omega, solver.pos + s, np.stack([a, b]), c=solver.const.c)
+            + greens._convolve(greens._kernel_hat(solver, solver.grid, s)[1], P, lat)
+            .reshape(3, 2, 3, n).transpose(3, 1, 0, 2) for s in sub]
+
+
+@pytest.mark.parametrize("nsub", [2, 3])
+@pytest.mark.parametrize("radius, side, grid", [(0.6, 5, 9), (0.8, 7, 14)])
+def test_mirrored_sub_nodes_match_their_own_kernel_tables(nsub, radius, side, grid):
+    # a sub-node sigma |s| reads the transform of its mirror class's table at
+    # the mirrored frequencies: within rounding of the field from its own
+    # table, on a grid of 2L - 1 cells an axis and on a longer one, where
+    # the mirrored table differs at displacements no pair of cells reaches.
+    # A node whose shift is |s| reads the class's table as built, bitwise
+    sc = sphere_scene(radius)
+    a, b = np.array([0.23, -0.36, 1.21]), np.array([0.84, 0.47, -0.93])
+    solver, chiX = solved(sc, 0.9, a, b)
+    assert sc.lattice.shape == (side,) * 3 and solver.grid == (grid,) * 3
+    sub = greens._gauss_subnodes(sc.voxel_pitch, nsub)[0]
+    got = dict(greens._lattice_fields(solver, solver.grid, sub, a, b, chiX))
+    assert sorted(got) == list(range(nsub**3))
+    for j, ref in enumerate(direct_lattice_fields(solver, sub, a, b, chiX)):
+        assert np.linalg.norm(got[j] - ref) <= 1e-14 * np.linalg.norm(ref)
+        if np.all(sub[j] >= 0):
+            assert np.array_equal(got[j], ref)
+
+
+@pytest.mark.parametrize("nsub, tables", [(2, 2), (3, 9)])
+def test_a_lattice_report_builds_one_kernel_table_per_mirror_class(monkeypatch, nsub, tables):
+    # the N = 739 report's COCG matvec builds the table at shift 0, and the
+    # volume term one per class of sub-nodes with one |s|: 1 at nsub = 2
+    # (the eight corners), 8 at nsub = 3
+    sc = sphere_scene(1.2)
+    shifts = []
+    kernel_hat = greens._kernel_hat
+    monkeypatch.setattr(greens, "_kernel_hat",
+                        lambda solver, grid, s: shifts.append(s) or kernel_hat(solver, grid, s))
+    solver = EffectiveSolver(sc, 1.0)
+    rep = greens_identity_report(sc, 1.0, IDENTITY_A, IDENTITY_B, nsub=nsub, solver=solver)
+    assert rep.volume_route == "lattice-fft"
+    assert solver.diagnostics["route"] == "lattice-cocg"
+    assert len(shifts) == tables
+    assert np.array_equal(shifts[0], np.zeros(3))
+    assert np.unique(np.abs(shifts[1:]), axis=0).shape == (tables - 1, 3)
+
+
+def scatter_out_of_place(X, grid, lat):
+    """The per-axis out-of-place forward transform _scatter replaced, as the bitwise reference."""
+    import scipy.fft as sfft
+
+    P = np.zeros(X.shape[:2] + lat.shape, dtype=complex)
+    P[:, :, lat.cells[:, 0], lat.cells[:, 1], lat.cells[:, 2]] = X
+    for ax in (-1, -2, -3):
+        P = sfft.fft(P, n=grid[ax], axis=ax)
+    return P
+
+
+def convolve_out_of_place(Kh, Ph, lat):
+    """The convolution _convolve replaced: new product arrays per component, as the reference."""
+    import scipy.fft as sfft
+
+    cells = tuple(lat.cells.T)
+    E = np.empty((3, Ph.shape[1], len(lat.cells)), dtype=complex)
+    for i in range(3):
+        F = Kh[greens._SYM_INDEX[i, 0]] * Ph[0]
+        F += Kh[greens._SYM_INDEX[i, 1]] * Ph[1]
+        F += Kh[greens._SYM_INDEX[i, 2]] * Ph[2]
+        for ax, L in zip((-3, -2, -1), lat.shape):
+            F = sfft.ifft(F, axis=ax, overwrite_x=True)
+            F = F[(Ellipsis, slice(L)) + (slice(None),) * (-1 - ax)]
+        E[i] = F[:, cells[0], cells[1], cells[2]]
+    return E
+
+
+def record_transforms(patch):
+    """(input, output) of every scipy.fft.fft and ifft call while patch (a monkeypatch) holds."""
+    import scipy.fft as sfft
+
+    calls = []
+    for name in ("fft", "ifft"):
+        def recorded(x, *args, real=getattr(sfft, name), **kwargs):
+            calls.append((x, real(x, *args, **kwargs)))
+            return calls[-1][1]
+        patch.setattr(sfft, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("columns", [1, 4, 6])
+def test_in_place_transforms_keep_the_bits_of_the_out_of_place_ones(monkeypatch, rng, columns):
+    # the forward and inverse halves of every lattice convolution, on the
+    # N = 179 sphere and on a box of unequal sides: the bits of new arrays
+    # per axis and per product, while every transform writes into the one
+    # padded array of _scatter or the product buffer of _convolve
+    box = build_scene({"box_side": 40.0, "voxel_pitch": 0.2, "primitives": [
+        {"shape": "box", "center": [0.37, -0.11, 0.05], "half_size": [0.7, 0.3, 0.5],
+         "material": {"type": "drude_lorentz", "omega_p": 1.2, "omega_0": 0.9,
+                      "gamma": 0.4}}]})
+    assert box.lattice.shape == (7, 3, 5) and greens._fft_grid(box) == (14, 5, 9)
+    for sc in (sphere_scene(0.8), box):
+        lat, solver = sc.lattice, EffectiveSolver(sc, 1.0)
+        X = rng.standard_normal((3, columns, sc.n_voxels)) + 1j * rng.standard_normal(
+            (3, columns, sc.n_voxels))
+        Kh = greens._kernel_hat(solver, solver.grid, np.zeros(3))[1]
+        with monkeypatch.context() as patch:
+            calls = record_transforms(patch)
+            P = greens._scatter(X, solver.grid, lat)
+            forward = calls[:]
+            calls.clear()
+            E = greens._convolve(Kh, P, lat)
+        assert len(forward) == 3 and len(calls) == 9
+        assert all(np.shares_memory(x, P) and np.shares_memory(out, x) for x, out in forward)
+        assert all(np.shares_memory(x, calls[0][0]) and np.shares_memory(out, x)
+                   for x, out in calls)
+        assert np.array_equal(P, scatter_out_of_place(X, solver.grid, lat))
+        assert np.array_equal(E, convolve_out_of_place(Kh, P, lat))
+
+
+def test_identity_report_peaks_within_its_grid_charge():
+    # the N = 739 report on the COCG route: its traced peak, in the volume
+    # term's convolutions, fits the grid charge its solver was admitted with
+    # (827 bytes a cell measured, against 896).  A first report, untraced,
+    # imports scipy.fft
+    sc = sphere_scene(1.2)
+    greens_identity_report(sc, 1.0, IDENTITY_A, IDENTITY_B)
+
+    def report():
+        solver = EffectiveSolver(sc, 1.0)
+        return solver, greens_identity_report(sc, 1.0, IDENTITY_A, IDENTITY_B, solver=solver)
+
+    (solver, rep), peak = traced_peak(report)
+    assert solver.diagnostics["route"] == "lattice-cocg"
+    assert rep.volume_route == "lattice-fft"
+    assert peak <= np.prod(solver.grid) * greens._FFT_CELL_BYTES
+
+
 def test_sparse_single_and_off_lattice_scenes_take_dense_rows():
     # the 2-voxel pair at +-0.6 with pitch pi/6 is off the lattice
     pair = Scene(box_side=40.0, voxel_pitch=np.pi / 6, scatterer_voxels=(
@@ -1608,7 +1747,7 @@ def test_centre_rule_volume_term_matches_the_field_routes():
         if solver.grid is None:
             B = greens._field(solver, pos, a, b, chiX)
         else:
-            B = next(greens._lattice_fields(solver, solver.grid, np.zeros((1, 3)), a, b, chiX))
+            B = next(greens._lattice_fields(solver, solver.grid, np.zeros((1, 3)), a, b, chiX))[1]
         w = omega**2 * sc.voxel_volume * solver.chi.imag
         ref = np.einsum("n,nki,nkj->ij", w, B[:, 0], np.conj(B[:, 1]))
         assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)

@@ -358,20 +358,40 @@ def test_casimir_sweep_above_the_stack_bound_solves_per_frequency(monkeypatch):
     # and one solve per frequency, whose right-hand side comes from one
     # coupling-row build, and no green() call: one frequency's S still
     # stacks, so that solve is a batched LU; at no bound at all, one LDL^T.
-    # At the bound itself the sweep stacks two frequencies a solve
+    # The worst backward error is that of every frequency's solver, None
+    # when the factor route measured none.  At the bound itself the sweep
+    # stacks two frequencies a solve
     scene, _ = _casimir_config_scene()
     grid = np.logspace(-1, 1, 8) * np.sqrt(2)
     counts = _count_sweep_work(monkeypatch)
+    diagnostics = []
+    init = EffectiveSolver.__init__
+
+    def record(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        diagnostics.append(self.diagnostics)  # the dict its solves update
+
+    monkeypatch.setattr(EffectiveSolver, "__init__", record)
     for bound, per_frequency in ((2 * stack_bytes(2, 4) - 1, ["solver", "rows", "batched solve"]),
                                  (0, ["solver", "rows", "zsytrf", "zsytrs"])):
         monkeypatch.setattr(greens, "_STACK_BYTES", bound)
         counts.clear()
+        diagnostics.clear()
         with pytest.warns(UserWarning, match="under-resolves"):
             force = casimir_thermal_force(scene, BodySpec((0,)), T=1.0, omega_grid=grid,
                                           tail_tol=100.0)
         assert counts == per_frequency * grid.size
-        assert force.metadata["solve"] == {"route": "per-frequency", "batched_solves": 0,
-                                           "backward_error": None}
+        solve = force.metadata["solve"]
+        assert {k: solve[k] for k in ("route", "batched_solves")} == {
+            "route": "per-frequency", "batched_solves": 0}
+        measured = [d["backward_error"] for d in diagnostics]
+        assert len(measured) == grid.size
+        if bound:
+            assert 0 < solve["backward_error"] <= 1e-14
+            assert solve["backward_error"] == max(measured)
+        else:
+            assert measured == [None] * grid.size
+            assert solve["backward_error"] is None
     counts.clear()
     monkeypatch.setattr(greens, "_STACK_BYTES", 2 * stack_bytes(2, 4))
     with pytest.warns(UserWarning, match="under-resolves"):
