@@ -10,8 +10,6 @@ level.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 import time
@@ -51,10 +49,11 @@ from .oracle import (
 )
 from .polariton import PolaritonError, dispersion_sweep
 from .reports import (
-    density_rows,
+    write_csv,
     write_density_csv,
     write_dispersion_csv,
     write_force_json,
+    write_json,
     write_manifest,
     write_per_voxel_force_csv,
     write_spectral_csv,
@@ -104,9 +103,22 @@ def _scene_from_cfg(cfg, base_dir):
 
 
 def _omega_grid(gcfg):
+    """points (default 101, an integer >= 2) from min to max, finite with min < max.
+
+    spacing is log (the default; min > 0) or linear, which may start at 0.
+    """
+    spacing = gcfg.get("spacing", "log")
+    if spacing not in ("log", "linear"):
+        raise UsageError(f"grid spacing must be log or linear, not {spacing!r}")
     lo, hi = float(gcfg["min"]), float(gcfg["max"])
-    n = int(gcfg.get("points", 101))
-    if gcfg.get("spacing", "log") == "log":
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise UsageError(f"grid min and max must be finite with min < max, not {lo} and {hi}")
+    if spacing == "log" and lo <= 0:
+        raise UsageError(f"a log grid needs min > 0, not {lo}")
+    n = gcfg.get("points", 101)
+    if type(n) is not int or n < 2:  # bool is an int subclass, and is refused
+        raise UsageError(f"grid points must be an integer >= 2, not {n!r}")
+    if spacing == "log":
         return np.logspace(np.log10(lo), np.log10(hi), n)
     return np.linspace(lo, hi, n)
 
@@ -137,9 +149,7 @@ def _run_dispersion(cfg, scene, outdir, const, run):
         raise MaterialError(f"dispersion needs a drude_lorentz material, "
                             f"not {type(mat).__name__}")
     grid = _omega_grid(dc.get("omega_alpha", {"min": 0.01, "max": 10.0, "points": 200}))
-    rows = []
-    for up, lo, par in dispersion_sweep(mat, grid):
-        rows.extend([up, lo, par])
+    rows = [bp for branches in dispersion_sweep(mat, grid) for bp in branches]
     return [write_dispersion_csv(outdir / "dispersion.csv", rows)], 0
 
 
@@ -150,12 +160,10 @@ def _run_ldos(cfg, scene, outdir, const, run):
     n = np.asarray(lc.get("orientation", [0, 0, 1]), dtype=float)
     val = ldos(scene, omega0, x0, n, const=const, solver=_solver(scene, omega0, const, run))
     vac = vacuum_ldos(omega0, const)
-    out = outdir / "ldos.json"
-    out.write_text(json.dumps({"omega0": omega0, "position": list(map(float, x0)),
-                               "orientation": list(map(float, n / np.linalg.norm(n))),
-                               "ldos": repr(val), "vacuum_ldos": repr(vac),
-                               "enhancement": repr(val / vac)}, sort_keys=True, indent=1))
-    return [out], 0
+    return [write_json(outdir / "ldos.json", {
+        "omega0": omega0, "position": list(map(float, x0)),
+        "orientation": list(map(float, n / np.linalg.norm(n))),
+        "ldos": repr(val), "vacuum_ldos": repr(vac), "enhancement": repr(val / vac)})], 0
 
 
 def _run_rate(cfg, scene, outdir, const, run):
@@ -166,12 +174,9 @@ def _run_rate(cfg, scene, outdir, const, run):
                      omega0=float(rc["omega0"]))
     res = spontaneous_rate(scene, em, const=const,
                            solver=_solver(scene, em.omega0, const, run))
-    out = outdir / "rate.json"
-    out.write_text(json.dumps({"gamma": repr(res.gamma),
-                               "gamma_vacuum": repr(res.gamma_vacuum),
-                               "purcell": repr(res.purcell),
-                               "ldos": repr(res.ldos)}, sort_keys=True, indent=1))
-    return [out], 0
+    return [write_json(outdir / "rate.json", {
+        "gamma": repr(res.gamma), "gamma_vacuum": repr(res.gamma_vacuum),
+        "purcell": repr(res.purcell), "ldos": repr(res.ldos)})], 0
 
 
 def _run_correlator(cfg, scene, outdir, const, run):
@@ -187,19 +192,14 @@ def _run_correlator(cfg, scene, outdir, const, run):
                                           _solver(scene, om, const, run))
 
     dens = _pmap(one, grid, run["threads"])
-    rows = []
-    for d in dens:
-        rows.extend(density_rows(d, T=T, ordering=ordering))
-    arts = [write_density_csv(outdir / "correlator.csv", rows)]
+    arts = [write_density_csv(outdir / "correlator.csv", dens, T=T, ordering=ordering)]
     if "tau" in cc:
         tau = float(cc["tau"])
         td = time_domain_correlator([d.value for d in dens], grid, tau)
-        p = outdir / "correlator_time.json"
-        p.write_text(json.dumps({"tau": tau,
-                                 "value_re": [[repr(x) for x in row] for row in td.real.tolist()],
-                                 "value_im": [[repr(x) for x in row] for row in td.imag.tolist()]},
-                                sort_keys=True, indent=1))
-        arts.append(p)
+        arts.append(write_json(outdir / "correlator_time.json", {
+            "tau": tau,
+            "value_re": [[repr(x) for x in row] for row in td.real.tolist()],
+            "value_im": [[repr(x) for x in row] for row in td.imag.tolist()]}))
     return arts, 0
 
 
@@ -209,8 +209,7 @@ def _run_commutator(cfg, scene, outdir, const, run):
     b = np.asarray(cc["b"], float)
     omega = float(cc["omega"])
     d = commutator_density(scene, omega, a, b, const, _solver(scene, omega, const, run))
-    rows = list(density_rows(d))
-    arts = [write_density_csv(outdir / "commutator.csv", rows)]
+    arts = [write_density_csv(outdir / "commutator.csv", [d])]
     if cc.get("mode_sum"):
         ms = cc["mode_sum"]
         basis = enumerate_modes(float(ms.get("box_side", scene.box_side)),
@@ -231,17 +230,15 @@ def _run_verify_identity(cfg, scene, outdir, const, run):
     tol = float(vc.get("tolerance", 1e-6 if scene.n_voxels == 0 else 1e-2))
     rep = greens_identity_report(scene, omega, a, b, nsub=int(vc.get("nsub", 2)),
                                  const=const, solver=_solver(scene, omega, const, run))
-    out = outdir / "identity.json"
-    out.write_text(json.dumps({
+    out = write_json(outdir / "identity.json", {
         "omega": omega, "residual": repr(rep.residual), "tolerance": tol,
         "surface_norm": repr(float(np.linalg.norm(rep.surface_term))),
         "volume_norm": repr(float(np.linalg.norm(rep.volume_term))),
         "imag_green_norm": repr(float(np.linalg.norm(rep.imag_green))),
         "passed": bool(rep.residual <= tol),
         "margin": rep.residual / tol, "volume_route": rep.volume_route,
-    }, sort_keys=True, indent=1))
-    status = 0 if rep.residual <= tol else 2
-    return [out], status
+    })
+    return [out], 0 if rep.residual <= tol else 2
 
 
 def _default_equivalence_levels():
@@ -268,16 +265,12 @@ def _run_verify_equivalence(cfg, scene, outdir, const, run):
     fan = equivalence_fan(mat, omega, a, b, levels, const=const,
                           delta_omega=float(vc.get("delta_omega", 0.05)),
                           window=vc.get("window", "hann"))
-    out = outdir / "equivalence.csv"
-    with out.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["level", "box_side", "shell_eps_imag", "shell_lengths",
-                    "pitch", "mode_count", "pair", "disagreement"])
-        for i, lv in enumerate(fan):
-            for pair, d in sorted(lv.disagreements.items()):
-                w.writerow([i, repr(lv.box_side), repr(lv.shell_eps_imag),
-                            repr(lv.shell_lengths), repr(lv.pitch),
-                            lv.mode_count, pair, repr(d)])
+    out = write_csv(outdir / "equivalence.csv",
+                    ["level", "box_side", "shell_eps_imag", "shell_lengths",
+                     "pitch", "mode_count", "pair", "disagreement"],
+                    ([i, repr(lv.box_side), repr(lv.shell_eps_imag), repr(lv.shell_lengths),
+                      repr(lv.pitch), lv.mode_count, pair, repr(d)]
+                     for i, lv in enumerate(fan) for pair, d in sorted(lv.disagreements.items())))
     final = fan[-1].disagreements
     ok = all(d <= tol for d in final.values())
     for pair in final:

@@ -718,25 +718,18 @@ class EffectiveSolver:
     def imag_green(self, a, b, *, chiX=None):
         """Imag G(a, b), (3, 3); at a = b the vacuum part is its finite coincidence limit.
 
-        chiX, when given, is interior_solution([a, b]), the polarization a
-        caller has already solved, and the scattered part is radiated from
-        its columns for b; otherwise the scattered part takes one solve of
-        its own (green, or green_coincident_scattered at a = b).
+        The scattered part radiates the polarization of b to a: chiX[:, 3:]
+        when chiX, interior_solution([a, b]), is given, the polarization a
+        caller has already solved, else interior_solution(b), one solve.
         """
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        coincident = np.allclose(a, b)
-        if coincident:
+        if np.allclose(a, b):
             vac = vacuum_imag_coincidence(self.omega, self.const.c)
         else:
             vac = np.imag(vacuum_green_block(self.omega, a, b, c=self.const.c)[0, 0])
-        if chiX is not None:
-            scat = self._radiate(a[None, :], chiX[:, 3:])[0, 0]
-        elif coincident:
-            scat = self.green_coincident_scattered(a[None, :])[0]
-        else:
-            scat = self.green(a[None, :], b[None, :], scattered_only=True, warn_near=False)[0, 0]
-        return vac + np.imag(scat)
+        P = chiX[:, 3:] if chiX is not None else self.interior_solution(b)
+        return vac + np.imag(self._radiate(a[None], P)[0, 0])
 
     def green_coincident_scattered(self, pts, n_hat=None):
         """Scattered part at coincidence, finite everywhere: (P, 3, 3), or (P,) with n_hat.
@@ -1169,7 +1162,8 @@ def _lattice_fields(solver, grid, sub, a, b, chiX):
     by mirror class, the nodes sigma |s| of one |s| (sigma in {+1, -1}^3):
     classes in order of first appearance, one alive at a time, and the
     nodes of each in their order.  A class builds and transforms one kernel
-    table K_|s| (_kernel_hat), and each of its nodes reads that transform
+    table K_|s| (_kernel_hat), or at |s| = 0 reads the one the solver's
+    lattice matvec holds, and each of its nodes reads that transform
     mirrored (_convolve), since Gv(sigma d)_ik = sigma_i sigma_k Gv(d)_ik.
     The mirror holds at every circular index; on a grid longer than 2L - 1
     it differs from the directly built table only at displacements no pair
@@ -1183,7 +1177,8 @@ def _lattice_fields(solver, grid, sub, a, b, chiX):
     bases = np.abs(sub)
     _, first = np.unique(bases, axis=0, return_index=True)
     for base in bases[np.sort(first)]:
-        Kh = _kernel_hat(solver, grid, base)[1]
+        live = not base.any() and solver._matvec is not None
+        Kh = solver._matvec.Kh if live else _kernel_hat(solver, grid, base)[1]
         for j in np.flatnonzero(np.all(bases == base, axis=1)):
             flip = np.where(sub[j] < 0, -1, 1)
             # E[i, (s, c), v] is component i of G(x_v, s)[:, c]

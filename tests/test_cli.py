@@ -354,6 +354,43 @@ def test_usage_errors_exit_one(tmp_path):
     assert main(["ldos", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("grid, key", [
+    ({"spacing": "logarithmic"}, "spacing"),
+    ({"min": 2.0, "max": 0.5}, "min"),
+    ({"min": 1.0, "max": 1.0}, "min"),
+    ({"max": float("inf")}, "max"),
+    ({"min": float("nan")}, "min"),
+    ({"min": 0.0}, "min"),
+    ({"min": -0.5, "spacing": "log"}, "min"),
+    ({"points": 1}, "points"),
+    ({"points": 4.5}, "points"),
+    ({"points": True}, "points"),
+])
+def test_malformed_omega_grid_is_a_usage_error(tmp_path, capsys, grid, key):
+    # reference.yaml's correlator grid with one key spoiled exits 1 before any
+    # solve, naming the key: a misspelt spacing used to run a linear grid and
+    # min > max a backwards one, the time-domain correlator's sign flipped
+    omega = {"min": 0.5, "max": 2.0, "points": 31, **grid}
+    cfg = write_cfg(tmp_path, {"correlator": {
+        "a": [0, 0, 1.2], "b": [0.6, 0.2, -0.4], "T": 0.8, "omega": omega, "tau": 0.3}})
+    out = tmp_path / "out"
+    assert main(["correlator", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and key in err, err
+    assert not (out / "manifest.json").exists()
+
+
+def test_linear_grid_may_start_at_zero(tmp_path):
+    cfg = write_cfg(tmp_path, {"dispersion": {
+        "material": {"type": "drude_lorentz", "omega_p": 1.0, "omega_0": 1.0, "gamma": 0.01},
+        "omega_alpha": {"min": 0, "max": 4.0, "points": 5, "spacing": "linear"},
+    }})
+    out = tmp_path / "out"
+    assert run_subcommand("dispersion", cfg, out) == 0
+    rows = (out / "dispersion.csv").read_text().splitlines()
+    assert {r.split(",")[0] for r in rows[1:]} == {"0.0", "1.0", "2.0", "3.0", "4.0"}
+
+
 @pytest.mark.parametrize("libyaml", [True, False])
 def test_config_loader_matches_safe_load(tmp_path, monkeypatch, libyaml):
     # libyaml's safe loader where PyYAML has it, the pure-Python one where
@@ -558,3 +595,18 @@ def test_shipped_configs_run(tmp_path, name):
     assert manifest["artifacts"]
     for artifact in manifest["artifacts"]:
         assert len(list(tmp_path.rglob(artifact))) == 1, artifact
+
+
+@pytest.mark.parametrize("name", [n for n in SUBCOMMANDS if n != "casimir"])
+def test_reference_subcommands_rerun_byte_identical(tmp_path, name):
+    # each of the eight reference.yaml subcommands, run twice in one process,
+    # writes every artifact with the same bytes, and both manifests hold the
+    # same artifact digests
+    outs = [tmp_path / "1", tmp_path / "2"]
+    for out in outs:
+        assert run_subcommand(name, CONFIGS / "reference.yaml", out) == 0
+    digests = [json.loads((out / "manifest.json").read_text())["artifacts"] for out in outs]
+    assert digests[0] == digests[1]
+    for artifact in digests[0]:
+        (first,), (second,) = (list(out.rglob(artifact)) for out in outs)
+        assert first.read_bytes() == second.read_bytes(), artifact
